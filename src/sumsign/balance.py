@@ -4,8 +4,9 @@ Two independent balance checks are provided on purpose:
 
 * ``is_balanced_oracle`` enumerates every simple cycle and checks that each
   one carries an even number of negative edges (the definition);
-* ``is_balanced_fast`` propagates parities along a traversal and produces a
-  2-partition witness, without ever listing cycles.
+* ``is_balanced_fast`` folds parities over the breadth-first spanning forest
+  (``graphs.spanning_forest``) and produces a 2-partition witness, without
+  ever listing cycles.
 
 They must agree wherever the oracle is applicable; that equivalence is part
 of the test suite.
@@ -29,6 +30,7 @@ from .graphs import (
     cycle_edges,
     edge_key,
     simple_cycles,
+    spanning_forest,
 )
 from .intsets import Sign
 
@@ -101,27 +103,20 @@ def is_balanced_fast(
 ) -> tuple[bool, tuple[tuple[str, ...], tuple[str, ...]] | None]:
     """Balance via parity propagation, with a camp 2-partition witness.
 
-    Walks each component assigning each vertex a side; a positive edge keeps
-    the side, a negative edge flips it. The signed graph is balanced iff no
-    edge contradicts its forced side, and then every negative edge crosses
-    the returned partition while every positive edge stays inside one part.
+    Folds a side over the spanning forest of the graph: a positive tree edge
+    keeps its parent's side, a negative one flips it. The signed graph is
+    balanced iff every edge then agrees with its sign, and then every
+    negative edge crosses the returned partition while every positive edge
+    stays inside one part.
     """
     g = s.graph
+    order, parent = spanning_forest(g)
     side: dict[str, int] = {}
-    for root in g.vertices:
-        if root in side:
-            continue
-        side[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for w in g.neighbors(v):
-                expected = side[v] ^ (1 if s.signs[edge_key(v, w)] is Sign.NEGATIVE else 0)
-                if w not in side:
-                    side[w] = expected
-                    queue.append(w)
-                elif side[w] != expected:
-                    return False, None
+    for v in order:
+        p = parent[v]
+        side[v] = 0 if p is None else side[p] ^ (s.signs[edge_key(p, v)] is Sign.NEGATIVE)
+    if any(side[u] ^ side[v] != (s.signs[(u, v)] is Sign.NEGATIVE) for u, v in g.edges):
+        return False, None
     part0 = tuple(v for v in g.vertices if side[v] == 0)
     part1 = tuple(v for v in g.vertices if side[v] == 1)
     return True, (part0, part1)
@@ -174,18 +169,9 @@ def is_clusterable(s: SignedGraphLike) -> Clusterability:
 
 def _shortest_path(g: Graph, source: str, target: str) -> list[str]:
     """Deterministic BFS path from source to target (inclusive)."""
-    prev: dict[str, str | None] = {source: None}
-    queue = [source]
-    while queue:
-        x = queue.pop(0)
-        if x == target:
-            break
-        for w in g.neighbors(x):
-            if w not in prev:
-                prev[w] = x
-                queue.append(w)
+    _, parent = spanning_forest(g, [source])
     path = [target]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])  # type: ignore[arg-type]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])  # type: ignore[arg-type]
     path.reverse()
     return path

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .balance import is_balanced_fast, is_balanced_oracle, is_clusterable
-from .errors import BoundExceeded, ParseError, SumsignError
+from .errors import ParseError, SumsignError
 from .graphs import DEFAULT_CYCLE_BOUND, Graph, format_graph, parse_graph
 from .labeling import (
     Labeling,
@@ -43,8 +43,6 @@ ENV_CYCLE_BOUND = "SUMSIGN_CYCLE_BOUND"
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
-EXIT_INPUT_ERROR = 2
-EXIT_BOUND_EXCEEDED = 3
 
 
 def _read(path: str) -> str:
@@ -272,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cycle-bound",
         type=int,
         default=None,
-        help=f"max vertices for cycle enumeration (default {DEFAULT_CYCLE_BOUND}, "
-        f"env {ENV_CYCLE_BOUND})",
+        help=f"max vertices for the cycle oracle of 'check balance' "
+        f"(default {DEFAULT_CYCLE_BOUND}, env {ENV_CYCLE_BOUND})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -344,12 +342,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
             args.cycle_bound = _default_cycle_bound()
         _validate_transform_args(args)
         return args.func(args, out)
-    except BoundExceeded as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return EXIT_BOUND_EXCEEDED
     except SumsignError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -3,6 +3,12 @@
 Vertices are opaque strings; all iteration orders are lexicographic so that
 every derived artifact is deterministic. Graphs are immutable after
 construction and safe to share.
+
+One breadth-first spanning forest (``spanning_forest``) answers every
+traversal question: the 2-coloring, the components, and, through the
+fundamental cycles of its non-tree edges, the bridges and the vertices on
+cycles. Only ``simple_cycles`` lists every cycle; it is the by-definition
+reference and the only query limited by a vertex bound.
 """
 
 from __future__ import annotations
@@ -138,22 +144,64 @@ def format_graph(g: Graph) -> str:
 # Structural queries
 # ---------------------------------------------------------------------------
 
-def two_coloring(g: Graph) -> dict[str, int] | None:
-    """BFS 2-coloring; None when some component has an odd cycle."""
-    color: dict[str, int] = {}
-    for root in g.vertices:
-        if root in color:
+def spanning_forest(
+    g: Graph, roots: Iterable[str] | None = None
+) -> tuple[list[str], dict[str, str | None]]:
+    """Breadth-first spanning forest: the one traversal every query builds on.
+
+    Trees are grown from ``roots`` in the given order (default: every vertex
+    in sorted order, so the forest spans g), scanning neighbors in sorted
+    order. Returns the visit order, in which every parent precedes its
+    children, and the parent of each reached vertex (None for a root).
+    """
+    order: list[str] = []
+    parent: dict[str, str | None] = {}
+    head = 0
+    for root in g.vertices if roots is None else roots:
+        if root in parent:
             continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
+        parent[root] = None
+        order.append(root)
+        while head < len(order):
+            v = order[head]
+            head += 1
             for w in g.neighbors(v):
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
+                if w not in parent:
+                    parent[w] = v
+                    order.append(w)
+    return order, parent
+
+
+def fundamental_cycle_masks(g: Graph) -> list[int]:
+    """Edge masks of the fundamental cycles of the spanning forest.
+
+    Bit i stands for ``g.edges[i]``. There is one mask per non-tree edge, in
+    edge order: the edge plus the tree path between its endpoints. These
+    m - n + c masks span the cycle space (c = number of components), so a
+    parity that is even on each of them is even on every cycle.
+    """
+    order, parent = spanning_forest(g)
+    index = {e: i for i, e in enumerate(g.edges)}
+    path: dict[str, int] = {}
+    for v in order:
+        p = parent[v]
+        path[v] = 0 if p is None else path[p] ^ (1 << index[edge_key(p, v)])
+    return [
+        path[u] ^ path[v] ^ (1 << i)
+        for i, (u, v) in enumerate(g.edges)
+        if parent[u] != v and parent[v] != u
+    ]
+
+
+def two_coloring(g: Graph) -> dict[str, int] | None:
+    """2-coloring along the spanning forest; None when g has an odd cycle."""
+    order, parent = spanning_forest(g)
+    color: dict[str, int] = {}
+    for v in order:
+        p = parent[v]
+        color[v] = 0 if p is None else 1 - color[p]
+    if any(color[u] == color[v] for u, v in g.edges):
+        return None
     return color
 
 
@@ -172,52 +220,32 @@ def is_bipartite(g: Graph) -> bool:
 
 
 def connected_components(g: Graph) -> list[tuple[str, ...]]:
-    seen: set[str] = set()
-    comps = []
-    for root in g.vertices:
-        if root in seen:
-            continue
-        comp = [root]
-        seen.add(root)
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    """Vertex sets of the spanning-forest trees, each sorted, by smallest vertex."""
+    order, parent = spanning_forest(g)
+    root: dict[str, str] = {}
+    for v in order:
+        p = parent[v]
+        root[v] = v if p is None else root[p]
+    comps: dict[str, list[str]] = {}
+    for v in g.vertices:
+        comps.setdefault(root[v], []).append(v)
+    return [tuple(c) for c in comps.values()]
 
 
 def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) <= 1
 
 
-def _reachable_without(g: Graph, source: str, target: str, banned: Edge) -> bool:
-    """Is target reachable from source when the edge ``banned`` is removed?"""
-    seen = {source}
-    queue = [source]
-    while queue:
-        v = queue.pop(0)
-        for w in g.neighbors(v):
-            if edge_key(v, w) == banned:
-                continue
-            if w == target:
-                return True
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return False
-
-
 def cut_edges(g: Graph) -> tuple[Edge, ...]:
     """The bridges of g: edges whose removal disconnects their endpoints.
 
-    Equivalently, the edges lying on no simple cycle.
+    Equivalently, the edges lying on no cycle, which are the edges that no
+    fundamental cycle covers.
     """
-    return tuple(e for e in g.edges if not _reachable_without(g, e[0], e[1], e))
+    covered = 0
+    for mask in fundamental_cycle_masks(g):
+        covered |= mask
+    return tuple(e for i, e in enumerate(g.edges) if not covered >> i & 1)
 
 
 def simple_cycles(g: Graph, max_vertices: int = DEFAULT_CYCLE_BOUND) -> list[tuple[str, ...]]:
@@ -272,9 +300,7 @@ def in_triangle(g: Graph, v: str) -> bool:
     return False
 
 
-def vertices_on_cycles(g: Graph, max_vertices: int = DEFAULT_CYCLE_BOUND) -> frozenset[str]:
-    """Vertices lying on at least one simple cycle."""
-    out: set[str] = set()
-    for cycle in simple_cycles(g, max_vertices=max_vertices):
-        out.update(cycle)
-    return frozenset(out)
+def vertices_on_cycles(g: Graph) -> frozenset[str]:
+    """Vertices lying on at least one cycle: the endpoints of non-bridge edges."""
+    bridges = set(cut_edges(g))
+    return frozenset(v for e in g.edges if e not in bridges for v in e)

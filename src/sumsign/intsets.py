@@ -178,7 +178,7 @@ def parse_set_literal(text: str, line: int | None = None) -> IntegerSet:
     items = []
     for piece in body.split(","):
         piece = piece.strip()
-        if not piece or not piece.isdigit():
+        if not (piece.isascii() and piece.isdigit()):
             raise ParseError(f"bad set element {piece!r} in {text!r}", line)
         items.append(int(piece))
     return IntegerSet(items)

@@ -107,7 +107,7 @@ def parse_labeling(text: str) -> Labeling:
             continue
         if "=" in line and line.split("=")[0].strip() == "universe_max":
             value = line.split("=", 1)[1].strip()
-            if not value.isdigit():
+            if not (value.isascii() and value.isdigit()):
                 raise ParseError(f"bad universe_max value {value!r}", lineno)
             universe_max = int(value)
             continue

@@ -34,7 +34,11 @@ class TransformOutcome:
     added_edges: tuple[Edge, ...]
     removed_edges: tuple[Edge, ...]
     label_notes: tuple[tuple[str, str], ...]
-    admissibility: AiaslCheck
+
+    @property
+    def admissibility(self) -> AiaslCheck:
+        """The AIASL check of the result, computed when read."""
+        return validate_aiasl(self.result)
 
     def provenance_lines(self) -> list[str]:
         lines = []
@@ -48,8 +52,9 @@ class TransformOutcome:
             lines.append(f"added_edge = {u} {v}")
         for element, source in self.label_notes:
             lines.append(f"label {element} : {source}")
-        lines.append(f"admissible = {'true' if self.admissibility.ok else 'false'}")
-        for e, reason in self.admissibility.edge_failures:
+        check = self.admissibility
+        lines.append(f"admissible = {'true' if check.ok else 'false'}")
+        for e, reason in check.edge_failures:
             lines.append(f"inadmissible_edge {e[0]} {e[1]} : {reason}")
         return lines
 
@@ -80,7 +85,6 @@ def delete_vertex(s: SignedLabeledGraph, v: str) -> TransformOutcome:
         added_edges=(),
         removed_edges=removed_edges,
         label_notes=tuple(_carry_notes(kept_vertices)),
-        admissibility=validate_aiasl(result),
     )
 
 
@@ -111,7 +115,6 @@ def spanned_subgraph(
             added_edges=(),
             removed_edges=removed,
             label_notes=tuple(_carry_notes(s.graph.vertices)),
-            admissibility=validate_aiasl(result),
         ),
         removed_negatives,
     )
@@ -169,7 +172,6 @@ def subdivide_edge(
         added_edges=tuple(sorted((edge_key(u, w), edge_key(w, v)))),
         removed_edges=(key,),
         label_notes=tuple(notes),
-        admissibility=validate_aiasl(result),
     )
 
 
@@ -213,5 +215,4 @@ def elementary_transformation(s: SignedLabeledGraph, v: str) -> TransformOutcome
         added_edges=(new_edge,),
         removed_edges=tuple(e for e in s.graph.edges if v in e),
         label_notes=tuple(notes),
-        admissibility=validate_aiasl(result),
     )

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .balance import SignedGraph, is_balanced_fast
-from .errors import BoundExceeded, NotBipartite, UnknownTheorem
+from .errors import BoundExceeded, InjectivityCollision, NotBipartite, UnknownTheorem
 from .families import resolve_family
 from .graphs import (
     Edge,
@@ -24,8 +24,8 @@ from .graphs import (
     bipartition,
     cut_edges,
     cycle_edges,
-    edge_key,
     format_graph,
+    fundamental_cycle_masks,
     is_bipartite,
     simple_cycles,
     vertices_on_cycles,
@@ -49,7 +49,6 @@ from .labeling import (
     validate_iasi,
 )
 from .transforms import elementary_transformation, subdivide_edge
-from .errors import InjectivityCollision
 
 
 @dataclass(frozen=True)
@@ -231,10 +230,6 @@ class _LabelingSpace:
         return self._compat
 
 
-def _assignment_order(g: Graph) -> list[str]:
-    return list(g.vertices)
-
-
 def _enumerate_indices(
     g: Graph, space: _LabelingSpace, prune: bool = True
 ) -> Iterator[tuple[int, ...]]:
@@ -245,7 +240,7 @@ def _enumerate_indices(
     only skips branches every completion of which would fail the per-edge
     admissibility filter.
     """
-    verts = _assignment_order(g)
+    verts = g.vertices
     pos = {v: i for i, v in enumerate(verts)}
     nbrs_before = [
         [pos[w] for w in g.neighbors(v) if pos[w] < i] for i, v in enumerate(verts)
@@ -286,10 +281,9 @@ def _enumerate_indices(
 def _labeling_from_indices(
     g: Graph, space: _LabelingSpace, indices: Sequence[int]
 ) -> Labeling:
-    verts = _assignment_order(g)
     return Labeling(
         space.bounds.universe_max,
-        {v: space.sets[j] for v, j in zip(verts, indices)},
+        {v: space.sets[j] for v, j in zip(g.vertices, indices)},
     )
 
 
@@ -381,34 +375,6 @@ def signed_graph_from_pattern(
     return SignedGraph(graph=g, signs=signs)
 
 
-def _fundamental_masks(g: Graph, edge_index: dict[Edge, int]) -> list[int]:
-    """One edge-set mask per non-tree edge: its fundamental cycle."""
-    parent: dict[str, str | None] = {}
-    path_mask: dict[str, int] = {}
-    tree_edges: set[Edge] = set()
-    for root in g.vertices:
-        if root in parent:
-            continue
-        parent[root] = None
-        path_mask[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for w in g.neighbors(v):
-                if w not in parent:
-                    parent[w] = v
-                    e = edge_key(v, w)
-                    tree_edges.add(e)
-                    path_mask[w] = path_mask[v] ^ (1 << edge_index[e])
-                    queue.append(w)
-    masks = []
-    for e in g.edges:
-        if e not in tree_edges:
-            u, v = e
-            masks.append(path_mask[u] ^ path_mask[v] ^ (1 << edge_index[e]))
-    return masks
-
-
 def _mask_parities(bits: list[np.ndarray], mask: int) -> np.ndarray | None:
     """XOR-fold the bit planes selected by mask; None for the empty mask."""
     parity: np.ndarray | None = None
@@ -436,7 +402,7 @@ def sweep_sign_patterns(g: Graph, chunk: int = 1 << 18) -> PatternSweep:
         for e in cycle_edges(cycle):
             mask |= 1 << edge_index[e]
         cycle_masks.append(mask)
-    fund_masks = _fundamental_masks(g, edge_index)
+    fund_masks = fundamental_cycle_masks(g)
 
     total = 1 << m
     balanced: list[int] = []
@@ -476,19 +442,12 @@ class _GraphContext:
 
     def __init__(self, g: Graph):
         self.graph = g
-        self.verts = _assignment_order(g)
-        pos = {v: i for i, v in enumerate(self.verts)}
+        pos = {v: i for i, v in enumerate(g.vertices)}
         self.edge_vertex_pos = [(pos[u], pos[v]) for u, v in g.edges]
-        edge_index = {e: i for i, e in enumerate(g.edges)}
-        self.cycle_masks = []
-        for cycle in simple_cycles(g, max_vertices=max(g.n, 1)):
-            mask = 0
-            for e in cycle_edges(cycle):
-                mask |= 1 << edge_index[e]
-            self.cycle_masks.append(mask)
+        self.cycle_masks = fundamental_cycle_masks(g)
         self.bipartite = is_bipartite(g)
         self.cut = set(cut_edges(g))
-        self.on_cycle = vertices_on_cycles(g, max_vertices=max(g.n, 1))
+        self.on_cycle = vertices_on_cycles(g)
 
     def negative_mask(self, space: _LabelingSpace, indices: Sequence[int]) -> int:
         mask = 0
@@ -498,6 +457,7 @@ class _GraphContext:
         return mask
 
     def balanced(self, neg_mask: int) -> bool:
+        """Even negative count on every fundamental cycle, hence on every cycle."""
         return all((neg_mask & c).bit_count() % 2 == 0 for c in self.cycle_masks)
 
 
@@ -705,7 +665,6 @@ def _verify_subdivision(graphs, bounds):
 
 def _verify_homeomorphism(graphs, bounds):
     cases = 0
-    skipped = 0
     counters = []
     space = _LabelingSpace(bounds)
     for g in graphs:
@@ -748,7 +707,7 @@ def _verify_homeomorphism(graphs, bounds):
         "claim: removing a triangle-free degree-2 vertex and joining its neighbors preserves balance iff the vertex lies on no cycle",
         "cases are (balanced labeling, eligible vertex) transformations",
     ]
-    return cases, skipped, counters, notes
+    return cases, 0, counters, notes
 
 
 def _verify_iasi_injectivity(graphs, bounds):
@@ -780,9 +739,7 @@ def _verify_iasi_injectivity(graphs, bounds):
     return cases, 0, counters, notes
 
 
-def _replay_violates(
-    tid: TheoremId, ce: Counterexample, bounds: SearchBounds
-) -> bool:
+def _replay_violates(tid: TheoremId, ce: Counterexample) -> bool:
     """Re-derive a counterexample from scratch and re-check the claim."""
     g, lab = ce.graph, ce.labeling
     slg = derive(g, lab)
@@ -829,7 +786,7 @@ def _replay_violates(
     if tid is TheoremId.HOMEOMORPHISM:
         if not balanced:
             return False
-        on_cycle = vertices_on_cycles(g, max_vertices=max(g.n, 1))
+        on_cycle = vertices_on_cycles(g)
         for v in g.vertices:
             if g.degree(v) != 2 or g.has_edge(*g.neighbors(v)):
                 continue
@@ -879,7 +836,7 @@ def verify_theorem(
     cases, skipped, counters, notes = _DRIVERS[tid](graphs, bounds)
     counters.sort(key=Counterexample.sort_key)
     for ce in counters:
-        if not _replay_violates(tid, ce, bounds):
+        if not _replay_violates(tid, ce):
             raise AssertionError(
                 f"counterexample failed to replay for {tid.value}: {ce.explanation}"
             )

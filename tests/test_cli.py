@@ -49,6 +49,22 @@ class TestDerive:
         assert code == 0
         assert "NEGATIVE=0" in text
 
+    @pytest.mark.parametrize(
+        "labeling",
+        [
+            "universe_max = 4\nu: {0,\u00b2}\nv: {0,2}\n",
+            "universe_max = \u00b2\nu: {0,1}\nv: {0,2}\n",
+        ],
+        ids=["set-element", "universe-max"],
+    )
+    def test_non_ascii_digit_is_parse_error(self, files, capsys, labeling):
+        code, _ = run(
+            ["derive", "--graph", files("g", K2_GRAPH), "--labeling", files("l", labeling)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error: PARSE_ERROR") for line in err)
+
 
 class TestCheck:
     def test_balance_true_exit_zero(self, files):

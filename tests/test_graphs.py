@@ -20,6 +20,7 @@ from sumsign.graphs import (
     cycle_edges,
     edge_key,
     format_graph,
+    fundamental_cycle_masks,
     in_triangle,
     is_bipartite,
     is_connected,
@@ -186,6 +187,18 @@ class TestStructuralInvariants:
             for cycle in simple_cycles(g):
                 on_cycle.update(cycle_edges(cycle))
             assert set(cut_edges(g)) == set(g.edges) - on_cycle
+
+    def test_on_cycle_vertices_and_fundamental_cycles_match_cycle_listing(self):
+        for g in connected_graphs(7):
+            cycles = simple_cycles(g)
+            assert vertices_on_cycles(g) == {v for c in cycles for v in c}
+            index = {e: i for i, e in enumerate(g.edges)}
+            cycle_masks = {
+                sum(1 << index[e] for e in cycle_edges(c)) for c in cycles
+            }
+            masks = fundamental_cycle_masks(g)
+            assert len(masks) == g.m - g.n + 1
+            assert all(mask in cycle_masks for mask in masks)
 
     def test_bipartite_iff_no_odd_cycle(self):
         for g in connected_graphs(7):
