@@ -23,7 +23,6 @@ from .errors import (
     BoundExceeded,
     DegreeNotTwo,
     DuplicateLabel,
-    EdgeExists,
     EmptyLabel,
     InjectivityCollision,
     MissingLabel,

@@ -52,6 +52,13 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _load_graph(path: str) -> Graph:
     return parse_graph(_read(path))
 
@@ -160,9 +167,9 @@ def _emit_transform(args, out, outcome: TransformOutcome, extra: list[str]) -> i
     for line in extra:
         _emit(out, line)
     if args.out_graph:
-        Path(args.out_graph).write_text(graph_text)
+        _write(args.out_graph, graph_text)
     if args.out_labeling:
-        Path(args.out_labeling).write_text(labeling_text)
+        _write(args.out_labeling, labeling_text)
     return EXIT_OK
 
 
@@ -224,7 +231,7 @@ def _cmd_verify(args, out) -> int:
     text = report.to_text()
     out.write(text)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     confirmed = report.verdict.value == "CONFIRMED_WITHIN_BOUNDS"
     return EXIT_OK if confirmed else EXIT_PROPERTY_FAILS
 
@@ -259,12 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sumsign",
         description="Signed graphs from sumset labelings: derive, check, transform, verify.",
-    )
-    parser.add_argument(
-        "--format",
-        choices=["plain"],
-        default="plain",
-        help="output format (plain text only)",
     )
     parser.add_argument(
         "--cycle-bound",

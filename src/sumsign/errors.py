@@ -74,10 +74,6 @@ class VertexInTriangle(SumsignError):
     code = "VERTEX_IN_TRIANGLE"
 
 
-class EdgeExists(SumsignError):
-    code = "EDGE_EXISTS"
-
-
 class NotBipartite(SumsignError):
     code = "NOT_BIPARTITE"
 

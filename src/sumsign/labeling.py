@@ -23,6 +23,7 @@ from .errors import (
     ParseError,
     UniverseViolation,
     UnknownEdge,
+    UnknownVertex,
 )
 from .graphs import Edge, Graph, edge_key
 from .intsets import (
@@ -166,9 +167,9 @@ class SignedLabeledGraph:
 def derive(g: Graph, f: Labeling, strict: bool = False) -> SignedLabeledGraph:
     """Compute edge labels (sumsets) and signs for every edge of g.
 
-    Checks that f labels every vertex of g and is injective. With
-    strict=True, additionally requires every vertex and edge label to stay
-    inside {0..universe_max}.
+    Checks that f labels every vertex of g, and no other vertex, and is
+    injective. With strict=True, additionally requires every vertex and
+    edge label to stay inside {0..universe_max}.
     """
     seen: dict[IntegerSet, str] = {}
     for v in g.vertices:
@@ -182,6 +183,9 @@ def derive(g: Graph, f: Labeling, strict: bool = False) -> SignedLabeledGraph:
             raise UniverseViolation(
                 f"label {label.to_text()} of vertex {v!r} escapes universe_max={f.universe_max}"
             )
+    if len(f.assignment) != g.n:
+        extra = sorted(set(f.assignment) - set(g.vertices))
+        raise UnknownVertex(f"labeled vertices not in the graph: {', '.join(extra)}")
     edge_labels: dict[Edge, IntegerSet] = {}
     signs: dict[Edge, Sign] = {}
     for u, v in g.edges:

@@ -13,7 +13,6 @@ from typing import Iterable
 
 from .errors import (
     DegreeNotTwo,
-    EdgeExists,
     InjectivityCollision,
     UnknownEdge,
     UnknownVertex,
@@ -188,11 +187,6 @@ def elementary_transformation(s: SignedLabeledGraph, v: str) -> TransformOutcome
     if in_triangle(s.graph, v):
         raise VertexInTriangle(f"vertex {v!r} lies on a triangle")
     u, w = s.graph.neighbors(v)
-    if s.graph.has_edge(u, w):
-        # Unreachable for simple graphs: adjacent neighbors put v in a
-        # triangle, caught above. Kept as a guard for the simple-graph
-        # invariant.
-        raise EdgeExists(f"edge {edge_key(u, w)} already exists")
     new_edge = edge_key(u, w)
     kept_vertices = [x for x in s.graph.vertices if x != v]
     new_graph = Graph(

@@ -1,22 +1,29 @@
 """Exhaustive desk-scale labeling enumeration and claim verification.
 
-Each claim about sumset-signed graphs is encoded as a predicate over
-(graph, labeling) instances and checked over every instance inside finite
-search bounds. The outcome is a report that either confirms the claim within
-bounds or lists every counterexample found, smallest first, with enough
-detail to replay each one through the public pipeline.
+Each claim about sumset-signed graphs is one record of ``_EXPERIMENTS``: a
+kernel run on every admissible label pair or every enumerated labeling
+inside finite search bounds, a filter for the family members it applies
+to, a replay predicate and the report notes. One runner drives them all.
+The report either confirms the claim within bounds or lists every
+counterexample, smallest first, each replayed through the public pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .balance import SignedGraph, is_balanced_fast
-from .errors import BoundExceeded, InjectivityCollision, NotBipartite, UnknownTheorem
+from .errors import (
+    BoundExceeded,
+    InjectivityCollision,
+    NotBipartite,
+    ParseError,
+    UnknownTheorem,
+)
 from .families import resolve_family
 from .graphs import (
     Edge,
@@ -69,11 +76,11 @@ class SearchBounds:
 
     def __post_init__(self):
         if self.universe_max < 0:
-            raise ValueError("universe_max must be non-negative")
+            raise ParseError("universe_max must be non-negative")
         if self.max_label_size < 1:
-            raise ValueError("max_label_size must be positive")
+            raise ParseError("max_label_size must be positive")
         if self.max_vertices < 1:
-            raise ValueError("max_vertices must be positive")
+            raise ParseError("max_vertices must be positive")
 
     def describe(self) -> str:
         return (
@@ -437,6 +444,13 @@ def sweep_sign_patterns(g: Graph, chunk: int = 1 << 18) -> PatternSweep:
 # Theorem experiments
 # ---------------------------------------------------------------------------
 
+def _eligible_vertices(g: Graph) -> list[str]:
+    """Vertices an elementary transformation accepts: degree 2, in no triangle."""
+    return [
+        v for v in g.vertices if g.degree(v) == 2 and not g.has_edge(*g.neighbors(v))
+    ]
+
+
 class _GraphContext:
     """Per-graph tables reused across all labelings of one experiment."""
 
@@ -448,6 +462,7 @@ class _GraphContext:
         self.bipartite = is_bipartite(g)
         self.cut = set(cut_edges(g))
         self.on_cycle = vertices_on_cycles(g)
+        self.eligible = _eligible_vertices(g)
 
     def negative_mask(self, space: _LabelingSpace, indices: Sequence[int]) -> int:
         mask = 0
@@ -461,15 +476,69 @@ class _GraphContext:
         return all((neg_mask & c).bit_count() % 2 == 0 for c in self.cycle_masks)
 
 
-def _iter_pairs(space: _LabelingSpace) -> Iterator[tuple[int, int, int]]:
-    """Admissible unordered set pairs (i, j, k) under the space's bounds."""
-    n = len(space.sets)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ok, k = space.pair_allowed(i, j)
-            if ok:
-                assert k is not None
-                yield i, j, k
+class _Tally:
+    """What one experiment run counted and found."""
+
+    def __init__(self, space: _LabelingSpace):
+        self.space = space
+        self.cases = 0
+        self.skipped = 0
+        self.constructed_ok = 0
+        self.counterexamples: list[Counterexample] = []
+
+    def found(self, g: Graph, lab: Labeling, explanation: str) -> None:
+        self.counterexamples.append(Counterexample(g, lab, explanation))
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """How one claim is checked.
+
+    ``kernel`` runs as ``kernel(tally, i, j, k)`` per admissible label pair
+    on K2 (``on_pairs``), or else as ``kernel(tally, ctx, indices)`` per
+    labeling of each member that ``applies`` accepts, after
+    ``member_check(tally, ctx)``. It returns the cases it checked. A
+    rejected member counts as skipped only with ``counts_skips``.
+    ``replay`` re-checks a counterexample on its re-derived signed labeled
+    graph with public object-level functions only; ``notes`` builds the
+    report notes from the finished tally.
+    """
+
+    kernel: Callable[..., int]
+    replay: Callable[[SignedLabeledGraph], bool]
+    notes: Callable[[_Tally], list[str]]
+    on_pairs: bool = False
+    applies: Callable[[_GraphContext], bool] | None = None
+    counts_skips: bool = False
+    member_check: Callable[[_Tally, _GraphContext], None] | None = None
+
+
+def _run(exp: _Experiment, graphs: Sequence[Graph], bounds: SearchBounds) -> _Tally:
+    """Run one experiment's kernel over its whole search space."""
+    tally = _Tally(_LabelingSpace(bounds))
+    if exp.on_pairs:
+        n = len(tally.space.sets)
+        for i in range(n):
+            for j in range(i + 1, n):
+                ok, k = tally.space.pair_allowed(i, j)
+                if ok:
+                    tally.cases += exp.kernel(tally, i, j, k)
+        return tally
+    for g in graphs:
+        if g.n > bounds.max_vertices:
+            raise BoundExceeded(
+                f"family member has {g.n} vertices, bound is {bounds.max_vertices}"
+            )
+        ctx = _GraphContext(g)
+        if exp.applies is not None and not exp.applies(ctx):
+            if exp.counts_skips:
+                tally.skipped += 1
+            continue
+        if exp.member_check is not None:
+            exp.member_check(tally, ctx)
+        for indices in _enumerate_indices(g, tally.space):
+            tally.cases += exp.kernel(tally, ctx, indices)
+    return tally
 
 
 def _k2_instance(space: _LabelingSpace, i: int, j: int) -> tuple[Graph, Labeling]:
@@ -480,334 +549,258 @@ def _k2_instance(space: _LabelingSpace, i: int, j: int) -> tuple[Graph, Labeling
     return g, lab
 
 
-def _verify_positive_edge(graphs, bounds):
-    space = _LabelingSpace(bounds)
-    cases = 0
-    counters = []
-    for i, j, _ in _iter_pairs(space):
+def _positive_edge_kernel(tally: _Tally, i: int, j: int, k: int) -> int:
+    g, lab = _k2_instance(tally.space, i, j)
+    slg = derive(g, lab)
+    edge = ("u", "v")
+    expected = predicted_sign(slg, edge)
+    actual = slg.signs[edge]
+    if expected is not actual:
+        tally.found(
+            g,
+            lab,
+            f"edge u v: parity rule predicts {expected} but the "
+            f"sumset {slg.edge_labels[edge].to_text()} has size "
+            f"{len(slg.edge_labels[edge])}, giving {actual}",
+        )
+    return 1
+
+
+def _formula_lengths(pa: ApProfile, pb: ApProfile) -> tuple[int, int]:
+    """(m, n) of |A + B| = m + k*(n-1).
+
+    m is the length of a singleton endpoint, else of the endpoint with the
+    smaller common difference; n is the other endpoint's length.
+    """
+    if pa.diff is None:
+        return pa.length, pb.length
+    if pb.diff is None:
+        return pb.length, pa.length
+    if pa.diff <= pb.diff:
+        return pa.length, pb.length
+    return pb.length, pa.length
+
+
+def _cardinality_kernel(tally: _Tally, i: int, j: int, k: int) -> int:
+    space = tally.space
+    m, n = _formula_lengths(space.profiles[i], space.profiles[j])
+    expected = ap_sumset_cardinality(m, n, k)
+    actual = len(sumset(space.sets[i], space.sets[j]))
+    if expected != actual:
         g, lab = _k2_instance(space, i, j)
-        slg = derive(g, lab)
-        edge = ("u", "v")
-        expected = predicted_sign(slg, edge)
-        actual = slg.signs[edge]
-        cases += 1
-        if expected is not actual:
-            counters.append(
-                Counterexample(
-                    graph=g,
-                    labeling=lab,
-                    explanation=(
-                        f"edge u v: parity rule predicts {expected} but the "
-                        f"sumset {slg.edge_labels[edge].to_text()} has size "
-                        f"{len(slg.edge_labels[edge])}, giving {actual}"
-                    ),
-                )
-            )
-    notes = [
-        "claim: the parity rule predicts the derived sign of every admissible edge",
-        "cases are admissible unordered label pairs on a single edge; the family argument is not used",
-    ]
-    return cases, 0, counters, notes
+        tally.found(
+            g,
+            lab,
+            f"formula m + k*(n-1) = {expected} with (m={m}, n={n}, k={k}) "
+            f"but the sumset has {actual} elements",
+        )
+    return 1
 
 
-def _verify_cardinality(graphs, bounds):
-    space = _LabelingSpace(bounds)
-    cases = 0
-    counters = []
-    for i, j, k in _iter_pairs(space):
-        pi, pj = space.profiles[i], space.profiles[j]
-        if pi.diff is None:
-            m, n = pi.length, pj.length
-        elif pj.diff is None:
-            m, n = pj.length, pi.length
-        elif pi.diff <= pj.diff:
-            m, n = pi.length, pj.length
-        else:
-            m, n = pj.length, pi.length
-        expected = ap_sumset_cardinality(m, n, k)
-        actual = len(sumset(space.sets[i], space.sets[j]))
-        cases += 1
-        if expected != actual:
-            g, lab = _k2_instance(space, i, j)
-            counters.append(
-                Counterexample(
-                    graph=g,
-                    labeling=lab,
-                    explanation=(
-                        f"formula m + k*(n-1) = {expected} with (m={m}, n={n}, k={k}) "
-                        f"but the sumset has {actual} elements"
-                    ),
-                )
-            )
-    notes = [
-        "claim: |A + B| = m + k*(n-1) for admissible progression pairs",
-        "cases are admissible unordered label pairs; the family argument is not used",
-    ]
-    return cases, 0, counters, notes
+def _cardinality_violated(slg: SignedLabeledGraph) -> bool:
+    for u, v in slg.graph.edges:
+        pu = ap_profile(slg.labeling.get(u))
+        pv = ap_profile(slg.labeling.get(v))
+        assert pu is not None and pv is not None
+        ok, k, _ = admissibility_from_profiles(pu, pv)
+        assert ok and k is not None
+        m, n = _formula_lengths(pu, pv)
+        if ap_sumset_cardinality(m, n, k) != len(slg.edge_labels[(u, v)]):
+            return True
+    return False
 
 
-def _check_graph_bound(g: Graph, bounds: SearchBounds) -> None:
-    if g.n > bounds.max_vertices:
-        raise BoundExceeded(
-            f"family member has {g.n} vertices, bound is {bounds.max_vertices}"
+def _check_construction(tally: _Tally, ctx: _GraphContext) -> None:
+    """The constructed labeling of a bipartite member must be balanced."""
+    lab = construct_balanced_bipartite_labeling(ctx.graph)
+    if is_balanced_fast(derive(ctx.graph, lab))[0]:
+        tally.constructed_ok += 1
+    else:
+        tally.found(
+            ctx.graph, lab, "constructed same-parity-per-side labeling is not balanced"
         )
 
 
-def _verify_balance_bipartite(graphs, bounds, forward: bool):
+def _balance_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
+    """Balanced iff bipartite, in the direction ``applies`` selected."""
+    if ctx.balanced(ctx.negative_mask(tally.space, indices)) != ctx.bipartite:
+        tally.found(
+            ctx.graph,
+            _labeling_from_indices(ctx.graph, tally.space, indices),
+            "bipartite underlying graph but the derived signed graph "
+            "is unbalanced (universal reading of the forward direction)"
+            if ctx.bipartite
+            else "derived signed graph is balanced but the underlying "
+            "graph is not bipartite",
+        )
+    return 1
+
+
+def _subdivision_case(slg: SignedLabeledGraph, e: Edge, cut: set[Edge]) -> str | None:
+    """Subdivide e and test the claim: the violation, '' if it holds, or None
+    when the inherited label collides with a vertex label."""
+    try:
+        outcome = subdivide_edge(slg, e)
+    except InjectivityCollision:
+        return None
+    if is_balanced_fast(outcome.result)[0] == (e in cut):
+        return ""
+    if e in cut:
+        return f"edge {e[0]} {e[1]}: cut edge subdivision broke balance"
+    return f"edge {e[0]} {e[1]}: non-cut edge subdivision left the graph balanced"
+
+
+def _homeomorphism_case(slg: SignedLabeledGraph, v: str, on_cycle: frozenset[str]) -> str:
+    """Replace the eligible vertex v by an edge and test the claim: the
+    violation, or '' if it holds."""
+    outcome = elementary_transformation(slg, v)
+    if is_balanced_fast(outcome.result)[0] == (v not in on_cycle):
+        return ""
+    if v not in on_cycle:
+        return f"vertex {v}: transforming a vertex on no cycle broke balance"
+    return f"vertex {v}: transforming a cycle vertex left the graph balanced"
+
+
+def _transform_cases(
+    tally: _Tally, ctx: _GraphContext, indices, targets, case, structure
+) -> int:
+    """Apply case to every target of one labeling if it is balanced.
+
+    The labeling is derived only once there is a target. A target whose
+    case returns None is skipped.
+    """
+    if not ctx.balanced(ctx.negative_mask(tally.space, indices)):
+        return 0
     cases = 0
-    skipped = 0
-    counters = []
-    space = _LabelingSpace(bounds)
-    constructed_ok = 0
-    for g in graphs:
-        _check_graph_bound(g, bounds)
-        ctx = _GraphContext(g)
-        if forward != ctx.bipartite:
-            skipped += 1
+    slg: SignedLabeledGraph | None = None
+    for target in targets:
+        if slg is None:
+            slg = derive(ctx.graph, _labeling_from_indices(ctx.graph, tally.space, indices))
+        violation = case(slg, target, structure)
+        if violation is None:
+            tally.skipped += 1
             continue
-        if forward:
-            lab = construct_balanced_bipartite_labeling(g)
-            balanced, _ = is_balanced_fast(derive(g, lab))
-            if balanced:
-                constructed_ok += 1
-            else:
-                counters.append(
-                    Counterexample(
-                        graph=g,
-                        labeling=lab,
-                        explanation="constructed same-parity-per-side labeling is not balanced",
-                    )
-                )
-        for indices in _enumerate_indices(g, space):
-            cases += 1
-            neg = ctx.negative_mask(space, indices)
-            balanced = ctx.balanced(neg)
-            if forward and not balanced:
-                counters.append(
-                    Counterexample(
-                        graph=g,
-                        labeling=_labeling_from_indices(g, space, indices),
-                        explanation=(
-                            "bipartite underlying graph but the derived signed graph "
-                            "is unbalanced (universal reading of the forward direction)"
-                        ),
-                    )
-                )
-            elif not forward and balanced:
-                counters.append(
-                    Counterexample(
-                        graph=g,
-                        labeling=_labeling_from_indices(g, space, indices),
-                        explanation=(
-                            "derived signed graph is balanced but the underlying "
-                            "graph is not bipartite"
-                        ),
-                    )
-                )
-    if forward:
-        notes = [
+        cases += 1
+        if violation:
+            tally.found(ctx.graph, slg.labeling, violation)
+    return cases
+
+
+def _subdivision_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
+    return _transform_cases(
+        tally, ctx, indices, ctx.graph.edges, _subdivision_case, ctx.cut
+    )
+
+
+def _subdivision_violated(slg: SignedLabeledGraph) -> bool:
+    if not is_balanced_fast(slg)[0]:
+        return False
+    cut = set(cut_edges(slg.graph))
+    return any(_subdivision_case(slg, e, cut) for e in slg.graph.edges)
+
+
+def _homeomorphism_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
+    return _transform_cases(
+        tally, ctx, indices, ctx.eligible, _homeomorphism_case, ctx.on_cycle
+    )
+
+
+def _homeomorphism_violated(slg: SignedLabeledGraph) -> bool:
+    if not is_balanced_fast(slg)[0]:
+        return False
+    on_cycle = vertices_on_cycles(slg.graph)
+    return any(
+        _homeomorphism_case(slg, v, on_cycle) for v in _eligible_vertices(slg.graph)
+    )
+
+
+def _iasi_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
+    lab = _labeling_from_indices(ctx.graph, tally.space, indices)
+    slg = derive(ctx.graph, lab)
+    if not validate_iasi(slg):
+        e1, e2 = iasi_collisions(slg)[0]
+        tally.found(
+            ctx.graph,
+            lab,
+            f"edges {e1[0]} {e1[1]} and {e2[0]} {e2[1]} both "
+            f"receive the label {slg.edge_labels[e1].to_text()}",
+        )
+    return 1
+
+
+# One record per claim. Traced functions (derive, the transforms,
+# is_balanced_fast, cut_edges) are called by name inside the kernels and
+# replays, never stored here, so a wrapper installed on the module later
+# still sees every call.
+_EXPERIMENTS: dict[TheoremId, _Experiment] = {
+    TheoremId.POSITIVE_EDGE: _Experiment(
+        kernel=_positive_edge_kernel,
+        on_pairs=True,
+        replay=lambda slg: any(
+            predicted_sign(slg, e) is not slg.signs[e] for e in slg.graph.edges
+        ),
+        notes=lambda tally: [
+            "claim: the parity rule predicts the derived sign of every admissible edge",
+            "cases are admissible unordered label pairs on a single edge; the family argument is not used",
+        ],
+    ),
+    TheoremId.CARDINALITY: _Experiment(
+        kernel=_cardinality_kernel,
+        on_pairs=True,
+        replay=_cardinality_violated,
+        notes=lambda tally: [
+            "claim: |A + B| = m + k*(n-1) for admissible progression pairs",
+            "cases are admissible unordered label pairs; the family argument is not used",
+        ],
+    ),
+    TheoremId.BALANCE_BIPARTITE_FWD: _Experiment(
+        kernel=_balance_kernel,
+        applies=lambda ctx: ctx.bipartite,
+        counts_skips=True,
+        member_check=_check_construction,
+        replay=lambda slg: not is_balanced_fast(slg)[0] and is_bipartite(slg.graph),
+        notes=lambda tally: [
             "claim (universal reading): every admissible labeling of a bipartite graph is balanced",
-            f"constructed balanced labeling verified on {constructed_ok} bipartite member(s)",
-            f"skipped {skipped} non-bipartite family member(s) (claim does not apply)",
-        ]
-    else:
-        notes = [
+            f"constructed balanced labeling verified on {tally.constructed_ok} bipartite member(s)",
+            f"skipped {tally.skipped} non-bipartite family member(s) (claim does not apply)",
+        ],
+    ),
+    TheoremId.BALANCE_BIPARTITE_REV: _Experiment(
+        kernel=_balance_kernel,
+        applies=lambda ctx: not ctx.bipartite,
+        counts_skips=True,
+        replay=lambda slg: is_balanced_fast(slg)[0] and not is_bipartite(slg.graph),
+        notes=lambda tally: [
             "claim: a balanced labeled graph has a bipartite underlying graph",
-            f"skipped {skipped} bipartite family member(s) (conclusion holds trivially)",
-        ]
-    return cases, skipped, counters, notes
-
-
-def _verify_subdivision(graphs, bounds):
-    cases = 0
-    skipped = 0
-    counters = []
-    space = _LabelingSpace(bounds)
-    for g in graphs:
-        _check_graph_bound(g, bounds)
-        ctx = _GraphContext(g)
-        for indices in _enumerate_indices(g, space):
-            neg = ctx.negative_mask(space, indices)
-            if not ctx.balanced(neg):
-                continue
-            slg: SignedLabeledGraph | None = None
-            for e in g.edges:
-                if slg is None:
-                    slg = derive(g, _labeling_from_indices(g, space, indices))
-                try:
-                    outcome = subdivide_edge(slg, e)
-                except InjectivityCollision:
-                    skipped += 1
-                    continue
-                cases += 1
-                still_balanced, _ = is_balanced_fast(outcome.result)
-                expected = e in ctx.cut
-                if still_balanced != expected:
-                    direction = (
-                        "cut edge subdivision broke balance"
-                        if expected
-                        else "non-cut edge subdivision left the graph balanced"
-                    )
-                    counters.append(
-                        Counterexample(
-                            graph=g,
-                            labeling=slg.labeling,
-                            explanation=f"edge {e[0]} {e[1]}: {direction}",
-                        )
-                    )
-    notes = [
-        "claim: subdividing an edge of a balanced labeled graph preserves balance iff the edge is a cut edge",
-        "cases are (balanced labeling, edge) subdivisions; collisions of the inherited label are skipped",
-        f"skipped {skipped} subdivision(s) whose inherited label collided with a vertex label",
-    ]
-    return cases, skipped, counters, notes
-
-
-def _verify_homeomorphism(graphs, bounds):
-    cases = 0
-    counters = []
-    space = _LabelingSpace(bounds)
-    for g in graphs:
-        _check_graph_bound(g, bounds)
-        ctx = _GraphContext(g)
-        eligible = [
-            v
-            for v in g.vertices
-            if g.degree(v) == 2
-            and not g.has_edge(*g.neighbors(v))
-        ]
-        if not eligible:
-            continue
-        for indices in _enumerate_indices(g, space):
-            neg = ctx.negative_mask(space, indices)
-            if not ctx.balanced(neg):
-                continue
-            slg = None
-            for v in eligible:
-                if slg is None:
-                    slg = derive(g, _labeling_from_indices(g, space, indices))
-                outcome = elementary_transformation(slg, v)
-                cases += 1
-                still_balanced, _ = is_balanced_fast(outcome.result)
-                expected = v not in ctx.on_cycle
-                if still_balanced != expected:
-                    direction = (
-                        "transforming a vertex on no cycle broke balance"
-                        if expected
-                        else "transforming a cycle vertex left the graph balanced"
-                    )
-                    counters.append(
-                        Counterexample(
-                            graph=g,
-                            labeling=slg.labeling,
-                            explanation=f"vertex {v}: {direction}",
-                        )
-                    )
-    notes = [
-        "claim: removing a triangle-free degree-2 vertex and joining its neighbors preserves balance iff the vertex lies on no cycle",
-        "cases are (balanced labeling, eligible vertex) transformations",
-    ]
-    return cases, 0, counters, notes
-
-
-def _verify_iasi_injectivity(graphs, bounds):
-    cases = 0
-    counters = []
-    space = _LabelingSpace(bounds)
-    for g in graphs:
-        _check_graph_bound(g, bounds)
-        for indices in _enumerate_indices(g, space):
-            cases += 1
-            lab = _labeling_from_indices(g, space, indices)
-            slg = derive(g, lab)
-            if not validate_iasi(slg):
-                e1, e2 = iasi_collisions(slg)[0]
-                counters.append(
-                    Counterexample(
-                        graph=g,
-                        labeling=lab,
-                        explanation=(
-                            f"edges {e1[0]} {e1[1]} and {e2[0]} {e2[1]} both "
-                            f"receive the label {slg.edge_labels[e1].to_text()}"
-                        ),
-                    )
-                )
-    notes = [
-        "claim: every admissible labeling induces an injective edge-label map",
-        "a counterexample separates set-labelings from set-indexers",
-    ]
-    return cases, 0, counters, notes
-
-
-def _replay_violates(tid: TheoremId, ce: Counterexample) -> bool:
-    """Re-derive a counterexample from scratch and re-check the claim."""
-    g, lab = ce.graph, ce.labeling
-    slg = derive(g, lab)
-    if tid is TheoremId.POSITIVE_EDGE:
-        return any(predicted_sign(slg, e) is not slg.signs[e] for e in g.edges)
-    if tid is TheoremId.CARDINALITY:
-        for e in g.edges:
-            pu = ap_profile(lab.get(e[0]))
-            pv = ap_profile(lab.get(e[1]))
-            assert pu is not None and pv is not None
-            ok, k, _ = admissibility_from_profiles(pu, pv)
-            assert ok and k is not None
-            if pu.diff is None:
-                m, n = pu.length, pv.length
-            elif pv.diff is None:
-                m, n = pv.length, pu.length
-            elif pu.diff <= pv.diff:
-                m, n = pu.length, pv.length
-            else:
-                m, n = pv.length, pu.length
-            if ap_sumset_cardinality(m, n, k) != len(slg.edge_labels[e]):
-                return True
-        return False
-    balanced, _ = is_balanced_fast(slg)
-    if tid is TheoremId.BALANCE_BIPARTITE_FWD:
-        if not is_bipartite(g):
-            return False
-        return not balanced
-    if tid is TheoremId.BALANCE_BIPARTITE_REV:
-        return balanced and not is_bipartite(g)
-    if tid is TheoremId.SUBDIVISION:
-        if not balanced:
-            return False
-        cut = set(cut_edges(g))
-        for e in g.edges:
-            try:
-                outcome = subdivide_edge(slg, e)
-            except InjectivityCollision:
-                continue
-            still, _ = is_balanced_fast(outcome.result)
-            if still != (e in cut):
-                return True
-        return False
-    if tid is TheoremId.HOMEOMORPHISM:
-        if not balanced:
-            return False
-        on_cycle = vertices_on_cycles(g)
-        for v in g.vertices:
-            if g.degree(v) != 2 or g.has_edge(*g.neighbors(v)):
-                continue
-            outcome = elementary_transformation(slg, v)
-            still, _ = is_balanced_fast(outcome.result)
-            if still != (v not in on_cycle):
-                return True
-        return False
-    if tid is TheoremId.IASI_INJECTIVITY:
-        return not validate_iasi(slg)
-    raise UnknownTheorem(f"no replay predicate for {tid}")
-
-
-_DRIVERS = {
-    TheoremId.POSITIVE_EDGE: _verify_positive_edge,
-    TheoremId.CARDINALITY: _verify_cardinality,
-    TheoremId.BALANCE_BIPARTITE_FWD: lambda gs, b: _verify_balance_bipartite(gs, b, True),
-    TheoremId.BALANCE_BIPARTITE_REV: lambda gs, b: _verify_balance_bipartite(gs, b, False),
-    TheoremId.SUBDIVISION: _verify_subdivision,
-    TheoremId.HOMEOMORPHISM: _verify_homeomorphism,
-    TheoremId.IASI_INJECTIVITY: _verify_iasi_injectivity,
+            f"skipped {tally.skipped} bipartite family member(s) (conclusion holds trivially)",
+        ],
+    ),
+    TheoremId.SUBDIVISION: _Experiment(
+        kernel=_subdivision_kernel,
+        replay=_subdivision_violated,
+        notes=lambda tally: [
+            "claim: subdividing an edge of a balanced labeled graph preserves balance iff the edge is a cut edge",
+            "cases are (balanced labeling, edge) subdivisions; collisions of the inherited label are skipped",
+            f"skipped {tally.skipped} subdivision(s) whose inherited label collided with a vertex label",
+        ],
+    ),
+    TheoremId.HOMEOMORPHISM: _Experiment(
+        kernel=_homeomorphism_kernel,
+        applies=lambda ctx: bool(ctx.eligible),
+        replay=_homeomorphism_violated,
+        notes=lambda tally: [
+            "claim: removing a triangle-free degree-2 vertex and joining its neighbors preserves balance iff the vertex lies on no cycle",
+            "cases are (balanced labeling, eligible vertex) transformations",
+        ],
+    ),
+    TheoremId.IASI_INJECTIVITY: _Experiment(
+        kernel=_iasi_kernel,
+        replay=lambda slg: not validate_iasi(slg),
+        notes=lambda tally: [
+            "claim: every admissible labeling induces an injective edge-label map",
+            "a counterexample separates set-labelings from set-indexers",
+        ],
+    ),
 }
 
 
@@ -833,10 +826,11 @@ def verify_theorem(
     else:
         graphs = tuple(family)
         family_spec = f"custom({len(graphs)} graphs)"
-    cases, skipped, counters, notes = _DRIVERS[tid](graphs, bounds)
-    counters.sort(key=Counterexample.sort_key)
+    experiment = _EXPERIMENTS[tid]
+    tally = _run(experiment, graphs, bounds)
+    counters = sorted(tally.counterexamples, key=Counterexample.sort_key)
     for ce in counters:
-        if not _replay_violates(tid, ce):
+        if not experiment.replay(derive(ce.graph, ce.labeling)):
             raise AssertionError(
                 f"counterexample failed to replay for {tid.value}: {ce.explanation}"
             )
@@ -844,9 +838,9 @@ def verify_theorem(
         theorem_id=tid,
         family_spec=family_spec,
         bounds=bounds,
-        cases_checked=cases,
-        skipped=skipped,
+        cases_checked=tally.cases,
+        skipped=tally.skipped,
         verdict=Verdict.COUNTEREXAMPLE_FOUND if counters else Verdict.CONFIRMED_WITHIN_BOUNDS,
         counterexamples=tuple(counters),
-        notes=tuple(notes),
+        notes=tuple(experiment.notes(tally)),
     )

@@ -66,6 +66,16 @@ class TestDerive:
         assert any(line.startswith("error: PARSE_ERROR") for line in err)
 
 
+    def test_label_for_vertex_not_in_graph(self, files, capsys):
+        code, _ = run(
+            ["derive", "--graph", files("g", K2_GRAPH),
+             "--labeling", files("l", K2_LABELING + "zz: {3}\n")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error: UNKNOWN_VERTEX") for line in err)
+
+
 class TestCheck:
     def test_balance_true_exit_zero(self, files):
         code, text = run(
@@ -218,6 +228,17 @@ class TestTransform:
         assert code == 0
         assert "added_edge = a c" in text
 
+    def test_unwritable_output_is_input_error(self, files, tmp_path, capsys):
+        code, _ = run(
+            ["transform", "subdivide", "--edge", "u v",
+             "--graph", files("g", TRIANGLE_GRAPH),
+             "--labeling", files("l", TRIANGLE_LABELING),
+             "--out-graph", str(tmp_path / "missing" / "x")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error: PARSE_ERROR: cannot write") for line in err)
+
     def test_missing_operand_is_input_error(self, files, capsys):
         code, _ = run(
             ["transform", "subdivide",
@@ -284,6 +305,30 @@ class TestVerify:
         assert code == 2
         assert "UNKNOWN_THEOREM" in capsys.readouterr().err
 
+    def test_unwritable_report_is_input_error(self, tmp_path, capsys):
+        code, _ = run(
+            ["verify", "--theorem", "POSITIVE_EDGE", "--family", "triangle",
+             "--universe-max", "2", "--max-label-size", "2",
+             "--out", str(tmp_path / "missing" / "x")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error: PARSE_ERROR: cannot write") for line in err)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--universe-max", "-1"), ("--max-label-size", "0"), ("--max-vertices", "0")],
+    )
+    def test_out_of_range_bound_is_input_error(self, capsys, flag, value):
+        bounds = {"--universe-max": "2", "--max-label-size": "2", flag: value}
+        argv = ["verify", "--theorem", "CARDINALITY", "--family", "triangle"]
+        for name, text in bounds.items():
+            argv += [name, text]
+        code, _ = run(argv)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error: PARSE_ERROR") for line in err)
+
     def test_bad_family_exit_two(self, capsys):
         code, _ = run(
             ["verify", "--theorem", "CARDINALITY", "--family", "blob:9",
@@ -305,10 +350,3 @@ class TestDeterminism:
             first = run(argv)
             second = run(argv)
             assert first == second
-
-    def test_format_plain_accepted(self, files):
-        code, _ = run(
-            ["--format", "plain", "derive",
-             "--graph", files("g", K2_GRAPH), "--labeling", files("l", K2_LABELING)]
-        )
-        assert code == 0

@@ -11,6 +11,7 @@ from sumsign.errors import (
     NotApLabel,
     ParseError,
     UniverseViolation,
+    UnknownVertex,
 )
 from sumsign.graphs import Graph
 from sumsign.intsets import IntegerSet, Sign, ap_profile
@@ -60,6 +61,10 @@ class TestDerive:
     def test_missing_label(self):
         with pytest.raises(MissingLabel):
             derive(TRIANGLE, lab(4, u=[0], v=[1]))
+
+    def test_label_for_vertex_not_in_graph(self):
+        with pytest.raises(UnknownVertex, match="zz"):
+            derive(K2, lab(4, u=[0], v=[1], zz=[3]))
 
     def test_duplicate_label(self):
         with pytest.raises(DuplicateLabel):

@@ -1,5 +1,6 @@
 """Labeling enumeration, the balanced bipartite construction, and experiments."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -19,6 +20,7 @@ from sumsign.graphs import Graph, is_bipartite
 from sumsign.intsets import IntegerSet, Sign
 from sumsign.labeling import Labeling, derive, validate_aiasl
 from sumsign.verify import (
+    _EXPERIMENTS,
     SearchBounds,
     TheoremId,
     Verdict,
@@ -319,6 +321,81 @@ class TestVerifyTheorem:
         )
         assert rep.family_spec == "custom(1 graphs)"
         assert rep.cases_checked == 6
+
+
+# sha256 of ``verify_theorem(theorem, family, bounds).to_text()`` for every
+# theorem, computed by an earlier implementation with one hand-written
+# driver per theorem: every report must stay byte-identical. The cases
+# cover counterexamples for both balance directions, HOMEOMORPHISM and
+# IASI_INJECTIVITY, skipped members for both balance directions, skipped
+# SUBDIVISION collisions, and the strict-universe and odd-ratio bounds.
+GOLDEN_REPORTS = [
+    ("connected:4", SearchBounds(2, 2), {
+        "POSITIVE_EDGE": "93bb9905ce310e852be01716f727c7faf594c78ba591ff29df2d5fd1e9618982",
+        "CARDINALITY": "63bbed0a3dc2fdd801dc732f4f89ea0909bc1e469b0ce1d47cf63f05c0cf7bf6",
+        "BALANCE_BIPARTITE_FWD": "88c60595706892214b831cdf456f4a7f2d4a11cce3232a88632e845fc7384bc9",
+        "BALANCE_BIPARTITE_REV": "c33620a3f52326d3f354c12937120ead3ef859c77629b5afede07a8d238c79bc",
+        "SUBDIVISION": "57f580d0028f28ddc87d3e74c32987fc22ff5bd6e02d9ce68587a45e3eaa5966",
+        "HOMEOMORPHISM": "6354142887814bb08190271abfd952313be9c3e2aebc4f272f21dbbf5b9ed830",
+        "IASI_INJECTIVITY": "b3e1e064ad1e60115357e0a722d9fd4a868c138b41cecbcbc8157336a0b394c4",
+    }),
+    ("triangle", SearchBounds(3, 3), {
+        "POSITIVE_EDGE": "ce4ff761e2858fa227a6d26fd30205e38f782d84cd32baf2b994e305c98a9964",
+        "CARDINALITY": "20d40a9481d327224e625268813a04918ab9407922560bdc2acc1255d7094f19",
+        "BALANCE_BIPARTITE_FWD": "2a392453214db920bed92f91ea7eef3015cb198cdf9dfc5fda80677f6e691538",
+        "BALANCE_BIPARTITE_REV": "5f58526eb96bfe63e37dbc4a8bafd43ff79aff1b7af5a671cbd2a6e2b101f60b",
+        "SUBDIVISION": "d5a01bb0e54ac000e894b57553405db9c4bd70e3abd315c382276502a35145fa",
+        "HOMEOMORPHISM": "b40383b98dfb44ead6228caea6e8a773c2d29723843550c1a15aadffb0b304db",
+        "IASI_INJECTIVITY": "3bb2023bb84207217353b2251ae912653bb37986b636e6680f761a2c9053370b",
+    }),
+    ("cycle:6", SearchBounds(2, 2), {
+        "POSITIVE_EDGE": "512efc9b34e6c083375b511c2e1f6011b0f5b52dde708fb913264d89a5f25ef2",
+        "CARDINALITY": "a7ab4fe723997cd6bcc4ba580e287c039f625aea800efd0087f7c0dc24022614",
+        "BALANCE_BIPARTITE_FWD": "4a22fddeb7ba20699ecaa29c2d42f4be0b4353aacf0912d1aef33dae9754d870",
+        "BALANCE_BIPARTITE_REV": "1b5c54306740985a1846fb99c55a93905bad57215194b1db9cfd0379e02b7ce7",
+        "SUBDIVISION": "67989b9b8a875ec3bbdb89db1f5355539649affb5ab98de87afd69a42cacaf57",
+        "HOMEOMORPHISM": "e18343b96676270b5a0ca53451aa4d46b28cda9b14dcd4a3c1d8044a0772980e",
+        "IASI_INJECTIVITY": "d5c3b628328ffb60797bffcd4d784ac90cbf327d9d5d6f1c377341104fa5684b",
+    }),
+    ("cycle:4", SearchBounds(4, 2, require_strict_universe=True), {
+        "POSITIVE_EDGE": "f140740a8ab9ba3e19fd13d0e0aa792009df2fe9cf46c098894da6012c888bce",
+        "CARDINALITY": "5ceaa410ceb61491874cba97cac885c11434e9206ece752202aac8f7a4b1f5cf",
+        "BALANCE_BIPARTITE_FWD": "a0cdeedcbe2f5bf0a4435e4219e0c0ede2374faee2b2ffdbfac7a9d299ea61ee",
+        "BALANCE_BIPARTITE_REV": "af1f466bb5fb5ff0ea53f210c80674080e9cb6d60f674488ffe00516c5b92c9e",
+        "SUBDIVISION": "8a7ae94fd58be7d8763e6d293ee8fc4fccf32d3d7ab443cc8b87aca8cbed9cc0",
+        "HOMEOMORPHISM": "9d5e41e938db52ee53b0acd21a73fe69643d3b8648923ca58d74c60314e54f6e",
+        "IASI_INJECTIVITY": "2c01195ab597c3f0b5fc401f4e48d2731e89b7d73c7fa71ac70295fbca0d9516",
+    }),
+    ("triangle", SearchBounds(5, 2, odd_ratios_only=True), {
+        "POSITIVE_EDGE": "bd83bb12afa435f9219d8731c0e4b85bc74ea10a76efee2b40789e8994b0be59",
+        "CARDINALITY": "81fc49d655db29d24896c36a964995f45b216e5ed10e3378852ef64aace8be4f",
+        "BALANCE_BIPARTITE_FWD": "6d0ef52e2a9b1b8ca75ae9d7620135f9a795c19b0ad3d7c20040ec4f5af45472",
+        "BALANCE_BIPARTITE_REV": "878baa6014668f4804205b7ad8bcd25631ba60d3956f216e471a84981142a72a",
+        "SUBDIVISION": "d8b24add7955e4c4f683dc3304f2be15b01e277fc2f9d4f4c0bea87f8f2d9667",
+        "HOMEOMORPHISM": "96550387db8c99ade8938af11c6af8cd75722d90d53782a9ff62aa86db7b3b7b",
+        "IASI_INJECTIVITY": "ed962f4c251ee1116141b927e2cf2c5f9bcfa11f1c68ed9f157ea916f8cd13cb",
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "family, bounds, expected",
+    GOLDEN_REPORTS,
+    ids=["connected:4-(2,2)", "triangle-(3,3)", "cycle:6-(2,2)",
+         "cycle:4-(4,2)-strict", "triangle-(5,2)-odd"],
+)
+def test_reports_match_golden_hashes(family, bounds, expected):
+    got = {
+        tid.value: hashlib.sha256(
+            verify_theorem(tid, family, bounds).to_text().encode()
+        ).hexdigest()
+        for tid in TheoremId
+    }
+    assert got == expected
+
+
+def test_one_experiment_per_theorem():
+    assert list(_EXPERIMENTS) == list(TheoremId)
 
 
 # ---------------------------------------------------------------------------
