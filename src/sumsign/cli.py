@@ -199,6 +199,8 @@ def _cmd_transform(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ParseError(f"--limit must be non-negative, got {args.limit}")
     g = _load_graph(args.graph)
     bounds = SearchBounds(
         universe_max=args.universe_max,
@@ -341,6 +343,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     try:
         if args.cycle_bound is None:
             args.cycle_bound = _default_cycle_bound()
+        if args.cycle_bound < 0:
+            raise ParseError(f"cycle bound must be non-negative, got {args.cycle_bound}")
         _validate_transform_args(args)
         return args.func(args, out)
     except SumsignError as exc:

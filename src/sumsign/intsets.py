@@ -62,10 +62,6 @@ class IntegerSet:
     def __setattr__(self, name, value):
         raise AttributeError("IntegerSet is immutable")
 
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
     def __len__(self) -> int:
         return len(self.elements)
 

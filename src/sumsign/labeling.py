@@ -67,9 +67,6 @@ class Labeling:
         except KeyError:
             raise MissingLabel(f"vertex {v!r} has no set-label") from None
 
-    def vertices(self) -> tuple[str, ...]:
-        return tuple(self.assignment)
-
     def items(self) -> tuple[tuple[str, IntegerSet], ...]:
         return tuple(self.assignment.items())
 
@@ -156,12 +153,6 @@ class SignedLabeledGraph:
             return self.edge_labels[key]
         except KeyError:
             raise UnknownEdge(f"edge {key} is not in the graph") from None
-
-    def negative_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.graph.edges if self.signs[e] is Sign.NEGATIVE)
-
-    def positive_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.graph.edges if self.signs[e] is Sign.POSITIVE)
 
 
 def derive(g: Graph, f: Labeling, strict: bool = False) -> SignedLabeledGraph:

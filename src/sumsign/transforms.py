@@ -3,7 +3,9 @@
 Each operation produces a new signed labeled graph obeying the induced-label
 rules: surviving elements keep their set-labels, new edges get the sumset of
 their endpoints' labels, and a vertex replacing an edge inherits that edge's
-label. Inputs are never mutated.
+label. ``_rebuild`` is the one place that applies these rules; each public
+transform checks its input and makes one ``_rebuild`` call. Inputs are never
+mutated.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import (
     VertexInTriangle,
 )
 from .graphs import Edge, Graph, edge_key, in_triangle
-from .intsets import Sign
+from .intsets import IntegerSet, Sign
 from .labeling import AiaslCheck, Labeling, SignedLabeledGraph, derive, validate_aiasl
 
 
@@ -58,33 +60,55 @@ class TransformOutcome:
         return lines
 
 
-def _carry_notes(vertices: Iterable[str]) -> list[tuple[str, str]]:
-    return [(v, "carried") for v in vertices]
+def _rebuild(
+    s: SignedLabeledGraph,
+    drop_vertex: str | None = None,
+    drop_edges: Iterable[Edge] = (),
+    new_vertex: tuple[str, IntegerSet, str] | None = None,
+    new_edges: Iterable[Edge] = (),
+) -> TransformOutcome:
+    """Apply one change to s and derive the result by the induced-label rule.
+
+    Drops ``drop_vertex`` with its incident edges and every edge in
+    ``drop_edges``, adds ``new_vertex`` as ``(id, label, source note)`` and
+    ``new_edges``. Every kept vertex carries its label; ``derive`` gives every
+    edge the sumset of its endpoints' labels.
+    """
+    drop = set(drop_edges)
+    removed_edges = tuple(e for e in s.graph.edges if e in drop or drop_vertex in e)
+    kept_edges = [e for e in s.graph.edges if e not in removed_edges]
+    added_edges = tuple(new_edges)
+    kept_vertices = [x for x in s.graph.vertices if x != drop_vertex]
+    assignment = {x: s.labeling.get(x) for x in kept_vertices}
+    notes = [(x, "carried") for x in kept_vertices]
+    added_vertices: tuple[str, ...] = ()
+    if new_vertex is not None:
+        w, label, source = new_vertex
+        assignment[w] = label
+        notes.append((w, source))
+        added_vertices = (w,)
+    result = derive(
+        Graph(assignment, kept_edges + list(added_edges)),
+        Labeling(s.labeling.universe_max, assignment),
+    )
+    # Induced = carried: identical labels give identical sumsets and signs.
+    assert all(result.signs[e] == s.signs[e] for e in kept_edges)
+    notes.extend((f"{u} {v}", "sumset of endpoints") for u, v in added_edges)
+    return TransformOutcome(
+        result=result,
+        added_vertices=added_vertices,
+        removed_vertices=() if drop_vertex is None else (drop_vertex,),
+        added_edges=added_edges,
+        removed_edges=removed_edges,
+        label_notes=tuple(notes),
+    )
 
 
 def delete_vertex(s: SignedLabeledGraph, v: str) -> TransformOutcome:
     """Remove v and its incident edges; every surviving label is untouched."""
     if not s.graph.has_vertex(v):
         raise UnknownVertex(f"vertex {v!r} is not in the graph")
-    kept_vertices = [x for x in s.graph.vertices if x != v]
-    removed_edges = tuple(e for e in s.graph.edges if v in e)
-    kept_edges = [e for e in s.graph.edges if v not in e]
-    new_graph = Graph(kept_vertices, kept_edges)
-    new_labeling = Labeling(
-        s.labeling.universe_max,
-        {x: s.labeling.get(x) for x in kept_vertices},
-    )
-    result = derive(new_graph, new_labeling)
-    # Induced = carried: identical labels give identical sumsets and signs.
-    assert all(result.signs[e] == s.signs[e] for e in kept_edges)
-    return TransformOutcome(
-        result=result,
-        added_vertices=(),
-        removed_vertices=(v,),
-        added_edges=(),
-        removed_edges=removed_edges,
-        label_notes=tuple(_carry_notes(kept_vertices)),
-    )
+    return _rebuild(s, drop_vertex=v)
 
 
 def spanned_subgraph(
@@ -97,46 +121,23 @@ def spanned_subgraph(
     the removed set can be made by the caller.
     """
     keep = {edge_key(*e) for e in keep_edges}
-    present = set(s.graph.edges)
-    unknown = keep - present
+    unknown = keep - set(s.graph.edges)
     if unknown:
         raise UnknownEdge(f"edges not in the graph: {sorted(unknown)}")
-    removed = tuple(e for e in s.graph.edges if e not in keep)
-    removed_negatives = sum(1 for e in removed if s.signs[e] is Sign.NEGATIVE)
-    new_graph = Graph(s.graph.vertices, sorted(keep))
-    result = derive(new_graph, s.labeling)
-    assert all(result.signs[e] == s.signs[e] for e in result.graph.edges)
-    return (
-        TransformOutcome(
-            result=result,
-            added_vertices=(),
-            removed_vertices=(),
-            added_edges=(),
-            removed_edges=removed,
-            label_notes=tuple(_carry_notes(s.graph.vertices)),
-        ),
-        removed_negatives,
+    outcome = _rebuild(s, drop_edges=[e for e in s.graph.edges if e not in keep])
+    removed_negatives = sum(
+        1 for e in outcome.removed_edges if s.signs[e] is Sign.NEGATIVE
     )
+    return outcome, removed_negatives
 
 
-def _fresh_vertex_name(base: str, taken: Iterable[str]) -> str:
-    taken = set(taken)
-    if base not in taken:
-        return base
-    i = 2
-    while f"{base}{i}" in taken:
-        i += 1
-    return f"{base}{i}"
-
-
-def subdivide_edge(
-    s: SignedLabeledGraph, e: Edge, new_vertex: str | None = None
-) -> TransformOutcome:
+def subdivide_edge(s: SignedLabeledGraph, e: Edge) -> TransformOutcome:
     """Replace edge uv by a new vertex w labeled with the old edge label.
 
     w receives f(u) + f(v) and the edges uw, wv; their labels and signs are
-    derived by sumset. Raises InjectivityCollision when the inherited label
-    already labels a surviving vertex.
+    derived by sumset. w is named u*v, or u*v2, u*v3, ... when that id is
+    taken. Raises InjectivityCollision when the inherited label already
+    labels a surviving vertex.
     """
     key = edge_key(*e)
     if key not in s.signs:
@@ -148,29 +149,16 @@ def subdivide_edge(
             raise InjectivityCollision(
                 f"edge label {inherited.to_text()} already labels vertex {x!r}"
             )
-    w = new_vertex if new_vertex is not None else _fresh_vertex_name(
-        f"{u}*{v}", s.graph.vertices
-    )
-    if s.graph.has_vertex(w):
-        raise InjectivityCollision(f"vertex id {w!r} already exists")
-    new_graph = Graph(
-        list(s.graph.vertices) + [w],
-        [x for x in s.graph.edges if x != key] + [edge_key(u, w), edge_key(w, v)],
-    )
-    assignment = {x: s.labeling.get(x) for x in s.graph.vertices}
-    assignment[w] = inherited
-    result = derive(new_graph, Labeling(s.labeling.universe_max, assignment))
-    notes = _carry_notes(s.graph.vertices)
-    notes.append((w, f"inherited from edge {u} {v}"))
-    notes.append((f"{edge_key(u, w)[0]} {edge_key(u, w)[1]}", "sumset of endpoints"))
-    notes.append((f"{edge_key(w, v)[0]} {edge_key(w, v)[1]}", "sumset of endpoints"))
-    return TransformOutcome(
-        result=result,
-        added_vertices=(w,),
-        removed_vertices=(),
-        added_edges=tuple(sorted((edge_key(u, w), edge_key(w, v)))),
-        removed_edges=(key,),
-        label_notes=tuple(notes),
+    base = w = f"{u}*{v}"
+    i = 2
+    while s.graph.has_vertex(w):
+        w = f"{base}{i}"
+        i += 1
+    return _rebuild(
+        s,
+        drop_edges=(key,),
+        new_vertex=(w, inherited, f"inherited from edge {u} {v}"),
+        new_edges=sorted((edge_key(u, w), edge_key(w, v))),
     )
 
 
@@ -187,26 +175,4 @@ def elementary_transformation(s: SignedLabeledGraph, v: str) -> TransformOutcome
     if in_triangle(s.graph, v):
         raise VertexInTriangle(f"vertex {v!r} lies on a triangle")
     u, w = s.graph.neighbors(v)
-    new_edge = edge_key(u, w)
-    kept_vertices = [x for x in s.graph.vertices if x != v]
-    new_graph = Graph(
-        kept_vertices,
-        [e for e in s.graph.edges if v not in e] + [new_edge],
-    )
-    result = derive(
-        new_graph,
-        Labeling(
-            s.labeling.universe_max,
-            {x: s.labeling.get(x) for x in kept_vertices},
-        ),
-    )
-    notes = _carry_notes(kept_vertices)
-    notes.append((f"{new_edge[0]} {new_edge[1]}", "sumset of endpoints"))
-    return TransformOutcome(
-        result=result,
-        added_vertices=(),
-        removed_vertices=(v,),
-        added_edges=(new_edge,),
-        removed_edges=tuple(e for e in s.graph.edges if v in e),
-        label_notes=tuple(notes),
-    )
+    return _rebuild(s, drop_vertex=v, new_edges=(edge_key(u, w),))

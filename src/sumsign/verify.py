@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -392,7 +393,11 @@ def _mask_parities(bits: list[np.ndarray], mask: int) -> np.ndarray | None:
     return parity
 
 
-def sweep_sign_patterns(g: Graph, chunk: int = 1 << 18) -> PatternSweep:
+# Patterns per batch of the sweep: bounds the bit-plane arrays' memory.
+_SWEEP_CHUNK = 1 << 18
+
+
+def sweep_sign_patterns(g: Graph) -> PatternSweep:
     """Run both balance definitions over all 2^m sign patterns of g.
 
     Literal but batched: for every pattern the oracle side computes the
@@ -414,8 +419,8 @@ def sweep_sign_patterns(g: Graph, chunk: int = 1 << 18) -> PatternSweep:
     total = 1 << m
     balanced: list[int] = []
     disagreements: list[int] = []
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
+    for start in range(0, total, _SWEEP_CHUNK):
+        stop = min(start + _SWEEP_CHUNK, total)
         pats = np.arange(start, stop, dtype=np.uint32)
         bits = [((pats >> b) & 1).astype(np.uint8) for b in range(m)]
         oracle_ok = np.ones(stop - start, dtype=bool)
@@ -452,17 +457,36 @@ def _eligible_vertices(g: Graph) -> list[str]:
 
 
 class _GraphContext:
-    """Per-graph tables reused across all labelings of one experiment."""
+    """Per-graph tables reused across all labelings of one experiment.
+
+    Each structure table is computed on first read, since each experiment
+    reads only some of them.
+    """
 
     def __init__(self, g: Graph):
         self.graph = g
         pos = {v: i for i, v in enumerate(g.vertices)}
         self.edge_vertex_pos = [(pos[u], pos[v]) for u, v in g.edges]
-        self.cycle_masks = fundamental_cycle_masks(g)
-        self.bipartite = is_bipartite(g)
-        self.cut = set(cut_edges(g))
-        self.on_cycle = vertices_on_cycles(g)
-        self.eligible = _eligible_vertices(g)
+
+    @cached_property
+    def cycle_masks(self) -> list[int]:
+        return fundamental_cycle_masks(self.graph)
+
+    @cached_property
+    def bipartite(self) -> bool:
+        return is_bipartite(self.graph)
+
+    @cached_property
+    def cut(self) -> set[Edge]:
+        return set(cut_edges(self.graph))
+
+    @cached_property
+    def on_cycle(self) -> frozenset[str]:
+        return vertices_on_cycles(self.graph)
+
+    @cached_property
+    def eligible(self) -> list[str]:
+        return _eligible_vertices(self.graph)
 
     def negative_mask(self, space: _LabelingSpace, indices: Sequence[int]) -> int:
         mask = 0

@@ -1,8 +1,14 @@
 """End-to-end command-line behavior: verbs, formats, exit codes."""
 
+import contextlib
+import hashlib
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumsign import cli
 from sumsign.graphs import parse_graph
@@ -163,6 +169,19 @@ class TestCheck:
         )
         assert code == 0 and "BALANCED=true" in text
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_cycle_bound_is_input_error(self, files, monkeypatch, capsys, source):
+        argv = ["check", "balance", "--graph", files("g", TRIANGLE_GRAPH),
+                "--labeling", files("l", TRIANGLE_LABELING)]
+        if source == "flag":
+            argv = ["--cycle-bound", "-5"] + argv
+        else:
+            monkeypatch.setenv(cli.ENV_CYCLE_BOUND, "-5")
+        code, text = run(argv)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: PARSE_ERROR: ")
+
     def test_missing_file_is_input_error(self, files, capsys):
         code, _ = run(
             ["check", "balance", "--graph", "/nonexistent/g",
@@ -257,6 +276,60 @@ class TestTransform:
         assert "UNKNOWN_VERTEX" in capsys.readouterr().err
 
 
+# sha256 of stdout, then the --out-graph file, then the --out-labeling file
+# (joined by NUL bytes) of ``transform``, computed before the four transforms
+# shared one rebuild step: every output must stay byte-identical.
+GOLDEN_TRANSFORMS = {
+    "subdivide-triangle": (
+        ["subdivide", "--edge", "u v"], TRIANGLE_GRAPH, TRIANGLE_LABELING,
+        "f8fc5555f76f87f8afafc635cd0734e39ab1c3d465a49665a8704cab8835467f",
+    ),
+    "subdivide-prefix-named-path": (
+        ["subdivide", "--edge", "v1 v10"], "v1 v10\nv10 v2\n",
+        "universe_max = 6\nv1: {0,1}\nv10: {2}\nv2: {0,2}\n",
+        "0052d65a019a04ce3769dcb28cdb1b1166a2c51d9c8046535812c7ec16a020a6",
+    ),
+    "subdivide-default-name-taken": (
+        ["subdivide", "--edge", "u v"], "u v\nv u*v\n",
+        "universe_max = 8\nu: {0,1}\nv: {0,2}\nu*v: {5}\n",
+        "4ffe850900b67aa8745decaa23d781967d582be72903ac0c2d6096b6e0c0bef9",
+    ),
+    "homeo-path": (
+        ["homeo", "--vertex", "b"], "a b\nb c\n",
+        "universe_max = 4\na: {0,1}\nb: {4}\nc: {2,3}\n",
+        "5a66fcd9f900c36e86cfda02a5fbe82a49e9e8847d937ae875bde9191b8537ce",
+    ),
+    "delete-vertex-triangle": (
+        ["delete-vertex", "--vertex", "w"], TRIANGLE_GRAPH, TRIANGLE_LABELING,
+        "72741876beedb2bcea0878e3932afadc3233fe795137fbbb10ae94e4e91d14c6",
+    ),
+    "span-unbalanced-triangle": (
+        ["span", "--keep", "u v", "--keep", "u w"], UNBALANCED_GRAPH, UNBALANCED_LABELING,
+        "8fd3e3a867f0b0843db958d1f346890f21dd7724b611a140dc7096bb724aeb0f",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "operation, graph, labeling, expected",
+    GOLDEN_TRANSFORMS.values(),
+    ids=GOLDEN_TRANSFORMS.keys(),
+)
+def test_transform_outputs_match_golden_hashes(
+    files, tmp_path, operation, graph, labeling, expected
+):
+    out_graph = tmp_path / "out.graph"
+    out_labeling = tmp_path / "out.labeling"
+    code, text = run(
+        ["transform", *operation,
+         "--graph", files("g", graph), "--labeling", files("l", labeling),
+         "--out-graph", str(out_graph), "--out-labeling", str(out_labeling)]
+    )
+    assert code == 0
+    blob = "\0".join([text, out_graph.read_text(), out_labeling.read_text()])
+    assert hashlib.sha256(blob.encode()).hexdigest() == expected
+
+
 class TestEnumerate:
     def test_k2_count_six(self, files):
         code, text = run(
@@ -276,6 +349,15 @@ class TestEnumerate:
         lines = [l for l in text.splitlines() if l.startswith("u=")]
         assert len(lines) == 2
         assert "COUNT=6" in text
+
+    def test_negative_limit_is_input_error(self, files, capsys):
+        code, text = run(
+            ["enumerate", "--graph", files("g", K2_GRAPH),
+             "--universe-max", "2", "--max-label-size", "2", "--limit", "-1"]
+        )
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: PARSE_ERROR: ")
 
 
 class TestVerify:
@@ -350,3 +432,76 @@ class TestDeterminism:
             first = run(argv)
             second = run(argv)
             assert first == second
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed inputs: whatever the files hold, the CLI ends with a documented exit
+# code and reports failures only as "error: CODE: message" lines.
+# ---------------------------------------------------------------------------
+
+VERTEX_IDS = ["a", "b", "c", "d", "e", "v1", "v10", "a*b"]
+vertex_id = st.one_of(
+    st.sampled_from(VERTEX_IDS),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3),
+)
+junk_line = st.text(st.characters(blacklist_categories=("Cs",)), max_size=10)
+graph_text = st.lists(
+    st.one_of(
+        st.tuples(vertex_id, vertex_id).map(" ".join),
+        vertex_id.map("vertex {}".format),
+        junk_line,
+    ),
+    max_size=8,
+).map("\n".join)
+set_literal = st.one_of(
+    st.lists(st.integers(0, 12), max_size=4).map(
+        lambda xs: "{" + ",".join(map(str, xs)) + "}"
+    ),
+    junk_line,
+)
+labeling_text = st.lists(
+    st.one_of(
+        st.tuples(vertex_id, set_literal).map(": ".join),
+        st.one_of(st.integers(0, 12).map(str), junk_line).map("universe_max = {}".format),
+        junk_line,
+    ),
+    max_size=8,
+).map("\n".join)
+command = st.one_of(
+    st.just(["derive"]),
+    st.sampled_from(["aiasl", "iasi", "balance", "cluster"]).map(lambda p: ["check", p]),
+    st.tuples(vertex_id, vertex_id).map(
+        lambda e: ["transform", "subdivide", f"--edge={e[0]} {e[1]}"]
+    ),
+    st.tuples(st.sampled_from(["homeo", "delete-vertex"]), vertex_id).map(
+        lambda t: ["transform", t[0], f"--vertex={t[1]}"]
+    ),
+    st.lists(st.tuples(vertex_id, vertex_id), min_size=1, max_size=3).map(
+        lambda keep: ["transform", "span"] + [f"--keep={u} {v}" for u, v in keep]
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    graph=graph_text,
+    labeling=labeling_text,
+    cmd=command,
+    strict=st.booleans(),
+    cycle_bound=st.one_of(st.none(), st.integers(-2, 8)),
+)
+def test_fuzzed_inputs_keep_the_exit_code_contract(graph, labeling, cmd, strict, cycle_bound):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path = Path(tmp) / "g"
+        labeling_path = Path(tmp) / "l"
+        graph_path.write_text(graph, encoding="utf-8")
+        labeling_path.write_text(labeling, encoding="utf-8")
+        argv = [] if cycle_bound is None else [f"--cycle-bound={cycle_bound}"]
+        argv += cmd + ["--graph", str(graph_path), "--labeling", str(labeling_path)]
+        if strict:
+            argv.append("--strict-universe")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, _ = run(argv)
+    assert code in (0, 1, 2, 3)
+    assert all(line.startswith("error: ") for line in err.getvalue().splitlines())
