@@ -47,9 +47,13 @@ EXIT_PROPERTY_FAILS = 1
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
 
 
 def _write(path: str, text: str) -> None:

@@ -112,8 +112,8 @@ def resolve_family(spec: str) -> tuple[Graph, ...]:
     """Turn a family spec string into a list of graphs.
 
     Grammar:
-        connected:N     all connected graphs with at most N vertices (N <= 7)
-        bipartite:N     bipartite members of the shipped families, <= N vertices
+        connected:N     all connected graphs with at most N vertices (1 <= N <= 7)
+        bipartite:N     bipartite members of the shipped families, <= N vertices (N >= 1)
         path:N          the path on N vertices
         cycle:N         the cycle on N vertices
         star:N          the star on N vertices
@@ -128,10 +128,11 @@ def resolve_family(spec: str) -> tuple[Graph, ...]:
         raise ParseError(f"bad family spec {spec!r}")
     kind, _, arg = spec.partition(":")
     try:
-        if kind == "connected":
-            return connected_graphs(int(arg))
-        if kind == "bipartite":
-            return bipartite_family(int(arg))
+        if kind in ("connected", "bipartite"):
+            n = int(arg)
+            if n < 1:
+                raise ValueError(f"{kind}:N needs N >= 1, the family would be empty")
+            return connected_graphs(n) if kind == "connected" else bipartite_family(n)
         if kind == "path":
             return (path_graph(int(arg)),)
         if kind == "cycle":

@@ -169,7 +169,7 @@ def ap_sets(universe_max: int, max_size: int) -> tuple[IntegerSet, ...]:
     out: list[IntegerSet] = []
     for first in range(universe_max + 1):
         out.append(IntegerSet([first]))
-    for length in range(2, max_size + 1):
+    for length in range(2, min(max_size, universe_max + 1) + 1):
         for diff in range(1, universe_max + 1):
             top_first = universe_max - (length - 1) * diff
             if top_first < 0:
@@ -179,10 +179,44 @@ def ap_sets(universe_max: int, max_size: int) -> tuple[IntegerSet, ...]:
     return tuple(sorted(out, key=lambda s: (len(s), s.elements)))
 
 
+# Most candidate sets one search space may hold; its pair tables grow as the
+# square of this count.
+_MAX_CANDIDATE_SETS = 2000
+
+
+def _ap_set_count(universe_max: int, max_size: int) -> int:
+    """len(ap_sets(...)) without building the sets; stops once over the cap.
+
+    Length gap+1 and difference d leave universe_max - gap*d + 1 first elements.
+    """
+    count = universe_max + 1
+    for gap in range(1, min(max_size, universe_max + 1)):
+        top = universe_max // gap
+        count += top * (universe_max + 1) - gap * top * (top + 1) // 2
+        if count > _MAX_CANDIDATE_SETS:
+            break
+    return count
+
+
 class _LabelingSpace:
-    """Shared per-bounds tables: candidate sets, profiles, pair relations."""
+    """Per-bounds tables: candidate sets, their profiles, every pair relation.
+
+    ``__init__`` fills the pair tables in one pass over the pairs i < j:
+    ``compat[i]``, a bitmask of the j allowed next to set i (admissible, and
+    within the bounds' odd-ratio and strict-universe rules); ``ratio[i][j]``,
+    the ratio k of an allowed pair, else None; ``odd[i]``, a bitmask of the j
+    with |set_i + set_j| odd, i.e. a negative edge. The parity is brute force,
+    not intsets.sumset, so the search stays independent of the object-level
+    replay. The tables are O(S^2), so S is capped at _MAX_CANDIDATE_SETS.
+    """
 
     def __init__(self, bounds: SearchBounds):
+        if _ap_set_count(bounds.universe_max, bounds.max_label_size) > _MAX_CANDIDATE_SETS:
+            raise BoundExceeded(
+                f"search space limited to {_MAX_CANDIDATE_SETS} candidate label sets, "
+                f"universe_max={bounds.universe_max} "
+                f"max_label_size={bounds.max_label_size} gives more"
+            )
         self.bounds = bounds
         self.sets = ap_sets(bounds.universe_max, bounds.max_label_size)
         self.profiles: list[ApProfile] = []
@@ -191,51 +225,33 @@ class _LabelingSpace:
             assert p is not None
             self.profiles.append(p)
         self.sizes = [len(s) for s in self.sets]
-        self._pair_cache: dict[tuple[int, int], tuple[bool, int | None]] = {}
-        self._sum_parity: dict[tuple[int, int], int] = {}
-        self._compat: list[int] | None = None
+        n = len(self.sets)
+        self.compat = [0] * n
+        self.odd = [0] * n
+        self.ratio: list[list[int | None]] = [[None] * n for _ in range(n)]
+        for i in range(n):
+            a = self.sets[i].elements
+            for j in range(i + 1, n):
+                b = self.sets[j].elements
+                if len({x + y for x in a for y in b}) & 1:
+                    self.odd[i] |= 1 << j
+                    self.odd[j] |= 1 << i
+                ok, k, _ = admissibility_from_profiles(self.profiles[i], self.profiles[j])
+                if not ok or (bounds.odd_ratios_only and k % 2 == 0):
+                    continue
+                if bounds.require_strict_universe and a[-1] + b[-1] > bounds.universe_max:
+                    continue
+                self.compat[i] |= 1 << j
+                self.compat[j] |= 1 << i
+                self.ratio[i][j] = self.ratio[j][i] = k
 
     def pair_allowed(self, i: int, j: int) -> tuple[bool, int | None]:
-        """May sets i and j label adjacent vertices under these bounds?"""
-        if i > j:
-            i, j = j, i
-        cached = self._pair_cache.get((i, j))
-        if cached is not None:
-            return cached
-        ok, k, _ = admissibility_from_profiles(self.profiles[i], self.profiles[j])
-        if ok and self.bounds.odd_ratios_only and k is not None and k % 2 == 0:
-            ok = False
-        if ok and self.bounds.require_strict_universe:
-            top = self.sets[i].elements[-1] + self.sets[j].elements[-1]
-            if top > self.bounds.universe_max:
-                ok = False
-        result = (ok, k if ok else None)
-        self._pair_cache[(i, j)] = result
-        return result
+        """May sets i and j label adjacent vertices, and with which ratio?"""
+        return bool(self.compat[i] >> j & 1), self.ratio[i][j]
 
     def sum_parity(self, i: int, j: int) -> int:
         """Parity bit of |set_i + set_j| (1 means odd, i.e. a negative edge)."""
-        if i > j:
-            i, j = j, i
-        cached = self._sum_parity.get((i, j))
-        if cached is None:
-            a, b = self.sets[i].elements, self.sets[j].elements
-            cached = len({x + y for x in a for y in b}) & 1
-            self._sum_parity[(i, j)] = cached
-        return cached
-
-    def compat_masks(self) -> list[int]:
-        """Bitmask per set index of partner indices allowed on an edge."""
-        if self._compat is None:
-            n = len(self.sets)
-            masks = [0] * n
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if self.pair_allowed(i, j)[0]:
-                        masks[i] |= 1 << j
-                        masks[j] |= 1 << i
-            self._compat = masks
-        return self._compat
+        return self.odd[i] >> j & 1
 
 
 def _enumerate_indices(
@@ -255,7 +271,7 @@ def _enumerate_indices(
     ]
     nsets = len(space.sets)
     full = (1 << nsets) - 1
-    compat = space.compat_masks() if prune else None
+    compat = space.compat if prune else None
     assign = [0] * len(verts)
 
     def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
@@ -395,6 +411,8 @@ def _mask_parities(bits: list[np.ndarray], mask: int) -> np.ndarray | None:
 
 # Patterns per batch of the sweep: bounds the bit-plane arrays' memory.
 _SWEEP_CHUNK = 1 << 18
+# Patterns are uint32, one bit per edge.
+_SWEEP_MAX_EDGES = 32
 
 
 def sweep_sign_patterns(g: Graph) -> PatternSweep:
@@ -405,8 +423,13 @@ def sweep_sign_patterns(g: Graph) -> PatternSweep:
     the fast side checks parity consistency of every non-tree edge against
     the spanning-forest propagation. Returns the patterns on which the two
     sides disagree (expected: none) and the oracle-balanced patterns.
+    Graphs with more than 32 edges raise BoundExceeded.
     """
     m = g.m
+    if m > _SWEEP_MAX_EDGES:
+        raise BoundExceeded(
+            f"sign-pattern sweep limited to {_SWEEP_MAX_EDGES} edges, graph has {m}"
+        )
     edge_index = {e: i for i, e in enumerate(g.edges)}
     cycle_masks = []
     for cycle in simple_cycles(g, max_vertices=max(g.n, 1)):
@@ -466,7 +489,8 @@ class _GraphContext:
     def __init__(self, g: Graph):
         self.graph = g
         pos = {v: i for i, v in enumerate(g.vertices)}
-        self.edge_vertex_pos = [(pos[u], pos[v]) for u, v in g.edges]
+        # (endpoint position, endpoint position, edge bit) per edge.
+        self.edge_ends = [(pos[u], pos[v], 1 << e) for e, (u, v) in enumerate(g.edges)]
 
     @cached_property
     def cycle_masks(self) -> list[int]:
@@ -489,10 +513,11 @@ class _GraphContext:
         return _eligible_vertices(self.graph)
 
     def negative_mask(self, space: _LabelingSpace, indices: Sequence[int]) -> int:
+        odd = space.odd
         mask = 0
-        for e_idx, (a, b) in enumerate(self.edge_vertex_pos):
-            if space.sum_parity(indices[a], indices[b]):
-                mask |= 1 << e_idx
+        for a, b, bit in self.edge_ends:
+            if odd[indices[a]] >> indices[b] & 1:
+                mask |= bit
         return mask
 
     def balanced(self, neg_mask: int) -> bool:
@@ -541,12 +566,10 @@ def _run(exp: _Experiment, graphs: Sequence[Graph], bounds: SearchBounds) -> _Ta
     """Run one experiment's kernel over its whole search space."""
     tally = _Tally(_LabelingSpace(bounds))
     if exp.on_pairs:
-        n = len(tally.space.sets)
-        for i in range(n):
-            for j in range(i + 1, n):
-                ok, k = tally.space.pair_allowed(i, j)
-                if ok:
-                    tally.cases += exp.kernel(tally, i, j, k)
+        for i, row in enumerate(tally.space.ratio):
+            for j in range(i + 1, len(row)):
+                if row[j] is not None:
+                    tally.cases += exp.kernel(tally, i, j, row[j])
         return tally
     for g in graphs:
         if g.n > bounds.max_vertices:

@@ -72,6 +72,16 @@ class TestDerive:
         assert any(line.startswith("error: PARSE_ERROR") for line in err)
 
 
+    def test_non_utf8_file_is_parse_error(self, files, tmp_path, capsys):
+        labeling = tmp_path / "l"
+        labeling.write_bytes(b"universe_max = 4\nu: {0,1}\xff\nv: {0,2}\n")
+        code, text = run(
+            ["derive", "--graph", files("g", K2_GRAPH), "--labeling", str(labeling)]
+        )
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: PARSE_ERROR: cannot read")
+
     def test_label_for_vertex_not_in_graph(self, files, capsys):
         code, _ = run(
             ["derive", "--graph", files("g", K2_GRAPH),
@@ -410,6 +420,25 @@ class TestVerify:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert any(line.startswith("error: PARSE_ERROR") for line in err)
+
+    @pytest.mark.parametrize("family", ["connected:0", "connected:-3", "bipartite:-1"])
+    def test_empty_family_is_input_error(self, capsys, family):
+        code, text = run(
+            ["verify", "--theorem", "BALANCE_BIPARTITE_REV", "--family", family,
+             "--universe-max", "2", "--max-label-size", "2"]
+        )
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: PARSE_ERROR: ")
+
+    def test_candidate_set_cap_exit_three(self, capsys):
+        code, text = run(
+            ["verify", "--theorem", "CARDINALITY", "--family", "triangle",
+             "--universe-max", "60", "--max-label-size", "10"]
+        )
+        assert code == 3 and text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: BOUND_EXCEEDED: ")
 
     def test_bad_family_exit_two(self, capsys):
         code, _ = run(

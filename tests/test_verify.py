@@ -21,9 +21,12 @@ from sumsign.intsets import IntegerSet, Sign
 from sumsign.labeling import Labeling, derive, validate_aiasl
 from sumsign.verify import (
     _EXPERIMENTS,
+    _MAX_CANDIDATE_SETS,
+    _LabelingSpace,
     SearchBounds,
     TheoremId,
     Verdict,
+    _ap_set_count,
     ap_sets,
     construct_balanced_bipartite_labeling,
     count_aiasl,
@@ -113,6 +116,67 @@ class TestApSets:
         sets = ap_sets(3, 3)
         keys = [(len(s), s.elements) for s in sets]
         assert keys == sorted(keys)
+
+    def test_count_without_building(self):
+        for universe_max in range(13):
+            for max_size in range(1, 8):
+                assert _ap_set_count(universe_max, max_size) == len(
+                    ap_sets(universe_max, max_size)
+                )
+
+
+def oracle_ratio(xs, ys):
+    """Deterministic ratio from the rule: 1 beside a singleton, else the
+    larger difference over the smaller one when it divides evenly."""
+    xs, ys = sorted(xs), sorted(ys)
+    if len(xs) < 2 or len(ys) < 2:
+        return 1
+    lo, hi = sorted((xs[1] - xs[0], ys[1] - ys[0]))
+    return hi // lo if hi % lo == 0 else None
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        SearchBounds(3, 3),
+        SearchBounds(4, 3, odd_ratios_only=True),
+        SearchBounds(4, 2, require_strict_universe=True),
+        SearchBounds(4, 3, odd_ratios_only=True, require_strict_universe=True),
+    ],
+    ids=["(3,3)", "(4,3)-odd", "(4,2)-strict", "(4,3)-odd-strict"],
+)
+def test_pair_tables_match_inline_rule(bounds):
+    space = _LabelingSpace(bounds)
+    sets = [s.elements for s in space.sets]
+    even_ratio_pairs = 0
+    for i, xs in enumerate(sets):
+        assert space.pair_allowed(i, i) == (False, None)
+        for j, ys in enumerate(sets):
+            if i == j:
+                continue
+            k = oracle_ratio(xs, ys)
+            allowed = (
+                oracle_edge_ok(xs, ys)
+                and not (bounds.odd_ratios_only and k % 2 == 0)
+                and not (
+                    bounds.require_strict_universe
+                    and xs[-1] + ys[-1] > bounds.universe_max
+                )
+            )
+            assert space.pair_allowed(i, j) == (allowed, k if allowed else None)
+            assert space.sum_parity(i, j) == len({x + y for x in xs for y in ys}) % 2
+            even_ratio_pairs += allowed and k % 2 == 0
+    # Even ratios are where the parity rule depends on more than the sizes.
+    assert (even_ratio_pairs > 0) == (not bounds.odd_ratios_only)
+
+
+def test_candidate_set_cap():
+    bounds = SearchBounds(universe_max=60, max_label_size=10)
+    assert len(ap_sets(60, 10)) > _MAX_CANDIDATE_SETS
+    with pytest.raises(BoundExceeded, match="candidate label sets"):
+        count_aiasl(K2, bounds)
+    with pytest.raises(BoundExceeded, match="candidate label sets"):
+        verify_theorem("CARDINALITY", "triangle", bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +495,13 @@ class TestSweepSignPatterns:
                 sg = signed_graph_from_pattern(g, pattern, sweep.edge_order)
                 assert is_balanced_oracle(sg)[0] == (pattern in balanced)
                 assert is_balanced_fast(sg)[0] == (pattern in balanced)
+
+    def test_more_than_32_edges_raises_before_allocating(self, monkeypatch):
+        import sumsign.verify as verify_module
+
+        monkeypatch.setattr(verify_module, "np", None)
+        with pytest.raises(BoundExceeded, match="32 edges"):
+            sweep_sign_patterns(complete_graph(9))  # 36 edges
 
     def test_pattern_round_trip(self):
         g = cycle_graph(3)
