@@ -67,6 +67,7 @@ from .intsets import (
     IntegerSet,
     Parity,
     Sign,
+    ap_pair,
     ap_profile,
     ap_sumset_cardinality,
     parse_set_literal,
@@ -86,7 +87,6 @@ from .labeling import (
     iasi_collisions,
     parse_labeling,
     predicted_sign,
-    ratio_from_profiles,
     validate_aiasl,
     validate_iasi,
 )

@@ -202,19 +202,23 @@ def _cmd_transform(args, out) -> int:
     return _emit_transform(args, out, outcome, extra)
 
 
-def _cmd_enumerate(args, out) -> int:
-    if args.limit is not None and args.limit < 0:
-        raise ParseError(f"--limit must be non-negative, got {args.limit}")
-    g = _load_graph(args.graph)
-    bounds = SearchBounds(
+def _bounds(args) -> SearchBounds:
+    """The search bounds given by _add_bounds_arguments' flags."""
+    return SearchBounds(
         universe_max=args.universe_max,
         max_label_size=args.max_label_size,
         max_vertices=args.max_vertices,
         require_strict_universe=args.strict_universe,
         odd_ratios_only=args.odd_ratios_only,
     )
+
+
+def _cmd_enumerate(args, out) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ParseError(f"--limit must be non-negative, got {args.limit}")
+    g = _load_graph(args.graph)
     count = 0
-    for lab in enumerate_aiasl(g, bounds):
+    for lab in enumerate_aiasl(g, _bounds(args)):
         count += 1
         if args.limit is None or count <= args.limit:
             _emit(
@@ -226,14 +230,7 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    bounds = SearchBounds(
-        universe_max=args.universe_max,
-        max_label_size=args.max_label_size,
-        max_vertices=args.max_vertices,
-        require_strict_universe=args.strict_universe,
-        odd_ratios_only=args.odd_ratios_only,
-    )
-    report = verify_theorem(args.theorem, args.family, bounds)
+    report = verify_theorem(args.theorem, args.family, _bounds(args))
     text = report.to_text()
     out.write(text)
     if args.out:

@@ -108,6 +108,14 @@ def bipartite_family(max_vertices: int = 8) -> tuple[Graph, ...]:
     return tuple(members)
 
 
+def _spec_int(text: str) -> int:
+    """A family-spec integer: ASCII digits only (int() would also take '1_0' or '+5')."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected a non-negative integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def resolve_family(spec: str) -> tuple[Graph, ...]:
     """Turn a family spec string into a list of graphs.
 
@@ -120,6 +128,8 @@ def resolve_family(spec: str) -> tuple[Graph, ...]:
         complete:N      the complete graph on N vertices
         biclique:M,N    the complete bipartite graph K_{M,N}
         triangle        shorthand for cycle:3
+
+    M and N are ASCII digits; anything else raises ParseError.
     """
     spec = spec.strip()
     if spec == "triangle":
@@ -129,21 +139,21 @@ def resolve_family(spec: str) -> tuple[Graph, ...]:
     kind, _, arg = spec.partition(":")
     try:
         if kind in ("connected", "bipartite"):
-            n = int(arg)
+            n = _spec_int(arg)
             if n < 1:
                 raise ValueError(f"{kind}:N needs N >= 1, the family would be empty")
             return connected_graphs(n) if kind == "connected" else bipartite_family(n)
         if kind == "path":
-            return (path_graph(int(arg)),)
+            return (path_graph(_spec_int(arg)),)
         if kind == "cycle":
-            return (cycle_graph(int(arg)),)
+            return (cycle_graph(_spec_int(arg)),)
         if kind == "star":
-            return (star_graph(int(arg)),)
+            return (star_graph(_spec_int(arg)),)
         if kind == "complete":
-            return (complete_graph(int(arg)),)
+            return (complete_graph(_spec_int(arg)),)
         if kind == "biclique":
             m_str, _, n_str = arg.partition(",")
-            return (complete_bipartite_graph(int(m_str), int(n_str)),)
+            return (complete_bipartite_graph(_spec_int(m_str), _spec_int(n_str)),)
     except ValueError as exc:
         raise ParseError(f"bad family spec {spec!r}: {exc}") from None
     raise ParseError(f"unknown family kind {kind!r}")

@@ -1,7 +1,8 @@
 """Finite sets of non-negative integers and their sumset arithmetic.
 
 The value layer of the package: immutable integer sets, sumsets,
-arithmetic-progression detection, cardinality parity, and the closed-form
+arithmetic-progression detection, the integer admissibility rule of two
+progressions (``ap_pair``), cardinality parity, and the closed-form
 cardinality of a sumset of two compatible progressions.
 """
 
@@ -137,6 +138,23 @@ def ap_profile(s: IntegerSet) -> ApProfile | None:
         if cur - prev != diff:
             return None
     return ApProfile(first=elems[0], diff=diff, length=len(elems))
+
+
+def ap_pair(pa: ApProfile, pb: ApProfile) -> tuple[ApProfile, ApProfile, int | None]:
+    """The progression rule of one edge, in integers: (small, large, k).
+
+    small is the endpoint with the smaller common difference (a singleton
+    counts as smallest; on a tie the first argument), large the other. k is
+    the deterministic ratio large.diff / small.diff when the edge is
+    admissible: it divides evenly and k <= small.length. Beside a singleton
+    k = 1. Otherwise k is None.
+    """
+    if pa.diff is not None and (pb.diff is None or pb.diff < pa.diff):
+        pa, pb = pb, pa
+    if pa.diff is None:
+        return pa, pb, 1
+    k, rem = divmod(pb.diff, pa.diff)
+    return pa, pb, k if rem == 0 and k <= pa.length else None
 
 
 def set_parity(s: IntegerSet) -> Parity:

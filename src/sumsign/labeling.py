@@ -30,9 +30,9 @@ from .intsets import (
     ApProfile,
     IntegerSet,
     Sign,
+    ap_pair,
     ap_profile,
     parse_set_literal,
-    set_parity,
     sign_of_size,
     sumset,
 )
@@ -212,42 +212,26 @@ def iasi_collisions(s: SignedLabeledGraph) -> list[tuple[Edge, Edge]]:
 # Progression admissibility
 # ---------------------------------------------------------------------------
 
-def ratio_from_profiles(pa: ApProfile, pb: ApProfile) -> Fraction:
-    """Deterministic ratio of two progression profiles.
-
-    max(d_a, d_b) / min(d_a, d_b); by convention 1 when either side is a
-    singleton (an undetermined difference is compatible with any partner).
-    """
-    if pa.diff is None or pb.diff is None:
-        return Fraction(1)
-    lo, hi = sorted((pa.diff, pb.diff))
-    return Fraction(hi, lo)
-
-
 def admissibility_from_profiles(
     pa: ApProfile, pb: ApProfile
 ) -> tuple[bool, int | None, str | None]:
     """Check one edge's progression condition from its endpoint profiles.
 
-    Returns (ok, k, reason). k is the integer deterministic ratio when the
-    edge is admissible: the ratio divides evenly and does not exceed the size
-    of the smaller-difference endpoint. Singleton endpoints are always
-    admissible with k = 1.
+    Returns (ok, k, reason). ok and k are intsets.ap_pair's verdict: k is
+    the integer deterministic ratio of an admissible edge. A rejected edge
+    carries a reason, and keeps its ratio as k when that is an integer.
     """
-    if pa.diff is None or pb.diff is None:
-        return True, 1, None
-    ratio = ratio_from_profiles(pa, pb)
+    small, large, k = ap_pair(pa, pb)
+    if k is not None:
+        return True, k, None
+    ratio = Fraction(large.diff, small.diff)
     if ratio.denominator != 1:
         return False, None, f"deterministic ratio {ratio} is not an integer"
-    k = ratio.numerator
-    small = pa if pa.diff <= pb.diff else pb
-    if k > small.length:
-        return (
-            False,
-            k,
-            f"deterministic ratio {k} exceeds the smaller-difference endpoint size {small.length}",
-        )
-    return True, k, None
+    return (
+        False,
+        ratio.numerator,
+        f"deterministic ratio {ratio} exceeds the smaller-difference endpoint size {small.length}",
+    )
 
 
 @dataclass(frozen=True)
@@ -308,9 +292,11 @@ def _edge_profiles(s: SignedLabeledGraph, e: Edge) -> tuple[ApProfile, ApProfile
 
 
 def deterministic_ratio(s: SignedLabeledGraph, e: Edge) -> Fraction:
-    """Ratio between the endpoint common differences of edge e (>= 1)."""
-    pu, pv = _edge_profiles(s, e)
-    return ratio_from_profiles(pu, pv)
+    """Ratio between the endpoint common differences of edge e (1 beside a singleton)."""
+    small, large, _ = ap_pair(*_edge_profiles(s, e))
+    if small.diff is None:
+        return Fraction(1)
+    return Fraction(large.diff, small.diff)
 
 
 def predicted_sign(s: SignedLabeledGraph, e: Edge) -> Sign:
@@ -326,13 +312,7 @@ def predicted_sign(s: SignedLabeledGraph, e: Edge) -> Sign:
     if not ok:
         raise AdmissibilityViolation(f"edge {edge_key(*e)}: {reason}")
     assert k is not None
+    small, large, _ = ap_pair(pu, pv)
     if k % 2 == 1:
-        u, v = edge_key(*e)
-        par_u = set_parity(s.labeling.get(u))
-        par_v = set_parity(s.labeling.get(v))
-        return Sign.POSITIVE if par_u != par_v else Sign.NEGATIVE
-    # Even k: both endpoints are genuine progressions with distinct diffs,
-    # since a singleton endpoint always yields k = 1.
-    assert pu.diff is not None and pv.diff is not None
-    small = pu if pu.diff < pv.diff else pv
+        return Sign.POSITIVE if (small.length + large.length) % 2 else Sign.NEGATIVE
     return Sign.POSITIVE if small.length % 2 == 0 else Sign.NEGATIVE

@@ -42,6 +42,7 @@ from .intsets import (
     ApProfile,
     IntegerSet,
     Sign,
+    ap_pair,
     ap_profile,
     ap_sumset_cardinality,
     sumset,
@@ -49,7 +50,6 @@ from .intsets import (
 from .labeling import (
     Labeling,
     SignedLabeledGraph,
-    admissibility_from_profiles,
     derive,
     format_labeling,
     iasi_collisions,
@@ -202,12 +202,13 @@ class _LabelingSpace:
     """Per-bounds tables: candidate sets, their profiles, every pair relation.
 
     ``__init__`` fills the pair tables in one pass over the pairs i < j:
-    ``compat[i]``, a bitmask of the j allowed next to set i (admissible, and
-    within the bounds' odd-ratio and strict-universe rules); ``ratio[i][j]``,
-    the ratio k of an allowed pair, else None; ``odd[i]``, a bitmask of the j
-    with |set_i + set_j| odd, i.e. a negative edge. The parity is brute force,
-    not intsets.sumset, so the search stays independent of the object-level
-    replay. The tables are O(S^2), so S is capped at _MAX_CANDIDATE_SETS.
+    ``compat[i]``, a bitmask of the j allowed next to set i (admitted by
+    intsets.ap_pair, and within the bounds' odd-ratio and strict-universe
+    rules); ``ratio[i][j]``, ap_pair's k for an allowed pair, else None;
+    ``odd[i]``, a bitmask of the j with |set_i + set_j| odd, i.e. a negative
+    edge. The parity is brute force, not intsets.sumset, so the search stays
+    independent of the object-level replay. The tables are O(S^2), so S is
+    capped at _MAX_CANDIDATE_SETS.
     """
 
     def __init__(self, bounds: SearchBounds):
@@ -236,8 +237,8 @@ class _LabelingSpace:
                 if len({x + y for x in a for y in b}) & 1:
                     self.odd[i] |= 1 << j
                     self.odd[j] |= 1 << i
-                ok, k, _ = admissibility_from_profiles(self.profiles[i], self.profiles[j])
-                if not ok or (bounds.odd_ratios_only and k % 2 == 0):
+                k = ap_pair(self.profiles[i], self.profiles[j])[2]
+                if k is None or (bounds.odd_ratios_only and k % 2 == 0):
                     continue
                 if bounds.require_strict_universe and a[-1] + b[-1] > bounds.universe_max:
                     continue
@@ -613,24 +614,10 @@ def _positive_edge_kernel(tally: _Tally, i: int, j: int, k: int) -> int:
     return 1
 
 
-def _formula_lengths(pa: ApProfile, pb: ApProfile) -> tuple[int, int]:
-    """(m, n) of |A + B| = m + k*(n-1).
-
-    m is the length of a singleton endpoint, else of the endpoint with the
-    smaller common difference; n is the other endpoint's length.
-    """
-    if pa.diff is None:
-        return pa.length, pb.length
-    if pb.diff is None:
-        return pb.length, pa.length
-    if pa.diff <= pb.diff:
-        return pa.length, pb.length
-    return pb.length, pa.length
-
-
 def _cardinality_kernel(tally: _Tally, i: int, j: int, k: int) -> int:
     space = tally.space
-    m, n = _formula_lengths(space.profiles[i], space.profiles[j])
+    small, large, _ = ap_pair(space.profiles[i], space.profiles[j])
+    m, n = small.length, large.length
     expected = ap_sumset_cardinality(m, n, k)
     actual = len(sumset(space.sets[i], space.sets[j]))
     if expected != actual:
@@ -649,10 +636,9 @@ def _cardinality_violated(slg: SignedLabeledGraph) -> bool:
         pu = ap_profile(slg.labeling.get(u))
         pv = ap_profile(slg.labeling.get(v))
         assert pu is not None and pv is not None
-        ok, k, _ = admissibility_from_profiles(pu, pv)
-        assert ok and k is not None
-        m, n = _formula_lengths(pu, pv)
-        if ap_sumset_cardinality(m, n, k) != len(slg.edge_labels[(u, v)]):
+        small, large, k = ap_pair(pu, pv)
+        assert k is not None
+        if ap_sumset_cardinality(small.length, large.length, k) != len(slg.edge_labels[(u, v)]):
             return True
     return False
 
@@ -873,6 +859,8 @@ def verify_theorem(
     else:
         graphs = tuple(family)
         family_spec = f"custom({len(graphs)} graphs)"
+    if not graphs:
+        raise ParseError(f"graph family {family_spec} is empty")
     experiment = _EXPERIMENTS[tid]
     tally = _run(experiment, graphs, bounds)
     counters = sorted(tally.counterexamples, key=Counterexample.sort_key)

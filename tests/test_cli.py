@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sumsign import cli
 from sumsign.graphs import parse_graph
 from sumsign.labeling import derive, parse_labeling
+from sumsign.verify import TheoremId
 
 TRIANGLE_GRAPH = "u v\nu w\nv w\n"
 TRIANGLE_LABELING = "universe_max = 8\nu: {0,1}\nv: {0,2}\nw: {0,2,4}\n"
@@ -447,6 +448,18 @@ class TestVerify:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "family", ["path:1_0", "connected:\u0663", "cycle:+5", "biclique:2,\u0663"]
+    )
+    def test_family_integer_in_other_than_ascii_digits_is_input_error(self, capsys, family):
+        code, text = run(
+            ["verify", "--theorem", "BALANCE_BIPARTITE_REV", "--family", family,
+             "--universe-max", "2", "--max-label-size", "2"]
+        )
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: PARSE_ERROR: ")
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, files):
@@ -511,6 +524,14 @@ command = st.one_of(
 )
 
 
+def assert_exit_code_contract(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run(argv)
+    assert code in (0, 1, 2, 3)
+    assert all(line.startswith("error: ") for line in err.getvalue().splitlines())
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     graph=graph_text,
@@ -529,8 +550,43 @@ def test_fuzzed_inputs_keep_the_exit_code_contract(graph, labeling, cmd, strict,
         argv += cmd + ["--graph", str(graph_path), "--labeling", str(labeling_path)]
         if strict:
             argv.append("--strict-universe")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code, _ = run(argv)
-    assert code in (0, 1, 2, 3)
-    assert all(line.startswith("error: ") for line in err.getvalue().splitlines())
+        assert_exit_code_contract(argv)
+
+
+# Tiny bounds keep every search small: at most 4 vertices in a family
+# member, at most 5 in a fuzzed graph, and at most 10 candidate label sets.
+# Family specs include malformed and negative integers.
+bound_flags = st.tuples(st.integers(0, 3), st.integers(1, 2), st.integers(1, 5)).map(
+    lambda b: [f"--universe-max={b[0]}", f"--max-label-size={b[1]}", f"--max-vertices={b[2]}"]
+)
+family_spec = st.one_of(
+    st.sampled_from(["triangle", "path:1_0", "connected:\u0663", "cycle:+5", "blob:2"]),
+    st.tuples(
+        st.sampled_from(["connected", "bipartite", "path", "cycle", "star", "complete"]),
+        st.integers(-1, 3),
+    ).map(lambda t: f"{t[0]}:{t[1]}"),
+    st.tuples(st.integers(-1, 2), st.integers(-1, 2)).map(lambda t: f"biclique:{t[0]},{t[1]}"),
+    junk_line,
+)
+theorem = st.sampled_from([t.value for t in TheoremId] + ["NOPE"])
+search_flags = st.tuples(bound_flags, st.booleans(), st.booleans()).map(
+    lambda t: t[0] + ["--strict-universe"] * t[1] + ["--odd-ratios-only"] * t[2]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(theorem=theorem, family=family_spec, flags=search_flags)
+def test_fuzzed_verify_keeps_the_exit_code_contract(theorem, family, flags):
+    assert_exit_code_contract(["verify", f"--theorem={theorem}", f"--family={family}"] + flags)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=graph_text, limit=st.one_of(st.none(), st.integers(-1, 3)), flags=search_flags)
+def test_fuzzed_enumerate_keeps_the_exit_code_contract(graph, limit, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path = Path(tmp) / "g"
+        graph_path.write_text(graph, encoding="utf-8")
+        argv = ["enumerate", f"--graph={graph_path}"] + flags
+        if limit is not None:
+            argv.append(f"--limit={limit}")
+        assert_exit_code_contract(argv)

@@ -1,15 +1,17 @@
-"""Sets, sumsets, progression profiles, parity, and the cardinality formula."""
+"""Sets, sumsets, progression profiles and their pair rule, parity, and the cardinality formula."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sumsign.labeling
 from sumsign.errors import AdmissibilityViolation, EmptyLabel, ParseError
 from sumsign.intsets import (
     ApProfile,
     IntegerSet,
     Parity,
     Sign,
+    ap_pair,
     ap_profile,
     ap_sumset_cardinality,
     parse_set_literal,
@@ -17,6 +19,7 @@ from sumsign.intsets import (
     sign_of_size,
     sumset,
 )
+from sumsign.verify import SearchBounds, _LabelingSpace, ap_sets
 
 
 def brute_sumset(a, b):
@@ -177,3 +180,40 @@ class TestApSumsetCardinality:
                         profile = ap_profile(sumset(a, b))
                         assert profile is not None
                         assert profile.diff == diff_a
+
+
+class TestApPair:
+    @pytest.mark.parametrize("bounds", [(8, 3), (20, 5)])
+    def test_admits_exactly_the_pairs_whose_sumset_is_a_progression(self, bounds):
+        sets = ap_sets(*bounds)
+        profiles = [ap_profile(s) for s in sets]
+        for i, a in enumerate(sets):
+            for j in range(i + 1, len(sets)):
+                small, large, k = ap_pair(profiles[i], profiles[j])
+                total = ap_profile(sumset(a, sets[j]))
+                assert (k is not None) == (total is not None)
+                assert ap_pair(profiles[j], profiles[i])[2] == k
+                if k is not None:
+                    assert total.length == small.length + k * (large.length - 1)
+
+    def test_endpoint_order(self):
+        single, d1, d2 = ApProfile(5, None, 1), ApProfile(0, 1, 3), ApProfile(0, 2, 2)
+        assert ap_pair(d2, single) == (single, d2, 1)
+        assert ap_pair(d2, d1) == (d1, d2, 2)
+        tie = ApProfile(1, 1, 2)
+        assert ap_pair(tie, d1)[:2] == (tie, d1)
+        assert ap_pair(d1, tie)[:2] == (d1, tie)
+
+    def test_rejects_fractional_and_oversized_ratios(self):
+        # 3/2 does not divide; 3 exceeds the two-element smaller endpoint.
+        assert ap_pair(ApProfile(0, 2, 3), ApProfile(0, 3, 2))[2] is None
+        assert ap_pair(ApProfile(0, 1, 2), ApProfile(0, 3, 2))[2] is None
+        assert ap_pair(ApProfile(0, 1, 3), ApProfile(0, 3, 2))[2] == 3
+
+    def test_search_space_builds_no_fraction(self, monkeypatch):
+        def no_fraction(*args):
+            raise AssertionError("the search space built a Fraction")
+
+        monkeypatch.setattr(sumsign.labeling, "Fraction", no_fraction)
+        space = _LabelingSpace(SearchBounds(8, 3))
+        assert len(space.sets) == 61 and any(space.compat)

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from sumsign.balance import is_balanced_fast, is_balanced_oracle
-from sumsign.errors import BoundExceeded, NotBipartite, UnknownTheorem
+from sumsign.errors import BoundExceeded, NotBipartite, ParseError, UnknownTheorem
 from sumsign.families import (
     bipartite_family,
     complete_graph,
@@ -385,6 +385,11 @@ class TestVerifyTheorem:
         )
         assert rep.family_spec == "custom(1 graphs)"
         assert rep.cases_checked == 6
+
+    @pytest.mark.parametrize("theorem", list(TheoremId))
+    def test_empty_explicit_family_is_rejected(self, theorem):
+        with pytest.raises(ParseError, match="empty"):
+            verify_theorem(theorem, [], SearchBounds(3, 2))
 
 
 # sha256 of ``verify_theorem(theorem, family, bounds).to_text()`` for every
