@@ -20,6 +20,7 @@ from pathlib import Path
 from .balance import is_balanced_fast, is_balanced_oracle, is_clusterable
 from .errors import ParseError, SumsignError
 from .graphs import DEFAULT_CYCLE_BOUND, Graph, format_graph, parse_graph
+from .intsets import parse_digits
 from .labeling import (
     Labeling,
     SignedLabeledGraph,
@@ -81,10 +82,7 @@ def _default_cycle_bound() -> int:
     raw = os.environ.get(ENV_CYCLE_BOUND)
     if raw is None:
         return DEFAULT_CYCLE_BOUND
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"bad {ENV_CYCLE_BOUND} value {raw!r}") from None
+    return parse_digits(raw, f"{ENV_CYCLE_BOUND} value")
 
 
 def _emit(out, text: str) -> None:
@@ -214,8 +212,6 @@ def _bounds(args) -> SearchBounds:
 
 
 def _cmd_enumerate(args, out) -> int:
-    if args.limit is not None and args.limit < 0:
-        raise ParseError(f"--limit must be non-negative, got {args.limit}")
     g = _load_graph(args.graph)
     count = 0
     for lab in enumerate_aiasl(g, _bounds(args)):
@@ -253,10 +249,16 @@ def _add_io_arguments(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _digits(flag: str):
+    """An argparse type for a numeric flag: ASCII digits only. argparse does
+    not catch its ParseError, so main reports it like any input error."""
+    return lambda text: parse_digits(text, f"{flag} value")
+
+
 def _add_bounds_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--universe-max", type=int, required=True)
-    p.add_argument("--max-label-size", type=int, required=True)
-    p.add_argument("--max-vertices", type=int, default=12)
+    p.add_argument("--universe-max", type=_digits("--universe-max"), required=True)
+    p.add_argument("--max-label-size", type=_digits("--max-label-size"), required=True)
+    p.add_argument("--max-vertices", type=_digits("--max-vertices"), default=12)
     p.add_argument("--strict-universe", action="store_true")
     p.add_argument(
         "--odd-ratios-only",
@@ -272,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cycle-bound",
-        type=int,
+        type=_digits("--cycle-bound"),
         default=None,
         help=f"max vertices for the cycle oracle of 'check balance' "
         f"(default {DEFAULT_CYCLE_BOUND}, env {ENV_CYCLE_BOUND})",
@@ -310,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list admissible labelings of a graph")
     p.add_argument("--graph", required=True)
     _add_bounds_arguments(p)
-    p.add_argument("--limit", type=int, default=None, help="print at most N labelings")
+    p.add_argument("--limit", type=_digits("--limit"), help="print at most N labelings")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a theorem experiment over a family")
@@ -338,14 +340,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
     if out is None and hasattr(signal, "SIGPIPE"):
         # Die quietly when a downstream pipe consumer (e.g. head) closes.
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     out = out if out is not None else sys.stdout
     try:
+        args = build_parser().parse_args(argv)
         if args.cycle_bound is None:
             args.cycle_bound = _default_cycle_bound()
-        if args.cycle_bound < 0:
-            raise ParseError(f"cycle bound must be non-negative, got {args.cycle_bound}")
         _validate_transform_args(args)
         return args.func(args, out)
     except SumsignError as exc:

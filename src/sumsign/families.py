@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ParseError
+from .errors import BoundExceeded, ParseError
 from .graphs import Graph, is_bipartite, is_connected
+from .intsets import parse_digits
 
 MAX_ATLAS_VERTICES = 7
 
@@ -108,15 +109,10 @@ def bipartite_family(max_vertices: int = 8) -> tuple[Graph, ...]:
     return tuple(members)
 
 
-def _spec_int(text: str) -> int:
-    """A family-spec integer: ASCII digits only (int() would also take '1_0' or '+5')."""
-    text = text.strip()
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"expected a non-negative integer in ASCII digits, got {text!r}")
-    return int(text)
+_FAMILY_KINDS = ("connected", "bipartite", "path", "cycle", "star", "complete", "biclique")
 
 
-def resolve_family(spec: str) -> tuple[Graph, ...]:
+def resolve_family(spec: str, max_vertices: int | None = None) -> tuple[Graph, ...]:
     """Turn a family spec string into a list of graphs.
 
     Grammar:
@@ -129,31 +125,36 @@ def resolve_family(spec: str) -> tuple[Graph, ...]:
         biclique:M,N    the complete bipartite graph K_{M,N}
         triangle        shorthand for cycle:3
 
-    M and N are ASCII digits; anything else raises ParseError.
+    M and N are ASCII digits; anything else raises ParseError. With
+    max_vertices, a spec whose largest member would have more vertices (N,
+    or M+N for biclique) raises BoundExceeded before any graph is built.
     """
     spec = spec.strip()
-    if spec == "triangle":
-        return (cycle_graph(3),)
-    if ":" not in spec:
+    kind, sep, arg = ("cycle", ":", "3") if spec == "triangle" else spec.partition(":")
+    if not sep:
         raise ParseError(f"bad family spec {spec!r}")
-    kind, _, arg = spec.partition(":")
+    if kind not in _FAMILY_KINDS:
+        raise ParseError(f"unknown family kind {kind!r}")
+    texts = arg.partition(",")[::2] if kind == "biclique" else (arg,)
+    sizes = [parse_digits(t.strip(), f"integer in family spec {spec!r}:") for t in texts]
+    if max_vertices is not None and sum(sizes) > max_vertices:
+        raise BoundExceeded(
+            f"family {spec} has a member with {sum(sizes)} vertices, bound is {max_vertices}"
+        )
+    n = sizes[0]
     try:
         if kind in ("connected", "bipartite"):
-            n = _spec_int(arg)
             if n < 1:
                 raise ValueError(f"{kind}:N needs N >= 1, the family would be empty")
             return connected_graphs(n) if kind == "connected" else bipartite_family(n)
         if kind == "path":
-            return (path_graph(_spec_int(arg)),)
+            return (path_graph(n),)
         if kind == "cycle":
-            return (cycle_graph(_spec_int(arg)),)
+            return (cycle_graph(n),)
         if kind == "star":
-            return (star_graph(_spec_int(arg)),)
+            return (star_graph(n),)
         if kind == "complete":
-            return (complete_graph(_spec_int(arg)),)
-        if kind == "biclique":
-            m_str, _, n_str = arg.partition(",")
-            return (complete_bipartite_graph(_spec_int(m_str), _spec_int(n_str)),)
+            return (complete_graph(n),)
+        return (complete_bipartite_graph(*sizes),)
     except ValueError as exc:
         raise ParseError(f"bad family spec {spec!r}: {exc}") from None
-    raise ParseError(f"unknown family kind {kind!r}")

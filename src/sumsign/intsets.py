@@ -179,6 +179,17 @@ def ap_sumset_cardinality(m: int, n: int, k: int) -> int:
     return m + k * (n - 1)
 
 
+def parse_digits(text: str, what: str, line: int | None = None) -> int:
+    """A non-negative integer written in ASCII digits only.
+
+    int() would also take '1_0', '+5', ' 7' or '\u0663'; those, and negative
+    values, raise ParseError("bad <what> <text>").
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"bad {what} {text!r}", line)
+    return int(text)
+
+
 def parse_set_literal(text: str, line: int | None = None) -> IntegerSet:
     """Parse ``{a,b,c}`` (whitespace-insensitive) into an IntegerSet."""
     stripped = text.strip()
@@ -189,10 +200,7 @@ def parse_set_literal(text: str, line: int | None = None) -> IntegerSet:
         raise EmptyLabel(
             f"empty set literal{f' at line {line}' if line is not None else ''}"
         )
-    items = []
-    for piece in body.split(","):
-        piece = piece.strip()
-        if not (piece.isascii() and piece.isdigit()):
-            raise ParseError(f"bad set element {piece!r} in {text!r}", line)
-        items.append(int(piece))
-    return IntegerSet(items)
+    return IntegerSet(
+        parse_digits(piece.strip(), f"set element in {text!r}:", line)
+        for piece in body.split(",")
+    )

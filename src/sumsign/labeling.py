@@ -32,6 +32,7 @@ from .intsets import (
     Sign,
     ap_pair,
     ap_profile,
+    parse_digits,
     parse_set_literal,
     sign_of_size,
     sumset,
@@ -105,9 +106,7 @@ def parse_labeling(text: str) -> Labeling:
             continue
         if "=" in line and line.split("=")[0].strip() == "universe_max":
             value = line.split("=", 1)[1].strip()
-            if not (value.isascii() and value.isdigit()):
-                raise ParseError(f"bad universe_max value {value!r}", lineno)
-            universe_max = int(value)
+            universe_max = parse_digits(value, "universe_max value", lineno)
             continue
         if ":" not in line:
             raise ParseError(f"expected 'vertex: {{a,b,c}}', got {line!r}", lineno)
@@ -308,11 +307,10 @@ def predicted_sign(s: SignedLabeledGraph, e: Edge) -> Sign:
     derived sign (-1) ** |f(u) + f(v)|.
     """
     pu, pv = _edge_profiles(s, e)
-    ok, k, reason = admissibility_from_profiles(pu, pv)
-    if not ok:
+    small, large, k = ap_pair(pu, pv)
+    if k is None:
+        reason = admissibility_from_profiles(pu, pv)[2]
         raise AdmissibilityViolation(f"edge {edge_key(*e)}: {reason}")
-    assert k is not None
-    small, large, _ = ap_pair(pu, pv)
     if k % 2 == 1:
         return Sign.POSITIVE if (small.length + large.length) % 2 else Sign.NEGATIVE
     return Sign.POSITIVE if small.length % 2 == 0 else Sign.NEGATIVE

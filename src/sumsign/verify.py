@@ -179,8 +179,8 @@ def ap_sets(universe_max: int, max_size: int) -> tuple[IntegerSet, ...]:
     return tuple(sorted(out, key=lambda s: (len(s), s.elements)))
 
 
-# Most candidate sets one search space may hold; its pair tables grow as the
-# square of this count.
+# Most candidate sets one search space may hold; its build checks every
+# pair, so its time grows as the square of this count.
 _MAX_CANDIDATE_SETS = 2000
 
 
@@ -199,16 +199,15 @@ def _ap_set_count(universe_max: int, max_size: int) -> int:
 
 
 class _LabelingSpace:
-    """Per-bounds tables: candidate sets, their profiles, every pair relation.
+    """Per-bounds tables: candidate sets, their profiles and sizes, two S-bit rows.
 
-    ``__init__`` fills the pair tables in one pass over the pairs i < j:
+    ``__init__`` fills the rows in one pass over the pairs i < j:
     ``compat[i]``, a bitmask of the j allowed next to set i (admitted by
     intsets.ap_pair, and within the bounds' odd-ratio and strict-universe
-    rules); ``ratio[i][j]``, ap_pair's k for an allowed pair, else None;
-    ``odd[i]``, a bitmask of the j with |set_i + set_j| odd, i.e. a negative
-    edge. The parity is brute force, not intsets.sumset, so the search stays
-    independent of the object-level replay. The tables are O(S^2), so S is
-    capped at _MAX_CANDIDATE_SETS.
+    rules); ``odd[i]``, a bitmask of the j with |set_i + set_j| odd, i.e. a
+    negative edge. The parity is brute force, not intsets.sumset, so the
+    search stays independent of the object-level replay. The pass checks
+    S^2/2 pairs, so S is capped at _MAX_CANDIDATE_SETS.
     """
 
     def __init__(self, bounds: SearchBounds):
@@ -229,7 +228,6 @@ class _LabelingSpace:
         n = len(self.sets)
         self.compat = [0] * n
         self.odd = [0] * n
-        self.ratio: list[list[int | None]] = [[None] * n for _ in range(n)]
         for i in range(n):
             a = self.sets[i].elements
             for j in range(i + 1, n):
@@ -244,11 +242,12 @@ class _LabelingSpace:
                     continue
                 self.compat[i] |= 1 << j
                 self.compat[j] |= 1 << i
-                self.ratio[i][j] = self.ratio[j][i] = k
 
     def pair_allowed(self, i: int, j: int) -> tuple[bool, int | None]:
         """May sets i and j label adjacent vertices, and with which ratio?"""
-        return bool(self.compat[i] >> j & 1), self.ratio[i][j]
+        if not self.compat[i] >> j & 1:
+            return False, None
+        return True, ap_pair(self.profiles[i], self.profiles[j])[2]
 
     def sum_parity(self, i: int, j: int) -> int:
         """Parity bit of |set_i + set_j| (1 means odd, i.e. a negative edge)."""
@@ -303,6 +302,13 @@ def _enumerate_indices(
                 yield combo
 
 
+def _check_vertex_bound(g: Graph, b: SearchBounds) -> None:
+    if g.n > b.max_vertices:
+        raise BoundExceeded(
+            f"search limited to {b.max_vertices} vertices, graph has {g.n}"
+        )
+
+
 def _labeling_from_indices(
     g: Graph, space: _LabelingSpace, indices: Sequence[int]
 ) -> Labeling:
@@ -321,20 +327,14 @@ def enumerate_aiasl(
     produced by filtering complete assignments instead of cutting branches,
     which exists as a cross-check of the pruning logic.
     """
-    if g.n > b.max_vertices:
-        raise BoundExceeded(
-            f"enumeration limited to {b.max_vertices} vertices, graph has {g.n}"
-        )
+    _check_vertex_bound(g, b)
     space = _LabelingSpace(b)
     for indices in _enumerate_indices(g, space, prune=prune):
         yield _labeling_from_indices(g, space, indices)
 
 
 def count_aiasl(g: Graph, b: SearchBounds) -> int:
-    if g.n > b.max_vertices:
-        raise BoundExceeded(
-            f"enumeration limited to {b.max_vertices} vertices, graph has {g.n}"
-        )
+    _check_vertex_bound(g, b)
     space = _LabelingSpace(b)
     return sum(1 for _ in _enumerate_indices(g, space))
 
@@ -544,8 +544,8 @@ class _Tally:
 class _Experiment:
     """How one claim is checked.
 
-    ``kernel`` runs as ``kernel(tally, i, j, k)`` per admissible label pair
-    on K2 (``on_pairs``), or else as ``kernel(tally, ctx, indices)`` per
+    ``kernel`` runs as ``kernel(tally, i, j)`` per admissible label pair
+    i < j on K2 (``on_pairs``), or else as ``kernel(tally, ctx, indices)`` per
     labeling of each member that ``applies`` accepts, after
     ``member_check(tally, ctx)``. It returns the cases it checked. A
     rejected member counts as skipped only with ``counts_skips``.
@@ -567,16 +567,15 @@ def _run(exp: _Experiment, graphs: Sequence[Graph], bounds: SearchBounds) -> _Ta
     """Run one experiment's kernel over its whole search space."""
     tally = _Tally(_LabelingSpace(bounds))
     if exp.on_pairs:
-        for i, row in enumerate(tally.space.ratio):
-            for j in range(i + 1, len(row)):
-                if row[j] is not None:
-                    tally.cases += exp.kernel(tally, i, j, row[j])
+        for i, row in enumerate(tally.space.compat):
+            m = row >> i + 1 << i + 1
+            while m:
+                low = m & -m
+                tally.cases += exp.kernel(tally, i, low.bit_length() - 1)
+                m ^= low
         return tally
     for g in graphs:
-        if g.n > bounds.max_vertices:
-            raise BoundExceeded(
-                f"family member has {g.n} vertices, bound is {bounds.max_vertices}"
-            )
+        _check_vertex_bound(g, bounds)
         ctx = _GraphContext(g)
         if exp.applies is not None and not exp.applies(ctx):
             if exp.counts_skips:
@@ -589,23 +588,19 @@ def _run(exp: _Experiment, graphs: Sequence[Graph], bounds: SearchBounds) -> _Ta
     return tally
 
 
-def _k2_instance(space: _LabelingSpace, i: int, j: int) -> tuple[Graph, Labeling]:
-    g = Graph(["u", "v"], [("u", "v")])
-    lab = Labeling(
-        space.bounds.universe_max, {"u": space.sets[i], "v": space.sets[j]}
-    )
-    return g, lab
+# The single edge the pair kernels label: set i on u, set j on v.
+_K2 = Graph(["u", "v"], [("u", "v")])
 
 
-def _positive_edge_kernel(tally: _Tally, i: int, j: int, k: int) -> int:
-    g, lab = _k2_instance(tally.space, i, j)
-    slg = derive(g, lab)
+def _positive_edge_kernel(tally: _Tally, i: int, j: int) -> int:
+    lab = _labeling_from_indices(_K2, tally.space, (i, j))
+    slg = derive(_K2, lab)
     edge = ("u", "v")
     expected = predicted_sign(slg, edge)
     actual = slg.signs[edge]
     if expected is not actual:
         tally.found(
-            g,
+            _K2,
             lab,
             f"edge u v: parity rule predicts {expected} but the "
             f"sumset {slg.edge_labels[edge].to_text()} has size "
@@ -614,17 +609,17 @@ def _positive_edge_kernel(tally: _Tally, i: int, j: int, k: int) -> int:
     return 1
 
 
-def _cardinality_kernel(tally: _Tally, i: int, j: int, k: int) -> int:
+def _cardinality_kernel(tally: _Tally, i: int, j: int) -> int:
     space = tally.space
-    small, large, _ = ap_pair(space.profiles[i], space.profiles[j])
+    small, large, k = ap_pair(space.profiles[i], space.profiles[j])
+    assert k is not None
     m, n = small.length, large.length
     expected = ap_sumset_cardinality(m, n, k)
     actual = len(sumset(space.sets[i], space.sets[j]))
     if expected != actual:
-        g, lab = _k2_instance(space, i, j)
         tally.found(
-            g,
-            lab,
+            _K2,
+            _labeling_from_indices(_K2, space, (i, j)),
             f"formula m + k*(n-1) = {expected} with (m={m}, n={n}, k={k}) "
             f"but the sumset has {actual} elements",
         )
@@ -845,7 +840,9 @@ def verify_theorem(
     """Check one claim over every instance of a graph family within bounds.
 
     ``family`` is either a family spec string (see families.resolve_family)
-    or an explicit list of graphs. Counterexamples are sorted smallest first
+    or an explicit list of graphs; a spec whose members would exceed
+    bounds.max_vertices raises BoundExceeded before any graph is built, for
+    every theorem. Counterexamples are sorted smallest first
     by (vertex count, total label mass) and each one is replayed through the
     public pipeline before the report is returned.
     """
@@ -854,7 +851,7 @@ def verify_theorem(
     except ValueError:
         raise UnknownTheorem(f"unknown theorem tag {theorem!r}") from None
     if isinstance(family, str):
-        graphs = resolve_family(family)
+        graphs = resolve_family(family, bounds.max_vertices)
         family_spec = family
     else:
         graphs = tuple(family)

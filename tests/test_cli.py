@@ -460,6 +460,44 @@ class TestVerify:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: PARSE_ERROR: ")
 
+    def test_oversize_family_spec_exit_three(self, capsys):
+        # The pair theorems use no family member, but the spec is still checked.
+        code, text = run(
+            ["verify", "--theorem", "POSITIVE_EDGE", "--family", "path:13",
+             "--universe-max", "2", "--max-label-size", "2"]
+        )
+        assert code == 3 and text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: BOUND_EXCEEDED: ")
+
+
+@pytest.mark.parametrize("value", ["٣", "1_0", "+5"])
+@pytest.mark.parametrize(
+    "source",
+    ["--universe-max", "--max-label-size", "--max-vertices", "--limit",
+     "--cycle-bound", "SUMSIGN_CYCLE_BOUND"],
+)
+def test_numeric_input_takes_ascii_digits_only(files, monkeypatch, capsys, source, value):
+    if source == "--limit":
+        bounds = {"--universe-max": "1", "--max-label-size": "2", "--limit": value}
+        argv = ["enumerate", "--graph", files("g", K2_GRAPH)]
+        argv += [text for item in bounds.items() for text in item]
+    elif source in ("--cycle-bound", cli.ENV_CYCLE_BOUND):
+        argv = ["check", "balance", "--graph", files("g", TRIANGLE_GRAPH),
+                "--labeling", files("l", TRIANGLE_LABELING)]
+        if source == "--cycle-bound":
+            argv = [source, value] + argv
+        else:
+            monkeypatch.setenv(source, value)
+    else:
+        bounds = {"--universe-max": "2", "--max-label-size": "2", source: value}
+        argv = ["verify", "--theorem", "POSITIVE_EDGE", "--family", "triangle"]
+        argv += [text for item in bounds.items() for text in item]
+    code, text = run(argv)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: PARSE_ERROR: ")
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, files):

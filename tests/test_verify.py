@@ -391,6 +391,59 @@ class TestVerifyTheorem:
         with pytest.raises(ParseError, match="empty"):
             verify_theorem(theorem, [], SearchBounds(3, 2))
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            SearchBounds(6, 3),
+            SearchBounds(5, 2, odd_ratios_only=True),
+            SearchBounds(4, 2, require_strict_universe=True),
+        ],
+        ids=["(6,3)", "(5,2)-odd", "(4,2)-strict"],
+    )
+    @pytest.mark.parametrize("theorem", ["POSITIVE_EDGE", "CARDINALITY"])
+    def test_pair_cases_are_the_admissible_unordered_pairs(self, theorem, bounds):
+        expected = 0
+        for xs, ys in combinations(oracle_ap_sets(bounds.universe_max, bounds.max_label_size), 2):
+            xs, ys = sorted(xs), sorted(ys)
+            if not oracle_edge_ok(xs, ys):
+                continue
+            if bounds.odd_ratios_only and oracle_ratio(xs, ys) % 2 == 0:
+                continue
+            if bounds.require_strict_universe and xs[-1] + ys[-1] > bounds.universe_max:
+                continue
+            expected += 1
+        assert verify_theorem(theorem, "triangle", bounds).cases_checked == expected
+
+    def test_one_vertex_bound_for_every_search(self):
+        bounds = SearchBounds(2, 2, max_vertices=4)
+        messages = set()
+        for search in (
+            lambda: list(enumerate_aiasl(path_graph(5), bounds)),
+            lambda: count_aiasl(path_graph(5), bounds),
+            lambda: verify_theorem("BALANCE_BIPARTITE_FWD", [path_graph(5)], bounds),
+        ):
+            with pytest.raises(BoundExceeded) as exc:
+                search()
+            messages.add(str(exc.value))
+        assert messages == {"search limited to 4 vertices, graph has 5"}
+        # The pair theorems label one edge and never read the member graphs.
+        rep = verify_theorem("POSITIVE_EDGE", [path_graph(5)], bounds)
+        assert rep.cases_checked > 0
+
+    @pytest.mark.parametrize("spec", ["bipartite:400", "complete:100000"])
+    def test_oversize_family_spec_is_refused_before_building(self, monkeypatch, spec):
+        import sumsign.families as families
+
+        def refuse(*args):
+            raise AssertionError("a family graph was built")
+
+        for name in ("connected_graphs", "bipartite_family", "path_graph",
+                     "cycle_graph", "star_graph", "complete_graph",
+                     "complete_bipartite_graph"):
+            monkeypatch.setattr(families, name, refuse)
+        with pytest.raises(BoundExceeded, match="bound is 12"):
+            verify_theorem("SUBDIVISION", spec, SearchBounds(2, 2))
+
 
 # sha256 of ``verify_theorem(theorem, family, bounds).to_text()`` for every
 # theorem, computed by an earlier implementation with one hand-written
