@@ -208,6 +208,11 @@ class _LabelingSpace:
     negative edge. The parity is brute force, not intsets.sumset, so the
     search stays independent of the object-level replay. The pass checks
     S^2/2 pairs, so S is capped at _MAX_CANDIDATE_SETS.
+
+    ``pair_sum`` memoizes what the transform and injectivity kernels need
+    of the sumset of one pair. The memo is filled on first read only: an
+    eager fill would hold an entry per allowed pair, several times the
+    rows' memory at the cap, for experiments that never read it.
     """
 
     def __init__(self, bounds: SearchBounds):
@@ -242,6 +247,29 @@ class _LabelingSpace:
                     continue
                 self.compat[i] |= 1 << j
                 self.compat[j] |= 1 << i
+        self._sums: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {s.elements: i for i, s in enumerate(self.sets)}
+
+    def pair_sum(self, i: int, j: int) -> tuple[int, int, tuple[int, ...]]:
+        """(index of C = set_i + set_j in ``sets``, or -1 when C is not a
+        candidate set; the subdivision parity |C| + |set_i + C| + |C + set_j|
+        mod 2; the elements of C, as its hashable key)."""
+        if i > j:
+            i, j = j, i
+        entry = self._sums.get((i, j))
+        if entry is None:
+            a, b = self.sets[i].elements, self.sets[j].elements
+            c = tuple(sorted({x + y for x in a for y in b}))
+            delta = (
+                len(c)
+                + len({x + z for x in a for z in c})
+                + len({z + y for z in c for y in b})
+            ) & 1
+            entry = self._sums[i, j] = (self._index.get(c, -1), delta, c)
+        return entry
 
     def pair_allowed(self, i: int, j: int) -> tuple[bool, int | None]:
         """May sets i and j label adjacent vertices, and with which ratio?"""
@@ -489,7 +517,7 @@ class _GraphContext:
 
     def __init__(self, g: Graph):
         self.graph = g
-        pos = {v: i for i, v in enumerate(g.vertices)}
+        self.pos = pos = {v: i for i, v in enumerate(g.vertices)}
         # (endpoint position, endpoint position, edge bit) per edge.
         self.edge_ends = [(pos[u], pos[v], 1 << e) for e, (u, v) in enumerate(g.edges)]
 
@@ -502,16 +530,28 @@ class _GraphContext:
         return is_bipartite(self.graph)
 
     @cached_property
-    def cut(self) -> set[Edge]:
-        return set(cut_edges(self.graph))
-
-    @cached_property
-    def on_cycle(self) -> frozenset[str]:
-        return vertices_on_cycles(self.graph)
-
-    @cached_property
     def eligible(self) -> list[str]:
         return _eligible_vertices(self.graph)
+
+    @cached_property
+    def subdivision_targets(self) -> list[tuple[int, int, bool, Edge]]:
+        """(end position, end position, not a cut edge, edge) per edge."""
+        cut = set(cut_edges(self.graph))
+        return [
+            (a, b, e not in cut, e)
+            for (a, b, _), e in zip(self.edge_ends, self.graph.edges)
+        ]
+
+    @cached_property
+    def homeomorphism_targets(self) -> list[tuple[int, int, int, bool, str]]:
+        """(position, neighbour positions, on a cycle, vertex) per eligible vertex."""
+        pos = self.pos
+        on_cycle = vertices_on_cycles(self.graph)
+        out = []
+        for v in self.eligible:
+            a, b = self.graph.neighbors(v)
+            out.append((pos[v], pos[a], pos[b], v in on_cycle, v))
+        return out
 
     def negative_mask(self, space: _LabelingSpace, indices: Sequence[int]) -> int:
         odd = space.odd
@@ -689,35 +729,34 @@ def _homeomorphism_case(slg: SignedLabeledGraph, v: str, on_cycle: frozenset[str
     return f"vertex {v}: transforming a cycle vertex left the graph balanced"
 
 
-def _transform_cases(
-    tally: _Tally, ctx: _GraphContext, indices, targets, case, structure
-) -> int:
-    """Apply case to every target of one labeling if it is balanced.
+def _subdivision_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
+    """Subdivide every edge of a balanced labeling, in index space.
 
-    The labeling is derived only once there is a target. A target whose
-    case returns None is skipped.
+    Carried edges keep their signs, so the result is balanced iff the edge
+    is a cut edge or its pair's subdivision parity is even. An edge whose
+    inherited set labels a vertex is skipped.
     """
-    if not ctx.balanced(ctx.negative_mask(tally.space, indices)):
+    space = tally.space
+    if not ctx.balanced(ctx.negative_mask(space, indices)):
         return 0
+    used = 0
+    for k in indices:
+        used |= 1 << k
     cases = 0
-    slg: SignedLabeledGraph | None = None
-    for target in targets:
-        if slg is None:
-            slg = derive(ctx.graph, _labeling_from_indices(ctx.graph, tally.space, indices))
-        violation = case(slg, target, structure)
-        if violation is None:
+    lab: Labeling | None = None
+    for a, b, noncut, (u, v) in ctx.subdivision_targets:
+        inherited, delta, _ = space.pair_sum(indices[a], indices[b])
+        if inherited >= 0 and used >> inherited & 1:
             tally.skipped += 1
             continue
         cases += 1
-        if violation:
-            tally.found(ctx.graph, slg.labeling, violation)
+        if noncut and not delta:
+            if lab is None:
+                lab = _labeling_from_indices(ctx.graph, space, indices)
+            tally.found(
+                ctx.graph, lab, f"edge {u} {v}: non-cut edge subdivision left the graph balanced"
+            )
     return cases
-
-
-def _subdivision_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
-    return _transform_cases(
-        tally, ctx, indices, ctx.graph.edges, _subdivision_case, ctx.cut
-    )
 
 
 def _subdivision_violated(slg: SignedLabeledGraph) -> bool:
@@ -728,9 +767,25 @@ def _subdivision_violated(slg: SignedLabeledGraph) -> bool:
 
 
 def _homeomorphism_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
-    return _transform_cases(
-        tally, ctx, indices, ctx.eligible, _homeomorphism_case, ctx.on_cycle
-    )
+    """Transform every eligible vertex of a balanced labeling, in index space.
+
+    The new edge ab replaces the path a-v-b, so the result is balanced iff v
+    lies on no cycle or p(ab) + p(av) + p(vb) is even.
+    """
+    odd = tally.space.odd
+    if not ctx.balanced(ctx.negative_mask(tally.space, indices)):
+        return 0
+    lab: Labeling | None = None
+    targets = ctx.homeomorphism_targets
+    for p, a, b, on_cycle, v in targets:
+        x, y, z = indices[a], indices[b], indices[p]
+        if on_cycle and not (odd[x] >> y ^ odd[x] >> z ^ odd[z] >> y) & 1:
+            if lab is None:
+                lab = _labeling_from_indices(ctx.graph, tally.space, indices)
+            tally.found(
+                ctx.graph, lab, f"vertex {v}: transforming a cycle vertex left the graph balanced"
+            )
+    return len(targets)
 
 
 def _homeomorphism_violated(slg: SignedLabeledGraph) -> bool:
@@ -743,9 +798,13 @@ def _homeomorphism_violated(slg: SignedLabeledGraph) -> bool:
 
 
 def _iasi_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
-    lab = _labeling_from_indices(ctx.graph, tally.space, indices)
-    slg = derive(ctx.graph, lab)
-    if not validate_iasi(slg):
+    """Injective iff the edges' sumsets are distinct; only a failing
+    labeling is derived, for its explanation."""
+    space = tally.space
+    sums = {space.pair_sum(indices[a], indices[b])[2] for a, b, _ in ctx.edge_ends}
+    if len(sums) < len(ctx.edge_ends):
+        lab = _labeling_from_indices(ctx.graph, space, indices)
+        slg = derive(ctx.graph, lab)
         e1, e2 = iasi_collisions(slg)[0]
         tally.found(
             ctx.graph,
@@ -756,10 +815,12 @@ def _iasi_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
     return 1
 
 
-# One record per claim. Traced functions (derive, the transforms,
-# is_balanced_fast, cut_edges) are called by name inside the kernels and
-# replays, never stored here, so a wrapper installed on the module later
-# still sees every call.
+# One record per claim. The transform and injectivity kernels read the
+# index-space tables of _LabelingSpace and _GraphContext; the transforms
+# themselves are called only from the replays. Traced functions (derive,
+# the transforms, is_balanced_fast, cut_edges) are called by name, never
+# stored here, so a wrapper installed on the module later still sees every
+# call.
 _EXPERIMENTS: dict[TheoremId, _Experiment] = {
     TheoremId.POSITIVE_EDGE: _Experiment(
         kernel=_positive_edge_kernel,

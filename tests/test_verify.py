@@ -16,13 +16,23 @@ from sumsign.families import (
     resolve_family,
     star_graph,
 )
-from sumsign.graphs import Graph, is_bipartite
-from sumsign.intsets import IntegerSet, Sign
-from sumsign.labeling import Labeling, derive, validate_aiasl
+from sumsign.graphs import Graph, cut_edges, is_bipartite, vertices_on_cycles
+from sumsign.intsets import IntegerSet, Sign, sumset
+from sumsign.labeling import Labeling, derive, validate_aiasl, validate_iasi
 from sumsign.verify import (
     _EXPERIMENTS,
     _MAX_CANDIDATE_SETS,
+    _enumerate_indices,
+    _GraphContext,
+    _homeomorphism_case,
+    _homeomorphism_kernel,
+    _iasi_kernel,
+    _labeling_from_indices,
     _LabelingSpace,
+    _run,
+    _subdivision_case,
+    _subdivision_kernel,
+    _Tally,
     SearchBounds,
     TheoremId,
     Verdict,
@@ -518,6 +528,128 @@ def test_reports_match_golden_hashes(family, bounds, expected):
 
 def test_one_experiment_per_theorem():
     assert list(_EXPERIMENTS) == list(TheoremId)
+
+
+# ---------------------------------------------------------------------------
+# Index-space kernels against the object-level transforms
+# ---------------------------------------------------------------------------
+
+# A 4-cycle beside a single edge: cycle and cut edges, cycle vertices, and
+# two components (two spanning-forest roots).
+C4_PLUS_K2 = Graph(
+    ["a", "b", "c", "d", "e", "f"],
+    [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("e", "f")],
+)
+KERNEL_CASES = [
+    ("connected:4", SearchBounds(2, 2)),
+    ("connected:4", SearchBounds(3, 2)),
+    (C4_PLUS_K2, SearchBounds(2, 2)),
+]
+KERNEL_CASE_IDS = ["connected:4-(2,2)", "connected:4-(3,2)", "C4+K2-(2,2)"]
+
+
+def _graphs(family):
+    return resolve_family(family) if isinstance(family, str) else [family]
+
+
+def _one_target_outcome(kernel, tally, ctx, indices):
+    """The kernel's verdict on a context holding one target: None when
+    skipped, '' when the claim holds, else the violation text."""
+    cases = kernel(tally, ctx, indices)
+    if tally.skipped:
+        assert cases == 0
+        return None
+    assert cases == 1
+    assert len(tally.counterexamples) <= 1
+    return tally.counterexamples[0].explanation if tally.counterexamples else ""
+
+
+@pytest.mark.parametrize("family, bounds", KERNEL_CASES, ids=KERNEL_CASE_IDS)
+def test_transform_kernels_match_object_cases(family, bounds):
+    """Every (labeling, target) verdict of the two transform kernels equals
+    _subdivision_case/_homeomorphism_case on the derived labeled graph."""
+    space = _LabelingSpace(bounds)
+    checked = set()
+    for g in _graphs(family):
+        _check_transform_kernels(g, space, checked)
+    # Skips, holds and violations all occur; the violations are HOMEOMORPHISM
+    # on the 4-cycle (SUBDIVISION has none within desk bounds).
+    assert {None, ""} < checked
+
+
+def _check_transform_kernels(g, space, checked):
+    cut = set(cut_edges(g))
+    on_cycle = vertices_on_cycles(g)
+    tables = _GraphContext(g)
+    assert [t[3] for t in tables.subdivision_targets] == list(g.edges)
+    assert [t[4] for t in tables.homeomorphism_targets] == tables.eligible
+    kinds = [
+        (_subdivision_kernel, "subdivision_targets",
+         lambda slg, t: _subdivision_case(slg, t[3], cut)),
+        (_homeomorphism_kernel, "homeomorphism_targets",
+         lambda slg, t: _homeomorphism_case(slg, t[4], on_cycle)),
+    ]
+    for indices in _enumerate_indices(g, space):
+        slg = derive(g, _labeling_from_indices(g, space, indices))
+        balanced = is_balanced_fast(slg)[0]
+        for kernel, table, case in kinds:
+            for target in getattr(tables, table):
+                ctx = _GraphContext(g)
+                setattr(ctx, table, [target])
+                tally = _Tally(space)
+                if not balanced:
+                    assert kernel(tally, ctx, indices) == 0
+                    assert (tally.skipped, tally.counterexamples) == (0, [])
+                    continue
+                expected = case(slg, target)
+                assert _one_target_outcome(kernel, tally, ctx, indices) == expected
+                checked.add(expected)
+
+
+@pytest.mark.parametrize("family, bounds", KERNEL_CASES, ids=KERNEL_CASE_IDS)
+def test_iasi_kernel_matches_validate_iasi(family, bounds):
+    space = _LabelingSpace(bounds)
+    verdicts = set()
+    for g in _graphs(family):
+        ctx = _GraphContext(g)
+        for indices in _enumerate_indices(g, space):
+            tally = _Tally(space)
+            assert _iasi_kernel(tally, ctx, indices) == 1
+            injective = validate_iasi(derive(g, _labeling_from_indices(g, space, indices)))
+            assert bool(tally.counterexamples) == (not injective)
+            verdicts.add(injective)
+    assert verdicts == {True, False}
+
+
+def test_pair_sum_memo_matches_sumset():
+    space = _LabelingSpace(SearchBounds(8, 3))
+    keys: dict = {}
+    pairs = 0
+    for i, row in enumerate(space.compat):
+        for j in range(len(space.sets)):
+            if not row >> j & 1:
+                continue
+            a, b = space.sets[i], space.sets[j]
+            c = sumset(a, b)
+            index, delta, key = space.pair_sum(i, j)
+            assert space.pair_sum(j, i) == (index, delta, key)
+            assert index == (space.sets.index(c) if c in space.sets else -1)
+            assert delta == (len(c) + len(sumset(a, c)) + len(sumset(c, b))) % 2
+            assert keys.setdefault(key, c) == c
+            pairs += 1
+    # One key per sumset, both ways.
+    assert len(set(keys.values())) == len(keys)
+    assert pairs > 0 and any(index >= 0 for index, _, _ in space._sums.values())
+
+
+def test_pair_sum_memo_is_filled_only_when_read():
+    bounds = SearchBounds(8, 3)
+    assert _LabelingSpace(bounds)._sums == {}
+    tally = _run(_EXPERIMENTS[TheoremId.BALANCE_BIPARTITE_REV], [cycle_graph(3)], bounds)
+    assert tally.counterexamples  # the run enumerated labelings
+    assert tally.space._sums == {} and "_index" not in vars(tally.space)
+    tally = _run(_EXPERIMENTS[TheoremId.SUBDIVISION], [cycle_graph(3)], bounds)
+    assert tally.space._sums
 
 
 # ---------------------------------------------------------------------------
