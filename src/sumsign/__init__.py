@@ -80,7 +80,6 @@ from .labeling import (
     AiaslCheck,
     Labeling,
     SignedLabeledGraph,
-    admissibility_from_profiles,
     derive,
     deterministic_ratio,
     format_labeling,

@@ -2,17 +2,18 @@
 
 Shipped families: paths, cycles, stars, complete graphs, complete bipartite
 graphs, and every connected graph on up to seven vertices (one representative
-per isomorphism class, via the networkx graph atlas). Family specs are short
-strings like ``connected:5`` so experiments are reproducible from the
-command line.
+per isomorphism class, read from ``atlas.txt``, a copy of the connected
+entries of the graph atlas). Family specs are short strings like
+``connected:5`` so experiments are reproducible from the command line.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from importlib.resources import files
 
 from .errors import BoundExceeded, ParseError
-from .graphs import Graph, is_bipartite, is_connected
+from .graphs import Graph, is_bipartite
 from .intsets import parse_digits
 
 MAX_ATLAS_VERTICES = 7
@@ -64,9 +65,13 @@ def complete_bipartite_graph(m: int, n: int) -> Graph:
 def connected_graphs(max_vertices: int) -> tuple[Graph, ...]:
     """Every connected graph with 1..max_vertices vertices, up to isomorphism.
 
-    Backed by the networkx graph atlas, which covers up to seven vertices.
-    Atlas nodes are renamed v0.. so everything downstream stays string-keyed
-    and lexicographically ordered; the atlas index order is preserved.
+    Read from ``atlas.txt`` in this package: the 996 connected entries on 1..7
+    vertices of the graph atlas of Read & Wilson, *An Atlas of Graphs*, as
+    networkx 3.6.1 ships it in ``atlas.dat.gz`` (BSD-3-Clause). One line per
+    graph holds its vertex count, then its ``u-v`` edges. The atlas orders
+    graphs by vertex count, and its order is preserved. Atlas nodes are
+    renamed v0.. so everything downstream stays string-keyed and
+    lexicographically ordered.
     """
     if max_vertices < 1:
         return ()
@@ -74,19 +79,15 @@ def connected_graphs(max_vertices: int) -> tuple[Graph, ...]:
         raise ValueError(
             f"connected-graph family is atlas-backed and stops at {MAX_ATLAS_VERTICES} vertices"
         )
-    from networkx.generators.atlas import graph_atlas_g
-
     out = []
-    for nxg in graph_atlas_g():
-        n = nxg.number_of_nodes()
-        if n < 1 or n > max_vertices:
-            continue
-        g = Graph(
-            [f"v{i}" for i in nxg.nodes()],
-            [(f"v{u}", f"v{v}") for u, v in nxg.edges()],
-        )
-        if is_connected(g):
-            out.append(g)
+    for line in files(__package__).joinpath("atlas.txt").read_text("ascii").splitlines():
+        n, *edges = line.split()
+        if int(n) > max_vertices:
+            break
+        out.append(Graph(
+            [f"v{i}" for i in range(int(n))],
+            [tuple(f"v{i}" for i in e.split("-")) for e in edges],
+        ))
     return tuple(out)
 
 
@@ -109,25 +110,29 @@ def bipartite_family(max_vertices: int = 8) -> tuple[Graph, ...]:
     return tuple(members)
 
 
-_FAMILY_KINDS = ("connected", "bipartite", "path", "cycle", "star", "complete", "biclique")
+# Fewest vertices each family kind takes in its size (in each part, for
+# biclique).
+_FAMILY_KINDS = {"connected": 1, "bipartite": 1, "path": 1, "cycle": 3, "star": 2,
+                 "complete": 1, "biclique": 1}
 
 
-def resolve_family(spec: str, max_vertices: int | None = None) -> tuple[Graph, ...]:
-    """Turn a family spec string into a list of graphs.
+def parse_family(spec: str, max_vertices: int | None = None) -> tuple[str, tuple[int, ...]]:
+    """Check a family spec without building a graph; return (kind, sizes).
 
     Grammar:
         connected:N     all connected graphs with at most N vertices (1 <= N <= 7)
         bipartite:N     bipartite members of the shipped families, <= N vertices (N >= 1)
-        path:N          the path on N vertices
-        cycle:N         the cycle on N vertices
-        star:N          the star on N vertices
-        complete:N      the complete graph on N vertices
-        biclique:M,N    the complete bipartite graph K_{M,N}
+        path:N          the path on N vertices (N >= 1)
+        cycle:N         the cycle on N vertices (N >= 3)
+        star:N          the star on N vertices (N >= 2)
+        complete:N      the complete graph on N vertices (N >= 1)
+        biclique:M,N    the complete bipartite graph K_{M,N} (M, N >= 1)
         triangle        shorthand for cycle:3
 
-    M and N are ASCII digits; anything else raises ParseError. With
+    M and N are ASCII digits; anything else, or a size outside its range,
+    raises ParseError, so no valid spec names an empty family. With
     max_vertices, a spec whose largest member would have more vertices (N,
-    or M+N for biclique) raises BoundExceeded before any graph is built.
+    or M+N for biclique) raises BoundExceeded first.
     """
     spec = spec.strip()
     kind, sep, arg = ("cycle", ":", "3") if spec == "triangle" else spec.partition(":")
@@ -136,25 +141,34 @@ def resolve_family(spec: str, max_vertices: int | None = None) -> tuple[Graph, .
     if kind not in _FAMILY_KINDS:
         raise ParseError(f"unknown family kind {kind!r}")
     texts = arg.partition(",")[::2] if kind == "biclique" else (arg,)
-    sizes = [parse_digits(t.strip(), f"integer in family spec {spec!r}:") for t in texts]
+    sizes = tuple(parse_digits(t.strip(), f"integer in family spec {spec!r}:") for t in texts)
     if max_vertices is not None and sum(sizes) > max_vertices:
         raise BoundExceeded(
             f"family {spec} has a member with {sum(sizes)} vertices, bound is {max_vertices}"
         )
+    if min(sizes) < _FAMILY_KINDS[kind]:
+        raise ParseError(
+            f"bad family spec {spec!r}: {kind} needs sizes of at least {_FAMILY_KINDS[kind]}"
+        )
+    if kind == "connected" and sizes[0] > MAX_ATLAS_VERTICES:
+        raise ParseError(
+            f"bad family spec {spec!r}: the atlas stops at {MAX_ATLAS_VERTICES} vertices"
+        )
+    return kind, sizes
+
+
+def resolve_family(spec: str, max_vertices: int | None = None) -> tuple[Graph, ...]:
+    """Turn a family spec string into its graphs; see parse_family."""
+    kind, sizes = parse_family(spec, max_vertices)
     n = sizes[0]
-    try:
-        if kind in ("connected", "bipartite"):
-            if n < 1:
-                raise ValueError(f"{kind}:N needs N >= 1, the family would be empty")
-            return connected_graphs(n) if kind == "connected" else bipartite_family(n)
-        if kind == "path":
-            return (path_graph(n),)
-        if kind == "cycle":
-            return (cycle_graph(n),)
-        if kind == "star":
-            return (star_graph(n),)
-        if kind == "complete":
-            return (complete_graph(n),)
-        return (complete_bipartite_graph(*sizes),)
-    except ValueError as exc:
-        raise ParseError(f"bad family spec {spec!r}: {exc}") from None
+    if kind in ("connected", "bipartite"):
+        return connected_graphs(n) if kind == "connected" else bipartite_family(n)
+    if kind == "path":
+        return (path_graph(n),)
+    if kind == "cycle":
+        return (cycle_graph(n),)
+    if kind == "star":
+        return (star_graph(n),)
+    if kind == "complete":
+        return (complete_graph(n),)
+    return (complete_bipartite_graph(*sizes),)

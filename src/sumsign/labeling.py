@@ -211,26 +211,12 @@ def iasi_collisions(s: SignedLabeledGraph) -> list[tuple[Edge, Edge]]:
 # Progression admissibility
 # ---------------------------------------------------------------------------
 
-def admissibility_from_profiles(
-    pa: ApProfile, pb: ApProfile
-) -> tuple[bool, int | None, str | None]:
-    """Check one edge's progression condition from its endpoint profiles.
-
-    Returns (ok, k, reason). ok and k are intsets.ap_pair's verdict: k is
-    the integer deterministic ratio of an admissible edge. A rejected edge
-    carries a reason, and keeps its ratio as k when that is an integer.
-    """
-    small, large, k = ap_pair(pa, pb)
-    if k is not None:
-        return True, k, None
+def _inadmissible_reason(small: ApProfile, large: ApProfile) -> str:
+    """Why intsets.ap_pair rejected an edge, given its ordered endpoints."""
     ratio = Fraction(large.diff, small.diff)
     if ratio.denominator != 1:
-        return False, None, f"deterministic ratio {ratio} is not an integer"
-    return (
-        False,
-        ratio.numerator,
-        f"deterministic ratio {ratio} exceeds the smaller-difference endpoint size {small.length}",
-    )
+        return f"deterministic ratio {ratio} is not an integer"
+    return f"deterministic ratio {ratio} exceeds the smaller-difference endpoint size {small.length}"
 
 
 @dataclass(frozen=True)
@@ -266,9 +252,9 @@ def validate_aiasl(s: SignedLabeledGraph) -> AiaslCheck:
         if pu is None or pv is None:
             edge_failures.append(((u, v), "an endpoint label is not an arithmetic progression"))
             continue
-        ok, _, reason = admissibility_from_profiles(pu, pv)
-        if not ok:
-            edge_failures.append(((u, v), reason or "inadmissible"))
+        small, large, k = ap_pair(pu, pv)
+        if k is None:
+            edge_failures.append(((u, v), _inadmissible_reason(small, large)))
     return AiaslCheck(
         ok=not vertex_failures and not edge_failures,
         vertex_failures=tuple(vertex_failures),
@@ -309,8 +295,7 @@ def predicted_sign(s: SignedLabeledGraph, e: Edge) -> Sign:
     pu, pv = _edge_profiles(s, e)
     small, large, k = ap_pair(pu, pv)
     if k is None:
-        reason = admissibility_from_profiles(pu, pv)[2]
-        raise AdmissibilityViolation(f"edge {edge_key(*e)}: {reason}")
+        raise AdmissibilityViolation(f"edge {edge_key(*e)}: {_inadmissible_reason(small, large)}")
     if k % 2 == 1:
         return Sign.POSITIVE if (small.length + large.length) % 2 else Sign.NEGATIVE
     return Sign.POSITIVE if small.length % 2 == 0 else Sign.NEGATIVE

@@ -6,6 +6,10 @@ inside finite search bounds, a filter for the family members it applies
 to, a replay predicate and the report notes. One runner drives them all.
 The report either confirms the claim within bounds or lists every
 counterexample, smallest first, each replayed through the public pipeline.
+
+``sweep_sign_patterns`` checks the two balance definitions against each
+other on every sign pattern of a graph, with one bit plane per edge held as
+a Python int: bit p of a plane is that edge's sign in pattern p.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .balance import SignedGraph, is_balanced_fast
 from .errors import (
     BoundExceeded,
@@ -25,7 +27,7 @@ from .errors import (
     ParseError,
     UnknownTheorem,
 )
-from .families import resolve_family
+from .families import parse_family, resolve_family
 from .graphs import (
     Edge,
     Graph,
@@ -34,6 +36,7 @@ from .graphs import (
     cycle_edges,
     format_graph,
     fundamental_cycle_masks,
+    in_triangle,
     is_bipartite,
     simple_cycles,
     vertices_on_cycles,
@@ -428,31 +431,43 @@ def signed_graph_from_pattern(
     return SignedGraph(graph=g, signs=signs)
 
 
-def _mask_parities(bits: list[np.ndarray], mask: int) -> np.ndarray | None:
-    """XOR-fold the bit planes selected by mask; None for the empty mask."""
-    parity: np.ndarray | None = None
+def _mask_parities(planes: list[int], mask: int) -> int:
+    """XOR-fold the bit planes that mask selects: bit p is pattern p's parity on mask."""
+    parity = 0
     while mask:
-        b = (mask & -mask).bit_length() - 1
-        parity = bits[b] if parity is None else parity ^ bits[b]
-        mask &= mask - 1
+        low = mask & -mask
+        parity ^= planes[low.bit_length() - 1]
+        mask ^= low
     return parity
 
 
-# Patterns per batch of the sweep: bounds the bit-plane arrays' memory.
+def _set_bits(x: int) -> Iterator[int]:
+    """Positions of the set bits of x, ascending."""
+    digits = format(x, "b")[::-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
+# Patterns per batch of the sweep, a power of two: each bit plane is an int
+# of this many bits.
 _SWEEP_CHUNK = 1 << 18
-# Patterns are uint32, one bit per edge.
+# The desk-scale bound on edges, hence 2^32 patterns at most.
 _SWEEP_MAX_EDGES = 32
 
 
 def sweep_sign_patterns(g: Graph) -> PatternSweep:
     """Run both balance definitions over all 2^m sign patterns of g.
 
-    Literal but batched: for every pattern the oracle side computes the
-    negative-edge parity of every simple cycle and requires them all even;
-    the fast side checks parity consistency of every non-tree edge against
-    the spanning-forest propagation. Returns the patterns on which the two
-    sides disagree (expected: none) and the oracle-balanced patterns.
-    Graphs with more than 32 edges raise BoundExceeded.
+    Literal but batched on bit planes: within a chunk of patterns starting
+    at ``start``, bit p of plane b is bit b of pattern start + p, so XOR-ing
+    the planes of a cycle's edges gives every pattern's negative parity on
+    that cycle at once. The oracle side requires every simple cycle even;
+    the fast side requires every fundamental cycle of the spanning forest
+    even. Returns the patterns on which the two sides disagree (expected:
+    none) and the oracle-balanced patterns, both ascending. Graphs with more
+    than 32 edges raise BoundExceeded.
     """
     m = g.m
     if m > _SWEEP_MAX_EDGES:
@@ -469,26 +484,30 @@ def sweep_sign_patterns(g: Graph) -> PatternSweep:
     fund_masks = fundamental_cycle_masks(g)
 
     total = 1 << m
+    size = min(_SWEEP_CHUNK, total)
+    full = (1 << size) - 1
+    # Planes below the chunk size repeat a 2^(b+1)-bit block in every chunk;
+    # the planes above it are all zeros or all ones within a chunk.
+    varying = []
+    for b in range(size.bit_length() - 1):
+        half = 1 << b
+        plane, width = ((1 << half) - 1) << half, 2 * half
+        while width < size:
+            plane |= plane << width
+            width *= 2
+        varying.append(plane)
     balanced: list[int] = []
     disagreements: list[int] = []
-    for start in range(0, total, _SWEEP_CHUNK):
-        stop = min(start + _SWEEP_CHUNK, total)
-        pats = np.arange(start, stop, dtype=np.uint32)
-        bits = [((pats >> b) & 1).astype(np.uint8) for b in range(m)]
-        oracle_ok = np.ones(stop - start, dtype=bool)
+    for start in range(0, total, size):
+        planes = varying + [full if start >> b & 1 else 0 for b in range(len(varying), m)]
+        oracle_odd = 0
         for mask in cycle_masks:
-            parity = _mask_parities(bits, mask)
-            assert parity is not None
-            oracle_ok &= parity == 0
-        fast_ok = np.ones(stop - start, dtype=bool)
+            oracle_odd |= _mask_parities(planes, mask)
+        fast_odd = 0
         for mask in fund_masks:
-            parity = _mask_parities(bits, mask)
-            assert parity is not None
-            fast_ok &= parity == 0
-        diff = oracle_ok != fast_ok
-        if diff.any():
-            disagreements.extend(int(p) for p in pats[diff])
-        balanced.extend(int(p) for p in pats[oracle_ok])
+            fast_odd |= _mask_parities(planes, mask)
+        disagreements.extend(start + p for p in _set_bits(oracle_odd ^ fast_odd))
+        balanced.extend(start + p for p in _set_bits(full ^ oracle_odd))
     return PatternSweep(
         edge_order=g.edges,
         patterns_checked=total,
@@ -503,9 +522,7 @@ def sweep_sign_patterns(g: Graph) -> PatternSweep:
 
 def _eligible_vertices(g: Graph) -> list[str]:
     """Vertices an elementary transformation accepts: degree 2, in no triangle."""
-    return [
-        v for v in g.vertices if g.degree(v) == 2 and not g.has_edge(*g.neighbors(v))
-    ]
+    return [v for v in g.vertices if g.degree(v) == 2 and not in_triangle(g, v)]
 
 
 class _GraphContext:
@@ -900,26 +917,33 @@ def verify_theorem(
 ) -> VerificationReport:
     """Check one claim over every instance of a graph family within bounds.
 
-    ``family`` is either a family spec string (see families.resolve_family)
+    ``family`` is either a family spec string (see families.parse_family)
     or an explicit list of graphs; a spec whose members would exceed
     bounds.max_vertices raises BoundExceeded before any graph is built, for
-    every theorem. Counterexamples are sorted smallest first
-    by (vertex count, total label mass) and each one is replayed through the
-    public pipeline before the report is returned.
+    every theorem. The pair theorems (POSITIVE_EDGE, CARDINALITY) label one
+    edge, so they check the spec but build none of its graphs.
+    Counterexamples are sorted smallest first by (vertex count, total label
+    mass) and each one is replayed through the public pipeline before the
+    report is returned.
     """
     try:
         tid = TheoremId(theorem)
     except ValueError:
         raise UnknownTheorem(f"unknown theorem tag {theorem!r}") from None
+    experiment = _EXPERIMENTS[tid]
     if isinstance(family, str):
-        graphs = resolve_family(family, bounds.max_vertices)
         family_spec = family
+        if experiment.on_pairs:
+            # The pair kernels label one edge and read no member graph.
+            parse_family(family, bounds.max_vertices)
+            graphs: tuple[Graph, ...] = ()
+        else:
+            graphs = resolve_family(family, bounds.max_vertices)
     else:
         graphs = tuple(family)
         family_spec = f"custom({len(graphs)} graphs)"
-    if not graphs:
-        raise ParseError(f"graph family {family_spec} is empty")
-    experiment = _EXPERIMENTS[tid]
+        if not graphs:
+            raise ParseError(f"graph family {family_spec} is empty")
     tally = _run(experiment, graphs, bounds)
     counters = sorted(tally.counterexamples, key=Counterexample.sort_key)
     for ce in counters:

@@ -3,6 +3,9 @@
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -27,6 +30,25 @@ def run(argv):
     out = io.StringIO()
     code = cli.main(argv, out=out)
     return code, out.getvalue()
+
+
+def test_a_fresh_process_needs_only_the_standard_library():
+    script = """
+import io, sys
+import sumsign
+from sumsign import cli
+sumsign.resolve_family("connected:7")
+assert not sumsign.sweep_sign_patterns(sumsign.complete_graph(7)).disagreements
+sumsign.verify_theorem("SUBDIVISION", "triangle", sumsign.SearchBounds(2, 2))
+assert cli.main(["verify", "--theorem", "BALANCE_BIPARTITE_REV", "--family", "triangle",
+                 "--universe-max", "3", "--max-label-size", "2"], out=io.StringIO()) == 1
+print(sorted({"numpy", "networkx"} & set(sys.modules)))
+"""
+    # -S leaves site-packages off the path: only the standard library remains.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "[]\n"
 
 
 @pytest.fixture

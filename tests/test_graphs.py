@@ -211,3 +211,17 @@ class TestStructuralInvariants:
             [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")],
         )
         assert vertices_on_cycles(g) == {"a", "b", "c"}
+
+
+def test_vendored_atlas_equals_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    from networkx.generators.atlas import graph_atlas_g
+
+    expected = [
+        Graph([f"v{i}" for i in h.nodes()], [(f"v{u}", f"v{v}") for u, v in h.edges()])
+        for h in graph_atlas_g()
+        if 1 <= h.number_of_nodes() <= 7 and nx.is_connected(h)
+    ]
+    assert len(expected) == 996
+    for n in range(1, 8):
+        assert list(connected_graphs(n)) == [g for g in expected if g.n <= n]

@@ -9,6 +9,7 @@ from sumsign.balance import is_balanced_fast, is_balanced_oracle
 from sumsign.errors import BoundExceeded, NotBipartite, ParseError, UnknownTheorem
 from sumsign.families import (
     bipartite_family,
+    complete_bipartite_graph,
     complete_graph,
     connected_graphs,
     cycle_graph,
@@ -440,8 +441,8 @@ class TestVerifyTheorem:
         rep = verify_theorem("POSITIVE_EDGE", [path_graph(5)], bounds)
         assert rep.cases_checked > 0
 
-    @pytest.mark.parametrize("spec", ["bipartite:400", "complete:100000"])
-    def test_oversize_family_spec_is_refused_before_building(self, monkeypatch, spec):
+    @staticmethod
+    def refuse_family_builders(monkeypatch):
         import sumsign.families as families
 
         def refuse(*args):
@@ -451,8 +452,26 @@ class TestVerifyTheorem:
                      "cycle_graph", "star_graph", "complete_graph",
                      "complete_bipartite_graph"):
             monkeypatch.setattr(families, name, refuse)
+
+    @pytest.mark.parametrize("spec", ["bipartite:400", "complete:100000"])
+    def test_oversize_family_spec_is_refused_before_building(self, monkeypatch, spec):
+        self.refuse_family_builders(monkeypatch)
         with pytest.raises(BoundExceeded, match="bound is 12"):
             verify_theorem("SUBDIVISION", spec, SearchBounds(2, 2))
+
+    @pytest.mark.parametrize("theorem", ["POSITIVE_EDGE", "CARDINALITY"])
+    def test_pair_theorems_build_no_family_graph(self, monkeypatch, theorem):
+        bounds = SearchBounds(2, 2, max_vertices=600)
+        expected = verify_theorem(theorem, "triangle", bounds).cases_checked
+        self.refuse_family_builders(monkeypatch)
+        rep = verify_theorem(theorem, "complete:600", bounds)
+        assert rep.family_spec == "complete:600"
+        assert rep.cases_checked == expected
+        for spec in ("connected:0", "cycle:2", "connected:8", "blob:3"):
+            with pytest.raises(ParseError):
+                verify_theorem(theorem, spec, bounds)
+        with pytest.raises(BoundExceeded):
+            verify_theorem(theorem, "complete:601", bounds)
 
 
 # sha256 of ``verify_theorem(theorem, family, bounds).to_text()`` for every
@@ -689,9 +708,25 @@ class TestSweepSignPatterns:
     def test_more_than_32_edges_raises_before_allocating(self, monkeypatch):
         import sumsign.verify as verify_module
 
-        monkeypatch.setattr(verify_module, "np", None)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep started work")
+
+        monkeypatch.setattr(verify_module, "simple_cycles", refuse)
         with pytest.raises(BoundExceeded, match="32 edges"):
             sweep_sign_patterns(complete_graph(9))  # 36 edges
+
+    def test_small_chunks_give_the_same_sweep(self, monkeypatch):
+        # With 8 patterns per chunk, every plane from bit 3 up is constant
+        # within a chunk.
+        import sumsign.verify as verify_module
+
+        atlas_14 = next(g for g in connected_graphs(7) if g.m == 14)
+        graphs = [cycle_graph(4), complete_graph(4), complete_bipartite_graph(3, 3),
+                  atlas_14, cycle_graph(16), path_graph(22)]
+        assert [g.m for g in graphs] == [4, 6, 9, 14, 16, 21]
+        expected = [sweep_sign_patterns(g) for g in graphs]
+        monkeypatch.setattr(verify_module, "_SWEEP_CHUNK", 8)
+        assert [sweep_sign_patterns(g) for g in graphs] == expected
 
     def test_pattern_round_trip(self):
         g = cycle_graph(3)
