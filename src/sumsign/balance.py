@@ -27,9 +27,8 @@ from .graphs import (
     Edge,
     Graph,
     connected_components,
-    cycle_edges,
+    cycle_masks,
     edge_key,
-    simple_cycles,
     spanning_forest,
 )
 from .intsets import Sign
@@ -72,17 +71,12 @@ class CycleSignSummary:
 def cycle_sign_summaries(
     s: SignedGraphLike, cycle_bound: int = DEFAULT_CYCLE_BOUND
 ) -> list[CycleSignSummary]:
-    summaries = []
-    for cycle in simple_cycles(s.graph, max_vertices=cycle_bound):
-        neg = sum(1 for e in cycle_edges(cycle) if s.signs[e] is Sign.NEGATIVE)
-        summaries.append(
-            CycleSignSummary(
-                cycle=cycle,
-                negative_edge_count=neg,
-                sign_product=Sign.POSITIVE if neg % 2 == 0 else Sign.NEGATIVE,
-            )
-        )
-    return summaries
+    """One summary per simple cycle, in ``simple_cycles`` order. The cycles
+    and their edge masks come from ``graphs.cycle_masks``, shared with the
+    sign sweep; a cycle's negative count is (mask & negative mask).bit_count()."""
+    neg = sum(1 << i for i, e in enumerate(s.graph.edges) if s.signs[e] is Sign.NEGATIVE)
+    counts = [(c, (mask & neg).bit_count()) for c, mask in cycle_masks(s.graph, cycle_bound)]
+    return [CycleSignSummary(c, k, Sign.NEGATIVE if k % 2 else Sign.POSITIVE) for c, k in counts]
 
 
 def is_balanced_oracle(

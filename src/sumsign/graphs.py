@@ -8,11 +8,14 @@ One breadth-first spanning forest (``spanning_forest``) answers every
 traversal question: the 2-coloring, the components, and, through the
 fundamental cycles of its non-tree edges, the bridges and the vertices on
 cycles. Only ``simple_cycles`` lists every cycle; it is the by-definition
-reference and the only query limited by a vertex bound.
+reference and the only query limited by a vertex bound. ``cycle_masks`` adds
+each cycle's edge mask and holds the listing of the last few graphs, which
+the sign sweep and the balance oracle share.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import BoundExceeded, ParseError, UnknownVertex
@@ -20,6 +23,7 @@ from .errors import BoundExceeded, ParseError, UnknownVertex
 #: Default ceiling on |V| for simple-cycle enumeration; cycle counts grow
 #: super-exponentially and everything here is meant for desk-scale graphs.
 DEFAULT_CYCLE_BOUND = 12
+_CYCLE_MEMO_GRAPHS = 8  # graphs whose cycle listing cycle_masks holds
 
 Edge = tuple[str, str]
 
@@ -255,10 +259,7 @@ def simple_cycles(g: Graph, max_vertices: int = DEFAULT_CYCLE_BOUND) -> list[tup
     vertex, oriented toward its smaller neighbor, and the list is sorted by
     (length, sequence). Raises BoundExceeded when |V| > max_vertices.
     """
-    if g.n > max_vertices:
-        raise BoundExceeded(
-            f"cycle enumeration limited to {max_vertices} vertices, graph has {g.n}"
-        )
+    _check_cycle_bound(g, max_vertices)
     cycles: list[tuple[str, ...]] = []
     path: list[str] = []
     on_path: set[str] = set()
@@ -288,6 +289,31 @@ def cycle_edges(cycle: tuple[str, ...]) -> tuple[Edge, ...]:
     return tuple(
         edge_key(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
     )
+
+
+def _check_cycle_bound(g: Graph, max_vertices: int) -> None:
+    if g.n > max_vertices:
+        raise BoundExceeded(
+            f"cycle enumeration limited to {max_vertices} vertices, graph has {g.n}"
+        )
+
+
+def cycle_masks(
+    g: Graph, max_vertices: int = DEFAULT_CYCLE_BOUND
+) -> tuple[tuple[tuple[str, ...], int], ...]:
+    """``simple_cycles`` as (cycle, edge mask) pairs; bit i stands for ``g.edges[i]``.
+
+    The bound is checked on every call; the listing is held per graph alone.
+    """
+    _check_cycle_bound(g, max_vertices)
+    return _cycle_masks(g)
+
+
+@lru_cache(maxsize=_CYCLE_MEMO_GRAPHS)
+def _cycle_masks(g: Graph) -> tuple[tuple[tuple[str, ...], int], ...]:
+    index = {e: i for i, e in enumerate(g.edges)}
+    cycles = simple_cycles(g, g.n)
+    return tuple((c, sum(1 << index[e] for e in cycle_edges(c))) for c in cycles)
 
 
 def in_triangle(g: Graph, v: str) -> bool:

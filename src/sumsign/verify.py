@@ -33,12 +33,11 @@ from .graphs import (
     Graph,
     bipartition,
     cut_edges,
-    cycle_edges,
+    cycle_masks,
     format_graph,
     fundamental_cycle_masks,
     in_triangle,
     is_bipartite,
-    simple_cycles,
     vertices_on_cycles,
 )
 from .intsets import (
@@ -422,8 +421,13 @@ class PatternSweep:
 def signed_graph_from_pattern(
     g: Graph, pattern: int, edge_order: tuple[Edge, ...] | None = None
 ) -> SignedGraph:
-    """Materialize the signed graph encoded by a sweep pattern."""
+    """Materialize the signed graph encoded by a sweep pattern.
+
+    Raises ParseError when the pattern is outside [0, 2^m).
+    """
     order = edge_order if edge_order is not None else g.edges
+    if not 0 <= pattern < 1 << len(order):
+        raise ParseError(f"sign pattern {pattern} is outside [0, 2^{len(order)})")
     signs = {
         e: Sign.NEGATIVE if (pattern >> i) & 1 else Sign.POSITIVE
         for i, e in enumerate(order)
@@ -474,13 +478,7 @@ def sweep_sign_patterns(g: Graph) -> PatternSweep:
         raise BoundExceeded(
             f"sign-pattern sweep limited to {_SWEEP_MAX_EDGES} edges, graph has {m}"
         )
-    edge_index = {e: i for i, e in enumerate(g.edges)}
-    cycle_masks = []
-    for cycle in simple_cycles(g, max_vertices=max(g.n, 1)):
-        mask = 0
-        for e in cycle_edges(cycle):
-            mask |= 1 << edge_index[e]
-        cycle_masks.append(mask)
+    oracle_masks = [mask for _, mask in cycle_masks(g, max_vertices=g.n)]
     fund_masks = fundamental_cycle_masks(g)
 
     total = 1 << m
@@ -501,7 +499,7 @@ def sweep_sign_patterns(g: Graph) -> PatternSweep:
     for start in range(0, total, size):
         planes = varying + [full if start >> b & 1 else 0 for b in range(len(varying), m)]
         oracle_odd = 0
-        for mask in cycle_masks:
+        for mask in oracle_masks:
             oracle_odd |= _mask_parities(planes, mask)
         fast_odd = 0
         for mask in fund_masks:

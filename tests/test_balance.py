@@ -1,10 +1,14 @@
 """Balance and clusterability checks, and the equivalence of the two routes."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sumsign.graphs as graphs_module
 from sumsign.balance import (
+    CycleSignSummary,
     SignedGraph,
     cycle_sign_summaries,
     is_balanced_fast,
@@ -13,11 +17,17 @@ from sumsign.balance import (
     negative_edges,
 )
 from sumsign.errors import BoundExceeded, UnknownEdge
-from sumsign.families import connected_graphs, cycle_graph, path_graph, star_graph
-from sumsign.graphs import Graph, cycle_edges, edge_key
+from sumsign.families import (
+    complete_graph,
+    connected_graphs,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
+from sumsign.graphs import Graph, cycle_edges, cycle_masks, edge_key, simple_cycles
 from sumsign.intsets import IntegerSet, Sign
 from sumsign.labeling import Labeling, derive
-from sumsign.verify import signed_graph_from_pattern
+from sumsign.verify import signed_graph_from_pattern, sweep_sign_patterns
 
 
 def signed(graph, negatives=()):
@@ -175,3 +185,64 @@ class TestCycleSummaries:
             assert (summary.sign_product is Sign.POSITIVE) == (
                 summary.negative_edge_count % 2 == 0
             )
+
+    def test_summaries_equal_a_literal_recount(self):
+        # Every pattern of every graph on <= 4 vertices, then a seeded sample
+        # of patterns on every graph on <= 6 vertices; whole lists compared.
+        def literal(sg):
+            out = []
+            for cycle in simple_cycles(sg.graph):
+                neg = sum(1 for e in cycle_edges(cycle) if sg.signs[e] is Sign.NEGATIVE)
+                product = Sign.POSITIVE if neg % 2 == 0 else Sign.NEGATIVE
+                out.append(CycleSignSummary(cycle, neg, product))
+            return out
+
+        cases = [(g, p) for g in connected_graphs(4) for p in range(1 << g.m)]
+        rng = random.Random(6)
+        for g in connected_graphs(6):
+            cases += [(g, rng.randrange(1 << g.m)) for _ in range(12)]
+        for g, pattern in cases:
+            sg = signed_graph_from_pattern(g, pattern)
+            assert cycle_sign_summaries(sg) == literal(sg)
+
+
+class TestSharedCycleListing:
+    """The oracle and the sweep share graphs.cycle_masks' per-graph listing."""
+
+    def test_bound_checked_on_every_call(self):
+        g = path_graph(13)
+        assert is_balanced_oracle(signed(g), cycle_bound=13)[0]
+        with pytest.raises(BoundExceeded, match="limited to 12 vertices, graph has 13"):
+            is_balanced_oracle(signed(g))
+        with pytest.raises(BoundExceeded, match="limited to 12 vertices, graph has 13"):
+            cycle_masks(g)
+
+    def test_sweep_and_oracle_list_cycles_once(self, monkeypatch):
+        calls = []
+        listing = graphs_module.simple_cycles
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return listing(*args, **kwargs)
+
+        monkeypatch.setattr(graphs_module, "simple_cycles", counted)
+        graphs_module._cycle_masks.cache_clear()
+        g = complete_graph(5)
+        sweep = sweep_sign_patterns(g)
+        balanced = set(sweep.balanced_patterns)
+        for pattern in random.Random(5).sample(range(1 << g.m), 8):
+            sg = signed_graph_from_pattern(g, pattern, sweep.edge_order)
+            assert is_balanced_oracle(sg)[0] == (pattern in balanced)
+        assert calls == [g]
+
+    def test_listing_handed_out_is_not_the_memo(self):
+        g = cycle_graph(4)
+        sg = signed(g, negatives=[("v0", "v1")])
+        before = is_balanced_oracle(sg)
+        cycles = simple_cycles(g)
+        cycles.clear()
+        cycles.append(("v0", "v1", "v2"))
+        assert simple_cycles(g) == [("v0", "v1", "v2", "v3")]
+        assert is_balanced_oracle(sg) == before == (False, [
+            CycleSignSummary(("v0", "v1", "v2", "v3"), 1, Sign.NEGATIVE)
+        ])

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+import sumsign.graphs as graphs_module
 from sumsign.errors import BoundExceeded, ParseError, UnknownVertex
 from sumsign.families import (
     complete_graph,
@@ -18,6 +19,7 @@ from sumsign.graphs import (
     connected_components,
     cut_edges,
     cycle_edges,
+    cycle_masks,
     edge_key,
     format_graph,
     fundamental_cycle_masks,
@@ -162,6 +164,25 @@ class TestSimpleCycles:
     def test_matches_oracle_on_small_connected_graphs(self):
         for g in connected_graphs(6):
             assert simple_cycles(g) == brute_cycles(g)
+
+
+class TestCycleMasks:
+    def test_masks_follow_simple_cycles(self):
+        for g in connected_graphs(6):
+            index = {e: i for i, e in enumerate(g.edges)}
+            expected = tuple(
+                (c, sum(1 << index[e] for e in cycle_edges(c))) for c in simple_cycles(g)
+            )
+            assert cycle_masks(g) == expected
+
+    def test_memo_holds_a_bounded_number_of_graphs(self):
+        from sumsign.verify import sweep_sign_patterns
+
+        memo = graphs_module._cycle_masks
+        assert memo.cache_info().maxsize == graphs_module._CYCLE_MEMO_GRAPHS
+        for g in connected_graphs(7):
+            sweep_sign_patterns(g)
+        assert 0 < memo.cache_info().currsize <= graphs_module._CYCLE_MEMO_GRAPHS
 
 
 class TestInTriangle:

@@ -706,12 +706,16 @@ class TestSweepSignPatterns:
                 assert is_balanced_fast(sg)[0] == (pattern in balanced)
 
     def test_more_than_32_edges_raises_before_allocating(self, monkeypatch):
-        import sumsign.verify as verify_module
+        import sumsign.graphs as graphs_module
 
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep started work")
 
-        monkeypatch.setattr(verify_module, "simple_cycles", refuse)
+        # The sweep lists cycles through graphs.cycle_masks, whose cached
+        # lister is patched here; the patch must be live for small graphs.
+        monkeypatch.setattr(graphs_module, "_cycle_masks", refuse)
+        with pytest.raises(AssertionError, match="started work"):
+            sweep_sign_patterns(complete_graph(4))
         with pytest.raises(BoundExceeded, match="32 edges"):
             sweep_sign_patterns(complete_graph(9))  # 36 edges
 
@@ -734,3 +738,11 @@ class TestSweepSignPatterns:
         assert sg.signs[g.edges[0]] is Sign.NEGATIVE
         assert sg.signs[g.edges[1]] is Sign.POSITIVE
         assert sg.signs[g.edges[2]] is Sign.NEGATIVE
+
+    def test_pattern_outside_range_is_refused(self):
+        g = cycle_graph(3)
+        for pattern in (8, -1):
+            with pytest.raises(ParseError, match="outside"):
+                signed_graph_from_pattern(g, pattern)
+        sg = signed_graph_from_pattern(g, 7)
+        assert all(sg.signs[e] is Sign.NEGATIVE for e in g.edges)
