@@ -129,6 +129,8 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError("expected 'vertex <id>'", lineno)
             isolated.append(parts[1])
         elif len(parts) == 2:
+            if "vertex" in parts:
+                raise ParseError("'vertex' is a keyword, not an edge endpoint", lineno)
             if parts[0] == parts[1]:
                 raise ParseError(f"self-loop at {parts[0]!r} not allowed", lineno)
             edges.append((parts[0], parts[1]))

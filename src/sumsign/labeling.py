@@ -105,6 +105,8 @@ def parse_labeling(text: str) -> Labeling:
         if not line or line.startswith("#"):
             continue
         if "=" in line and line.split("=")[0].strip() == "universe_max":
+            if universe_max is not None:
+                raise ParseError("universe_max given twice", lineno)
             value = line.split("=", 1)[1].strip()
             universe_max = parse_digits(value, "universe_max value", lineno)
             continue

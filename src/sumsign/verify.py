@@ -3,7 +3,7 @@
 Each claim about sumset-signed graphs is one record of ``_EXPERIMENTS``: a
 kernel run on every admissible label pair or every enumerated labeling
 inside finite search bounds, a filter for the family members it applies
-to, a replay predicate and the report notes. One runner drives them all.
+to, an explain function and the report notes. One runner drives them all.
 The report either confirms the claim within bounds or lists every
 counterexample, smallest first, each replayed through the public pipeline.
 
@@ -56,7 +56,6 @@ from .labeling import (
     format_labeling,
     iasi_collisions,
     predicted_sign,
-    validate_iasi,
 )
 from .transforms import elementary_transformation, subdivide_edge
 
@@ -518,11 +517,6 @@ def sweep_sign_patterns(g: Graph) -> PatternSweep:
 # Theorem experiments
 # ---------------------------------------------------------------------------
 
-def _eligible_vertices(g: Graph) -> list[str]:
-    """Vertices an elementary transformation accepts: degree 2, in no triangle."""
-    return [v for v in g.vertices if g.degree(v) == 2 and not in_triangle(g, v)]
-
-
 class _GraphContext:
     """Per-graph tables reused across all labelings of one experiment.
 
@@ -537,7 +531,7 @@ class _GraphContext:
         self.edge_ends = [(pos[u], pos[v], 1 << e) for e, (u, v) in enumerate(g.edges)]
 
     @cached_property
-    def cycle_masks(self) -> list[int]:
+    def fundamental_masks(self) -> list[int]:
         return fundamental_cycle_masks(self.graph)
 
     @cached_property
@@ -546,7 +540,9 @@ class _GraphContext:
 
     @cached_property
     def eligible(self) -> list[str]:
-        return _eligible_vertices(self.graph)
+        """Vertices an elementary transformation accepts: degree 2, in no triangle."""
+        g = self.graph
+        return [v for v in g.vertices if g.degree(v) == 2 and not in_triangle(g, v)]
 
     @cached_property
     def subdivision_targets(self) -> list[tuple[int, int, bool, Edge]]:
@@ -578,21 +574,21 @@ class _GraphContext:
 
     def balanced(self, neg_mask: int) -> bool:
         """Even negative count on every fundamental cycle, hence on every cycle."""
-        return all((neg_mask & c).bit_count() % 2 == 0 for c in self.cycle_masks)
+        return all((neg_mask & c).bit_count() % 2 == 0 for c in self.fundamental_masks)
 
 
 class _Tally:
-    """What one experiment run counted and found."""
+    """What one experiment run counted and where its claim failed."""
 
     def __init__(self, space: _LabelingSpace):
         self.space = space
         self.cases = 0
         self.skipped = 0
         self.constructed_ok = 0
-        self.counterexamples: list[Counterexample] = []
+        self.findings: list[tuple[Graph, Labeling, object]] = []
 
-    def found(self, g: Graph, lab: Labeling, explanation: str) -> None:
-        self.counterexamples.append(Counterexample(g, lab, explanation))
+    def found(self, g: Graph, lab: Labeling, target: object = None) -> None:
+        self.findings.append((g, lab, target))
 
 
 @dataclass(frozen=True)
@@ -602,15 +598,17 @@ class _Experiment:
     ``kernel`` runs as ``kernel(tally, i, j)`` per admissible label pair
     i < j on K2 (``on_pairs``), or else as ``kernel(tally, ctx, indices)`` per
     labeling of each member that ``applies`` accepts, after
-    ``member_check(tally, ctx)``. It returns the cases it checked. A
-    rejected member counts as skipped only with ``counts_skips``.
-    ``replay`` re-checks a counterexample on its re-derived signed labeled
-    graph with public object-level functions only; ``notes`` builds the
+    ``member_check(tally, ctx)``. It returns the cases it checked and records
+    each failure with ``tally.found``. A rejected member counts as skipped
+    only with ``counts_skips``. ``explain(slg, target)`` re-checks the claim
+    at one recorded target of the re-derived signed labeled graph with public
+    object-level functions only, and returns the violation text there, or
+    '' or None where the claim holds or does not apply. ``notes`` builds the
     report notes from the finished tally.
     """
 
     kernel: Callable[..., int]
-    replay: Callable[[SignedLabeledGraph], bool]
+    explain: Callable[[SignedLabeledGraph, object], str | None]
     notes: Callable[[_Tally], list[str]]
     on_pairs: bool = False
     applies: Callable[[_GraphContext], bool] | None = None
@@ -645,52 +643,74 @@ def _run(exp: _Experiment, graphs: Sequence[Graph], bounds: SearchBounds) -> _Ta
 
 # The single edge the pair kernels label: set i on u, set j on v.
 _K2 = Graph(["u", "v"], [("u", "v")])
+_K2_EDGE = _K2.edges[0]
+
+
+def _positive_edge_case(slg: SignedLabeledGraph, e: Edge) -> str:
+    """The parity rule against the derived sign of e: the violation, or ''."""
+    expected = predicted_sign(slg, e)
+    actual = slg.signs[e]
+    if expected is actual:
+        return ""
+    return (
+        f"edge {e[0]} {e[1]}: parity rule predicts {expected} but the "
+        f"sumset {slg.edge_labels[e].to_text()} has size "
+        f"{len(slg.edge_labels[e])}, giving {actual}"
+    )
 
 
 def _positive_edge_kernel(tally: _Tally, i: int, j: int) -> int:
     lab = _labeling_from_indices(_K2, tally.space, (i, j))
-    slg = derive(_K2, lab)
-    edge = ("u", "v")
-    expected = predicted_sign(slg, edge)
-    actual = slg.signs[edge]
-    if expected is not actual:
-        tally.found(
-            _K2,
-            lab,
-            f"edge u v: parity rule predicts {expected} but the "
-            f"sumset {slg.edge_labels[edge].to_text()} has size "
-            f"{len(slg.edge_labels[edge])}, giving {actual}",
-        )
+    if _positive_edge_case(derive(_K2, lab), _K2_EDGE):
+        tally.found(_K2, lab, _K2_EDGE)
     return 1
+
+
+def _cardinality_case(slg: SignedLabeledGraph, e: Edge) -> str:
+    """The size formula against the derived sumset on e: the violation, or ''."""
+    pu = ap_profile(slg.labeling.get(e[0]))
+    pv = ap_profile(slg.labeling.get(e[1]))
+    assert pu is not None and pv is not None
+    small, large, k = ap_pair(pu, pv)
+    assert k is not None
+    m, n = small.length, large.length
+    expected = ap_sumset_cardinality(m, n, k)
+    actual = len(slg.edge_labels[e])
+    if expected == actual:
+        return ""
+    return (
+        f"formula m + k*(n-1) = {expected} with (m={m}, n={n}, k={k}) "
+        f"but the sumset has {actual} elements"
+    )
 
 
 def _cardinality_kernel(tally: _Tally, i: int, j: int) -> int:
     space = tally.space
     small, large, k = ap_pair(space.profiles[i], space.profiles[j])
     assert k is not None
-    m, n = small.length, large.length
-    expected = ap_sumset_cardinality(m, n, k)
     actual = len(sumset(space.sets[i], space.sets[j]))
-    if expected != actual:
-        tally.found(
-            _K2,
-            _labeling_from_indices(_K2, space, (i, j)),
-            f"formula m + k*(n-1) = {expected} with (m={m}, n={n}, k={k}) "
-            f"but the sumset has {actual} elements",
-        )
+    if ap_sumset_cardinality(small.length, large.length, k) != actual:
+        tally.found(_K2, _labeling_from_indices(_K2, space, (i, j)), _K2_EDGE)
     return 1
 
 
-def _cardinality_violated(slg: SignedLabeledGraph) -> bool:
-    for u, v in slg.graph.edges:
-        pu = ap_profile(slg.labeling.get(u))
-        pv = ap_profile(slg.labeling.get(v))
-        assert pu is not None and pv is not None
-        small, large, k = ap_pair(pu, pv)
-        assert k is not None
-        if ap_sumset_cardinality(small.length, large.length, k) != len(slg.edge_labels[(u, v)]):
-            return True
-    return False
+# The target of a finding on a bipartite member's constructed labeling.
+_CONSTRUCTED = "constructed labeling"
+
+
+def _balance_case(slg: SignedLabeledGraph, target: object) -> str:
+    """Balanced iff bipartite: the violation, or ''."""
+    balanced = is_balanced_fast(slg)[0]
+    if balanced == is_bipartite(slg.graph):
+        return ""
+    if target == _CONSTRUCTED:
+        return "constructed same-parity-per-side labeling is not balanced"
+    if balanced:
+        return "derived signed graph is balanced but the underlying graph is not bipartite"
+    return (
+        "bipartite underlying graph but the derived signed graph "
+        "is unbalanced (universal reading of the forward direction)"
+    )
 
 
 def _check_construction(tally: _Tally, ctx: _GraphContext) -> None:
@@ -699,47 +719,44 @@ def _check_construction(tally: _Tally, ctx: _GraphContext) -> None:
     if is_balanced_fast(derive(ctx.graph, lab))[0]:
         tally.constructed_ok += 1
     else:
-        tally.found(
-            ctx.graph, lab, "constructed same-parity-per-side labeling is not balanced"
-        )
+        tally.found(ctx.graph, lab, _CONSTRUCTED)
 
 
 def _balance_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
     """Balanced iff bipartite, in the direction ``applies`` selected."""
     if ctx.balanced(ctx.negative_mask(tally.space, indices)) != ctx.bipartite:
-        tally.found(
-            ctx.graph,
-            _labeling_from_indices(ctx.graph, tally.space, indices),
-            "bipartite underlying graph but the derived signed graph "
-            "is unbalanced (universal reading of the forward direction)"
-            if ctx.bipartite
-            else "derived signed graph is balanced but the underlying "
-            "graph is not bipartite",
-        )
+        tally.found(ctx.graph, _labeling_from_indices(ctx.graph, tally.space, indices))
     return 1
 
 
-def _subdivision_case(slg: SignedLabeledGraph, e: Edge, cut: set[Edge]) -> str | None:
-    """Subdivide e and test the claim: the violation, '' if it holds, or None
-    when the inherited label collides with a vertex label."""
+def _subdivision_case(slg: SignedLabeledGraph, e: Edge) -> str | None:
+    """Subdivide e of a balanced slg and test the claim: the violation, '' if
+    it holds, or None when slg is unbalanced or the inherited label collides
+    with a vertex label."""
+    if not is_balanced_fast(slg)[0]:
+        return None
     try:
         outcome = subdivide_edge(slg, e)
     except InjectivityCollision:
         return None
-    if is_balanced_fast(outcome.result)[0] == (e in cut):
+    cut = e in cut_edges(slg.graph)
+    if is_balanced_fast(outcome.result)[0] == cut:
         return ""
-    if e in cut:
+    if cut:
         return f"edge {e[0]} {e[1]}: cut edge subdivision broke balance"
     return f"edge {e[0]} {e[1]}: non-cut edge subdivision left the graph balanced"
 
 
-def _homeomorphism_case(slg: SignedLabeledGraph, v: str, on_cycle: frozenset[str]) -> str:
-    """Replace the eligible vertex v by an edge and test the claim: the
-    violation, or '' if it holds."""
+def _homeomorphism_case(slg: SignedLabeledGraph, v: str) -> str | None:
+    """Replace the eligible vertex v of a balanced slg by an edge and test the
+    claim: the violation, '' if it holds, or None when slg is unbalanced."""
+    if not is_balanced_fast(slg)[0]:
+        return None
     outcome = elementary_transformation(slg, v)
-    if is_balanced_fast(outcome.result)[0] == (v not in on_cycle):
+    on_cycle = v in vertices_on_cycles(slg.graph)
+    if is_balanced_fast(outcome.result)[0] != on_cycle:
         return ""
-    if v not in on_cycle:
+    if not on_cycle:
         return f"vertex {v}: transforming a vertex on no cycle broke balance"
     return f"vertex {v}: transforming a cycle vertex left the graph balanced"
 
@@ -759,7 +776,7 @@ def _subdivision_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
         used |= 1 << k
     cases = 0
     lab: Labeling | None = None
-    for a, b, noncut, (u, v) in ctx.subdivision_targets:
+    for a, b, noncut, e in ctx.subdivision_targets:
         inherited, delta, _ = space.pair_sum(indices[a], indices[b])
         if inherited >= 0 and used >> inherited & 1:
             tally.skipped += 1
@@ -768,17 +785,8 @@ def _subdivision_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
         if noncut and not delta:
             if lab is None:
                 lab = _labeling_from_indices(ctx.graph, space, indices)
-            tally.found(
-                ctx.graph, lab, f"edge {u} {v}: non-cut edge subdivision left the graph balanced"
-            )
+            tally.found(ctx.graph, lab, e)
     return cases
-
-
-def _subdivision_violated(slg: SignedLabeledGraph) -> bool:
-    if not is_balanced_fast(slg)[0]:
-        return False
-    cut = set(cut_edges(slg.graph))
-    return any(_subdivision_case(slg, e, cut) for e in slg.graph.edges)
 
 
 def _homeomorphism_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
@@ -797,52 +805,41 @@ def _homeomorphism_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
         if on_cycle and not (odd[x] >> y ^ odd[x] >> z ^ odd[z] >> y) & 1:
             if lab is None:
                 lab = _labeling_from_indices(ctx.graph, tally.space, indices)
-            tally.found(
-                ctx.graph, lab, f"vertex {v}: transforming a cycle vertex left the graph balanced"
-            )
+            tally.found(ctx.graph, lab, v)
     return len(targets)
 
 
-def _homeomorphism_violated(slg: SignedLabeledGraph) -> bool:
-    if not is_balanced_fast(slg)[0]:
-        return False
-    on_cycle = vertices_on_cycles(slg.graph)
-    return any(
-        _homeomorphism_case(slg, v, on_cycle) for v in _eligible_vertices(slg.graph)
+def _iasi_case(slg: SignedLabeledGraph, target: object) -> str:
+    """Injectivity of the edge-label map: the first collision, or ''."""
+    collisions = iasi_collisions(slg)
+    if not collisions:
+        return ""
+    e1, e2 = collisions[0]
+    return (
+        f"edges {e1[0]} {e1[1]} and {e2[0]} {e2[1]} both "
+        f"receive the label {slg.edge_labels[e1].to_text()}"
     )
 
 
 def _iasi_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
-    """Injective iff the edges' sumsets are distinct; only a failing
-    labeling is derived, for its explanation."""
+    """Injective iff the edges' sumsets are distinct."""
     space = tally.space
     sums = {space.pair_sum(indices[a], indices[b])[2] for a, b, _ in ctx.edge_ends}
     if len(sums) < len(ctx.edge_ends):
-        lab = _labeling_from_indices(ctx.graph, space, indices)
-        slg = derive(ctx.graph, lab)
-        e1, e2 = iasi_collisions(slg)[0]
-        tally.found(
-            ctx.graph,
-            lab,
-            f"edges {e1[0]} {e1[1]} and {e2[0]} {e2[1]} both "
-            f"receive the label {slg.edge_labels[e1].to_text()}",
-        )
+        tally.found(ctx.graph, _labeling_from_indices(ctx.graph, space, indices))
     return 1
 
 
 # One record per claim. The transform and injectivity kernels read the
-# index-space tables of _LabelingSpace and _GraphContext; the transforms
-# themselves are called only from the replays. Traced functions (derive,
-# the transforms, is_balanced_fast, cut_edges) are called by name, never
-# stored here, so a wrapper installed on the module later still sees every
-# call.
+# index-space tables of _LabelingSpace and _GraphContext; the transforms are
+# called only from the case functions. Traced functions (derive, the
+# transforms, is_balanced_fast, cut_edges) are called by name, never stored
+# here, so a wrapper installed on the module later still sees every call.
 _EXPERIMENTS: dict[TheoremId, _Experiment] = {
     TheoremId.POSITIVE_EDGE: _Experiment(
         kernel=_positive_edge_kernel,
         on_pairs=True,
-        replay=lambda slg: any(
-            predicted_sign(slg, e) is not slg.signs[e] for e in slg.graph.edges
-        ),
+        explain=_positive_edge_case,
         notes=lambda tally: [
             "claim: the parity rule predicts the derived sign of every admissible edge",
             "cases are admissible unordered label pairs on a single edge; the family argument is not used",
@@ -851,7 +848,7 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
     TheoremId.CARDINALITY: _Experiment(
         kernel=_cardinality_kernel,
         on_pairs=True,
-        replay=_cardinality_violated,
+        explain=_cardinality_case,
         notes=lambda tally: [
             "claim: |A + B| = m + k*(n-1) for admissible progression pairs",
             "cases are admissible unordered label pairs; the family argument is not used",
@@ -862,7 +859,7 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
         applies=lambda ctx: ctx.bipartite,
         counts_skips=True,
         member_check=_check_construction,
-        replay=lambda slg: not is_balanced_fast(slg)[0] and is_bipartite(slg.graph),
+        explain=_balance_case,
         notes=lambda tally: [
             "claim (universal reading): every admissible labeling of a bipartite graph is balanced",
             f"constructed balanced labeling verified on {tally.constructed_ok} bipartite member(s)",
@@ -873,7 +870,7 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
         kernel=_balance_kernel,
         applies=lambda ctx: not ctx.bipartite,
         counts_skips=True,
-        replay=lambda slg: is_balanced_fast(slg)[0] and not is_bipartite(slg.graph),
+        explain=_balance_case,
         notes=lambda tally: [
             "claim: a balanced labeled graph has a bipartite underlying graph",
             f"skipped {tally.skipped} bipartite family member(s) (conclusion holds trivially)",
@@ -881,7 +878,7 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
     ),
     TheoremId.SUBDIVISION: _Experiment(
         kernel=_subdivision_kernel,
-        replay=_subdivision_violated,
+        explain=_subdivision_case,
         notes=lambda tally: [
             "claim: subdividing an edge of a balanced labeled graph preserves balance iff the edge is a cut edge",
             "cases are (balanced labeling, edge) subdivisions; collisions of the inherited label are skipped",
@@ -891,7 +888,7 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
     TheoremId.HOMEOMORPHISM: _Experiment(
         kernel=_homeomorphism_kernel,
         applies=lambda ctx: bool(ctx.eligible),
-        replay=_homeomorphism_violated,
+        explain=_homeomorphism_case,
         notes=lambda tally: [
             "claim: removing a triangle-free degree-2 vertex and joining its neighbors preserves balance iff the vertex lies on no cycle",
             "cases are (balanced labeling, eligible vertex) transformations",
@@ -899,7 +896,7 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
     ),
     TheoremId.IASI_INJECTIVITY: _Experiment(
         kernel=_iasi_kernel,
-        replay=lambda slg: not validate_iasi(slg),
+        explain=_iasi_case,
         notes=lambda tally: [
             "claim: every admissible labeling induces an injective edge-label map",
             "a counterexample separates set-labelings from set-indexers",
@@ -943,12 +940,13 @@ def verify_theorem(
         if not graphs:
             raise ParseError(f"graph family {family_spec} is empty")
     tally = _run(experiment, graphs, bounds)
-    counters = sorted(tally.counterexamples, key=Counterexample.sort_key)
-    for ce in counters:
-        if not experiment.replay(derive(ce.graph, ce.labeling)):
-            raise AssertionError(
-                f"counterexample failed to replay for {tid.value}: {ce.explanation}"
-            )
+    counters = []
+    for g, lab, target in tally.findings:
+        explanation = experiment.explain(derive(g, lab), target)
+        if not explanation:
+            raise AssertionError(f"{tid.value} finding failed to replay at {target!r}")
+        counters.append(Counterexample(g, lab, explanation))
+    counters.sort(key=Counterexample.sort_key)
     return VerificationReport(
         theorem_id=tid,
         family_spec=family_spec,

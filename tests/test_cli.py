@@ -95,6 +95,22 @@ class TestDerive:
         assert any(line.startswith("error: PARSE_ERROR") for line in err)
 
 
+    @pytest.mark.parametrize(
+        "graph, labeling",
+        [
+            (K2_GRAPH, "universe_max = 3\nuniverse_max = 9\nu: {0,1}\nv: {0,2}\n"),
+            ("w vertex\n", "universe_max = 4\nw: {0,1}\nvertex: {0,2}\n"),
+        ],
+        ids=["second-universe-max", "vertex-keyword-as-endpoint"],
+    )
+    def test_ambiguous_input_is_parse_error(self, files, capsys, graph, labeling):
+        code, text = run(
+            ["derive", "--graph", files("g", graph), "--labeling", files("l", labeling)]
+        )
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: PARSE_ERROR: line ")
+
     def test_non_utf8_file_is_parse_error(self, files, tmp_path, capsys):
         labeling = tmp_path / "l"
         labeling.write_bytes(b"universe_max = 4\nu: {0,1}\xff\nv: {0,2}\n")

@@ -90,6 +90,17 @@ class TestGraphFormat:
         g = Graph(["a", "b", "c", "lonely"], [("a", "b"), ("b", "c")])
         assert parse_graph(format_graph(g)) == g
 
+    def test_vertex_keyword_round_trips_or_is_refused(self):
+        # "vertex vertex" declares an isolated vertex named vertex.
+        g = Graph(["a", "vertex"], [])
+        assert format_graph(g) == "vertex a\nvertex vertex\n"
+        assert parse_graph(format_graph(g)) == g
+        # As an edge endpoint it would be written back as "vertex w".
+        for text in ("w vertex\n", "a b\nvertex w\nb vertex\n"):
+            with pytest.raises(ParseError) as exc:
+                parse_graph(text)
+            assert exc.value.line == text.count("\n")
+
     def test_comments_and_blanks(self):
         g = parse_graph("# a comment\n\na b\nvertex z\n")
         assert g.vertices == ("a", "b", "z")

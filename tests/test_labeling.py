@@ -250,3 +250,8 @@ class TestLabelingFormat:
             parse_labeling("universe_max = x\n")
         with pytest.raises(DuplicateLabel):
             parse_labeling("u: {0}\nu: {1}\n")
+
+    def test_second_universe_max_is_refused(self):
+        with pytest.raises(ParseError, match="universe_max given twice") as exc:
+            parse_labeling("universe_max = 3\nu: {0,1}\nuniverse_max = 9\n")
+        assert exc.value.line == 3

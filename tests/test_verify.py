@@ -1,6 +1,7 @@
 """Labeling enumeration, the balanced bipartite construction, and experiments."""
 
 import hashlib
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -17,10 +18,11 @@ from sumsign.families import (
     resolve_family,
     star_graph,
 )
-from sumsign.graphs import Graph, cut_edges, is_bipartite, vertices_on_cycles
+from sumsign.graphs import Graph, in_triangle, is_bipartite
 from sumsign.intsets import IntegerSet, Sign, sumset
 from sumsign.labeling import Labeling, derive, validate_aiasl, validate_iasi
 from sumsign.verify import (
+    _CONSTRUCTED,
     _EXPERIMENTS,
     _MAX_CANDIDATE_SETS,
     _enumerate_indices,
@@ -571,22 +573,24 @@ def _graphs(family):
     return resolve_family(family) if isinstance(family, str) else [family]
 
 
-def _one_target_outcome(kernel, tally, ctx, indices):
+def _one_target_outcome(kernel, tally, ctx, indices, target):
     """The kernel's verdict on a context holding one target: None when
-    skipped, '' when the claim holds, else the violation text."""
+    skipped, False when the claim holds, True when it fails at that target."""
     cases = kernel(tally, ctx, indices)
     if tally.skipped:
-        assert cases == 0
+        assert (cases, tally.findings) == (0, [])
         return None
     assert cases == 1
-    assert len(tally.counterexamples) <= 1
-    return tally.counterexamples[0].explanation if tally.counterexamples else ""
+    assert len(tally.findings) <= 1
+    assert all(found == target for _, _, found in tally.findings)
+    return bool(tally.findings)
 
 
 @pytest.mark.parametrize("family, bounds", KERNEL_CASES, ids=KERNEL_CASE_IDS)
 def test_transform_kernels_match_object_cases(family, bounds):
-    """Every (labeling, target) verdict of the two transform kernels equals
-    _subdivision_case/_homeomorphism_case on the derived labeled graph."""
+    """Every (labeling, target) verdict of the two transform kernels, and
+    the target it names, equals _subdivision_case/_homeomorphism_case on the
+    derived labeled graph."""
     space = _LabelingSpace(bounds)
     checked = set()
     for g in _graphs(family):
@@ -597,16 +601,12 @@ def test_transform_kernels_match_object_cases(family, bounds):
 
 
 def _check_transform_kernels(g, space, checked):
-    cut = set(cut_edges(g))
-    on_cycle = vertices_on_cycles(g)
     tables = _GraphContext(g)
     assert [t[3] for t in tables.subdivision_targets] == list(g.edges)
     assert [t[4] for t in tables.homeomorphism_targets] == tables.eligible
     kinds = [
-        (_subdivision_kernel, "subdivision_targets",
-         lambda slg, t: _subdivision_case(slg, t[3], cut)),
-        (_homeomorphism_kernel, "homeomorphism_targets",
-         lambda slg, t: _homeomorphism_case(slg, t[4], on_cycle)),
+        (_subdivision_kernel, "subdivision_targets", _subdivision_case),
+        (_homeomorphism_kernel, "homeomorphism_targets", _homeomorphism_case),
     ]
     for indices in _enumerate_indices(g, space):
         slg = derive(g, _labeling_from_indices(g, space, indices))
@@ -616,12 +616,14 @@ def _check_transform_kernels(g, space, checked):
                 ctx = _GraphContext(g)
                 setattr(ctx, table, [target])
                 tally = _Tally(space)
+                expected = case(slg, target[-1])
                 if not balanced:
+                    assert expected is None
                     assert kernel(tally, ctx, indices) == 0
-                    assert (tally.skipped, tally.counterexamples) == (0, [])
+                    assert (tally.skipped, tally.findings) == (0, [])
                     continue
-                expected = case(slg, target)
-                assert _one_target_outcome(kernel, tally, ctx, indices) == expected
+                outcome = _one_target_outcome(kernel, tally, ctx, indices, target[-1])
+                assert outcome == (None if expected is None else bool(expected))
                 checked.add(expected)
 
 
@@ -634,10 +636,96 @@ def test_iasi_kernel_matches_validate_iasi(family, bounds):
         for indices in _enumerate_indices(g, space):
             tally = _Tally(space)
             assert _iasi_kernel(tally, ctx, indices) == 1
-            injective = validate_iasi(derive(g, _labeling_from_indices(g, space, indices)))
-            assert bool(tally.counterexamples) == (not injective)
+            lab = _labeling_from_indices(g, space, indices)
+            injective = validate_iasi(derive(g, lab))
+            assert tally.findings == ([] if injective else [(g, lab, None)])
             verdicts.add(injective)
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Reports against an object-level recomputation
+# ---------------------------------------------------------------------------
+
+MEMBER_THEOREMS = [tid for tid, exp in _EXPERIMENTS.items() if not exp.on_pairs]
+COMPLETENESS_CASES = KERNEL_CASES + [
+    ("connected:4", SearchBounds(3, 3, odd_ratios_only=True)),
+    ("connected:4", SearchBounds(4, 2, require_strict_universe=True)),
+]
+COMPLETENESS_IDS = KERNEL_CASE_IDS + ["connected:4-(3,3)-odd", "connected:4-(4,2)-strict"]
+# The members each balance direction applies to; the others are skipped.
+BALANCE_MEMBERS = {
+    TheoremId.BALANCE_BIPARTITE_FWD: is_bipartite,
+    TheoremId.BALANCE_BIPARTITE_REV: lambda g: not is_bipartite(g),
+}
+
+
+def _object_level_run(tid, graphs, bounds):
+    """(cases, skipped, Counter of (graph, labeling, explanation)) of one
+    member experiment, from the unpruned enumeration, derive and the
+    record's explain at every target of every labeling."""
+    explain = _EXPERIMENTS[tid].explain
+    cases = skipped = 0
+    found = Counter()
+    for g in graphs:
+        if tid in BALANCE_MEMBERS and not BALANCE_MEMBERS[tid](g):
+            skipped += 1
+            continue
+        if tid is TheoremId.BALANCE_BIPARTITE_FWD:
+            lab = construct_balanced_bipartite_labeling(g)
+            text = explain(derive(g, lab), _CONSTRUCTED)
+            if text:
+                found[g, lab, text] += 1
+        targets = {
+            TheoremId.SUBDIVISION: g.edges,
+            TheoremId.HOMEOMORPHISM: [
+                v for v in g.vertices if g.degree(v) == 2 and not in_triangle(g, v)
+            ],
+        }.get(tid, [None])
+        for lab in enumerate_aiasl(g, bounds, prune=False):
+            slg = derive(g, lab)
+            for target in targets:
+                text = explain(slg, target)
+                if text is None:
+                    # Only a balanced labeling's collisions count as skipped.
+                    skipped += tid is TheoremId.SUBDIVISION and is_balanced_fast(slg)[0]
+                    continue
+                cases += 1
+                if text:
+                    found[g, lab, text] += 1
+    return cases, skipped, found
+
+
+@pytest.mark.parametrize("tid", MEMBER_THEOREMS, ids=lambda tid: tid.value)
+@pytest.mark.parametrize("family, bounds", COMPLETENESS_CASES, ids=COMPLETENESS_IDS)
+def test_reports_equal_an_object_level_recomputation(tid, family, bounds):
+    """No counterexample is missed or invented, and cases and skips match:
+    the report equals a recomputation from the unpruned enumeration and the
+    object-level case functions, with no index-space kernel."""
+    report = verify_theorem(tid, family if isinstance(family, str) else [family], bounds)
+    got = Counter((ce.graph, ce.labeling, ce.explanation) for ce in report.counterexamples)
+    cases, skipped, found = _object_level_run(tid, _graphs(family), bounds)
+    assert (report.cases_checked, report.skipped, got) == (cases, skipped, found)
+    assert cases + skipped > 0
+
+
+def test_replay_refuses_a_finding_at_the_wrong_target(monkeypatch):
+    """A HOMEOMORPHISM kernel that names the off-cycle vertex e instead of
+    the cycle vertex it transformed must not pass replay."""
+    g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("d", "e"), ("e", "f")])
+    bounds = SearchBounds(2, 2)
+    report = verify_theorem(TheoremId.HOMEOMORPHISM, [g], bounds)
+    assert {ce.explanation.split(":")[0] for ce in report.counterexamples} == {
+        "vertex a", "vertex b", "vertex c"
+    }
+    true_targets = _GraphContext.homeomorphism_targets.func
+    monkeypatch.setattr(
+        _GraphContext,
+        "homeomorphism_targets",
+        property(lambda ctx: [t[:4] + ("e",) for t in true_targets(ctx)]),
+    )
+    with pytest.raises(AssertionError, match="HOMEOMORPHISM finding failed to replay at 'e'"):
+        verify_theorem(TheoremId.HOMEOMORPHISM, [g], bounds)
 
 
 def test_pair_sum_memo_matches_sumset():
@@ -665,7 +753,7 @@ def test_pair_sum_memo_is_filled_only_when_read():
     bounds = SearchBounds(8, 3)
     assert _LabelingSpace(bounds)._sums == {}
     tally = _run(_EXPERIMENTS[TheoremId.BALANCE_BIPARTITE_REV], [cycle_graph(3)], bounds)
-    assert tally.counterexamples  # the run enumerated labelings
+    assert tally.findings  # the run enumerated labelings
     assert tally.space._sums == {} and "_index" not in vars(tally.space)
     tally = _run(_EXPERIMENTS[TheoremId.SUBDIVISION], [cycle_graph(3)], bounds)
     assert tally.space._sums
