@@ -124,6 +124,9 @@ def parse_graph(text: str) -> Graph:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        if any(p.startswith("#") for p in parts):
+            # format_graph would write this id first on a line, as a comment.
+            raise ParseError("a vertex id may not begin with '#'", lineno)
         if parts[0] == "vertex":
             if len(parts) != 2:
                 raise ParseError("expected 'vertex <id>'", lineno)

@@ -112,7 +112,8 @@ def parse_labeling(text: str) -> Labeling:
             continue
         if ":" not in line:
             raise ParseError(f"expected 'vertex: {{a,b,c}}', got {line!r}", lineno)
-        vertex, literal = line.split(":", 1)
+        # A set literal holds no ':', so a vertex id may.
+        vertex, literal = line.rsplit(":", 1)
         vertex = vertex.strip()
         if not vertex:
             raise ParseError("missing vertex id before ':'", lineno)

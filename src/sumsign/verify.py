@@ -38,6 +38,7 @@ from .graphs import (
     fundamental_cycle_masks,
     in_triangle,
     is_bipartite,
+    spanning_forest,
     vertices_on_cycles,
 )
 from .intsets import (
@@ -283,6 +284,111 @@ class _LabelingSpace:
         return self.odd[i] >> j & 1
 
 
+def _walk(
+    g: Graph, space: _LabelingSpace, prune: bool = True, balanced: bool = False
+) -> tuple[list[int], int, Iterator[int]]:
+    """The odometer every labeling walk shares: ``(assign, last, masks)``.
+
+    ``assign`` holds one set index per vertex, in ``g.vertices`` order. The
+    generator ``masks`` assigns every vertex but the one at position
+    ``last``, injectively and with each candidate set in canonical order,
+    and yields once per such prefix, with the prefix in ``assign``: the
+    bitmask of the sets the last vertex may take. The caller expands or
+    counts that mask, so the last level costs no stack step.
+
+    The plain walk assigns vertices in sorted order; with ``prune`` each one
+    is cut by its earlier neighbours' ``compat`` rows. The balanced walk
+    assigns them in ``spanning_forest`` order and keeps a potential s per
+    vertex: s = 0 at a root, and s(i) = s(p0) xor p(p0, i) below its forest
+    parent p0, where p is the negative-edge parity. Each other earlier
+    neighbour q must then close an even cycle, p(q, i) = s(q) xor s(i), so
+    it cuts the candidates to ``x`` or ``~x``, x = odd[a_q] ^ odd[a_p0].
+    A signed graph is balanced iff such potentials exist (Harary 1953), and
+    they are unique once the roots are fixed, so the balanced walk reaches
+    each balanced labeling once and no other. g must have a vertex.
+    """
+    verts = g.vertices
+    n = len(verts)
+    pos = {v: i for i, v in enumerate(verts)}
+    order, parent = spanning_forest(g) if balanced else (verts, {})
+    rank = {v: r for r, v in enumerate(order)}
+    # Per level: the vertex position, the earlier neighbours whose compat
+    # rows cut it, its forest parent (-1 for a root or in the plain walk) and
+    # the other earlier neighbours whose potentials cut it.
+    levels = []
+    for v in order:
+        before = [pos[w] for w in g.neighbors(v) if rank[w] < rank[v]]
+        p0 = pos[parent[v]] if parent.get(v) is not None else -1
+        others = [q for q in before if q != p0] if balanced else []
+        levels.append((pos[v], before if prune else [], p0, others))
+    compat, odd = space.compat, space.odd
+    full = (1 << len(space.sets)) - 1
+    assign = [0] * n
+    potential = [0] * n
+
+    def candidates(level: int, used: int) -> int:
+        _, before, p0, others = levels[level]
+        allowed = full & ~used
+        for q in before:
+            allowed &= compat[assign[q]]
+        if others:
+            odd0, s0 = odd[assign[p0]], potential[p0]
+            for q in others:
+                x = odd[assign[q]] ^ odd0
+                allowed &= x if potential[q] != s0 else ~x
+        return allowed
+
+    def masks() -> Iterator[int]:
+        last = n - 1
+        if last == 0:
+            yield candidates(0, 0)
+            return
+        # rem[i]: the sets level i has still to try; used[i]: the sets the
+        # levels before i hold.
+        rem = [candidates(0, 0)] + [0] * (last - 1)
+        used = [0] * last
+        i = 0
+        while i >= 0:
+            m = rem[i]
+            if not m:
+                i -= 1
+                continue
+            low = m & -m
+            rem[i] = m ^ low
+            j = low.bit_length() - 1
+            v, _, p0, _ = levels[i]
+            assign[v] = j
+            if p0 >= 0:
+                potential[v] = potential[p0] ^ (odd[assign[p0]] >> j & 1)
+            if i + 1 == last:
+                yield candidates(last, used[i] | low)
+            else:
+                used[i + 1] = used[i] | low
+                i += 1
+                rem[i] = candidates(i, used[i])
+
+    return assign, levels[-1][0], masks()
+
+
+def _visit(
+    g: Graph, space: _LabelingSpace, prune: bool = True, balanced: bool = False
+) -> Iterator[tuple[int, ...]]:
+    """Expand each mask of ``_walk`` into set-index tuples, in ``g.vertices``
+    order. With ``balanced`` these are the labelings of ``_enumerate_indices``
+    whose signed graph is balanced, each once, in the balanced walk's order.
+    The empty graph has one labeling, the empty one."""
+    if not g.vertices:
+        yield ()
+        return
+    assign, last, masks = _walk(g, space, prune, balanced)
+    for allowed in masks:
+        while allowed:
+            low = allowed & -allowed
+            assign[last] = low.bit_length() - 1
+            yield tuple(assign)
+            allowed ^= low
+
+
 def _enumerate_indices(
     g: Graph, space: _LabelingSpace, prune: bool = True
 ) -> Iterator[tuple[int, ...]]:
@@ -292,43 +398,31 @@ def _enumerate_indices(
     order, so the output order is the same with pruning on or off; pruning
     only skips branches every completion of which would fail the per-edge
     admissibility filter.
+
+    This visiting walk serves BALANCE_BIPARTITE_FWD, IASI_INJECTIVITY,
+    ``enumerate_aiasl`` and ``count_aiasl``, which read every labeling.
+    SUBDIVISION and HOMEOMORPHISM read only balanced labelings and walk
+    ``_visit(..., balanced=True)``; BALANCE_BIPARTITE_REV takes its cases
+    from ``_count_indices`` and its findings from that balanced walk.
     """
-    verts = g.vertices
-    pos = {v: i for i, v in enumerate(verts)}
-    nbrs_before = [
-        [pos[w] for w in g.neighbors(v) if pos[w] < i] for i, v in enumerate(verts)
-    ]
-    nsets = len(space.sets)
-    full = (1 << nsets) - 1
-    compat = space.compat if prune else None
-    assign = [0] * len(verts)
-
-    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if i == len(verts):
-            yield tuple(assign)
-            return
-        allowed = full & ~used
-        if compat is not None:
-            for p in nbrs_before[i]:
-                allowed &= compat[assign[p]]
-        m = allowed
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            assign[i] = j
-            yield from rec(i + 1, used | low)
-            m ^= low
-
     if prune:
-        yield from rec(0, 0)
-    else:
-        for combo in rec(0, 0):
-            ok = all(
-                space.pair_allowed(combo[pos[u]], combo[pos[v]])[0]
-                for u, v in g.edges
-            )
-            if ok:
-                yield combo
+        return _visit(g, space)
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    return (
+        combo
+        for combo in _visit(g, space, prune=False)
+        if all(
+            space.pair_allowed(combo[pos[u]], combo[pos[v]])[0] for u, v in g.edges
+        )
+    )
+
+
+def _count_indices(g: Graph, space: _LabelingSpace) -> int:
+    """len(list(_enumerate_indices(g, space))), adding up the last vertex's
+    candidate masks instead of visiting each set."""
+    if not g.vertices:
+        return 1
+    return sum(allowed.bit_count() for allowed in _walk(g, space)[2])
 
 
 def _check_vertex_bound(g: Graph, b: SearchBounds) -> None:
@@ -600,11 +694,15 @@ class _Experiment:
     labeling of each member that ``applies`` accepts, after
     ``member_check(tally, ctx)``. It returns the cases it checked and records
     each failure with ``tally.found``. A rejected member counts as skipped
-    only with ``counts_skips``. ``explain(slg, target)`` re-checks the claim
-    at one recorded target of the re-derived signed labeled graph with public
-    object-level functions only, and returns the violation text there, or
-    '' or None where the claim holds or does not apply. ``notes`` builds the
-    report notes from the finished tally.
+    only with ``counts_skips``. With ``balanced_only`` the kernel sees only
+    the balanced labelings, else every labeling, both from ``_visit``. With
+    ``counts_labelings`` every labeling of a member is one case, counted by
+    ``_count_indices``, and the kernel's return is not read.
+    ``explain(slg, target)`` re-checks the claim at one recorded target of
+    the re-derived signed labeled graph with public object-level functions
+    only, and returns the violation text there, or '' or None where the
+    claim holds or does not apply. ``notes`` builds the report notes from
+    the finished tally.
     """
 
     kernel: Callable[..., int]
@@ -614,6 +712,8 @@ class _Experiment:
     applies: Callable[[_GraphContext], bool] | None = None
     counts_skips: bool = False
     member_check: Callable[[_Tally, _GraphContext], None] | None = None
+    balanced_only: bool = False
+    counts_labelings: bool = False
 
 
 def _run(exp: _Experiment, graphs: Sequence[Graph], bounds: SearchBounds) -> _Tally:
@@ -636,8 +736,10 @@ def _run(exp: _Experiment, graphs: Sequence[Graph], bounds: SearchBounds) -> _Ta
             continue
         if exp.member_check is not None:
             exp.member_check(tally, ctx)
-        for indices in _enumerate_indices(g, tally.space):
-            tally.cases += exp.kernel(tally, ctx, indices)
+        cases = 0
+        for indices in _visit(g, tally.space, balanced=exp.balanced_only):
+            cases += exp.kernel(tally, ctx, indices)
+        tally.cases += _count_indices(g, tally.space) if exp.counts_labelings else cases
     return tally
 
 
@@ -870,6 +972,8 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
         kernel=_balance_kernel,
         applies=lambda ctx: not ctx.bipartite,
         counts_skips=True,
+        balanced_only=True,
+        counts_labelings=True,
         explain=_balance_case,
         notes=lambda tally: [
             "claim: a balanced labeled graph has a bipartite underlying graph",
@@ -878,6 +982,7 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
     ),
     TheoremId.SUBDIVISION: _Experiment(
         kernel=_subdivision_kernel,
+        balanced_only=True,
         explain=_subdivision_case,
         notes=lambda tally: [
             "claim: subdividing an edge of a balanced labeled graph preserves balance iff the edge is a cut edge",
@@ -888,6 +993,7 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
     TheoremId.HOMEOMORPHISM: _Experiment(
         kernel=_homeomorphism_kernel,
         applies=lambda ctx: bool(ctx.eligible),
+        balanced_only=True,
         explain=_homeomorphism_case,
         notes=lambda tally: [
             "claim: removing a triangle-free degree-2 vertex and joining its neighbors preserves balance iff the vertex lies on no cycle",

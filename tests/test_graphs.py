@@ -101,6 +101,17 @@ class TestGraphFormat:
                 parse_graph(text)
             assert exc.value.line == text.count("\n")
 
+    def test_hash_vertex_id_is_refused(self):
+        # format_graph would write the edge (#x, y) as "#x y", a comment line.
+        for text in ("y #x\n", "a b\nvertex #x\n"):
+            with pytest.raises(ParseError, match="may not begin with '#'") as exc:
+                parse_graph(text)
+            assert exc.value.line == text.count("\n")
+        # Ordinary ids, a '#' inside one included, still round-trip.
+        for g in (Graph(["a", "b", "x#"], [("a", "x#"), ("b", "x#")]),
+                  Graph(["u-1", "v.2", "w_3", "lonely"], [("u-1", "v.2")])):
+            assert parse_graph(format_graph(g)) == g
+
     def test_comments_and_blanks(self):
         g = parse_graph("# a comment\n\na b\nvertex z\n")
         assert g.vertices == ("a", "b", "z")

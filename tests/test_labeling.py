@@ -238,6 +238,11 @@ class TestLabelingFormat:
         labeling = lab(8, u=[0, 1], v=[0, 2], w=[0, 2, 4])
         assert parse_labeling(format_labeling(labeling)) == labeling
 
+    def test_vertex_id_with_colon_round_trips(self):
+        labeling = Labeling(3, {"a:b": {0, 1}, "c": {2}})
+        assert format_labeling(labeling) == "universe_max = 3\na:b: {0,1}\nc: {2}\n"
+        assert parse_labeling(format_labeling(labeling)) == labeling
+
     def test_inferred_universe(self):
         labeling = parse_labeling("u: {0,5}\nv: {1}\n")
         assert labeling.universe_max == 5

@@ -2,7 +2,7 @@
 
 import hashlib
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -24,6 +24,7 @@ from sumsign.labeling import Labeling, derive, validate_aiasl, validate_iasi
 from sumsign.verify import (
     _CONSTRUCTED,
     _EXPERIMENTS,
+    _count_indices,
     _MAX_CANDIDATE_SETS,
     _enumerate_indices,
     _GraphContext,
@@ -36,6 +37,7 @@ from sumsign.verify import (
     _subdivision_case,
     _subdivision_kernel,
     _Tally,
+    _visit,
     SearchBounds,
     TheoremId,
     Verdict,
@@ -707,6 +709,58 @@ def test_reports_equal_an_object_level_recomputation(tid, family, bounds):
     cases, skipped, found = _object_level_run(tid, _graphs(family), bounds)
     assert (report.cases_checked, report.skipped, got) == (cases, skipped, found)
     assert cases + skipped > 0
+
+
+# ---------------------------------------------------------------------------
+# The labeling walks: visiting, count and balanced modes
+# ---------------------------------------------------------------------------
+
+def _lexicographic_walk(g, space):
+    """Every injective index tuple, in lexicographic order, kept when each
+    edge's pair is admissible."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    return [
+        combo
+        for combo in permutations(range(len(space.sets)), g.n)
+        if all(space.pair_allowed(combo[pos[u]], combo[pos[v]])[0] for u, v in g.edges)
+    ]
+
+
+@pytest.mark.parametrize(
+    "family, bounds",
+    [("connected:3", SearchBounds(3, 3)), (C4_PLUS_K2, SearchBounds(2, 2))],
+    ids=["connected:3-(3,3)", "C4+K2-(2,2)"],
+)
+def test_visiting_order_is_lexicographic(family, bounds):
+    space = _LabelingSpace(bounds)
+    for g in _graphs(family):
+        walked = list(_enumerate_indices(g, space))
+        assert walked  # compared unsorted: the order itself is checked
+        assert walked == _lexicographic_walk(g, space)
+
+
+WALK_CASES = COMPLETENESS_CASES + [
+    (Graph(["a", "b", "c", "z"], [("a", "b"), ("b", "c"), ("a", "c")]), SearchBounds(3, 3)),
+    (Graph(["a"]), SearchBounds(3, 2)),
+    (Graph([]), SearchBounds(3, 2)),
+]
+WALK_IDS = COMPLETENESS_IDS + ["K3+isolated-(3,3)", "K1-(3,2)", "empty-(3,2)"]
+
+
+@pytest.mark.parametrize("family, bounds", WALK_CASES, ids=WALK_IDS)
+def test_count_and_balanced_modes_equal_the_filtered_walk(family, bounds):
+    """Count mode counts the visiting walk; the balanced mode yields each
+    labeling that negative_mask plus balanced keeps, once, and no other."""
+    space = _LabelingSpace(bounds)
+    for g in _graphs(family):
+        ctx = _GraphContext(g)
+        every = list(_enumerate_indices(g, space))
+        assert _count_indices(g, space) == len(every)
+        balanced = list(_visit(g, space, balanced=True))
+        assert len(set(balanced)) == len(balanced)
+        assert set(balanced) == {
+            indices for indices in every if ctx.balanced(ctx.negative_mask(space, indices))
+        }
 
 
 def test_replay_refuses_a_finding_at_the_wrong_target(monkeypatch):
