@@ -265,26 +265,36 @@ def simple_cycles(g: Graph, max_vertices: int = DEFAULT_CYCLE_BOUND) -> list[tup
     (length, sequence). Raises BoundExceeded when |V| > max_vertices.
     """
     _check_cycle_bound(g, max_vertices)
+    adj = g._adj
+    # Peel vertices of degree < 2 until the 2-core is left: no cycle passes
+    # through a peeled vertex, so none of them anchors a search.
+    degree = {v: len(ns) for v, ns in adj.items()}
+    peel = [v for v, d in degree.items() if d < 2]
+    for v in peel:
+        for w in adj[v]:
+            degree[w] -= 1
+            if degree[w] == 1:
+                peel.append(w)
     cycles: list[tuple[str, ...]] = []
-    path: list[str] = []
-    on_path: set[str] = set()
-
-    def extend(anchor: str, v: str) -> None:
-        for w in g.neighbors(v):
-            if w == anchor:
-                if len(path) >= 3 and path[1] < path[-1]:
-                    cycles.append(tuple(path))
-            elif w > anchor and w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                extend(anchor, w)
-                path.pop()
-                on_path.remove(w)
-
-    for s in g.vertices:
+    for s in sorted(set(adj).difference(peel)):
+        # Depth-first over the paths from s through larger vertices, one
+        # neighbour iterator per path vertex, so long paths need no recursion.
         path = [s]
         on_path = {s}
-        extend(s, s)
+        stack = [iter(adj[s])]
+        while stack:
+            for w in stack[-1]:
+                if w == s:
+                    if len(path) >= 3 and path[1] < path[-1]:
+                        cycles.append(tuple(path))
+                elif w > s and w not in on_path:
+                    path.append(w)
+                    on_path.add(w)
+                    stack.append(iter(adj[w]))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
     cycles.sort(key=lambda c: (len(c), c))
     return cycles
 

@@ -1,9 +1,9 @@
 """Exhaustive desk-scale labeling enumeration and claim verification.
 
 Each claim about sumset-signed graphs is one record of ``_EXPERIMENTS``: a
-kernel run on every admissible label pair or every enumerated labeling
-inside finite search bounds, a filter for the family members it applies
-to, an explain function and the report notes. One runner drives them all.
+search run on every admissible label pair or on every family member inside
+finite search bounds, which picks its own labeling walk and its own skips,
+an explain function and the report notes. One runner drives them all.
 The report either confirms the claim within bounds or lists every
 counterexample, smallest first, each replayed through the public pipeline.
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import islice, permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .balance import SignedGraph, is_balanced_fast
@@ -162,42 +163,30 @@ class VerificationReport:
 # The labeling search space
 # ---------------------------------------------------------------------------
 
+def _progressions(universe_max: int, max_size: int) -> Iterator[IntegerSet]:
+    """The progression-valued subsets of {0..universe_max} up to max_size,
+    generated in canonical order: by length, then first element, then
+    difference, which is the order of (size, elements)."""
+    for first in range(universe_max + 1):
+        yield IntegerSet([first])
+    for length in range(2, min(max_size, universe_max + 1) + 1):
+        for first in range(universe_max + 1):
+            for diff in range(1, (universe_max - first) // (length - 1) + 1):
+                yield IntegerSet(range(first, first + length * diff, diff))
+
+
 def ap_sets(universe_max: int, max_size: int) -> tuple[IntegerSet, ...]:
     """All progression-valued subsets of {0..universe_max} up to max_size.
 
     Canonical order: by (size, elements). Singletons come first, so searches
     visit small label masses early.
     """
-    out: list[IntegerSet] = []
-    for first in range(universe_max + 1):
-        out.append(IntegerSet([first]))
-    for length in range(2, min(max_size, universe_max + 1) + 1):
-        for diff in range(1, universe_max + 1):
-            top_first = universe_max - (length - 1) * diff
-            if top_first < 0:
-                break
-            for first in range(top_first + 1):
-                out.append(IntegerSet(first + i * diff for i in range(length)))
-    return tuple(sorted(out, key=lambda s: (len(s), s.elements)))
+    return tuple(_progressions(universe_max, max_size))
 
 
 # Most candidate sets one search space may hold; its build checks every
 # pair, so its time grows as the square of this count.
 _MAX_CANDIDATE_SETS = 2000
-
-
-def _ap_set_count(universe_max: int, max_size: int) -> int:
-    """len(ap_sets(...)) without building the sets; stops once over the cap.
-
-    Length gap+1 and difference d leave universe_max - gap*d + 1 first elements.
-    """
-    count = universe_max + 1
-    for gap in range(1, min(max_size, universe_max + 1)):
-        top = universe_max // gap
-        count += top * (universe_max + 1) - gap * top * (top + 1) // 2
-        if count > _MAX_CANDIDATE_SETS:
-            break
-    return count
 
 
 class _LabelingSpace:
@@ -218,14 +207,15 @@ class _LabelingSpace:
     """
 
     def __init__(self, bounds: SearchBounds):
-        if _ap_set_count(bounds.universe_max, bounds.max_label_size) > _MAX_CANDIDATE_SETS:
+        sets = _progressions(bounds.universe_max, bounds.max_label_size)
+        self.sets = tuple(islice(sets, _MAX_CANDIDATE_SETS + 1))
+        if len(self.sets) > _MAX_CANDIDATE_SETS:
             raise BoundExceeded(
                 f"search space limited to {_MAX_CANDIDATE_SETS} candidate label sets, "
                 f"universe_max={bounds.universe_max} "
                 f"max_label_size={bounds.max_label_size} gives more"
             )
         self.bounds = bounds
-        self.sets = ap_sets(bounds.universe_max, bounds.max_label_size)
         self.profiles: list[ApProfile] = []
         for s in self.sets:
             p = ap_profile(s)
@@ -285,7 +275,7 @@ class _LabelingSpace:
 
 
 def _walk(
-    g: Graph, space: _LabelingSpace, prune: bool = True, balanced: bool = False
+    g: Graph, space: _LabelingSpace, balanced: bool = False
 ) -> tuple[list[int], int, Iterator[int]]:
     """The odometer every labeling walk shares: ``(assign, last, masks)``.
 
@@ -296,13 +286,13 @@ def _walk(
     bitmask of the sets the last vertex may take. The caller expands or
     counts that mask, so the last level costs no stack step.
 
-    The plain walk assigns vertices in sorted order; with ``prune`` each one
-    is cut by its earlier neighbours' ``compat`` rows. The balanced walk
-    assigns them in ``spanning_forest`` order and keeps a potential s per
-    vertex: s = 0 at a root, and s(i) = s(p0) xor p(p0, i) below its forest
-    parent p0, where p is the negative-edge parity. Each other earlier
-    neighbour q must then close an even cycle, p(q, i) = s(q) xor s(i), so
-    it cuts the candidates to ``x`` or ``~x``, x = odd[a_q] ^ odd[a_p0].
+    Each vertex is cut by its earlier neighbours' ``compat`` rows. The plain
+    walk assigns vertices in sorted order. The balanced walk assigns them in
+    ``spanning_forest`` order and keeps a potential s per vertex: s = 0 at
+    a root, and s(i) = s(p0) xor p(p0, i) below its forest parent p0, where
+    p is the negative-edge parity. Each other earlier neighbour q must then
+    close an even cycle, p(q, i) = s(q) xor s(i), so it cuts the candidates
+    to ``x`` or ``~x``, x = odd[a_q] ^ odd[a_p0].
     A signed graph is balanced iff such potentials exist (Harary 1953), and
     they are unique once the roots are fixed, so the balanced walk reaches
     each balanced labeling once and no other. g must have a vertex.
@@ -320,7 +310,7 @@ def _walk(
         before = [pos[w] for w in g.neighbors(v) if rank[w] < rank[v]]
         p0 = pos[parent[v]] if parent.get(v) is not None else -1
         others = [q for q in before if q != p0] if balanced else []
-        levels.append((pos[v], before if prune else [], p0, others))
+        levels.append((pos[v], before, p0, others))
     compat, odd = space.compat, space.odd
     full = (1 << len(space.sets)) - 1
     assign = [0] * n
@@ -371,7 +361,7 @@ def _walk(
 
 
 def _visit(
-    g: Graph, space: _LabelingSpace, prune: bool = True, balanced: bool = False
+    g: Graph, space: _LabelingSpace, balanced: bool = False
 ) -> Iterator[tuple[int, ...]]:
     """Expand each mask of ``_walk`` into set-index tuples, in ``g.vertices``
     order. With ``balanced`` these are the labelings of ``_enumerate_indices``
@@ -380,7 +370,7 @@ def _visit(
     if not g.vertices:
         yield ()
         return
-    assign, last, masks = _walk(g, space, prune, balanced)
+    assign, last, masks = _walk(g, space, balanced)
     for allowed in masks:
         while allowed:
             low = allowed & -allowed
@@ -392,28 +382,23 @@ def _visit(
 def _enumerate_indices(
     g: Graph, space: _LabelingSpace, prune: bool = True
 ) -> Iterator[tuple[int, ...]]:
-    """All injective admissible assignments, as set-index tuples.
+    """All injective admissible assignments, as set-index tuples, in
+    lexicographic order: vertices sorted, candidate sets in canonical order.
 
-    Vertices are assigned in sorted order and candidate sets in canonical
-    order, so the output order is the same with pruning on or off; pruning
-    only skips branches every completion of which would fail the per-edge
-    admissibility filter.
-
-    This visiting walk serves BALANCE_BIPARTITE_FWD, IASI_INJECTIVITY,
-    ``enumerate_aiasl`` and ``count_aiasl``, which read every labeling.
-    SUBDIVISION and HOMEOMORPHISM read only balanced labelings and walk
-    ``_visit(..., balanced=True)``; BALANCE_BIPARTITE_REV takes its cases
-    from ``_count_indices`` and its findings from that balanced walk.
+    With ``prune`` this is the visiting walk ``_visit``. Without it, the
+    injective tuples of ``itertools.permutations`` are filtered through the
+    ``compat`` rows: the same tuples in the same order from code that shares
+    nothing with the walk, the reference the walk is checked against.
     """
     if prune:
         return _visit(g, space)
     pos = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(pos[u], pos[v]) for u, v in g.edges]
+    compat = space.compat
     return (
         combo
-        for combo in _visit(g, space, prune=False)
-        if all(
-            space.pair_allowed(combo[pos[u]], combo[pos[v]])[0] for u, v in g.edges
-        )
+        for combo in permutations(range(len(space.sets)), g.n)
+        if all(compat[combo[a]] >> combo[b] & 1 for a, b in ends)
     )
 
 
@@ -447,8 +432,8 @@ def enumerate_aiasl(
     """Every injective progression labeling of g admissible under b.
 
     Deterministic canonical order. With prune=False the same labelings are
-    produced by filtering complete assignments instead of cutting branches,
-    which exists as a cross-check of the pruning logic.
+    produced by filtering every injective assignment instead of walking the
+    pruned search tree, which exists as a cross-check of the walk.
     """
     _check_vertex_bound(g, b)
     space = _LabelingSpace(b)
@@ -689,61 +674,44 @@ class _Tally:
 class _Experiment:
     """How one claim is checked.
 
-    ``kernel`` runs as ``kernel(tally, i, j)`` per admissible label pair
-    i < j on K2 (``on_pairs``), or else as ``kernel(tally, ctx, indices)`` per
-    labeling of each member that ``applies`` accepts, after
-    ``member_check(tally, ctx)``. It returns the cases it checked and records
-    each failure with ``tally.found``. A rejected member counts as skipped
-    only with ``counts_skips``. With ``balanced_only`` the kernel sees only
-    the balanced labelings, else every labeling, both from ``_visit``. With
-    ``counts_labelings`` every labeling of a member is one case, counted by
-    ``_count_indices``, and the kernel's return is not read.
-    ``explain(slg, target)`` re-checks the claim at one recorded target of
-    the re-derived signed labeled graph with public object-level functions
-    only, and returns the violation text there, or '' or None where the
-    claim holds or does not apply. ``notes`` builds the report notes from
-    the finished tally.
+    With ``on_pairs``, ``search(tally, i, j)`` runs once per admissible
+    label pair i < j on K2, and each pair is one case. Otherwise
+    ``search(tally, ctx)`` runs once per family member; it picks its own
+    walk, adds its cases and skips to the tally, and returns nothing. Both
+    record each failure with ``tally.found``. ``explain(slg, target)``
+    re-checks the claim at one recorded target of the re-derived signed
+    labeled graph with public object-level functions only, and returns the
+    violation text there, or '' or None where the claim holds or does not
+    apply. ``notes`` builds the report notes from the finished tally.
     """
 
-    kernel: Callable[..., int]
+    search: Callable[..., None]
     explain: Callable[[SignedLabeledGraph, object], str | None]
     notes: Callable[[_Tally], list[str]]
     on_pairs: bool = False
-    applies: Callable[[_GraphContext], bool] | None = None
-    counts_skips: bool = False
-    member_check: Callable[[_Tally, _GraphContext], None] | None = None
-    balanced_only: bool = False
-    counts_labelings: bool = False
 
 
 def _run(exp: _Experiment, graphs: Sequence[Graph], bounds: SearchBounds) -> _Tally:
-    """Run one experiment's kernel over its whole search space."""
+    """Run one experiment's search over its whole space, after checking
+    every given graph against the vertex bound."""
     tally = _Tally(_LabelingSpace(bounds))
+    for g in graphs:
+        _check_vertex_bound(g, bounds)
     if exp.on_pairs:
         for i, row in enumerate(tally.space.compat):
             m = row >> i + 1 << i + 1
             while m:
                 low = m & -m
-                tally.cases += exp.kernel(tally, i, low.bit_length() - 1)
+                exp.search(tally, i, low.bit_length() - 1)
+                tally.cases += 1
                 m ^= low
         return tally
     for g in graphs:
-        _check_vertex_bound(g, bounds)
-        ctx = _GraphContext(g)
-        if exp.applies is not None and not exp.applies(ctx):
-            if exp.counts_skips:
-                tally.skipped += 1
-            continue
-        if exp.member_check is not None:
-            exp.member_check(tally, ctx)
-        cases = 0
-        for indices in _visit(g, tally.space, balanced=exp.balanced_only):
-            cases += exp.kernel(tally, ctx, indices)
-        tally.cases += _count_indices(g, tally.space) if exp.counts_labelings else cases
+        exp.search(tally, _GraphContext(g))
     return tally
 
 
-# The single edge the pair kernels label: set i on u, set j on v.
+# The single edge the pair searches label: set i on u, set j on v.
 _K2 = Graph(["u", "v"], [("u", "v")])
 _K2_EDGE = _K2.edges[0]
 
@@ -761,11 +729,10 @@ def _positive_edge_case(slg: SignedLabeledGraph, e: Edge) -> str:
     )
 
 
-def _positive_edge_kernel(tally: _Tally, i: int, j: int) -> int:
+def _positive_edge_search(tally: _Tally, i: int, j: int) -> None:
     lab = _labeling_from_indices(_K2, tally.space, (i, j))
     if _positive_edge_case(derive(_K2, lab), _K2_EDGE):
         tally.found(_K2, lab, _K2_EDGE)
-    return 1
 
 
 def _cardinality_case(slg: SignedLabeledGraph, e: Edge) -> str:
@@ -786,14 +753,13 @@ def _cardinality_case(slg: SignedLabeledGraph, e: Edge) -> str:
     )
 
 
-def _cardinality_kernel(tally: _Tally, i: int, j: int) -> int:
+def _cardinality_search(tally: _Tally, i: int, j: int) -> None:
     space = tally.space
     small, large, k = ap_pair(space.profiles[i], space.profiles[j])
     assert k is not None
     actual = len(sumset(space.sets[i], space.sets[j]))
     if ap_sumset_cardinality(small.length, large.length, k) != actual:
         tally.found(_K2, _labeling_from_indices(_K2, space, (i, j)), _K2_EDGE)
-    return 1
 
 
 # The target of a finding on a bipartite member's constructed labeling.
@@ -815,20 +781,37 @@ def _balance_case(slg: SignedLabeledGraph, target: object) -> str:
     )
 
 
-def _check_construction(tally: _Tally, ctx: _GraphContext) -> None:
-    """The constructed labeling of a bipartite member must be balanced."""
-    lab = construct_balanced_bipartite_labeling(ctx.graph)
-    if is_balanced_fast(derive(ctx.graph, lab))[0]:
+def _balance_fwd_search(tally: _Tally, ctx: _GraphContext) -> None:
+    """A bipartite member's constructed labeling and every labeling of it
+    must be balanced; a non-bipartite member is skipped."""
+    g, space = ctx.graph, tally.space
+    if not ctx.bipartite:
+        tally.skipped += 1
+        return
+    lab = construct_balanced_bipartite_labeling(g)
+    if is_balanced_fast(derive(g, lab))[0]:
         tally.constructed_ok += 1
     else:
-        tally.found(ctx.graph, lab, _CONSTRUCTED)
+        tally.found(g, lab, _CONSTRUCTED)
+    cases = 0
+    for indices in _visit(g, space):
+        cases += 1
+        if not ctx.balanced(ctx.negative_mask(space, indices)):
+            tally.found(g, _labeling_from_indices(g, space, indices))
+    tally.cases += cases
 
 
-def _balance_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
-    """Balanced iff bipartite, in the direction ``applies`` selected."""
-    if ctx.balanced(ctx.negative_mask(tally.space, indices)) != ctx.bipartite:
-        tally.found(ctx.graph, _labeling_from_indices(ctx.graph, tally.space, indices))
-    return 1
+def _balance_rev_search(tally: _Tally, ctx: _GraphContext) -> None:
+    """A non-bipartite member must have no balanced labeling: every labeling
+    counts as a case and each one the balanced walk yields is a finding. A
+    bipartite member is skipped."""
+    g, space = ctx.graph, tally.space
+    if ctx.bipartite:
+        tally.skipped += 1
+        return
+    tally.cases += _count_indices(g, space)
+    for indices in _visit(g, space, balanced=True):
+        tally.found(g, _labeling_from_indices(g, space, indices))
 
 
 def _subdivision_case(slg: SignedLabeledGraph, e: Edge) -> str | None:
@@ -868,11 +851,10 @@ def _subdivision_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
 
     Carried edges keep their signs, so the result is balanced iff the edge
     is a cut edge or its pair's subdivision parity is even. An edge whose
-    inherited set labels a vertex is skipped.
+    inherited set labels a vertex is skipped. The labeling must be balanced:
+    the kernel does not check.
     """
     space = tally.space
-    if not ctx.balanced(ctx.negative_mask(space, indices)):
-        return 0
     used = 0
     for k in indices:
         used |= 1 << k
@@ -895,11 +877,10 @@ def _homeomorphism_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
     """Transform every eligible vertex of a balanced labeling, in index space.
 
     The new edge ab replaces the path a-v-b, so the result is balanced iff v
-    lies on no cycle or p(ab) + p(av) + p(vb) is even.
+    lies on no cycle or p(ab) + p(av) + p(vb) is even. The labeling must be
+    balanced: the kernel does not check.
     """
     odd = tally.space.odd
-    if not ctx.balanced(ctx.negative_mask(tally.space, indices)):
-        return 0
     lab: Labeling | None = None
     targets = ctx.homeomorphism_targets
     for p, a, b, on_cycle, v in targets:
@@ -932,14 +913,30 @@ def _iasi_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
     return 1
 
 
-# One record per claim. The transform and injectivity kernels read the
-# index-space tables of _LabelingSpace and _GraphContext; the transforms are
-# called only from the case functions. Traced functions (derive, the
+def _subdivision_search(tally: _Tally, ctx: _GraphContext) -> None:
+    walk = _visit(ctx.graph, tally.space, balanced=True)
+    tally.cases += sum(_subdivision_kernel(tally, ctx, indices) for indices in walk)
+
+
+def _homeomorphism_search(tally: _Tally, ctx: _GraphContext) -> None:
+    if ctx.eligible:
+        walk = _visit(ctx.graph, tally.space, balanced=True)
+        tally.cases += sum(_homeomorphism_kernel(tally, ctx, indices) for indices in walk)
+
+
+def _iasi_search(tally: _Tally, ctx: _GraphContext) -> None:
+    walk = _visit(ctx.graph, tally.space)
+    tally.cases += sum(_iasi_kernel(tally, ctx, indices) for indices in walk)
+
+
+# One record per claim. The searches and their kernels read the index-space
+# tables of _LabelingSpace and _GraphContext; the transforms are called only
+# from the case functions. Traced functions (derive, the
 # transforms, is_balanced_fast, cut_edges) are called by name, never stored
 # here, so a wrapper installed on the module later still sees every call.
 _EXPERIMENTS: dict[TheoremId, _Experiment] = {
     TheoremId.POSITIVE_EDGE: _Experiment(
-        kernel=_positive_edge_kernel,
+        search=_positive_edge_search,
         on_pairs=True,
         explain=_positive_edge_case,
         notes=lambda tally: [
@@ -948,7 +945,7 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
         ],
     ),
     TheoremId.CARDINALITY: _Experiment(
-        kernel=_cardinality_kernel,
+        search=_cardinality_search,
         on_pairs=True,
         explain=_cardinality_case,
         notes=lambda tally: [
@@ -957,10 +954,7 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
         ],
     ),
     TheoremId.BALANCE_BIPARTITE_FWD: _Experiment(
-        kernel=_balance_kernel,
-        applies=lambda ctx: ctx.bipartite,
-        counts_skips=True,
-        member_check=_check_construction,
+        search=_balance_fwd_search,
         explain=_balance_case,
         notes=lambda tally: [
             "claim (universal reading): every admissible labeling of a bipartite graph is balanced",
@@ -969,11 +963,7 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
         ],
     ),
     TheoremId.BALANCE_BIPARTITE_REV: _Experiment(
-        kernel=_balance_kernel,
-        applies=lambda ctx: not ctx.bipartite,
-        counts_skips=True,
-        balanced_only=True,
-        counts_labelings=True,
+        search=_balance_rev_search,
         explain=_balance_case,
         notes=lambda tally: [
             "claim: a balanced labeled graph has a bipartite underlying graph",
@@ -981,8 +971,7 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
         ],
     ),
     TheoremId.SUBDIVISION: _Experiment(
-        kernel=_subdivision_kernel,
-        balanced_only=True,
+        search=_subdivision_search,
         explain=_subdivision_case,
         notes=lambda tally: [
             "claim: subdividing an edge of a balanced labeled graph preserves balance iff the edge is a cut edge",
@@ -991,9 +980,7 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
         ],
     ),
     TheoremId.HOMEOMORPHISM: _Experiment(
-        kernel=_homeomorphism_kernel,
-        applies=lambda ctx: bool(ctx.eligible),
-        balanced_only=True,
+        search=_homeomorphism_search,
         explain=_homeomorphism_case,
         notes=lambda tally: [
             "claim: removing a triangle-free degree-2 vertex and joining its neighbors preserves balance iff the vertex lies on no cycle",
@@ -1001,7 +988,7 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
         ],
     ),
     TheoremId.IASI_INJECTIVITY: _Experiment(
-        kernel=_iasi_kernel,
+        search=_iasi_search,
         explain=_iasi_case,
         notes=lambda tally: [
             "claim: every admissible labeling induces an injective edge-label map",
@@ -1021,8 +1008,9 @@ def verify_theorem(
     ``family`` is either a family spec string (see families.parse_family)
     or an explicit list of graphs; a spec whose members would exceed
     bounds.max_vertices raises BoundExceeded before any graph is built, for
-    every theorem. The pair theorems (POSITIVE_EDGE, CARDINALITY) label one
-    edge, so they check the spec but build none of its graphs.
+    every theorem, and so does an explicit graph over that bound. The pair
+    theorems (POSITIVE_EDGE, CARDINALITY) label one edge, so they check the
+    spec but build none of its graphs.
     Counterexamples are sorted smallest first by (vertex count, total label
     mass) and each one is replayed through the public pipeline before the
     report is returned.
@@ -1035,7 +1023,7 @@ def verify_theorem(
     if isinstance(family, str):
         family_spec = family
         if experiment.on_pairs:
-            # The pair kernels label one edge and read no member graph.
+            # The pair searches label one edge and read no member graph.
             parse_family(family, bounds.max_vertices)
             graphs: tuple[Graph, ...] = ()
         else:

@@ -218,6 +218,16 @@ class TestCheck:
         )
         assert code == 0 and "BALANCED=true" in text
 
+    def test_long_path_under_a_large_cycle_bound_exit_zero(self, files):
+        edges = "".join(f"v{i:05d} v{i + 1:05d}\n" for i in range(4999))
+        labels = "universe_max = 5000\n" + "".join(f"v{i:05d}: {{{i}}}\n" for i in range(5000))
+        code, text = run(
+            ["--cycle-bound", "6000", "check", "balance", "--graph", files("g", edges),
+             "--labeling", files("l", labels)]
+        )
+        assert code == 0
+        assert text.endswith("BALANCED=true\n")
+
     @pytest.mark.parametrize("source", ["flag", "env"])
     def test_negative_cycle_bound_is_input_error(self, files, monkeypatch, capsys, source):
         argv = ["check", "balance", "--graph", files("g", TRIANGLE_GRAPH),

@@ -180,6 +180,16 @@ class TestSimpleCycles:
             simple_cycles(path_graph(13))
         assert simple_cycles(path_graph(13), max_vertices=13) == []
 
+    def test_long_path_and_long_cycle_need_no_recursion(self):
+        names = [f"v{i:05d}" for i in range(5000)]
+        path = Graph(names, list(zip(names, names[1:])))
+        assert simple_cycles(path, max_vertices=6000) == []
+        # Every vertex of a cycle anchors a search, and the first one walks
+        # the whole ring, deeper than the default recursion limit.
+        ring = names[:1500]
+        g = Graph(ring, list(zip(ring, ring[1:])) + [(ring[-1], ring[0])])
+        assert simple_cycles(g, max_vertices=1500) == [tuple(ring)]
+
     def test_cycle_edges(self):
         assert cycle_edges(("a", "b", "c")) == (("a", "b"), ("b", "c"), ("a", "c"))
 

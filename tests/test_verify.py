@@ -41,7 +41,6 @@ from sumsign.verify import (
     SearchBounds,
     TheoremId,
     Verdict,
-    _ap_set_count,
     ap_sets,
     construct_balanced_bipartite_labeling,
     count_aiasl,
@@ -128,16 +127,11 @@ class TestApSets:
         assert len(ap_sets(8, 3)) == 61
 
     def test_canonical_order(self):
-        sets = ap_sets(3, 3)
-        keys = [(len(s), s.elements) for s in sets]
-        assert keys == sorted(keys)
-
-    def test_count_without_building(self):
-        for universe_max in range(13):
-            for max_size in range(1, 8):
-                assert _ap_set_count(universe_max, max_size) == len(
-                    ap_sets(universe_max, max_size)
-                )
+        # The sets are generated in this order, not sorted into it.
+        for universe_max in range(14):
+            for max_size in range(1, 9):
+                keys = [(len(s), s.elements) for s in ap_sets(universe_max, max_size)]
+                assert keys == sorted(set(keys))
 
 
 def oracle_ratio(xs, ys):
@@ -192,6 +186,20 @@ def test_candidate_set_cap():
         count_aiasl(K2, bounds)
     with pytest.raises(BoundExceeded, match="candidate label sets"):
         verify_theorem("CARDINALITY", "triangle", bounds)
+
+
+@pytest.mark.parametrize(
+    "universe_max, max_size, over",
+    [(40, 7, False), (10**9, 3, True), (3, 10**9, False)],
+)
+def test_candidate_set_cap_stops_at_the_first_set_over(universe_max, max_size, over):
+    """The space takes at most one set over the cap, so a huge universe is
+    refused at once and a huge size limit on a small universe is not."""
+    if over:
+        with pytest.raises(BoundExceeded, match="candidate label sets"):
+            _LabelingSpace(SearchBounds(universe_max, max_size))
+    else:
+        assert len(ap_sets(universe_max, max_size)) <= _MAX_CANDIDATE_SETS
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +444,13 @@ class TestVerifyTheorem:
             lambda: list(enumerate_aiasl(path_graph(5), bounds)),
             lambda: count_aiasl(path_graph(5), bounds),
             lambda: verify_theorem("BALANCE_BIPARTITE_FWD", [path_graph(5)], bounds),
+            # The pair theorems label one edge, but still check given graphs.
+            lambda: verify_theorem("POSITIVE_EDGE", [path_graph(5)], bounds),
         ):
             with pytest.raises(BoundExceeded) as exc:
                 search()
             messages.add(str(exc.value))
         assert messages == {"search limited to 4 vertices, graph has 5"}
-        # The pair theorems label one edge and never read the member graphs.
-        rep = verify_theorem("POSITIVE_EDGE", [path_graph(5)], bounds)
-        assert rep.cases_checked > 0
 
     @staticmethod
     def refuse_family_builders(monkeypatch):
@@ -590,9 +597,10 @@ def _one_target_outcome(kernel, tally, ctx, indices, target):
 
 @pytest.mark.parametrize("family, bounds", KERNEL_CASES, ids=KERNEL_CASE_IDS)
 def test_transform_kernels_match_object_cases(family, bounds):
-    """Every (labeling, target) verdict of the two transform kernels, and
-    the target it names, equals _subdivision_case/_homeomorphism_case on the
-    derived labeled graph."""
+    """Every (balanced labeling, target) verdict of the two transform
+    kernels, and the target it names, equals _subdivision_case or
+    _homeomorphism_case on the derived labeled graph; both cases refuse
+    every unbalanced labeling."""
     space = _LabelingSpace(bounds)
     checked = set()
     for g in _graphs(family):
@@ -620,9 +628,9 @@ def _check_transform_kernels(g, space, checked):
                 tally = _Tally(space)
                 expected = case(slg, target[-1])
                 if not balanced:
+                    # The kernels assume a balanced labeling; only the
+                    # object-level case is asked about this one.
                     assert expected is None
-                    assert kernel(tally, ctx, indices) == 0
-                    assert (tally.skipped, tally.findings) == (0, [])
                     continue
                 outcome = _one_target_outcome(kernel, tally, ctx, indices, target[-1])
                 assert outcome == (None if expected is None else bool(expected))
@@ -780,6 +788,35 @@ def test_replay_refuses_a_finding_at_the_wrong_target(monkeypatch):
     )
     with pytest.raises(AssertionError, match="HOMEOMORPHISM finding failed to replay at 'e'"):
         verify_theorem(TheoremId.HOMEOMORPHISM, [g], bounds)
+
+
+def test_a_walk_that_ignores_balanced_does_not_pass(monkeypatch):
+    """The searches trust the balanced walk: if it yields unbalanced
+    labelings too, replay fails or the counts change, never silently."""
+    import sumsign.verify as verify_module
+
+    visit = verify_module._visit
+    monkeypatch.setattr(
+        verify_module, "_visit", lambda g, space, balanced=False: visit(g, space)
+    )
+    bounds = SearchBounds(2, 2)
+    for tid in (TheoremId.BALANCE_BIPARTITE_REV, TheoremId.HOMEOMORPHISM):
+        with pytest.raises(AssertionError, match=f"{tid.value} finding failed to replay"):
+            verify_theorem(tid, "connected:4", bounds)
+    assert verify_theorem(TheoremId.SUBDIVISION, "connected:4", bounds).cases_checked != 2580
+    monkeypatch.undo()
+    assert verify_theorem(TheoremId.SUBDIVISION, "connected:4", bounds).cases_checked == 2580
+
+
+@pytest.mark.parametrize("tid", list(TheoremId), ids=lambda tid: tid.value)
+def test_explicit_graphs_over_the_vertex_bound_are_refused(tid):
+    """A given graph over max_vertices is refused as its spec would be, also
+    by the pair theorems, which never label it."""
+    bounds = SearchBounds(2, 2, max_vertices=3)
+    with pytest.raises(BoundExceeded, match="5 vertices, bound is 3"):
+        verify_theorem(tid, "complete:5", bounds)
+    with pytest.raises(BoundExceeded, match="3 vertices, graph has 5"):
+        verify_theorem(tid, [path_graph(2), complete_graph(5)], bounds)
 
 
 def test_pair_sum_memo_matches_sumset():
