@@ -59,7 +59,7 @@ def _read(path: str) -> str:
 
 def _write(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc.strerror}") from None
 
@@ -337,10 +337,14 @@ def _validate_transform_args(args) -> None:
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
-    if out is None and hasattr(signal, "SIGPIPE"):
-        # Die quietly when a downstream pipe consumer (e.g. head) closes.
-        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    out = out if out is not None else sys.stdout
+    if out is None:
+        if hasattr(signal, "SIGPIPE"):
+            # Die quietly when a downstream pipe consumer (e.g. head) closes.
+            signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+        # Input files are read as UTF-8, so output is written as UTF-8 too,
+        # whatever the locale.
+        sys.stdout.reconfigure(encoding="utf-8")
+        out = sys.stdout
     try:
         args = build_parser().parse_args(argv)
         if args.cycle_bound is None:

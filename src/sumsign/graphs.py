@@ -266,35 +266,47 @@ def simple_cycles(g: Graph, max_vertices: int = DEFAULT_CYCLE_BOUND) -> list[tup
     """
     _check_cycle_bound(g, max_vertices)
     adj = g._adj
-    # Peel vertices of degree < 2 until the 2-core is left: no cycle passes
-    # through a peeled vertex, so none of them anchors a search.
+    # The vertices an unlisted cycle may still pass through, with their
+    # degree among each other. A vertex left with fewer than two neighbours
+    # lies on no such cycle, nor does a start vertex once its search is done;
+    # both leave, and ``doomed`` holds those whose neighbours are still to be
+    # told. On a ring, the first search lists the cycle and the peel then
+    # empties it.
     degree = {v: len(ns) for v, ns in adj.items()}
-    peel = [v for v, d in degree.items() if d < 2]
-    for v in peel:
-        for w in adj[v]:
-            degree[w] -= 1
-            if degree[w] == 1:
-                peel.append(w)
+    present = {v for v, d in degree.items() if d >= 2}
+    doomed = [v for v, d in degree.items() if d < 2]
     cycles: list[tuple[str, ...]] = []
-    for s in sorted(set(adj).difference(peel)):
-        # Depth-first over the paths from s through larger vertices, one
+    for s in g.vertices:
+        while doomed:
+            for w in adj[doomed.pop()]:
+                if w in present:
+                    degree[w] -= 1
+                    if degree[w] < 2:
+                        present.discard(w)
+                        doomed.append(w)
+        if s not in present:
+            continue
+        # Depth-first over the paths from s through present vertices, one
         # neighbour iterator per path vertex, so long paths need no recursion.
+        # A path vertex is out of ``present`` until it is popped.
+        present.discard(s)
         path = [s]
-        on_path = {s}
         stack = [iter(adj[s])]
         while stack:
             for w in stack[-1]:
                 if w == s:
                     if len(path) >= 3 and path[1] < path[-1]:
                         cycles.append(tuple(path))
-                elif w > s and w not in on_path:
+                elif w in present:
+                    present.discard(w)
                     path.append(w)
-                    on_path.add(w)
                     stack.append(iter(adj[w]))
                     break
             else:
                 stack.pop()
-                on_path.discard(path.pop())
+                present.add(path.pop())
+        present.discard(s)
+        doomed.append(s)
     cycles.sort(key=lambda c: (len(c), c))
     return cycles
 

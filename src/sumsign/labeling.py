@@ -104,15 +104,16 @@ def parse_labeling(text: str) -> Labeling:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" in line and line.split("=")[0].strip() == "universe_max":
+        # A set literal holds no ':', so a vertex id may, and a line with
+        # one is a vertex line even if its id reads "universe_max=...".
+        if ":" not in line:
+            key, eq, value = line.partition("=")
+            if not eq or key.strip() != "universe_max":
+                raise ParseError(f"expected 'vertex: {{a,b,c}}', got {line!r}", lineno)
             if universe_max is not None:
                 raise ParseError("universe_max given twice", lineno)
-            value = line.split("=", 1)[1].strip()
-            universe_max = parse_digits(value, "universe_max value", lineno)
+            universe_max = parse_digits(value.strip(), "universe_max value", lineno)
             continue
-        if ":" not in line:
-            raise ParseError(f"expected 'vertex: {{a,b,c}}', got {line!r}", lineno)
-        # A set literal holds no ':', so a vertex id may.
         vertex, literal = line.rsplit(":", 1)
         vertex = vertex.strip()
         if not vertex:

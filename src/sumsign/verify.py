@@ -190,7 +190,7 @@ _MAX_CANDIDATE_SETS = 2000
 
 
 class _LabelingSpace:
-    """Per-bounds tables: candidate sets, their profiles and sizes, two S-bit rows.
+    """Per-bounds tables: candidate sets, their profiles, two S-bit rows.
 
     ``__init__`` fills the rows in one pass over the pairs i < j:
     ``compat[i]``, a bitmask of the j allowed next to set i (admitted by
@@ -221,7 +221,6 @@ class _LabelingSpace:
             p = ap_profile(s)
             assert p is not None
             self.profiles.append(p)
-        self.sizes = [len(s) for s in self.sets]
         n = len(self.sets)
         self.compat = [0] * n
         self.odd = [0] * n
@@ -262,16 +261,6 @@ class _LabelingSpace:
             ) & 1
             entry = self._sums[i, j] = (self._index.get(c, -1), delta, c)
         return entry
-
-    def pair_allowed(self, i: int, j: int) -> tuple[bool, int | None]:
-        """May sets i and j label adjacent vertices, and with which ratio?"""
-        if not self.compat[i] >> j & 1:
-            return False, None
-        return True, ap_pair(self.profiles[i], self.profiles[j])[2]
-
-    def sum_parity(self, i: int, j: int) -> int:
-        """Parity bit of |set_i + set_j| (1 means odd, i.e. a negative edge)."""
-        return self.odd[i] >> j & 1
 
 
 def _walk(
@@ -363,10 +352,12 @@ def _walk(
 def _visit(
     g: Graph, space: _LabelingSpace, balanced: bool = False
 ) -> Iterator[tuple[int, ...]]:
-    """Expand each mask of ``_walk`` into set-index tuples, in ``g.vertices``
-    order. With ``balanced`` these are the labelings of ``_enumerate_indices``
-    whose signed graph is balanced, each once, in the balanced walk's order.
-    The empty graph has one labeling, the empty one."""
+    """All injective admissible assignments, as set-index tuples in
+    ``g.vertices`` order, expanded from the masks of ``_walk``: in
+    lexicographic order, vertices sorted and candidate sets in canonical
+    order. With ``balanced``, only those whose signed graph is balanced, each
+    once, in the balanced walk's order. The empty graph has one labeling, the
+    empty one."""
     if not g.vertices:
         yield ()
         return
@@ -379,19 +370,11 @@ def _visit(
             allowed ^= low
 
 
-def _enumerate_indices(
-    g: Graph, space: _LabelingSpace, prune: bool = True
-) -> Iterator[tuple[int, ...]]:
-    """All injective admissible assignments, as set-index tuples, in
-    lexicographic order: vertices sorted, candidate sets in canonical order.
-
-    With ``prune`` this is the visiting walk ``_visit``. Without it, the
-    injective tuples of ``itertools.permutations`` are filtered through the
-    ``compat`` rows: the same tuples in the same order from code that shares
-    nothing with the walk, the reference the walk is checked against.
-    """
-    if prune:
-        return _visit(g, space)
+def _filtered_permutations(g: Graph, space: _LabelingSpace) -> Iterator[tuple[int, ...]]:
+    """The tuples of ``_visit(g, space)`` in the same order, from code that
+    shares nothing with the walk: the injective tuples of
+    ``itertools.permutations``, kept when the ``compat`` rows admit every
+    edge. The reference the walk is checked against."""
     pos = {v: i for i, v in enumerate(g.vertices)}
     ends = [(pos[u], pos[v]) for u, v in g.edges]
     compat = space.compat
@@ -403,7 +386,7 @@ def _enumerate_indices(
 
 
 def _count_indices(g: Graph, space: _LabelingSpace) -> int:
-    """len(list(_enumerate_indices(g, space))), adding up the last vertex's
+    """len(list(_visit(g, space))), adding up the last vertex's
     candidate masks instead of visiting each set."""
     if not g.vertices:
         return 1
@@ -432,19 +415,20 @@ def enumerate_aiasl(
     """Every injective progression labeling of g admissible under b.
 
     Deterministic canonical order. With prune=False the same labelings are
-    produced by filtering every injective assignment instead of walking the
-    pruned search tree, which exists as a cross-check of the walk.
+    produced by filtering every injective assignment
+    (``_filtered_permutations``) instead of walking the pruned search tree
+    (``_visit``), which exists as a cross-check of the walk.
     """
     _check_vertex_bound(g, b)
     space = _LabelingSpace(b)
-    for indices in _enumerate_indices(g, space, prune=prune):
+    for indices in _visit(g, space) if prune else _filtered_permutations(g, space):
         yield _labeling_from_indices(g, space, indices)
 
 
 def count_aiasl(g: Graph, b: SearchBounds) -> int:
     _check_vertex_bound(g, b)
     space = _LabelingSpace(b)
-    return sum(1 for _ in _enumerate_indices(g, space))
+    return sum(1 for _ in _visit(g, space))
 
 
 # ---------------------------------------------------------------------------
@@ -596,64 +580,24 @@ def sweep_sign_patterns(g: Graph) -> PatternSweep:
 # Theorem experiments
 # ---------------------------------------------------------------------------
 
-class _GraphContext:
-    """Per-graph tables reused across all labelings of one experiment.
+def _edge_ends(g: Graph) -> list[tuple[int, int, int]]:
+    """(end position, end position, edge bit) per edge, positions in ``g.vertices``."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    return [(pos[u], pos[v], 1 << e) for e, (u, v) in enumerate(g.edges)]
 
-    Each structure table is computed on first read, since each experiment
-    reads only some of them.
-    """
 
-    def __init__(self, g: Graph):
-        self.graph = g
-        self.pos = pos = {v: i for i, v in enumerate(g.vertices)}
-        # (endpoint position, endpoint position, edge bit) per edge.
-        self.edge_ends = [(pos[u], pos[v], 1 << e) for e, (u, v) in enumerate(g.edges)]
+def _negative_mask(ends: list[tuple[int, int, int]], odd: list[int], indices) -> int:
+    """The edge bits of ``ends`` whose pair of sets has an odd sumset."""
+    mask = 0
+    for a, b, bit in ends:
+        if odd[indices[a]] >> indices[b] & 1:
+            mask |= bit
+    return mask
 
-    @cached_property
-    def fundamental_masks(self) -> list[int]:
-        return fundamental_cycle_masks(self.graph)
 
-    @cached_property
-    def bipartite(self) -> bool:
-        return is_bipartite(self.graph)
-
-    @cached_property
-    def eligible(self) -> list[str]:
-        """Vertices an elementary transformation accepts: degree 2, in no triangle."""
-        g = self.graph
-        return [v for v in g.vertices if g.degree(v) == 2 and not in_triangle(g, v)]
-
-    @cached_property
-    def subdivision_targets(self) -> list[tuple[int, int, bool, Edge]]:
-        """(end position, end position, not a cut edge, edge) per edge."""
-        cut = set(cut_edges(self.graph))
-        return [
-            (a, b, e not in cut, e)
-            for (a, b, _), e in zip(self.edge_ends, self.graph.edges)
-        ]
-
-    @cached_property
-    def homeomorphism_targets(self) -> list[tuple[int, int, int, bool, str]]:
-        """(position, neighbour positions, on a cycle, vertex) per eligible vertex."""
-        pos = self.pos
-        on_cycle = vertices_on_cycles(self.graph)
-        out = []
-        for v in self.eligible:
-            a, b = self.graph.neighbors(v)
-            out.append((pos[v], pos[a], pos[b], v in on_cycle, v))
-        return out
-
-    def negative_mask(self, space: _LabelingSpace, indices: Sequence[int]) -> int:
-        odd = space.odd
-        mask = 0
-        for a, b, bit in self.edge_ends:
-            if odd[indices[a]] >> indices[b] & 1:
-                mask |= bit
-        return mask
-
-    def balanced(self, neg_mask: int) -> bool:
-        """Even negative count on every fundamental cycle, hence on every cycle."""
-        return all((neg_mask & c).bit_count() % 2 == 0 for c in self.fundamental_masks)
+def _balanced(neg_mask: int, cycles: list[int]) -> bool:
+    """Even negative count on every fundamental cycle, hence on every cycle."""
+    return all((neg_mask & c).bit_count() % 2 == 0 for c in cycles)
 
 
 class _Tally:
@@ -676,8 +620,9 @@ class _Experiment:
 
     With ``on_pairs``, ``search(tally, i, j)`` runs once per admissible
     label pair i < j on K2, and each pair is one case. Otherwise
-    ``search(tally, ctx)`` runs once per family member; it picks its own
-    walk, adds its cases and skips to the tally, and returns nothing. Both
+    ``search(tally, g)`` runs once per family member; it builds the
+    per-graph tables its check reads, picks its own walk, adds its cases
+    and skips to the tally, and returns nothing. Both
     record each failure with ``tally.found``. ``explain(slg, target)``
     re-checks the claim at one recorded target of the re-derived signed
     labeled graph with public object-level functions only, and returns the
@@ -707,7 +652,7 @@ def _run(exp: _Experiment, graphs: Sequence[Graph], bounds: SearchBounds) -> _Ta
                 m ^= low
         return tally
     for g in graphs:
-        exp.search(tally, _GraphContext(g))
+        exp.search(tally, g)
     return tally
 
 
@@ -781,11 +726,11 @@ def _balance_case(slg: SignedLabeledGraph, target: object) -> str:
     )
 
 
-def _balance_fwd_search(tally: _Tally, ctx: _GraphContext) -> None:
+def _balance_fwd_search(tally: _Tally, g: Graph) -> None:
     """A bipartite member's constructed labeling and every labeling of it
     must be balanced; a non-bipartite member is skipped."""
-    g, space = ctx.graph, tally.space
-    if not ctx.bipartite:
+    space = tally.space
+    if not is_bipartite(g):
         tally.skipped += 1
         return
     lab = construct_balanced_bipartite_labeling(g)
@@ -793,20 +738,21 @@ def _balance_fwd_search(tally: _Tally, ctx: _GraphContext) -> None:
         tally.constructed_ok += 1
     else:
         tally.found(g, lab, _CONSTRUCTED)
+    ends, cycles = _edge_ends(g), fundamental_cycle_masks(g)
     cases = 0
     for indices in _visit(g, space):
         cases += 1
-        if not ctx.balanced(ctx.negative_mask(space, indices)):
+        if not _balanced(_negative_mask(ends, space.odd, indices), cycles):
             tally.found(g, _labeling_from_indices(g, space, indices))
     tally.cases += cases
 
 
-def _balance_rev_search(tally: _Tally, ctx: _GraphContext) -> None:
+def _balance_rev_search(tally: _Tally, g: Graph) -> None:
     """A non-bipartite member must have no balanced labeling: every labeling
     counts as a case and each one the balanced walk yields is a finding. A
     bipartite member is skipped."""
-    g, space = ctx.graph, tally.space
-    if ctx.bipartite:
+    space = tally.space
+    if is_bipartite(g):
         tally.skipped += 1
         return
     tally.cases += _count_indices(g, space)
@@ -846,7 +792,29 @@ def _homeomorphism_case(slg: SignedLabeledGraph, v: str) -> str | None:
     return f"vertex {v}: transforming a cycle vertex left the graph balanced"
 
 
-def _subdivision_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
+def _subdivision_targets(g: Graph) -> list[tuple[int, int, bool, Edge]]:
+    """(end position, end position, not a cut edge, edge) per edge."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    cut = set(cut_edges(g))
+    return [(pos[u], pos[v], (u, v) not in cut, (u, v)) for u, v in g.edges]
+
+
+def _homeomorphism_targets(g: Graph) -> list[tuple[int, int, int, bool, str]]:
+    """(position, neighbour positions, on a cycle, vertex) per vertex an
+    elementary transformation accepts: degree 2, in no triangle."""
+    eligible = [v for v in g.vertices if g.degree(v) == 2 and not in_triangle(g, v)]
+    if not eligible:
+        return []
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    on_cycle = vertices_on_cycles(g)
+    out = []
+    for v in eligible:
+        a, b = g.neighbors(v)
+        out.append((pos[v], pos[a], pos[b], v in on_cycle, v))
+    return out
+
+
+def _subdivision_kernel(tally: _Tally, g: Graph, targets, indices) -> int:
     """Subdivide every edge of a balanced labeling, in index space.
 
     Carried edges keep their signs, so the result is balanced iff the edge
@@ -860,7 +828,7 @@ def _subdivision_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
         used |= 1 << k
     cases = 0
     lab: Labeling | None = None
-    for a, b, noncut, e in ctx.subdivision_targets:
+    for a, b, noncut, e in targets:
         inherited, delta, _ = space.pair_sum(indices[a], indices[b])
         if inherited >= 0 and used >> inherited & 1:
             tally.skipped += 1
@@ -868,12 +836,12 @@ def _subdivision_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
         cases += 1
         if noncut and not delta:
             if lab is None:
-                lab = _labeling_from_indices(ctx.graph, space, indices)
-            tally.found(ctx.graph, lab, e)
+                lab = _labeling_from_indices(g, space, indices)
+            tally.found(g, lab, e)
     return cases
 
 
-def _homeomorphism_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
+def _homeomorphism_kernel(tally: _Tally, g: Graph, targets, indices) -> int:
     """Transform every eligible vertex of a balanced labeling, in index space.
 
     The new edge ab replaces the path a-v-b, so the result is balanced iff v
@@ -882,13 +850,12 @@ def _homeomorphism_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
     """
     odd = tally.space.odd
     lab: Labeling | None = None
-    targets = ctx.homeomorphism_targets
     for p, a, b, on_cycle, v in targets:
         x, y, z = indices[a], indices[b], indices[p]
         if on_cycle and not (odd[x] >> y ^ odd[x] >> z ^ odd[z] >> y) & 1:
             if lab is None:
-                lab = _labeling_from_indices(ctx.graph, tally.space, indices)
-            tally.found(ctx.graph, lab, v)
+                lab = _labeling_from_indices(g, tally.space, indices)
+            tally.found(g, lab, v)
     return len(targets)
 
 
@@ -904,36 +871,40 @@ def _iasi_case(slg: SignedLabeledGraph, target: object) -> str:
     )
 
 
-def _iasi_kernel(tally: _Tally, ctx: _GraphContext, indices) -> int:
+def _iasi_kernel(tally: _Tally, g: Graph, ends, indices) -> int:
     """Injective iff the edges' sumsets are distinct."""
     space = tally.space
-    sums = {space.pair_sum(indices[a], indices[b])[2] for a, b, _ in ctx.edge_ends}
-    if len(sums) < len(ctx.edge_ends):
-        tally.found(ctx.graph, _labeling_from_indices(ctx.graph, space, indices))
+    sums = {space.pair_sum(indices[a], indices[b])[2] for a, b, _ in ends}
+    if len(sums) < len(ends):
+        tally.found(g, _labeling_from_indices(g, space, indices))
     return 1
 
 
-def _subdivision_search(tally: _Tally, ctx: _GraphContext) -> None:
-    walk = _visit(ctx.graph, tally.space, balanced=True)
-    tally.cases += sum(_subdivision_kernel(tally, ctx, indices) for indices in walk)
+def _subdivision_search(tally: _Tally, g: Graph) -> None:
+    targets = _subdivision_targets(g)
+    walk = _visit(g, tally.space, balanced=True)
+    tally.cases += sum(_subdivision_kernel(tally, g, targets, indices) for indices in walk)
 
 
-def _homeomorphism_search(tally: _Tally, ctx: _GraphContext) -> None:
-    if ctx.eligible:
-        walk = _visit(ctx.graph, tally.space, balanced=True)
-        tally.cases += sum(_homeomorphism_kernel(tally, ctx, indices) for indices in walk)
+def _homeomorphism_search(tally: _Tally, g: Graph) -> None:
+    targets = _homeomorphism_targets(g)
+    if targets:
+        walk = _visit(g, tally.space, balanced=True)
+        tally.cases += sum(_homeomorphism_kernel(tally, g, targets, indices) for indices in walk)
 
 
-def _iasi_search(tally: _Tally, ctx: _GraphContext) -> None:
-    walk = _visit(ctx.graph, tally.space)
-    tally.cases += sum(_iasi_kernel(tally, ctx, indices) for indices in walk)
+def _iasi_search(tally: _Tally, g: Graph) -> None:
+    ends = _edge_ends(g)
+    walk = _visit(g, tally.space)
+    tally.cases += sum(_iasi_kernel(tally, g, ends, indices) for indices in walk)
 
 
 # One record per claim. The searches and their kernels read the index-space
-# tables of _LabelingSpace and _GraphContext; the transforms are called only
-# from the case functions. Traced functions (derive, the
-# transforms, is_balanced_fast, cut_edges) are called by name, never stored
-# here, so a wrapper installed on the module later still sees every call.
+# tables of _LabelingSpace and the per-graph tables each search builds; the
+# transforms are called only from the case functions. Traced functions
+# (derive, the transforms, is_balanced_fast, cut_edges) are called by name,
+# never stored here, so a wrapper installed on the module later still sees
+# every call.
 _EXPERIMENTS: dict[TheoremId, _Experiment] = {
     TheoremId.POSITIVE_EDGE: _Experiment(
         search=_positive_edge_search,
@@ -1035,8 +1006,12 @@ def verify_theorem(
             raise ParseError(f"graph family {family_spec} is empty")
     tally = _run(experiment, graphs, bounds)
     counters = []
-    for g, lab, target in tally.findings:
-        explanation = experiment.explain(derive(g, lab), target)
+    lab = slg = None
+    for g, found_lab, target in tally.findings:
+        # A kernel passes one Labeling object for all its targets in a labeling.
+        if found_lab is not lab:
+            lab, slg = found_lab, derive(g, found_lab)
+        explanation = experiment.explain(slg, target)
         if not explanation:
             raise AssertionError(f"{tid.value} finding failed to replay at {target!r}")
         counters.append(Counterexample(g, lab, explanation))

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from sumsign.balance import is_balanced_fast, is_balanced_oracle, is_clusterable
 from sumsign.families import bipartite_family, connected_graphs
-from sumsign.graphs import Graph, is_bipartite
+from sumsign.graphs import Graph, fundamental_cycle_masks, is_bipartite
 from sumsign.intsets import IntegerSet, ap_sumset_cardinality
 from sumsign.labeling import Labeling, derive, predicted_sign, validate_aiasl
 from sumsign.verify import (
@@ -27,7 +27,7 @@ from sumsign.verify import (
     sweep_sign_patterns,
     verify_theorem,
 )
-from sumsign.verify import _enumerate_indices, _GraphContext, _LabelingSpace
+from sumsign.verify import _balanced, _edge_ends, _LabelingSpace, _negative_mask, _visit
 
 K2 = Graph(["u", "v"], [("u", "v")])
 
@@ -191,21 +191,21 @@ def test_c05_odd_ratio_balance_law():
     lemma_pairs = 0
     for i in range(len(space.sets)):
         for j in range(i + 1, len(space.sets)):
-            ok, _ = space.pair_allowed(i, j)
-            if not ok:
+            if not space.compat[i] >> j & 1:
                 continue
-            same_parity = (space.sizes[i] % 2) == (space.sizes[j] % 2)
-            assert bool(space.sum_parity(i, j)) == same_parity
+            same_parity = len(space.sets[i]) % 2 == len(space.sets[j]) % 2
+            assert bool(space.odd[i] >> j & 1) == same_parity
             lemma_pairs += 1
 
     # Layer 1: literal enumeration for every graph on up to 4 vertices.
     literal = 0
     for g in connected_graphs(4):
-        ctx = _GraphContext(g)
-        for n, indices in enumerate(_enumerate_indices(g, space)):
+        ends, cycles = _edge_ends(g), fundamental_cycle_masks(g)
+        bip = is_bipartite(g)
+        for n, indices in enumerate(_visit(g, space)):
             literal += 1
-            balanced = ctx.balanced(ctx.negative_mask(space, indices))
-            assert balanced == ctx.bipartite
+            balanced = _balanced(_negative_mask(ends, space.odd, indices), cycles)
+            assert balanced == bip
             if n % 500000 == 0:
                 # Tie the batched path to the public pipeline.
                 lab = Labeling(8, {v: space.sets[k] for v, k in zip(g.vertices, indices)})

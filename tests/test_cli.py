@@ -306,6 +306,29 @@ class TestTransform:
         assert code == 0
         assert "added_edge = a c" in text
 
+    @pytest.mark.parametrize(
+        "env",
+        [
+            {"PYTHONIOENCODING": "ascii"},
+            {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+        ],
+        ids=["ascii-stdout", "c-locale"],
+    )
+    def test_output_is_utf8_whatever_the_locale(self, tmp_path, env):
+        graph, labeling, out_graph = tmp_path / "g", tmp_path / "l", tmp_path / "out"
+        graph.write_text("\u00e9 b\nb c\n", encoding="utf-8")
+        labeling.write_text("universe_max = 4\n\u00e9: {0,1}\nb: {4}\nc: {2,3}\n", encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        base = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        done = subprocess.run(
+            [sys.executable, "-m", "sumsign.cli", "transform", "homeo", "--vertex", "b",
+             "--graph", str(graph), "--labeling", str(labeling), "--out-graph", str(out_graph)],
+            capture_output=True, env={**base, **env, "PYTHONPATH": src},
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert "-- graph --\nc \u00e9\n".encode() in done.stdout
+        assert out_graph.read_bytes() == "c \u00e9\n".encode()
+
     def test_unwritable_output_is_input_error(self, files, tmp_path, capsys):
         code, _ = run(
             ["transform", "subdivide", "--edge", "u v",

@@ -1,5 +1,6 @@
 """Graph structure queries: bipartiteness, bridges, cycles, triangles."""
 
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -189,6 +190,15 @@ class TestSimpleCycles:
         ring = names[:1500]
         g = Graph(ring, list(zip(ring, ring[1:])) + [(ring[-1], ring[0])])
         assert simple_cycles(g, max_vertices=1500) == [tuple(ring)]
+
+    def test_a_long_ring_is_listed_in_linear_time(self):
+        # Once the first search has listed the ring, the rest of it peels
+        # away, so no other vertex starts a walk round it.
+        ring = [f"v{i:05d}" for i in range(10_000)]
+        g = Graph(ring, list(zip(ring, ring[1:])) + [(ring[-1], ring[0])])
+        start = time.perf_counter()
+        assert simple_cycles(g, max_vertices=10_000) == [tuple(ring)]
+        assert time.perf_counter() - start < 5.0
 
     def test_cycle_edges(self):
         assert cycle_edges(("a", "b", "c")) == (("a", "b"), ("b", "c"), ("a", "c"))

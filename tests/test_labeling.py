@@ -13,7 +13,7 @@ from sumsign.errors import (
     UniverseViolation,
     UnknownVertex,
 )
-from sumsign.graphs import Graph
+from sumsign.graphs import Graph, parse_graph
 from sumsign.intsets import IntegerSet, Sign, ap_profile
 from sumsign.labeling import (
     Labeling,
@@ -241,6 +241,10 @@ class TestLabelingFormat:
     def test_vertex_id_with_colon_round_trips(self):
         labeling = Labeling(3, {"a:b": {0, 1}, "c": {2}})
         assert format_labeling(labeling) == "universe_max = 3\na:b: {0,1}\nc: {2}\n"
+        assert parse_labeling(format_labeling(labeling)) == labeling
+        # parse_graph takes this id, so its labeling line must read back too.
+        labeling = Labeling(3, {"universe_max=3": {0, 1}, "c": {2}})
+        assert parse_graph("universe_max=3 c\n").vertices == ("c", "universe_max=3")
         assert parse_labeling(format_labeling(labeling)) == labeling
 
     def test_inferred_universe(self):

@@ -18,24 +18,27 @@ from sumsign.families import (
     resolve_family,
     star_graph,
 )
-from sumsign.graphs import Graph, in_triangle, is_bipartite
+from sumsign.graphs import Graph, fundamental_cycle_masks, in_triangle, is_bipartite
 from sumsign.intsets import IntegerSet, Sign, sumset
 from sumsign.labeling import Labeling, derive, validate_aiasl, validate_iasi
 from sumsign.verify import (
     _CONSTRUCTED,
     _EXPERIMENTS,
+    _balanced,
     _count_indices,
+    _edge_ends,
     _MAX_CANDIDATE_SETS,
-    _enumerate_indices,
-    _GraphContext,
     _homeomorphism_case,
     _homeomorphism_kernel,
+    _homeomorphism_targets,
     _iasi_kernel,
     _labeling_from_indices,
     _LabelingSpace,
+    _negative_mask,
     _run,
     _subdivision_case,
     _subdivision_kernel,
+    _subdivision_targets,
     _Tally,
     _visit,
     SearchBounds,
@@ -159,7 +162,7 @@ def test_pair_tables_match_inline_rule(bounds):
     sets = [s.elements for s in space.sets]
     even_ratio_pairs = 0
     for i, xs in enumerate(sets):
-        assert space.pair_allowed(i, i) == (False, None)
+        assert not space.compat[i] >> i & 1
         for j, ys in enumerate(sets):
             if i == j:
                 continue
@@ -172,8 +175,8 @@ def test_pair_tables_match_inline_rule(bounds):
                     and xs[-1] + ys[-1] > bounds.universe_max
                 )
             )
-            assert space.pair_allowed(i, j) == (allowed, k if allowed else None)
-            assert space.sum_parity(i, j) == len({x + y for x in xs for y in ys}) % 2
+            assert bool(space.compat[i] >> j & 1) == allowed
+            assert space.odd[i] >> j & 1 == len({x + y for x in xs for y in ys}) % 2
             even_ratio_pairs += allowed and k % 2 == 0
     # Even ratios are where the parity rule depends on more than the sizes.
     assert (even_ratio_pairs > 0) == (not bounds.odd_ratios_only)
@@ -582,10 +585,12 @@ def _graphs(family):
     return resolve_family(family) if isinstance(family, str) else [family]
 
 
-def _one_target_outcome(kernel, tally, ctx, indices, target):
-    """The kernel's verdict on a context holding one target: None when
-    skipped, False when the claim holds, True when it fails at that target."""
-    cases = kernel(tally, ctx, indices)
+def _one_target_outcome(kernel, tally, g, targets, indices):
+    """The kernel's verdict on a list of one target row: None when skipped,
+    False when the claim holds, True when it fails at that target."""
+    (row,) = targets
+    target = row[-1]
+    cases = kernel(tally, g, targets, indices)
     if tally.skipped:
         assert (cases, tally.findings) == (0, [])
         return None
@@ -611,20 +616,19 @@ def test_transform_kernels_match_object_cases(family, bounds):
 
 
 def _check_transform_kernels(g, space, checked):
-    tables = _GraphContext(g)
-    assert [t[3] for t in tables.subdivision_targets] == list(g.edges)
-    assert [t[4] for t in tables.homeomorphism_targets] == tables.eligible
     kinds = [
-        (_subdivision_kernel, "subdivision_targets", _subdivision_case),
-        (_homeomorphism_kernel, "homeomorphism_targets", _homeomorphism_case),
+        (_subdivision_kernel, _subdivision_targets(g), _subdivision_case),
+        (_homeomorphism_kernel, _homeomorphism_targets(g), _homeomorphism_case),
     ]
-    for indices in _enumerate_indices(g, space):
+    assert [t[3] for t in kinds[0][1]] == list(g.edges)
+    assert [t[4] for t in kinds[1][1]] == [
+        v for v in g.vertices if g.degree(v) == 2 and not in_triangle(g, v)
+    ]
+    for indices in _visit(g, space):
         slg = derive(g, _labeling_from_indices(g, space, indices))
         balanced = is_balanced_fast(slg)[0]
-        for kernel, table, case in kinds:
-            for target in getattr(tables, table):
-                ctx = _GraphContext(g)
-                setattr(ctx, table, [target])
+        for kernel, targets, case in kinds:
+            for target in targets:
                 tally = _Tally(space)
                 expected = case(slg, target[-1])
                 if not balanced:
@@ -632,7 +636,7 @@ def _check_transform_kernels(g, space, checked):
                     # object-level case is asked about this one.
                     assert expected is None
                     continue
-                outcome = _one_target_outcome(kernel, tally, ctx, indices, target[-1])
+                outcome = _one_target_outcome(kernel, tally, g, [target], indices)
                 assert outcome == (None if expected is None else bool(expected))
                 checked.add(expected)
 
@@ -642,10 +646,10 @@ def test_iasi_kernel_matches_validate_iasi(family, bounds):
     space = _LabelingSpace(bounds)
     verdicts = set()
     for g in _graphs(family):
-        ctx = _GraphContext(g)
-        for indices in _enumerate_indices(g, space):
+        ends = _edge_ends(g)
+        for indices in _visit(g, space):
             tally = _Tally(space)
-            assert _iasi_kernel(tally, ctx, indices) == 1
+            assert _iasi_kernel(tally, g, ends, indices) == 1
             lab = _labeling_from_indices(g, space, indices)
             injective = validate_iasi(derive(g, lab))
             assert tally.findings == ([] if injective else [(g, lab, None)])
@@ -730,7 +734,7 @@ def _lexicographic_walk(g, space):
     return [
         combo
         for combo in permutations(range(len(space.sets)), g.n)
-        if all(space.pair_allowed(combo[pos[u]], combo[pos[v]])[0] for u, v in g.edges)
+        if all(space.compat[combo[pos[u]]] >> combo[pos[v]] & 1 for u, v in g.edges)
     ]
 
 
@@ -742,7 +746,7 @@ def _lexicographic_walk(g, space):
 def test_visiting_order_is_lexicographic(family, bounds):
     space = _LabelingSpace(bounds)
     for g in _graphs(family):
-        walked = list(_enumerate_indices(g, space))
+        walked = list(_visit(g, space))
         assert walked  # compared unsorted: the order itself is checked
         assert walked == _lexicographic_walk(g, space)
 
@@ -758,16 +762,18 @@ WALK_IDS = COMPLETENESS_IDS + ["K3+isolated-(3,3)", "K1-(3,2)", "empty-(3,2)"]
 @pytest.mark.parametrize("family, bounds", WALK_CASES, ids=WALK_IDS)
 def test_count_and_balanced_modes_equal_the_filtered_walk(family, bounds):
     """Count mode counts the visiting walk; the balanced mode yields each
-    labeling that negative_mask plus balanced keeps, once, and no other."""
+    labeling that _negative_mask plus _balanced keeps, once, and no other."""
     space = _LabelingSpace(bounds)
     for g in _graphs(family):
-        ctx = _GraphContext(g)
-        every = list(_enumerate_indices(g, space))
+        ends, cycles = _edge_ends(g), fundamental_cycle_masks(g)
+        every = list(_visit(g, space))
         assert _count_indices(g, space) == len(every)
         balanced = list(_visit(g, space, balanced=True))
         assert len(set(balanced)) == len(balanced)
         assert set(balanced) == {
-            indices for indices in every if ctx.balanced(ctx.negative_mask(space, indices))
+            indices
+            for indices in every
+            if _balanced(_negative_mask(ends, space.odd, indices), cycles)
         }
 
 
@@ -780,14 +786,33 @@ def test_replay_refuses_a_finding_at_the_wrong_target(monkeypatch):
     assert {ce.explanation.split(":")[0] for ce in report.counterexamples} == {
         "vertex a", "vertex b", "vertex c"
     }
-    true_targets = _GraphContext.homeomorphism_targets.func
+    import sumsign.verify as verify_module
+
     monkeypatch.setattr(
-        _GraphContext,
-        "homeomorphism_targets",
-        property(lambda ctx: [t[:4] + ("e",) for t in true_targets(ctx)]),
+        verify_module,
+        "_homeomorphism_targets",
+        lambda g: [t[:4] + ("e",) for t in _homeomorphism_targets(g)],
     )
     with pytest.raises(AssertionError, match="HOMEOMORPHISM finding failed to replay at 'e'"):
         verify_theorem(TheoremId.HOMEOMORPHISM, [g], bounds)
+
+
+def test_replay_derives_each_labeling_once(monkeypatch):
+    """A labeling that fails at several targets is derived once for all of
+    them, and the report keeps its bytes."""
+    import sumsign.verify as verify_module
+
+    calls = []
+    derive_once = verify_module.derive
+    monkeypatch.setattr(
+        verify_module, "derive", lambda g, lab: calls.append(lab) or derive_once(g, lab)
+    )
+    report = verify_theorem(TheoremId.HOMEOMORPHISM, "connected:5", SearchBounds(2, 2))
+    assert (len(calls), len(report.counterexamples)) == (648, 1200)
+    assert len({id(lab) for lab in calls}) == 648
+    assert hashlib.sha256(report.to_text().encode()).hexdigest() == (
+        "942544c22d249fe10f038bd651e9904e36ce0ee5fabfff03e60913fb368aa6b1"
+    )
 
 
 def test_a_walk_that_ignores_balanced_does_not_pass(monkeypatch):
