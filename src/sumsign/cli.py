@@ -20,7 +20,7 @@ from pathlib import Path
 from .balance import is_balanced_fast, is_balanced_oracle, is_clusterable
 from .errors import ParseError, SumsignError
 from .graphs import DEFAULT_CYCLE_BOUND, Graph, format_graph, parse_graph
-from .intsets import parse_digits
+from .intsets import Sign, parse_digits
 from .labeling import (
     Labeling,
     SignedLabeledGraph,
@@ -38,7 +38,7 @@ from .transforms import (
     spanned_subgraph,
     subdivide_edge,
 )
-from .verify import SearchBounds, enumerate_aiasl, verify_theorem
+from .verify import SearchBounds, Verdict, enumerate_aiasl, verify_theorem
 
 ENV_CYCLE_BOUND = "SUMSIGN_CYCLE_BOUND"
 
@@ -48,7 +48,8 @@ EXIT_PROPERTY_FAILS = 1
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, as Windows editors write.
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -99,7 +100,7 @@ def _cmd_derive(args, out) -> int:
     for u, v in slg.graph.edges:
         label = slg.edge_labels[(u, v)]
         sign = slg.signs[(u, v)]
-        if str(sign) == "+":
+        if sign is Sign.POSITIVE:
             positive += 1
         _emit(out, f"{u} {v} : {label.to_text()} {sign}")
     _emit(out, f"EDGES={slg.graph.m}")
@@ -231,7 +232,7 @@ def _cmd_verify(args, out) -> int:
     out.write(text)
     if args.out:
         _write(args.out, text)
-    confirmed = report.verdict.value == "CONFIRMED_WITHIN_BOUNDS"
+    confirmed = report.verdict is Verdict.CONFIRMED_WITHIN_BOUNDS
     return EXIT_OK if confirmed else EXIT_PROPERTY_FAILS
 
 

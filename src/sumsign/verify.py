@@ -1,9 +1,10 @@
 """Exhaustive desk-scale labeling enumeration and claim verification.
 
-Each claim about sumset-signed graphs is one record of ``_EXPERIMENTS``: a
-search run on every admissible label pair or on every family member inside
-finite search bounds, which picks its own labeling walk and its own skips,
-an explain function and the report notes. One runner drives them all.
+Each claim about sumset-signed graphs is one record of ``_EXPERIMENTS``: an
+explain function, the claim's one object-level check, run on every
+admissible label pair when the record has no search; else a search over
+every family member within finite bounds, which picks its own labeling walk
+and skips; and the report notes. One runner drives them all.
 The report either confirms the claim within bounds or lists every
 counterexample, smallest first, each replayed through the public pipeline.
 
@@ -43,13 +44,11 @@ from .graphs import (
     vertices_on_cycles,
 )
 from .intsets import (
-    ApProfile,
     IntegerSet,
     Sign,
     ap_pair,
     ap_profile,
     ap_sumset_cardinality,
-    sumset,
 )
 from .labeling import (
     Labeling,
@@ -190,7 +189,7 @@ _MAX_CANDIDATE_SETS = 2000
 
 
 class _LabelingSpace:
-    """Per-bounds tables: candidate sets, their profiles, two S-bit rows.
+    """Per-bounds tables: candidate sets and two S-bit rows.
 
     ``__init__`` fills the rows in one pass over the pairs i < j:
     ``compat[i]``, a bitmask of the j allowed next to set i (admitted by
@@ -216,11 +215,8 @@ class _LabelingSpace:
                 f"max_label_size={bounds.max_label_size} gives more"
             )
         self.bounds = bounds
-        self.profiles: list[ApProfile] = []
-        for s in self.sets:
-            p = ap_profile(s)
-            assert p is not None
-            self.profiles.append(p)
+        profiles = [ap_profile(s) for s in self.sets]
+        assert None not in profiles
         n = len(self.sets)
         self.compat = [0] * n
         self.odd = [0] * n
@@ -231,7 +227,7 @@ class _LabelingSpace:
                 if len({x + y for x in a for y in b}) & 1:
                     self.odd[i] |= 1 << j
                     self.odd[j] |= 1 << i
-                k = ap_pair(self.profiles[i], self.profiles[j])[2]
+                k = ap_pair(profiles[i], profiles[j])[2]
                 if k is None or (bounds.odd_ratios_only and k % 2 == 0):
                     continue
                 if bounds.require_strict_universe and a[-1] + b[-1] > bounds.universe_max:
@@ -610,55 +606,48 @@ class _Tally:
         self.constructed_ok = 0
         self.findings: list[tuple[Graph, Labeling, object]] = []
 
-    def found(self, g: Graph, lab: Labeling, target: object = None) -> None:
-        self.findings.append((g, lab, target))
-
 
 @dataclass(frozen=True)
 class _Experiment:
     """How one claim is checked.
 
-    With ``on_pairs``, ``search(tally, i, j)`` runs once per admissible
-    label pair i < j on K2, and each pair is one case. Otherwise
-    ``search(tally, g)`` runs once per family member; it builds the
-    per-graph tables its check reads, picks its own walk, adds its cases
-    and skips to the tally, and returns nothing. Both
-    record each failure with ``tally.found``. ``explain(slg, target)``
-    re-checks the claim at one recorded target of the re-derived signed
-    labeled graph with public object-level functions only, and returns the
-    violation text there, or '' or None where the claim holds or does not
-    apply. ``notes`` builds the report notes from the finished tally.
+    ``explain(slg, target)`` checks the claim at one target of a derived
+    signed labeled graph with public object-level functions only: the
+    violation text, or '' or None where the claim holds or does not apply.
+    A pair claim has no ``search``: its explain runs on every admissible
+    label pair i < j on K2, each pair one case. Otherwise ``search(tally,
+    g)`` runs once per family member; it builds the tables its kernel reads,
+    picks its walk, adds its cases, skips and findings to the tally, and
+    returns nothing. ``notes`` builds the report notes from the tally.
     """
 
-    search: Callable[..., None]
     explain: Callable[[SignedLabeledGraph, object], str | None]
     notes: Callable[[_Tally], list[str]]
-    on_pairs: bool = False
+    search: Callable[[_Tally, Graph], None] | None = None
+
+
+# The single edge a pair claim labels: set i on u, set j on v.
+_K2 = Graph(["u", "v"], [("u", "v")])
+_K2_EDGE = _K2.edges[0]
 
 
 def _run(exp: _Experiment, graphs: Sequence[Graph], bounds: SearchBounds) -> _Tally:
-    """Run one experiment's search over its whole space, after checking
-    every given graph against the vertex bound."""
+    """Run one experiment over its whole space, after checking every given
+    graph against the vertex bound."""
     tally = _Tally(_LabelingSpace(bounds))
     for g in graphs:
         _check_vertex_bound(g, bounds)
-    if exp.on_pairs:
-        for i, row in enumerate(tally.space.compat):
-            m = row >> i + 1 << i + 1
-            while m:
-                low = m & -m
-                exp.search(tally, i, low.bit_length() - 1)
+    if exp.search is None:
+        for indices in _visit(_K2, tally.space):
+            if indices[0] < indices[1]:
                 tally.cases += 1
-                m ^= low
+                lab = _labeling_from_indices(_K2, tally.space, indices)
+                if exp.explain(derive(_K2, lab), _K2_EDGE):
+                    tally.findings.append((_K2, lab, _K2_EDGE))
         return tally
     for g in graphs:
         exp.search(tally, g)
     return tally
-
-
-# The single edge the pair searches label: set i on u, set j on v.
-_K2 = Graph(["u", "v"], [("u", "v")])
-_K2_EDGE = _K2.edges[0]
 
 
 def _positive_edge_case(slg: SignedLabeledGraph, e: Edge) -> str:
@@ -672,12 +661,6 @@ def _positive_edge_case(slg: SignedLabeledGraph, e: Edge) -> str:
         f"sumset {slg.edge_labels[e].to_text()} has size "
         f"{len(slg.edge_labels[e])}, giving {actual}"
     )
-
-
-def _positive_edge_search(tally: _Tally, i: int, j: int) -> None:
-    lab = _labeling_from_indices(_K2, tally.space, (i, j))
-    if _positive_edge_case(derive(_K2, lab), _K2_EDGE):
-        tally.found(_K2, lab, _K2_EDGE)
 
 
 def _cardinality_case(slg: SignedLabeledGraph, e: Edge) -> str:
@@ -696,15 +679,6 @@ def _cardinality_case(slg: SignedLabeledGraph, e: Edge) -> str:
         f"formula m + k*(n-1) = {expected} with (m={m}, n={n}, k={k}) "
         f"but the sumset has {actual} elements"
     )
-
-
-def _cardinality_search(tally: _Tally, i: int, j: int) -> None:
-    space = tally.space
-    small, large, k = ap_pair(space.profiles[i], space.profiles[j])
-    assert k is not None
-    actual = len(sumset(space.sets[i], space.sets[j]))
-    if ap_sumset_cardinality(small.length, large.length, k) != actual:
-        tally.found(_K2, _labeling_from_indices(_K2, space, (i, j)), _K2_EDGE)
 
 
 # The target of a finding on a bipartite member's constructed labeling.
@@ -734,16 +708,16 @@ def _balance_fwd_search(tally: _Tally, g: Graph) -> None:
         tally.skipped += 1
         return
     lab = construct_balanced_bipartite_labeling(g)
-    if is_balanced_fast(derive(g, lab))[0]:
-        tally.constructed_ok += 1
+    if _balance_case(derive(g, lab), _CONSTRUCTED):
+        tally.findings.append((g, lab, _CONSTRUCTED))
     else:
-        tally.found(g, lab, _CONSTRUCTED)
+        tally.constructed_ok += 1
     ends, cycles = _edge_ends(g), fundamental_cycle_masks(g)
     cases = 0
     for indices in _visit(g, space):
         cases += 1
         if not _balanced(_negative_mask(ends, space.odd, indices), cycles):
-            tally.found(g, _labeling_from_indices(g, space, indices))
+            tally.findings.append((g, _labeling_from_indices(g, space, indices), None))
     tally.cases += cases
 
 
@@ -757,7 +731,7 @@ def _balance_rev_search(tally: _Tally, g: Graph) -> None:
         return
     tally.cases += _count_indices(g, space)
     for indices in _visit(g, space, balanced=True):
-        tally.found(g, _labeling_from_indices(g, space, indices))
+        tally.findings.append((g, _labeling_from_indices(g, space, indices), None))
 
 
 def _subdivision_case(slg: SignedLabeledGraph, e: Edge) -> str | None:
@@ -837,7 +811,7 @@ def _subdivision_kernel(tally: _Tally, g: Graph, targets, indices) -> int:
         if noncut and not delta:
             if lab is None:
                 lab = _labeling_from_indices(g, space, indices)
-            tally.found(g, lab, e)
+            tally.findings.append((g, lab, e))
     return cases
 
 
@@ -855,7 +829,7 @@ def _homeomorphism_kernel(tally: _Tally, g: Graph, targets, indices) -> int:
         if on_cycle and not (odd[x] >> y ^ odd[x] >> z ^ odd[z] >> y) & 1:
             if lab is None:
                 lab = _labeling_from_indices(g, tally.space, indices)
-            tally.found(g, lab, v)
+            tally.findings.append((g, lab, v))
     return len(targets)
 
 
@@ -876,7 +850,7 @@ def _iasi_kernel(tally: _Tally, g: Graph, ends, indices) -> int:
     space = tally.space
     sums = {space.pair_sum(indices[a], indices[b])[2] for a, b, _ in ends}
     if len(sums) < len(ends):
-        tally.found(g, _labeling_from_indices(g, space, indices))
+        tally.findings.append((g, _labeling_from_indices(g, space, indices), None))
     return 1
 
 
@@ -899,16 +873,16 @@ def _iasi_search(tally: _Tally, g: Graph) -> None:
     tally.cases += sum(_iasi_kernel(tally, g, ends, indices) for indices in walk)
 
 
-# One record per claim. The searches and their kernels read the index-space
-# tables of _LabelingSpace and the per-graph tables each search builds; the
-# transforms are called only from the case functions. Traced functions
+# One record per claim. Its explain is the claim's only object-level check:
+# it runs on every pair of a pair claim, and replays every finding of a
+# member search. The searches and their kernels read only the index-space
+# tables of _LabelingSpace and the per-graph tables each search builds, and
+# the transforms are called only from the case functions. Traced functions
 # (derive, the transforms, is_balanced_fast, cut_edges) are called by name,
 # never stored here, so a wrapper installed on the module later still sees
 # every call.
 _EXPERIMENTS: dict[TheoremId, _Experiment] = {
     TheoremId.POSITIVE_EDGE: _Experiment(
-        search=_positive_edge_search,
-        on_pairs=True,
         explain=_positive_edge_case,
         notes=lambda tally: [
             "claim: the parity rule predicts the derived sign of every admissible edge",
@@ -916,8 +890,6 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
         ],
     ),
     TheoremId.CARDINALITY: _Experiment(
-        search=_cardinality_search,
-        on_pairs=True,
         explain=_cardinality_case,
         notes=lambda tally: [
             "claim: |A + B| = m + k*(n-1) for admissible progression pairs",
@@ -993,8 +965,8 @@ def verify_theorem(
     experiment = _EXPERIMENTS[tid]
     if isinstance(family, str):
         family_spec = family
-        if experiment.on_pairs:
-            # The pair searches label one edge and read no member graph.
+        if experiment.search is None:
+            # A pair claim labels one edge and reads no member graph.
             parse_family(family, bounds.max_vertices)
             graphs: tuple[Graph, ...] = ()
         else:

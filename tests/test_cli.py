@@ -121,6 +121,25 @@ class TestDerive:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: PARSE_ERROR: cannot read")
 
+    @pytest.mark.parametrize("marked", ["graph", "labeling", "both"])
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, marked):
+        def write(name, text, mark):
+            path = tmp_path / name
+            path.write_bytes(b"\xef\xbb\xbf" * mark + text.encode())
+            return str(path)
+
+        plain = run(["derive", "--graph", write("g0", K2_GRAPH, False),
+                     "--labeling", write("l0", K2_LABELING, False)])
+        marked_run = run(["derive", "--graph", write("g", K2_GRAPH, marked != "labeling"),
+                          "--labeling", write("l", K2_LABELING, marked != "graph")])
+        assert marked_run == plain and plain[0] == 0
+
+    def test_byte_order_mark_past_the_start_stays_text(self, files, capsys):
+        code, _ = run(["derive", "--graph", files("g", K2_GRAPH),
+                       "--labeling", files("l", "universe_max = 4\nu: {0,1}\n\ufeffv: {0,2}\n")])
+        assert code == 2
+        assert "MISSING_LABEL: vertex 'v' has no set-label" in capsys.readouterr().err
+
     def test_label_for_vertex_not_in_graph(self, files, capsys):
         code, _ = run(
             ["derive", "--graph", files("g", K2_GRAPH),
@@ -340,13 +359,22 @@ class TestTransform:
         err = capsys.readouterr().err.splitlines()
         assert any(line.startswith("error: PARSE_ERROR: cannot write") for line in err)
 
-    def test_missing_operand_is_input_error(self, files, capsys):
-        code, _ = run(
-            ["transform", "subdivide",
-             "--graph", files("g", TRIANGLE_GRAPH),
-             "--labeling", files("l", TRIANGLE_LABELING)]
+    @pytest.mark.parametrize(
+        "operation, needs",
+        [("subdivide", "--edge"), ("homeo", "--vertex"),
+         ("delete-vertex", "--vertex"), ("span", "at least one --keep")],
+    )
+    def test_missing_operand_is_input_error(self, tmp_path, capsys, operation, needs):
+        # The operands are checked before any file is read: the files are missing.
+        code, text = run(
+            ["transform", operation,
+             "--graph", str(tmp_path / "missing.graph"),
+             "--labeling", str(tmp_path / "missing.labeling")]
         )
-        assert code == 2
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: PARSE_ERROR: transform {operation} needs {needs}")
 
     def test_unknown_vertex_is_input_error(self, files, capsys):
         code, _ = run(

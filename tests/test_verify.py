@@ -1,5 +1,6 @@
 """Labeling enumeration, the balanced bipartite construction, and experiments."""
 
+import dataclasses
 import hashlib
 from collections import Counter
 from itertools import combinations, permutations
@@ -32,6 +33,8 @@ from sumsign.verify import (
     _homeomorphism_kernel,
     _homeomorphism_targets,
     _iasi_kernel,
+    _K2,
+    _K2_EDGE,
     _labeling_from_indices,
     _LabelingSpace,
     _negative_mask,
@@ -561,6 +564,30 @@ def test_reports_match_golden_hashes(family, bounds, expected):
 
 def test_one_experiment_per_theorem():
     assert list(_EXPERIMENTS) == list(TheoremId)
+    pair_claims = [tid for tid, exp in _EXPERIMENTS.items() if exp.search is None]
+    assert pair_claims == [TheoremId.POSITIVE_EDGE, TheoremId.CARDINALITY]
+
+
+def test_pair_claim_findings_come_from_its_explain():
+    """A pair claim has no search of its own: its record's explain decides
+    every pair, and each pair it fails is recorded on K2 in pair order."""
+    def odd_sumset(slg, e):
+        return "odd" if len(slg.edge_labels[e]) % 2 else ""
+
+    bounds = SearchBounds(3, 2)
+    exp = _EXPERIMENTS[TheoremId.CARDINALITY]
+    tally = _run(dataclasses.replace(exp, explain=odd_sumset), [], bounds)
+    space = tally.space
+    pairs = [(i, j) for i in range(len(space.sets)) for j in range(i + 1, len(space.sets))
+             if space.compat[i] >> j & 1]
+    expected = [
+        (_K2, lab, _K2_EDGE)
+        for lab in (_labeling_from_indices(_K2, space, pair) for pair in pairs)
+        if len(sumset(lab.get("u"), lab.get("v"))) % 2
+    ]
+    assert 0 < len(expected) < len(pairs)
+    assert tally.findings == expected
+    assert tally.cases == _run(exp, [], bounds).cases == len(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +688,7 @@ def test_iasi_kernel_matches_validate_iasi(family, bounds):
 # Reports against an object-level recomputation
 # ---------------------------------------------------------------------------
 
-MEMBER_THEOREMS = [tid for tid, exp in _EXPERIMENTS.items() if not exp.on_pairs]
+MEMBER_THEOREMS = [tid for tid, exp in _EXPERIMENTS.items() if exp.search is not None]
 COMPLETENESS_CASES = KERNEL_CASES + [
     ("connected:4", SearchBounds(3, 3, odd_ratios_only=True)),
     ("connected:4", SearchBounds(4, 2, require_strict_universe=True)),
