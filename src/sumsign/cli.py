@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .balance import is_balanced_fast, is_balanced_oracle, is_clusterable
-from .errors import ParseError, SumsignError
+from .errors import BoundExceeded, ParseError, SumsignError
 from .graphs import DEFAULT_CYCLE_BOUND, Graph, format_graph, parse_graph
 from .intsets import Sign, parse_digits
 from .labeling import (
@@ -355,6 +355,16 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except SumsignError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:
+        # Reported below: the traceback holds the exhausted search's frames
+        # until this clause ends, and writing the line needs memory.
+        pass
+    # Running out of memory is a bound the search exceeded, not a verdict.
+    print(
+        f"error: {BoundExceeded.code}: out of memory; narrow the family or the bounds",
+        file=sys.stderr,
+    )
+    return BoundExceeded.exit_code
 
 
 if __name__ == "__main__":

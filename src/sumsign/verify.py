@@ -199,7 +199,7 @@ class _LabelingSpace:
     search stays independent of the object-level replay. The pass checks
     S^2/2 pairs, so S is capped at _MAX_CANDIDATE_SETS.
 
-    ``pair_sum`` memoizes what the transform and injectivity kernels need
+    ``pair_sum`` memoizes what the transform and injectivity searches need
     of the sumset of one pair. The memo is filled on first read only: an
     eager fill would hold an entry per allowed pair, several times the
     rows' memory at the cap, for experiments that never read it.
@@ -597,14 +597,18 @@ def _balanced(neg_mask: int, cycles: list[int]) -> bool:
 
 
 class _Tally:
-    """What one experiment run counted and where its claim failed."""
+    """What one experiment run counted and where its claim failed.
+
+    A finding is ``(graph, labeling, targets)``: one per failing labeling,
+    with every target where it fails, in the order the search checked them.
+    """
 
     def __init__(self, space: _LabelingSpace):
         self.space = space
         self.cases = 0
         self.skipped = 0
         self.constructed_ok = 0
-        self.findings: list[tuple[Graph, Labeling, object]] = []
+        self.findings: list[tuple[Graph, Labeling, list]] = []
 
 
 @dataclass(frozen=True)
@@ -616,9 +620,9 @@ class _Experiment:
     violation text, or '' or None where the claim holds or does not apply.
     A pair claim has no ``search``: its explain runs on every admissible
     label pair i < j on K2, each pair one case. Otherwise ``search(tally,
-    g)`` runs once per family member; it builds the tables its kernel reads,
-    picks its walk, adds its cases, skips and findings to the tally, and
-    returns nothing. ``notes`` builds the report notes from the tally.
+    g)`` runs once per family member; it builds the per-graph rows it reads,
+    walks its labelings, adds its cases, skips and findings to the tally,
+    and returns nothing. ``notes`` builds the report notes from the tally.
     """
 
     explain: Callable[[SignedLabeledGraph, object], str | None]
@@ -643,7 +647,7 @@ def _run(exp: _Experiment, graphs: Sequence[Graph], bounds: SearchBounds) -> _Ta
                 tally.cases += 1
                 lab = _labeling_from_indices(_K2, tally.space, indices)
                 if exp.explain(derive(_K2, lab), _K2_EDGE):
-                    tally.findings.append((_K2, lab, _K2_EDGE))
+                    tally.findings.append((_K2, lab, [_K2_EDGE]))
         return tally
     for g in graphs:
         exp.search(tally, g)
@@ -709,7 +713,7 @@ def _balance_fwd_search(tally: _Tally, g: Graph) -> None:
         return
     lab = construct_balanced_bipartite_labeling(g)
     if _balance_case(derive(g, lab), _CONSTRUCTED):
-        tally.findings.append((g, lab, _CONSTRUCTED))
+        tally.findings.append((g, lab, [_CONSTRUCTED]))
     else:
         tally.constructed_ok += 1
     ends, cycles = _edge_ends(g), fundamental_cycle_masks(g)
@@ -717,7 +721,7 @@ def _balance_fwd_search(tally: _Tally, g: Graph) -> None:
     for indices in _visit(g, space):
         cases += 1
         if not _balanced(_negative_mask(ends, space.odd, indices), cycles):
-            tally.findings.append((g, _labeling_from_indices(g, space, indices), None))
+            tally.findings.append((g, _labeling_from_indices(g, space, indices), [None]))
     tally.cases += cases
 
 
@@ -731,7 +735,7 @@ def _balance_rev_search(tally: _Tally, g: Graph) -> None:
         return
     tally.cases += _count_indices(g, space)
     for indices in _visit(g, space, balanced=True):
-        tally.findings.append((g, _labeling_from_indices(g, space, indices), None))
+        tally.findings.append((g, _labeling_from_indices(g, space, indices), [None]))
 
 
 def _subdivision_case(slg: SignedLabeledGraph, e: Edge) -> str | None:
@@ -766,73 +770,6 @@ def _homeomorphism_case(slg: SignedLabeledGraph, v: str) -> str | None:
     return f"vertex {v}: transforming a cycle vertex left the graph balanced"
 
 
-def _subdivision_targets(g: Graph) -> list[tuple[int, int, bool, Edge]]:
-    """(end position, end position, not a cut edge, edge) per edge."""
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    cut = set(cut_edges(g))
-    return [(pos[u], pos[v], (u, v) not in cut, (u, v)) for u, v in g.edges]
-
-
-def _homeomorphism_targets(g: Graph) -> list[tuple[int, int, int, bool, str]]:
-    """(position, neighbour positions, on a cycle, vertex) per vertex an
-    elementary transformation accepts: degree 2, in no triangle."""
-    eligible = [v for v in g.vertices if g.degree(v) == 2 and not in_triangle(g, v)]
-    if not eligible:
-        return []
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    on_cycle = vertices_on_cycles(g)
-    out = []
-    for v in eligible:
-        a, b = g.neighbors(v)
-        out.append((pos[v], pos[a], pos[b], v in on_cycle, v))
-    return out
-
-
-def _subdivision_kernel(tally: _Tally, g: Graph, targets, indices) -> int:
-    """Subdivide every edge of a balanced labeling, in index space.
-
-    Carried edges keep their signs, so the result is balanced iff the edge
-    is a cut edge or its pair's subdivision parity is even. An edge whose
-    inherited set labels a vertex is skipped. The labeling must be balanced:
-    the kernel does not check.
-    """
-    space = tally.space
-    used = 0
-    for k in indices:
-        used |= 1 << k
-    cases = 0
-    lab: Labeling | None = None
-    for a, b, noncut, e in targets:
-        inherited, delta, _ = space.pair_sum(indices[a], indices[b])
-        if inherited >= 0 and used >> inherited & 1:
-            tally.skipped += 1
-            continue
-        cases += 1
-        if noncut and not delta:
-            if lab is None:
-                lab = _labeling_from_indices(g, space, indices)
-            tally.findings.append((g, lab, e))
-    return cases
-
-
-def _homeomorphism_kernel(tally: _Tally, g: Graph, targets, indices) -> int:
-    """Transform every eligible vertex of a balanced labeling, in index space.
-
-    The new edge ab replaces the path a-v-b, so the result is balanced iff v
-    lies on no cycle or p(ab) + p(av) + p(vb) is even. The labeling must be
-    balanced: the kernel does not check.
-    """
-    odd = tally.space.odd
-    lab: Labeling | None = None
-    for p, a, b, on_cycle, v in targets:
-        x, y, z = indices[a], indices[b], indices[p]
-        if on_cycle and not (odd[x] >> y ^ odd[x] >> z ^ odd[z] >> y) & 1:
-            if lab is None:
-                lab = _labeling_from_indices(g, tally.space, indices)
-            tally.findings.append((g, lab, v))
-    return len(targets)
-
-
 def _iasi_case(slg: SignedLabeledGraph, target: object) -> str:
     """Injectivity of the edge-label map: the first collision, or ''."""
     collisions = iasi_collisions(slg)
@@ -845,39 +782,88 @@ def _iasi_case(slg: SignedLabeledGraph, target: object) -> str:
     )
 
 
-def _iasi_kernel(tally: _Tally, g: Graph, ends, indices) -> int:
-    """Injective iff the edges' sumsets are distinct."""
-    space = tally.space
-    sums = {space.pair_sum(indices[a], indices[b])[2] for a, b, _ in ends}
-    if len(sums) < len(ends):
-        tally.findings.append((g, _labeling_from_indices(g, space, indices), None))
-    return 1
-
-
 def _subdivision_search(tally: _Tally, g: Graph) -> None:
-    targets = _subdivision_targets(g)
-    walk = _visit(g, tally.space, balanced=True)
-    tally.cases += sum(_subdivision_kernel(tally, g, targets, indices) for indices in walk)
+    """Subdivide every edge of every balanced labeling, in index space.
+
+    Carried edges keep their signs, so the result is balanced iff the edge
+    is a cut edge or its pair's subdivision parity is even. An edge whose
+    inherited set labels a vertex is skipped.
+    """
+    space = tally.space
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    cut = set(cut_edges(g))
+    rows = [(pos[u], pos[v], (u, v) not in cut, (u, v)) for u, v in g.edges]
+    cases = skipped = 0
+    for indices in _visit(g, space, balanced=True):
+        used = 0
+        for k in indices:
+            used |= 1 << k
+        failed = []
+        for a, b, noncut, e in rows:
+            inherited, delta, _ = space.pair_sum(indices[a], indices[b])
+            if inherited >= 0 and used >> inherited & 1:
+                skipped += 1
+                continue
+            cases += 1
+            if noncut and not delta:
+                failed.append(e)
+        if failed:
+            tally.findings.append((g, _labeling_from_indices(g, space, indices), failed))
+    tally.cases += cases
+    tally.skipped += skipped
 
 
 def _homeomorphism_search(tally: _Tally, g: Graph) -> None:
-    targets = _homeomorphism_targets(g)
-    if targets:
-        walk = _visit(g, tally.space, balanced=True)
-        tally.cases += sum(_homeomorphism_kernel(tally, g, targets, indices) for indices in walk)
+    """Transform every eligible vertex (degree 2, in no triangle) of every
+    balanced labeling, in index space.
+
+    The new edge ab replaces the path a-v-b, so the result is balanced iff v
+    lies on no cycle or p(ab) + p(av) + p(vb) is even. Only the eligible
+    vertices on a cycle can fail; every eligible vertex is a case.
+    """
+    eligible = [v for v in g.vertices if g.degree(v) == 2 and not in_triangle(g, v)]
+    if not eligible:
+        return
+    space = tally.space
+    odd = space.odd
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    on_cycle = vertices_on_cycles(g)
+    rows = []
+    for v in eligible:
+        if v in on_cycle:
+            a, b = g.neighbors(v)
+            rows.append((pos[v], pos[a], pos[b], v))
+    labelings = 0
+    for indices in _visit(g, space, balanced=True):
+        labelings += 1
+        failed = []
+        for p, a, b, v in rows:
+            x, y, z = indices[a], indices[b], indices[p]
+            if not (odd[x] >> y ^ odd[x] >> z ^ odd[z] >> y) & 1:
+                failed.append(v)
+        if failed:
+            tally.findings.append((g, _labeling_from_indices(g, space, indices), failed))
+    tally.cases += labelings * len(eligible)
 
 
 def _iasi_search(tally: _Tally, g: Graph) -> None:
+    """Injective iff the edges' sumsets are distinct."""
+    space = tally.space
     ends = _edge_ends(g)
-    walk = _visit(g, tally.space)
-    tally.cases += sum(_iasi_kernel(tally, g, ends, indices) for indices in walk)
+    cases = 0
+    for indices in _visit(g, space):
+        cases += 1
+        sums = {space.pair_sum(indices[a], indices[b])[2] for a, b, _ in ends}
+        if len(sums) < len(ends):
+            tally.findings.append((g, _labeling_from_indices(g, space, indices), [None]))
+    tally.cases += cases
 
 
 # One record per claim. Its explain is the claim's only object-level check:
-# it runs on every pair of a pair claim, and replays every finding of a
-# member search. The searches and their kernels read only the index-space
-# tables of _LabelingSpace and the per-graph tables each search builds, and
-# the transforms are called only from the case functions. Traced functions
+# it runs on every pair of a pair claim, and replays every target of every
+# finding of a member search. The searches read only the index-space tables
+# of _LabelingSpace and the per-graph rows each one builds, and the
+# transforms are called only from the case functions. Traced functions
 # (derive, the transforms, is_balanced_fast, cut_edges) are called by name,
 # never stored here, so a wrapper installed on the module later still sees
 # every call.
@@ -978,15 +964,13 @@ def verify_theorem(
             raise ParseError(f"graph family {family_spec} is empty")
     tally = _run(experiment, graphs, bounds)
     counters = []
-    lab = slg = None
-    for g, found_lab, target in tally.findings:
-        # A kernel passes one Labeling object for all its targets in a labeling.
-        if found_lab is not lab:
-            lab, slg = found_lab, derive(g, found_lab)
-        explanation = experiment.explain(slg, target)
-        if not explanation:
-            raise AssertionError(f"{tid.value} finding failed to replay at {target!r}")
-        counters.append(Counterexample(g, lab, explanation))
+    for g, lab, targets in tally.findings:
+        slg = derive(g, lab)
+        for target in targets:
+            explanation = experiment.explain(slg, target)
+            if not explanation:
+                raise AssertionError(f"{tid.value} finding failed to replay at {target!r}")
+            counters.append(Counterexample(g, lab, explanation))
     counters.sort(key=Counterexample.sort_key)
     return VerificationReport(
         theorem_id=tid,

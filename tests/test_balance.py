@@ -153,6 +153,30 @@ class TestClusterability:
         )
         assert negs == 1
 
+    def test_every_pattern_up_to_6_vertices_matches_the_cycle_definition(self):
+        # Clusterable iff no cycle has exactly one negative edge (Davis 1967),
+        # checked on every sign pattern of every connected graph on <= 6
+        # vertices. A pattern is the negative edge mask: bit i is g.edges[i],
+        # as in cycle_masks. Each witness must be a listed cycle of g.
+        patterns = clusterable = 0
+        for g in connected_graphs(6):
+            index = {e: i for i, e in enumerate(g.edges)}
+            masks = [mask for _, mask in cycle_masks(g, max_vertices=g.n)]
+            listed = set(masks)
+            for pattern in range(1 << g.m):
+                result = is_clusterable(signed_graph_from_pattern(g, pattern))
+                by_cycles = all((mask & pattern).bit_count() != 1 for mask in masks)
+                assert result.clusterable == by_cycles, (g.edges, pattern)
+                patterns += 1
+                clusterable += by_cycles
+                if by_cycles:
+                    continue
+                cycle = result.violating_cycle
+                mask = sum(1 << index[e] for e in cycle_edges(cycle))
+                assert len(set(cycle)) == len(cycle) == mask.bit_count()
+                assert mask in listed and (mask & pattern).bit_count() == 1
+        assert (patterns, clusterable) == (141_359, 10_446)
+
 
 class TestEquivalenceSmall:
     def test_fast_equals_oracle_and_balance_implies_clusterable(self):

@@ -559,6 +559,27 @@ class TestVerify:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: PARSE_ERROR: ")
 
+    def test_out_of_memory_exit_three(self, monkeypatch):
+        def exhaust(*args):
+            raise MemoryError
+
+        class Stderr(io.StringIO):
+            def write(self, text):
+                # The line is written once the MemoryError, and with it the
+                # exhausted search's frames, has been released.
+                assert sys.exc_info() == (None, None, None)
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "verify_theorem", exhaust)
+        monkeypatch.setattr(sys, "stderr", Stderr())
+        code, text = run(
+            ["verify", "--theorem", "BALANCE_BIPARTITE_REV", "--family", "connected:6",
+             "--universe-max", "4", "--max-label-size", "2"]
+        )
+        assert code == 3 and text == ""
+        err = sys.stderr.getvalue().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: BOUND_EXCEEDED: ")
+
     def test_oversize_family_spec_exit_three(self, capsys):
         # The pair theorems use no family member, but the spec is still checked.
         code, text = run(

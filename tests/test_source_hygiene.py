@@ -1,4 +1,5 @@
-"""Dead code in the package sources: unused imports and unreferenced private names.
+"""Dead code: unused imports in the package, its tests and its demos, and
+unreferenced private names in the package.
 
 Both checks read the sources with the standard library's ``ast`` only.
 """
@@ -10,6 +11,14 @@ import sumsign
 
 SRC = Path(sumsign.__file__).resolve().parent
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+ROOT = Path(__file__).resolve().parent.parent
+# The tests and demos are checked for unused imports only: their private
+# names are read by the test runner or are the names under test.
+SCRIPTS = {
+    path.relative_to(ROOT).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+    for folder in ("tests", "demos")
+    for path in sorted((ROOT / folder).glob("*.py"))
+}
 
 
 def _is_private(name):
@@ -57,7 +66,7 @@ def _private_definitions(tree):
 
 def test_every_module_uses_its_imports():
     unused = []
-    for name, tree in TREES.items():
+    for name, tree in {**TREES, **SCRIPTS}.items():
         if name == "__init__.py":
             continue  # the package namespace re-exports what it imports
         loaded = set(_loaded_names(tree))

@@ -19,9 +19,9 @@ from sumsign.families import (
     resolve_family,
     star_graph,
 )
-from sumsign.graphs import Graph, fundamental_cycle_masks, in_triangle, is_bipartite
+from sumsign.graphs import Graph, format_graph, fundamental_cycle_masks, in_triangle, is_bipartite
 from sumsign.intsets import IntegerSet, Sign, sumset
-from sumsign.labeling import Labeling, derive, validate_aiasl, validate_iasi
+from sumsign.labeling import derive, validate_aiasl
 from sumsign.verify import (
     _CONSTRUCTED,
     _EXPERIMENTS,
@@ -29,20 +29,12 @@ from sumsign.verify import (
     _count_indices,
     _edge_ends,
     _MAX_CANDIDATE_SETS,
-    _homeomorphism_case,
-    _homeomorphism_kernel,
-    _homeomorphism_targets,
-    _iasi_kernel,
     _K2,
     _K2_EDGE,
     _labeling_from_indices,
     _LabelingSpace,
     _negative_mask,
     _run,
-    _subdivision_case,
-    _subdivision_kernel,
-    _subdivision_targets,
-    _Tally,
     _visit,
     SearchBounds,
     TheoremId,
@@ -581,7 +573,7 @@ def test_pair_claim_findings_come_from_its_explain():
     pairs = [(i, j) for i in range(len(space.sets)) for j in range(i + 1, len(space.sets))
              if space.compat[i] >> j & 1]
     expected = [
-        (_K2, lab, _K2_EDGE)
+        (_K2, lab, [_K2_EDGE])
         for lab in (_labeling_from_indices(_K2, space, pair) for pair in pairs)
         if len(sumset(lab.get("u"), lab.get("v"))) % 2
     ]
@@ -591,7 +583,7 @@ def test_pair_claim_findings_come_from_its_explain():
 
 
 # ---------------------------------------------------------------------------
-# Index-space kernels against the object-level transforms
+# Reports against an object-level recomputation
 # ---------------------------------------------------------------------------
 
 # A 4-cycle beside a single edge: cycle and cut edges, cycle vertices, and
@@ -600,100 +592,18 @@ C4_PLUS_K2 = Graph(
     ["a", "b", "c", "d", "e", "f"],
     [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("e", "f")],
 )
-KERNEL_CASES = [
+COMPLETENESS_CASES = [
     ("connected:4", SearchBounds(2, 2)),
     ("connected:4", SearchBounds(3, 2)),
     (C4_PLUS_K2, SearchBounds(2, 2)),
-]
-KERNEL_CASE_IDS = ["connected:4-(2,2)", "connected:4-(3,2)", "C4+K2-(2,2)"]
-
-
-def _graphs(family):
-    return resolve_family(family) if isinstance(family, str) else [family]
-
-
-def _one_target_outcome(kernel, tally, g, targets, indices):
-    """The kernel's verdict on a list of one target row: None when skipped,
-    False when the claim holds, True when it fails at that target."""
-    (row,) = targets
-    target = row[-1]
-    cases = kernel(tally, g, targets, indices)
-    if tally.skipped:
-        assert (cases, tally.findings) == (0, [])
-        return None
-    assert cases == 1
-    assert len(tally.findings) <= 1
-    assert all(found == target for _, _, found in tally.findings)
-    return bool(tally.findings)
-
-
-@pytest.mark.parametrize("family, bounds", KERNEL_CASES, ids=KERNEL_CASE_IDS)
-def test_transform_kernels_match_object_cases(family, bounds):
-    """Every (balanced labeling, target) verdict of the two transform
-    kernels, and the target it names, equals _subdivision_case or
-    _homeomorphism_case on the derived labeled graph; both cases refuse
-    every unbalanced labeling."""
-    space = _LabelingSpace(bounds)
-    checked = set()
-    for g in _graphs(family):
-        _check_transform_kernels(g, space, checked)
-    # Skips, holds and violations all occur; the violations are HOMEOMORPHISM
-    # on the 4-cycle (SUBDIVISION has none within desk bounds).
-    assert {None, ""} < checked
-
-
-def _check_transform_kernels(g, space, checked):
-    kinds = [
-        (_subdivision_kernel, _subdivision_targets(g), _subdivision_case),
-        (_homeomorphism_kernel, _homeomorphism_targets(g), _homeomorphism_case),
-    ]
-    assert [t[3] for t in kinds[0][1]] == list(g.edges)
-    assert [t[4] for t in kinds[1][1]] == [
-        v for v in g.vertices if g.degree(v) == 2 and not in_triangle(g, v)
-    ]
-    for indices in _visit(g, space):
-        slg = derive(g, _labeling_from_indices(g, space, indices))
-        balanced = is_balanced_fast(slg)[0]
-        for kernel, targets, case in kinds:
-            for target in targets:
-                tally = _Tally(space)
-                expected = case(slg, target[-1])
-                if not balanced:
-                    # The kernels assume a balanced labeling; only the
-                    # object-level case is asked about this one.
-                    assert expected is None
-                    continue
-                outcome = _one_target_outcome(kernel, tally, g, [target], indices)
-                assert outcome == (None if expected is None else bool(expected))
-                checked.add(expected)
-
-
-@pytest.mark.parametrize("family, bounds", KERNEL_CASES, ids=KERNEL_CASE_IDS)
-def test_iasi_kernel_matches_validate_iasi(family, bounds):
-    space = _LabelingSpace(bounds)
-    verdicts = set()
-    for g in _graphs(family):
-        ends = _edge_ends(g)
-        for indices in _visit(g, space):
-            tally = _Tally(space)
-            assert _iasi_kernel(tally, g, ends, indices) == 1
-            lab = _labeling_from_indices(g, space, indices)
-            injective = validate_iasi(derive(g, lab))
-            assert tally.findings == ([] if injective else [(g, lab, None)])
-            verdicts.add(injective)
-    assert verdicts == {True, False}
-
-
-# ---------------------------------------------------------------------------
-# Reports against an object-level recomputation
-# ---------------------------------------------------------------------------
-
-MEMBER_THEOREMS = [tid for tid, exp in _EXPERIMENTS.items() if exp.search is not None]
-COMPLETENESS_CASES = KERNEL_CASES + [
     ("connected:4", SearchBounds(3, 3, odd_ratios_only=True)),
     ("connected:4", SearchBounds(4, 2, require_strict_universe=True)),
 ]
-COMPLETENESS_IDS = KERNEL_CASE_IDS + ["connected:4-(3,3)-odd", "connected:4-(4,2)-strict"]
+COMPLETENESS_IDS = [
+    "connected:4-(2,2)", "connected:4-(3,2)", "C4+K2-(2,2)",
+    "connected:4-(3,3)-odd", "connected:4-(4,2)-strict",
+]
+MEMBER_THEOREMS = [tid for tid, exp in _EXPERIMENTS.items() if exp.search is not None]
 # The members each balance direction applies to; the others are skipped.
 BALANCE_MEMBERS = {
     TheoremId.BALANCE_BIPARTITE_FWD: is_bipartite,
@@ -701,16 +611,21 @@ BALANCE_MEMBERS = {
 }
 
 
+def _graphs(family):
+    return resolve_family(family) if isinstance(family, str) else [family]
+
+
 def _object_level_run(tid, graphs, bounds):
-    """(cases, skipped, Counter of (graph, labeling, explanation)) of one
-    member experiment, from the unpruned enumeration, derive and the
+    """({graph: (cases, skipped)}, Counter of (graph, labeling, explanation))
+    of one member experiment, from the unpruned enumeration, derive and the
     record's explain at every target of every labeling."""
     explain = _EXPERIMENTS[tid].explain
-    cases = skipped = 0
+    counts = {}
     found = Counter()
     for g in graphs:
+        cases = skipped = 0
         if tid in BALANCE_MEMBERS and not BALANCE_MEMBERS[tid](g):
-            skipped += 1
+            counts[g] = (0, 1)
             continue
         if tid is TheoremId.BALANCE_BIPARTITE_FWD:
             lab = construct_balanced_bipartite_labeling(g)
@@ -734,20 +649,39 @@ def _object_level_run(tid, graphs, bounds):
                 cases += 1
                 if text:
                     found[g, lab, text] += 1
-    return cases, skipped, found
+        counts[g] = (cases, skipped)
+    return counts, found
 
 
 @pytest.mark.parametrize("tid", MEMBER_THEOREMS, ids=lambda tid: tid.value)
 @pytest.mark.parametrize("family, bounds", COMPLETENESS_CASES, ids=COMPLETENESS_IDS)
 def test_reports_equal_an_object_level_recomputation(tid, family, bounds):
-    """No counterexample is missed or invented, and cases and skips match:
-    the report equals a recomputation from the unpruned enumeration and the
-    object-level case functions, with no index-space kernel."""
-    report = verify_theorem(tid, family if isinstance(family, str) else [family], bounds)
+    """No counterexample is missed or invented, and each member's cases and
+    skips match: the report equals a recomputation from the unpruned
+    enumeration and the object-level case functions, with no index-space
+    search."""
+    graphs = _graphs(family)
+    report = verify_theorem(tid, graphs, bounds)
     got = Counter((ce.graph, ce.labeling, ce.explanation) for ce in report.counterexamples)
-    cases, skipped, found = _object_level_run(tid, _graphs(family), bounds)
-    assert (report.cases_checked, report.skipped, got) == (cases, skipped, found)
+    counts, found = _object_level_run(tid, graphs, bounds)
+    assert got == found
+    exp = _EXPERIMENTS[tid]
+    for g in graphs:
+        tally = _run(exp, [g], bounds)
+        assert (tally.cases, tally.skipped) == counts[g], format_graph(g)
+    cases = sum(c for c, _ in counts.values())
+    skipped = sum(s for _, s in counts.values())
+    assert (report.cases_checked, report.skipped) == (cases, skipped)
     assert cases + skipped > 0
+    # Skips, holds and violations all occur: SUBDIVISION skips and holds
+    # (it has no violation within desk bounds), HOMEOMORPHISM fails on the
+    # 4-cycle, and some labelings are edge-injective and some are not.
+    if tid is TheoremId.SUBDIVISION:
+        assert skipped > 0 and cases > len(report.counterexamples)
+    if tid is TheoremId.HOMEOMORPHISM:
+        assert report.counterexamples
+    if tid is TheoremId.IASI_INJECTIVITY:
+        assert 0 < len(report.counterexamples) < cases
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +739,7 @@ def test_count_and_balanced_modes_equal_the_filtered_walk(family, bounds):
 
 
 def test_replay_refuses_a_finding_at_the_wrong_target(monkeypatch):
-    """A HOMEOMORPHISM kernel that names the off-cycle vertex e instead of
+    """A HOMEOMORPHISM search that names the off-cycle vertex e instead of
     the cycle vertex it transformed must not pass replay."""
     g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("d", "e"), ("e", "f")])
     bounds = SearchBounds(2, 2)
@@ -813,12 +747,14 @@ def test_replay_refuses_a_finding_at_the_wrong_target(monkeypatch):
     assert {ce.explanation.split(":")[0] for ce in report.counterexamples} == {
         "vertex a", "vertex b", "vertex c"
     }
-    import sumsign.verify as verify_module
+    exp = _EXPERIMENTS[TheoremId.HOMEOMORPHISM]
 
-    monkeypatch.setattr(
-        verify_module,
-        "_homeomorphism_targets",
-        lambda g: [t[:4] + ("e",) for t in _homeomorphism_targets(g)],
+    def search_naming_e(tally, g):
+        exp.search(tally, g)
+        tally.findings[:] = [(g, lab, ["e"] * len(targets)) for g, lab, targets in tally.findings]
+
+    monkeypatch.setitem(
+        _EXPERIMENTS, TheoremId.HOMEOMORPHISM, dataclasses.replace(exp, search=search_naming_e)
     )
     with pytest.raises(AssertionError, match="HOMEOMORPHISM finding failed to replay at 'e'"):
         verify_theorem(TheoremId.HOMEOMORPHISM, [g], bounds)
