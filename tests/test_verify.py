@@ -615,6 +615,16 @@ def _graphs(family):
     return resolve_family(family) if isinstance(family, str) else [family]
 
 
+def _member_targets(tid, g):
+    """Where a member claim is checked on each labeling of g, in order."""
+    return {
+        TheoremId.SUBDIVISION: g.edges,
+        TheoremId.HOMEOMORPHISM: [
+            v for v in g.vertices if g.degree(v) == 2 and not in_triangle(g, v)
+        ],
+    }.get(tid, [None])
+
+
 def _object_level_run(tid, graphs, bounds):
     """({graph: (cases, skipped)}, Counter of (graph, labeling, explanation))
     of one member experiment, from the unpruned enumeration, derive and the
@@ -632,12 +642,7 @@ def _object_level_run(tid, graphs, bounds):
             text = explain(derive(g, lab), _CONSTRUCTED)
             if text:
                 found[g, lab, text] += 1
-        targets = {
-            TheoremId.SUBDIVISION: g.edges,
-            TheoremId.HOMEOMORPHISM: [
-                v for v in g.vertices if g.degree(v) == 2 and not in_triangle(g, v)
-            ],
-        }.get(tid, [None])
+        targets = _member_targets(tid, g)
         for lab in enumerate_aiasl(g, bounds, prune=False):
             slg = derive(g, lab)
             for target in targets:
@@ -682,6 +687,30 @@ def test_reports_equal_an_object_level_recomputation(tid, family, bounds):
         assert report.counterexamples
     if tid is TheoremId.IASI_INJECTIVITY:
         assert 0 < len(report.counterexamples) < cases
+
+
+@pytest.mark.parametrize("tid", MEMBER_THEOREMS, ids=lambda tid: tid.value)
+@pytest.mark.parametrize("family, bounds", COMPLETENESS_CASES[:3], ids=COMPLETENESS_IDS[:3])
+def test_each_failing_labeling_is_one_finding(tid, family, bounds):
+    """A search records each failing labeling once, with every target where
+    the claim fails on it in the order the targets are listed, and records
+    no labeling where the claim holds."""
+    exp = _EXPERIMENTS[tid]
+    for g in _graphs(family):
+        expected = Counter()
+        if tid is TheoremId.BALANCE_BIPARTITE_FWD and is_bipartite(g):
+            lab = construct_balanced_bipartite_labeling(g)
+            if exp.explain(derive(g, lab), _CONSTRUCTED):
+                expected[g, lab, (_CONSTRUCTED,)] += 1
+        if tid not in BALANCE_MEMBERS or BALANCE_MEMBERS[tid](g):
+            for lab in enumerate_aiasl(g, bounds, prune=False):
+                slg = derive(g, lab)
+                failing = tuple(t for t in _member_targets(tid, g) if exp.explain(slg, t))
+                if failing:
+                    expected[g, lab, failing] += 1
+        findings = _run(exp, [g], bounds).findings
+        got = Counter((found, lab, tuple(targets)) for found, lab, targets in findings)
+        assert got == expected, format_graph(g)
 
 
 # ---------------------------------------------------------------------------
