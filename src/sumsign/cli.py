@@ -160,6 +160,11 @@ def _cmd_check(args, out) -> int:
 def _emit_transform(args, out, outcome: TransformOutcome, extra: list[str]) -> int:
     graph_text = format_graph(outcome.result.graph)
     labeling_text = format_labeling(outcome.result.labeling)
+    # The files first: an unwritable one is an input error with empty stdout.
+    if args.out_graph:
+        _write(args.out_graph, graph_text)
+    if args.out_labeling:
+        _write(args.out_labeling, labeling_text)
     _emit(out, "-- graph --")
     out.write(graph_text)
     _emit(out, "-- labeling --")
@@ -169,10 +174,6 @@ def _emit_transform(args, out, outcome: TransformOutcome, extra: list[str]) -> i
         _emit(out, line)
     for line in extra:
         _emit(out, line)
-    if args.out_graph:
-        _write(args.out_graph, graph_text)
-    if args.out_labeling:
-        _write(args.out_labeling, labeling_text)
     return EXIT_OK
 
 
@@ -229,9 +230,9 @@ def _cmd_enumerate(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     report = verify_theorem(args.theorem, args.family, _bounds(args))
     text = report.to_text()
-    out.write(text)
     if args.out:
         _write(args.out, text)
+    out.write(text)
     confirmed = report.verdict is Verdict.CONFIRMED_WITHIN_BOUNDS
     return EXIT_OK if confirmed else EXIT_PROPERTY_FAILS
 

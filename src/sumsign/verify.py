@@ -147,14 +147,14 @@ class VerificationReport:
             f"counterexamples = {len(self.counterexamples)}",
         ]
         lines.extend(f"note: {note}" for note in self.notes)
+        # One string per counterexample, its leading blank line included.
         for i, ce in enumerate(self.counterexamples, start=1):
-            lines.append("")
-            lines.append(f"== counterexample {i} ==")
-            lines.append(f"explanation = {ce.explanation}")
-            lines.append("-- graph --")
-            lines.append(format_graph(ce.graph).rstrip("\n"))
-            lines.append("-- labeling --")
-            lines.append(format_labeling(ce.labeling).rstrip("\n"))
+            graph = format_graph(ce.graph).rstrip("\n")
+            labeling = format_labeling(ce.labeling).rstrip("\n")
+            lines.append(
+                f"\n== counterexample {i} ==\nexplanation = {ce.explanation}\n"
+                f"-- graph --\n{graph}\n-- labeling --\n{labeling}"
+            )
         return "\n".join(lines) + "\n"
 
 
@@ -599,8 +599,10 @@ def _balanced(neg_mask: int, cycles: list[int]) -> bool:
 class _Tally:
     """What one experiment run counted and where its claim failed.
 
-    A finding is ``(graph, labeling, targets)``: one per failing labeling,
-    with every target where it fails, in the order the search checked them.
+    A finding is ``(graph, indices, targets)``: one per failing labeling,
+    given by its set indices into ``space.sets`` in ``graph.vertices``
+    order, with a tuple of every target where it fails, in the order the
+    search checked them. Only replay builds its ``Labeling``.
     """
 
     def __init__(self, space: _LabelingSpace):
@@ -608,7 +610,7 @@ class _Tally:
         self.cases = 0
         self.skipped = 0
         self.constructed_ok = 0
-        self.findings: list[tuple[Graph, Labeling, list]] = []
+        self.findings: list[tuple[Graph, tuple[int, ...], tuple]] = []
 
 
 @dataclass(frozen=True)
@@ -621,8 +623,9 @@ class _Experiment:
     A pair claim has no ``search``: its explain runs on every admissible
     label pair i < j on K2, each pair one case. Otherwise ``search(tally,
     g)`` runs once per family member; it builds the per-graph rows it reads,
-    walks its labelings, adds its cases, skips and findings to the tally,
-    and returns nothing. ``notes`` builds the report notes from the tally.
+    walks its labelings as set-index tuples, adds its cases, skips and
+    findings to the tally, and returns nothing. ``notes`` builds the report
+    notes from the tally.
     """
 
     explain: Callable[[SignedLabeledGraph, object], str | None]
@@ -647,7 +650,7 @@ def _run(exp: _Experiment, graphs: Sequence[Graph], bounds: SearchBounds) -> _Ta
                 tally.cases += 1
                 lab = _labeling_from_indices(_K2, tally.space, indices)
                 if exp.explain(derive(_K2, lab), _K2_EDGE):
-                    tally.findings.append((_K2, lab, [_K2_EDGE]))
+                    tally.findings.append((_K2, indices, (_K2_EDGE,)))
         return tally
     for g in graphs:
         exp.search(tally, g)
@@ -685,17 +688,11 @@ def _cardinality_case(slg: SignedLabeledGraph, e: Edge) -> str:
     )
 
 
-# The target of a finding on a bipartite member's constructed labeling.
-_CONSTRUCTED = "constructed labeling"
-
-
 def _balance_case(slg: SignedLabeledGraph, target: object) -> str:
     """Balanced iff bipartite: the violation, or ''."""
     balanced = is_balanced_fast(slg)[0]
     if balanced == is_bipartite(slg.graph):
         return ""
-    if target == _CONSTRUCTED:
-        return "constructed same-parity-per-side labeling is not balanced"
     if balanced:
         return "derived signed graph is balanced but the underlying graph is not bipartite"
     return (
@@ -705,23 +702,24 @@ def _balance_case(slg: SignedLabeledGraph, target: object) -> str:
 
 
 def _balance_fwd_search(tally: _Tally, g: Graph) -> None:
-    """A bipartite member's constructed labeling and every labeling of it
-    must be balanced; a non-bipartite member is skipped."""
+    """Every labeling of a bipartite member must be balanced; a
+    non-bipartite member is skipped. Its constructed labeling lies outside
+    the bounds, so it is checked as a construction, not recorded as a
+    finding."""
     space = tally.space
     if not is_bipartite(g):
         tally.skipped += 1
         return
     lab = construct_balanced_bipartite_labeling(g)
-    if _balance_case(derive(g, lab), _CONSTRUCTED):
-        tally.findings.append((g, lab, [_CONSTRUCTED]))
-    else:
-        tally.constructed_ok += 1
+    if not is_balanced_fast(derive(g, lab))[0]:
+        raise AssertionError(f"constructed labeling {format_labeling(lab)!r} is not balanced")
+    tally.constructed_ok += 1
     ends, cycles = _edge_ends(g), fundamental_cycle_masks(g)
     cases = 0
     for indices in _visit(g, space):
         cases += 1
         if not _balanced(_negative_mask(ends, space.odd, indices), cycles):
-            tally.findings.append((g, _labeling_from_indices(g, space, indices), [None]))
+            tally.findings.append((g, indices, (None,)))
     tally.cases += cases
 
 
@@ -735,7 +733,7 @@ def _balance_rev_search(tally: _Tally, g: Graph) -> None:
         return
     tally.cases += _count_indices(g, space)
     for indices in _visit(g, space, balanced=True):
-        tally.findings.append((g, _labeling_from_indices(g, space, indices), [None]))
+        tally.findings.append((g, indices, (None,)))
 
 
 def _subdivision_case(slg: SignedLabeledGraph, e: Edge) -> str | None:
@@ -808,7 +806,7 @@ def _subdivision_search(tally: _Tally, g: Graph) -> None:
             if noncut and not delta:
                 failed.append(e)
         if failed:
-            tally.findings.append((g, _labeling_from_indices(g, space, indices), failed))
+            tally.findings.append((g, indices, tuple(failed)))
     tally.cases += cases
     tally.skipped += skipped
 
@@ -842,7 +840,7 @@ def _homeomorphism_search(tally: _Tally, g: Graph) -> None:
             if not (odd[x] >> y ^ odd[x] >> z ^ odd[z] >> y) & 1:
                 failed.append(v)
         if failed:
-            tally.findings.append((g, _labeling_from_indices(g, space, indices), failed))
+            tally.findings.append((g, indices, tuple(failed)))
     tally.cases += labelings * len(eligible)
 
 
@@ -855,14 +853,15 @@ def _iasi_search(tally: _Tally, g: Graph) -> None:
         cases += 1
         sums = {space.pair_sum(indices[a], indices[b])[2] for a, b, _ in ends}
         if len(sums) < len(ends):
-            tally.findings.append((g, _labeling_from_indices(g, space, indices), [None]))
+            tally.findings.append((g, indices, (None,)))
     tally.cases += cases
 
 
 # One record per claim. Its explain is the claim's only object-level check:
 # it runs on every pair of a pair claim, and replays every target of every
 # finding of a member search. The searches read only the index-space tables
-# of _LabelingSpace and the per-graph rows each one builds, and the
+# of _LabelingSpace and the per-graph rows each one builds, and record each
+# finding as set indices: replay alone turns one into a Labeling. The
 # transforms are called only from the case functions. Traced functions
 # (derive, the transforms, is_balanced_fast, cut_edges) are called by name,
 # never stored here, so a wrapper installed on the module later still sees
@@ -964,7 +963,8 @@ def verify_theorem(
             raise ParseError(f"graph family {family_spec} is empty")
     tally = _run(experiment, graphs, bounds)
     counters = []
-    for g, lab, targets in tally.findings:
+    for g, indices, targets in tally.findings:
+        lab = _labeling_from_indices(g, tally.space, indices)
         slg = derive(g, lab)
         for target in targets:
             explanation = experiment.explain(slg, target)

@@ -349,13 +349,13 @@ class TestTransform:
         assert out_graph.read_bytes() == "c \u00e9\n".encode()
 
     def test_unwritable_output_is_input_error(self, files, tmp_path, capsys):
-        code, _ = run(
+        code, text = run(
             ["transform", "subdivide", "--edge", "u v",
              "--graph", files("g", TRIANGLE_GRAPH),
              "--labeling", files("l", TRIANGLE_LABELING),
              "--out-graph", str(tmp_path / "missing" / "x")]
         )
-        assert code == 2
+        assert (code, text) == (2, "")
         err = capsys.readouterr().err.splitlines()
         assert any(line.startswith("error: PARSE_ERROR: cannot write") for line in err)
 
@@ -498,12 +498,12 @@ class TestVerify:
         assert "UNKNOWN_THEOREM" in capsys.readouterr().err
 
     def test_unwritable_report_is_input_error(self, tmp_path, capsys):
-        code, _ = run(
+        code, text = run(
             ["verify", "--theorem", "POSITIVE_EDGE", "--family", "triangle",
              "--universe-max", "2", "--max-label-size", "2",
              "--out", str(tmp_path / "missing" / "x")]
         )
-        assert code == 2
+        assert (code, text) == (2, "")
         err = capsys.readouterr().err.splitlines()
         assert any(line.startswith("error: PARSE_ERROR: cannot write") for line in err)
 

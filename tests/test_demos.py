@@ -1,5 +1,7 @@
-"""Every demo script runs to completion in a fresh interpreter."""
+"""Every demo script runs to completion in a fresh interpreter and prints
+the bytes pinned here."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +11,19 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# sha256 of each demo's stdout, the same under any PYTHONHASHSEED.
+STDOUT_SHA256 = {
+    "01_sumsets_and_progressions.py":
+        "6510b93f1788d02fa3fd19e9bfe109a8f2db152e6a13d1872b56748a8289ef6f",
+    "02_signed_graphs_from_labelings.py":
+        "3ee46909d57f67bc1f74180a5e6ec381bdbcfb8478b3ebcb7da7ec10bcaae293",
+    "03_balance_and_clusterability.py":
+        "ee0a9b0d06c7393267e9f8a789e0aa9f856d22fdce5d1d388b57d14b3b254b9d",
+    "04_labeled_graph_transforms.py":
+        "d64b218f6b25e76380ca423f07ccb2281404f86f22a546b06cb9c8a41bfa23b0",
+    "05_theorem_experiments.py":
+        "37a1b376464260aab16d76cbbf7d5c36df8fb18f7fd1fe1f94f30f7f07bcdedb",
+}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -21,8 +36,8 @@ def test_demo_runs_cleanly(demo):
         [sys.executable, str(demo)],
         env=env,
         capture_output=True,
-        text=True,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.name]

@@ -2,8 +2,12 @@
 
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +23,17 @@ from sumsign.families import (
     resolve_family,
     star_graph,
 )
-from sumsign.graphs import Graph, format_graph, fundamental_cycle_masks, in_triangle, is_bipartite
+from sumsign.graphs import (
+    Graph,
+    cut_edges,
+    format_graph,
+    fundamental_cycle_masks,
+    in_triangle,
+    is_bipartite,
+)
 from sumsign.intsets import IntegerSet, Sign, sumset
-from sumsign.labeling import derive, validate_aiasl
+from sumsign.labeling import derive, format_labeling, validate_aiasl
 from sumsign.verify import (
-    _CONSTRUCTED,
     _EXPERIMENTS,
     _balanced,
     _count_indices,
@@ -573,9 +583,9 @@ def test_pair_claim_findings_come_from_its_explain():
     pairs = [(i, j) for i in range(len(space.sets)) for j in range(i + 1, len(space.sets))
              if space.compat[i] >> j & 1]
     expected = [
-        (_K2, lab, [_K2_EDGE])
-        for lab in (_labeling_from_indices(_K2, space, pair) for pair in pairs)
-        if len(sumset(lab.get("u"), lab.get("v"))) % 2
+        (_K2, (i, j), (_K2_EDGE,))
+        for i, j in pairs
+        if len(sumset(space.sets[i], space.sets[j])) % 2
     ]
     assert 0 < len(expected) < len(pairs)
     assert tally.findings == expected
@@ -637,11 +647,6 @@ def _object_level_run(tid, graphs, bounds):
         if tid in BALANCE_MEMBERS and not BALANCE_MEMBERS[tid](g):
             counts[g] = (0, 1)
             continue
-        if tid is TheoremId.BALANCE_BIPARTITE_FWD:
-            lab = construct_balanced_bipartite_labeling(g)
-            text = explain(derive(g, lab), _CONSTRUCTED)
-            if text:
-                found[g, lab, text] += 1
         targets = _member_targets(tid, g)
         for lab in enumerate_aiasl(g, bounds, prune=False):
             slg = derive(g, lab)
@@ -698,19 +703,50 @@ def test_each_failing_labeling_is_one_finding(tid, family, bounds):
     exp = _EXPERIMENTS[tid]
     for g in _graphs(family):
         expected = Counter()
-        if tid is TheoremId.BALANCE_BIPARTITE_FWD and is_bipartite(g):
-            lab = construct_balanced_bipartite_labeling(g)
-            if exp.explain(derive(g, lab), _CONSTRUCTED):
-                expected[g, lab, (_CONSTRUCTED,)] += 1
         if tid not in BALANCE_MEMBERS or BALANCE_MEMBERS[tid](g):
             for lab in enumerate_aiasl(g, bounds, prune=False):
                 slg = derive(g, lab)
                 failing = tuple(t for t in _member_targets(tid, g) if exp.explain(slg, t))
                 if failing:
                     expected[g, lab, failing] += 1
-        findings = _run(exp, [g], bounds).findings
-        got = Counter((found, lab, tuple(targets)) for found, lab, targets in findings)
+        tally = _run(exp, [g], bounds)
+        got = Counter(
+            (found, _labeling_from_indices(found, tally.space, indices), targets)
+            for found, indices, targets in tally.findings
+        )
         assert got == expected, format_graph(g)
+
+
+def test_subdivision_records_every_failing_edge(monkeypatch):
+    """With every pair's subdivision parity read as even, a balanced
+    labeling fails at each non-cut edge whose inherited set labels no
+    vertex, and its one finding names all of those edges, in edge order."""
+    pair_sum = _LabelingSpace.pair_sum
+
+    def even_parity(space, i, j):
+        inherited, _, key = pair_sum(space, i, j)
+        return inherited, 0, key
+
+    monkeypatch.setattr(_LabelingSpace, "pair_sum", even_parity)
+    graphs = resolve_family("connected:4")
+    tally = _run(_EXPERIMENTS[TheoremId.SUBDIVISION], graphs, SearchBounds(3, 2))
+    space = tally.space
+    expected = []
+    for g in graphs:
+        cut = set(cut_edges(g))
+        pos = {v: i for i, v in enumerate(g.vertices)}
+        for indices in _visit(g, space, balanced=True):
+            labels = {space.sets[k] for k in indices}
+            failing = tuple(
+                (u, v) for u, v in g.edges
+                if (u, v) not in cut
+                and sumset(space.sets[indices[pos[u]]], space.sets[indices[pos[v]]]) not in labels
+            )
+            if failing:
+                expected.append((g, indices, failing))
+    assert tally.findings == expected
+    assert len(expected) == 3552
+    assert sum(len(targets) > 1 for _, _, targets in expected) == 3208
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +823,35 @@ def test_replay_refuses_a_finding_at_the_wrong_target(monkeypatch):
     )
     with pytest.raises(AssertionError, match="HOMEOMORPHISM finding failed to replay at 'e'"):
         verify_theorem(TheoremId.HOMEOMORPHISM, [g], bounds)
+
+
+def test_an_unbalanced_constructed_labeling_is_refused(monkeypatch):
+    """FWD checks its constructed labeling as a construction, not as a
+    finding: one that is unbalanced raises, also under ``python -O``."""
+    import sumsign.verify as verify_module
+
+    bounds = SearchBounds(4, 3)
+    unbalanced = verify_theorem("BALANCE_BIPARTITE_FWD", "cycle:4", bounds).counterexamples[0]
+    assert not is_balanced_fast(derive(unbalanced.graph, unbalanced.labeling))[0]
+    monkeypatch.setattr(
+        verify_module, "construct_balanced_bipartite_labeling", lambda g: unbalanced.labeling
+    )
+    with pytest.raises(AssertionError, match="constructed labeling .* is not balanced"):
+        verify_theorem("BALANCE_BIPARTITE_FWD", "cycle:4", bounds)
+    script = f"""
+import sumsign.verify as verify
+from sumsign.labeling import parse_labeling
+lab = parse_labeling({format_labeling(unbalanced.labeling)!r})
+verify.construct_balanced_bipartite_labeling = lambda g: lab
+try:
+    verify.verify_theorem("BALANCE_BIPARTITE_FWD", "cycle:4", verify.SearchBounds(4, 3))
+except AssertionError as exc:
+    print(exc)
+"""
+    src = str(Path(verify_module.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert "is not balanced" in done.stdout, done.stderr
 
 
 def test_replay_derives_each_labeling_once(monkeypatch):
