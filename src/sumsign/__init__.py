@@ -12,7 +12,6 @@ from .balance import (
     Clusterability,
     CycleSignSummary,
     SignedGraph,
-    cycle_sign_summaries,
     is_balanced_fast,
     is_balanced_oracle,
     is_clusterable,

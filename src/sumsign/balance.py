@@ -4,9 +4,11 @@ Two independent balance checks are provided on purpose:
 
 * ``is_balanced_oracle`` enumerates every simple cycle and checks that each
   one carries an even number of negative edges (the definition);
-* ``is_balanced_fast`` folds parities over the breadth-first spanning forest
-  (``graphs.spanning_forest``) and produces a 2-partition witness, without
-  ever listing cycles.
+* ``is_balanced_fast`` applies Harary's criterion: the signed graph is
+  balanced iff some 2-partition is crossed by exactly its negative edges.
+  ``graphs.sign_partition`` finds that partition, the witness, with one fold
+  over the breadth-first spanning forest and without listing cycles; the
+  bipartition of ``graphs.bipartition`` is its all-negative case.
 
 They must agree wherever the oracle is applicable; that equivalence is part
 of the test suite.
@@ -19,7 +21,7 @@ work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Protocol
+from typing import Mapping, NamedTuple, Protocol
 
 from .errors import UnknownEdge
 from .graphs import (
@@ -28,10 +30,10 @@ from .graphs import (
     Graph,
     connected_components,
     cycle_masks,
-    edge_key,
+    sign_partition,
     spanning_forest,
 )
-from .intsets import Sign
+from .intsets import Sign, sign_of_size
 
 
 class SignedGraphLike(Protocol):
@@ -50,6 +52,8 @@ class SignedGraph:
         for e in self.graph.edges:
             if e not in self.signs:
                 raise UnknownEdge(f"edge {e} has no sign")
+            if not isinstance(self.signs[e], Sign):
+                raise ValueError(f"edge {e} has sign {self.signs[e]!r}, not a Sign")
         if len(self.signs) != len(self.graph.edges):
             extra = set(self.signs) - set(self.graph.edges)
             raise UnknownEdge(f"signs given for non-edges: {sorted(extra)}")
@@ -59,8 +63,7 @@ def negative_edges(s: SignedGraphLike) -> tuple[Edge, ...]:
     return tuple(e for e in s.graph.edges if s.signs[e] is Sign.NEGATIVE)
 
 
-@dataclass(frozen=True)
-class CycleSignSummary:
+class CycleSignSummary(NamedTuple):
     """One simple cycle with its negative-edge count and sign product."""
 
     cycle: tuple[str, ...]
@@ -68,26 +71,23 @@ class CycleSignSummary:
     sign_product: Sign
 
 
-def cycle_sign_summaries(
-    s: SignedGraphLike, cycle_bound: int = DEFAULT_CYCLE_BOUND
-) -> list[CycleSignSummary]:
-    """One summary per simple cycle, in ``simple_cycles`` order. The cycles
-    and their edge masks come from ``graphs.cycle_masks``, shared with the
-    sign sweep; a cycle's negative count is (mask & negative mask).bit_count()."""
-    neg = sum(1 << i for i, e in enumerate(s.graph.edges) if s.signs[e] is Sign.NEGATIVE)
-    counts = [(c, (mask & neg).bit_count()) for c, mask in cycle_masks(s.graph, cycle_bound)]
-    return [CycleSignSummary(c, k, Sign.NEGATIVE if k % 2 else Sign.POSITIVE) for c, k in counts]
-
-
 def is_balanced_oracle(
     s: SignedGraphLike, cycle_bound: int = DEFAULT_CYCLE_BOUND
 ) -> tuple[bool, list[CycleSignSummary]]:
     """Balance by definition: every simple cycle has an even negative count.
 
-    Acyclic graphs are vacuously balanced. Raises BoundExceeded when the
-    graph is too large to enumerate cycles.
+    Returns the verdict and one summary per simple cycle, in
+    ``simple_cycles`` order. The cycles and their edge masks come from
+    ``graphs.cycle_masks``, shared with the sign sweep, so a cycle's
+    negative count is (mask & negative mask).bit_count(). Acyclic graphs are
+    vacuously balanced. Raises BoundExceeded when the graph is too large to
+    enumerate cycles.
     """
-    summaries = cycle_sign_summaries(s, cycle_bound=cycle_bound)
+    neg = sum(1 << i for i, e in enumerate(s.graph.edges) if s.signs[e] is Sign.NEGATIVE)
+    summaries = []
+    for c, mask in cycle_masks(s.graph, cycle_bound):
+        k = (mask & neg).bit_count()
+        summaries.append(CycleSignSummary(c, k, sign_of_size(k)))
     balanced = all(c.sign_product is Sign.POSITIVE for c in summaries)
     return balanced, summaries
 
@@ -95,25 +95,14 @@ def is_balanced_oracle(
 def is_balanced_fast(
     s: SignedGraphLike,
 ) -> tuple[bool, tuple[tuple[str, ...], tuple[str, ...]] | None]:
-    """Balance via parity propagation, with a camp 2-partition witness.
+    """Balance by Harary's criterion, with a camp 2-partition witness.
 
-    Folds a side over the spanning forest of the graph: a positive tree edge
-    keeps its parent's side, a negative one flips it. The signed graph is
-    balanced iff every edge then agrees with its sign, and then every
-    negative edge crosses the returned partition while every positive edge
-    stays inside one part.
+    ``graphs.sign_partition`` folds a side over the spanning forest; the
+    signed graph is balanced iff it finds a partition that every negative
+    edge crosses and no positive edge does.
     """
-    g = s.graph
-    order, parent = spanning_forest(g)
-    side: dict[str, int] = {}
-    for v in order:
-        p = parent[v]
-        side[v] = 0 if p is None else side[p] ^ (s.signs[edge_key(p, v)] is Sign.NEGATIVE)
-    if any(side[u] ^ side[v] != (s.signs[(u, v)] is Sign.NEGATIVE) for u, v in g.edges):
-        return False, None
-    part0 = tuple(v for v in g.vertices if side[v] == 0)
-    part1 = tuple(v for v in g.vertices if side[v] == 1)
-    return True, (part0, part1)
+    parts = sign_partition(s.graph, negative_edges(s))
+    return parts is not None, parts
 
 
 @dataclass(frozen=True)

@@ -260,7 +260,9 @@ def _digits(flag: str):
 def _add_bounds_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--universe-max", type=_digits("--universe-max"), required=True)
     p.add_argument("--max-label-size", type=_digits("--max-label-size"), required=True)
-    p.add_argument("--max-vertices", type=_digits("--max-vertices"), default=12)
+    p.add_argument(
+        "--max-vertices", type=_digits("--max-vertices"), default=SearchBounds.max_vertices
+    )
     p.add_argument("--strict-universe", action="store_true")
     p.add_argument(
         "--odd-ratios-only",

@@ -91,7 +91,7 @@ def connected_graphs(max_vertices: int) -> tuple[Graph, ...]:
     return tuple(out)
 
 
-def bipartite_family(max_vertices: int = 8) -> tuple[Graph, ...]:
+def bipartite_family(max_vertices: int) -> tuple[Graph, ...]:
     """Bipartite members of the shipped families up to max_vertices vertices.
 
     All connected bipartite graphs up to seven vertices, plus the
@@ -110,10 +110,18 @@ def bipartite_family(max_vertices: int = 8) -> tuple[Graph, ...]:
     return tuple(members)
 
 
-# Fewest vertices each family kind takes in its size (in each part, for
-# biclique).
-_FAMILY_KINDS = {"connected": 1, "bipartite": 1, "path": 1, "cycle": 3, "star": 2,
-                 "complete": 1, "biclique": 1}
+# Each family kind: the fewest vertices it takes in its size (in each part,
+# for biclique), and its members for the parsed sizes. Every builder is
+# looked up by name when called, so a stubbed builder is the one called.
+_FAMILY_KINDS = {
+    "connected": (1, lambda n: connected_graphs(n)),
+    "bipartite": (1, lambda n: bipartite_family(n)),
+    "path": (1, lambda n: (path_graph(n),)),
+    "cycle": (3, lambda n: (cycle_graph(n),)),
+    "star": (2, lambda n: (star_graph(n),)),
+    "complete": (1, lambda n: (complete_graph(n),)),
+    "biclique": (1, lambda m, n: (complete_bipartite_graph(m, n),)),
+}
 
 
 def parse_family(spec: str, max_vertices: int | None = None) -> tuple[str, tuple[int, ...]]:
@@ -146,10 +154,9 @@ def parse_family(spec: str, max_vertices: int | None = None) -> tuple[str, tuple
         raise BoundExceeded(
             f"family {spec} has a member with {sum(sizes)} vertices, bound is {max_vertices}"
         )
-    if min(sizes) < _FAMILY_KINDS[kind]:
-        raise ParseError(
-            f"bad family spec {spec!r}: {kind} needs sizes of at least {_FAMILY_KINDS[kind]}"
-        )
+    fewest = _FAMILY_KINDS[kind][0]
+    if min(sizes) < fewest:
+        raise ParseError(f"bad family spec {spec!r}: {kind} needs sizes of at least {fewest}")
     if kind == "connected" and sizes[0] > MAX_ATLAS_VERTICES:
         raise ParseError(
             f"bad family spec {spec!r}: the atlas stops at {MAX_ATLAS_VERTICES} vertices"
@@ -160,15 +167,4 @@ def parse_family(spec: str, max_vertices: int | None = None) -> tuple[str, tuple
 def resolve_family(spec: str, max_vertices: int | None = None) -> tuple[Graph, ...]:
     """Turn a family spec string into its graphs; see parse_family."""
     kind, sizes = parse_family(spec, max_vertices)
-    n = sizes[0]
-    if kind in ("connected", "bipartite"):
-        return connected_graphs(n) if kind == "connected" else bipartite_family(n)
-    if kind == "path":
-        return (path_graph(n),)
-    if kind == "cycle":
-        return (cycle_graph(n),)
-    if kind == "star":
-        return (star_graph(n),)
-    if kind == "complete":
-        return (complete_graph(n),)
-    return (complete_bipartite_graph(*sizes),)
+    return _FAMILY_KINDS[kind][1](*sizes)

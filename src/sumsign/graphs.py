@@ -5,7 +5,8 @@ every derived artifact is deterministic. Graphs are immutable after
 construction and safe to share.
 
 One breadth-first spanning forest (``spanning_forest``) answers every
-traversal question: the 2-coloring, the components, and, through the
+traversal question: Harary's sign partition (``sign_partition``, whose
+all-negative case is the 2-coloring), the components, and, through the
 fundamental cycles of its non-tree edges, the bridges and the vertices on
 cycles. Only ``simple_cycles`` lists every cycle; it is the by-definition
 reference and the only query limited by a vertex bound. ``cycle_masks`` adds
@@ -202,30 +203,40 @@ def fundamental_cycle_masks(g: Graph) -> list[int]:
     ]
 
 
-def two_coloring(g: Graph) -> dict[str, int] | None:
-    """2-coloring along the spanning forest; None when g has an odd cycle."""
+def sign_partition(
+    g: Graph, negative: Iterable[Edge]
+) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    """A 2-partition that exactly the ``negative`` edges of g cross, or None.
+
+    Harary's criterion (1953): a signature is balanced iff such a partition
+    exists, and with every edge negative it is a bipartition. Folds a side
+    over the spanning forest: a root takes side 0, and a tree edge flips its
+    parent's side iff it is negative. The partition exists iff every edge
+    then agrees. Returns the roots' side first, each part in sorted order.
+    Edges are in canonical form (``edge_key``), as in ``g.edges``.
+    """
+    neg = set(negative)
     order, parent = spanning_forest(g)
-    color: dict[str, int] = {}
+    side: dict[str, int] = {}
     for v in order:
         p = parent[v]
-        color[v] = 0 if p is None else 1 - color[p]
-    if any(color[u] == color[v] for u, v in g.edges):
-        return None
-    return color
+        side[v] = 0 if p is None else side[p] ^ ((p, v) in neg or (v, p) in neg)
+    for u, v in g.edges:
+        if side[u] ^ side[v] != ((u, v) in neg):
+            return None
+    return (
+        tuple(v for v in g.vertices if not side[v]),
+        tuple(v for v in g.vertices if side[v]),
+    )
 
 
 def bipartition(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     """A 2-partition with every edge crossing, or None for non-bipartite g."""
-    color = two_coloring(g)
-    if color is None:
-        return None
-    part0 = tuple(v for v in g.vertices if color[v] == 0)
-    part1 = tuple(v for v in g.vertices if color[v] == 1)
-    return part0, part1
+    return sign_partition(g, g.edges)
 
 
 def is_bipartite(g: Graph) -> bool:
-    return two_coloring(g) is not None
+    return bipartition(g) is not None
 
 
 def connected_components(g: Graph) -> list[tuple[str, ...]]:

@@ -10,7 +10,6 @@ import sumsign.graphs as graphs_module
 from sumsign.balance import (
     CycleSignSummary,
     SignedGraph,
-    cycle_sign_summaries,
     is_balanced_fast,
     is_balanced_oracle,
     is_clusterable,
@@ -24,7 +23,15 @@ from sumsign.families import (
     path_graph,
     star_graph,
 )
-from sumsign.graphs import Graph, cycle_edges, cycle_masks, edge_key, simple_cycles
+from sumsign.graphs import (
+    Graph,
+    bipartition,
+    cycle_edges,
+    cycle_masks,
+    edge_key,
+    sign_partition,
+    simple_cycles,
+)
 from sumsign.intsets import IntegerSet, Sign
 from sumsign.labeling import Labeling, derive
 from sumsign.verify import signed_graph_from_pattern, sweep_sign_patterns
@@ -111,6 +118,17 @@ class TestSignedGraphValidation:
                 graph=g,
                 signs={g.edges[0]: Sign.POSITIVE, ("x", "y"): Sign.NEGATIVE},
             )
+
+    def test_sign_that_is_not_a_sign_rejected(self):
+        # "-" is Sign.NEGATIVE's value, not the sign; read as positive, the
+        # all-negative triangle would pass every check as balanced.
+        g = cycle_graph(3)
+        with pytest.raises(ValueError, match=r"edge \('v0', 'v1'\) has sign '-'"):
+            SignedGraph(graph=g, signs={e: "-" for e in g.edges})
+        signs = {e: Sign.NEGATIVE for e in g.edges}
+        signs[("v1", "v2")] = -1
+        with pytest.raises(ValueError, match=r"edge \('v1', 'v2'\) has sign -1"):
+            SignedGraph(graph=g, signs=signs)
 
 
 class TestClusterability:
@@ -205,7 +223,7 @@ class TestEquivalenceSmall:
 class TestCycleSummaries:
     def test_summary_invariant(self):
         sg = signed(cycle_graph(4), negatives=[("v0", "v1")])
-        for summary in cycle_sign_summaries(sg):
+        for summary in is_balanced_oracle(sg)[1]:
             assert (summary.sign_product is Sign.POSITIVE) == (
                 summary.negative_edge_count % 2 == 0
             )
@@ -227,7 +245,57 @@ class TestCycleSummaries:
             cases += [(g, rng.randrange(1 << g.m)) for _ in range(12)]
         for g, pattern in cases:
             sg = signed_graph_from_pattern(g, pattern)
-            assert cycle_sign_summaries(sg) == literal(sg)
+            assert is_balanced_oracle(sg)[1] == literal(sg)
+
+
+class TestSignPartition:
+    """graphs.sign_partition is Harary's criterion; bipartition is its all-negative case."""
+
+    def test_every_pattern_up_to_5_vertices_matches_the_cycle_definition(self):
+        checked = 0
+        for g in connected_graphs(5):
+            for pattern in range(1 << g.m):
+                sg = signed_graph_from_pattern(g, pattern)
+                negatives = set(negative_edges(sg))
+                parts = sign_partition(g, negatives)
+                assert (parts is None) == (not is_balanced_oracle(sg)[0])
+                checked += 1
+                if parts is None:
+                    continue
+                part0, part1 = parts
+                assert sorted(part0 + part1) == list(g.vertices)
+                assert g.vertices[0] in part0
+                assert list(part0) == sorted(part0) and list(part1) == sorted(part1)
+                side = {v: v in part1 for v in g.vertices}
+                for u, v in g.edges:
+                    assert (side[u] != side[v]) == ((u, v) in negatives)
+        assert checked == 3247
+
+    def test_bipartition_is_the_all_negative_witness(self):
+        for g in connected_graphs(7):
+            all_negative = SignedGraph(g, {e: Sign.NEGATIVE for e in g.edges})
+            balanced, witness = is_balanced_fast(all_negative)
+            assert bipartition(g) == witness
+            assert (witness is not None) == balanced
+
+
+class TestCycleSignSummaryRecord:
+    def test_record_keeps_its_fields_repr_equality_and_immutability(self):
+        summary = CycleSignSummary(("v0", "v1", "v2"), 1, Sign.NEGATIVE)
+        assert CycleSignSummary._fields == ("cycle", "negative_edge_count", "sign_product")
+        assert repr(summary) == (
+            "CycleSignSummary(cycle=('v0', 'v1', 'v2'), negative_edge_count=1, "
+            "sign_product=<Sign.NEGATIVE: '-'>)"
+        )
+        same = CycleSignSummary(cycle=("v0", "v1", "v2"), negative_edge_count=1,
+                                sign_product=Sign.NEGATIVE)
+        other = CycleSignSummary(("v0", "v1", "v2"), 2, Sign.POSITIVE)
+        assert summary == same and hash(summary) == hash(same)
+        assert summary != other
+        assert len({summary, same, other}) == 2
+        for name in CycleSignSummary._fields:
+            with pytest.raises(AttributeError):
+                setattr(summary, name, None)
 
 
 class TestSharedCycleListing:
