@@ -21,6 +21,7 @@ work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Protocol
 
 from .errors import UnknownEdge
@@ -49,6 +50,8 @@ class SignedGraph:
     signs: Mapping[Edge, Sign]
 
     def __post_init__(self):
+        # A read-only copy: the checks below hold for as long as the value lives.
+        object.__setattr__(self, "signs", MappingProxyType(dict(self.signs)))
         for e in self.graph.edges:
             if e not in self.signs:
                 raise UnknownEdge(f"edge {e} has no sign")

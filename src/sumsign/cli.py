@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Verbs: derive, check (aiasl | iasi | balance | cluster), transform
-(subdivide | homeo | delete-vertex | span), enumerate, verify. All output is
-plain text with machine-readable key=value lines; identical inputs always
-produce byte-identical output.
+Verbs: derive, check, transform, enumerate, verify. Each check property
+(aiasl | iasi | balance | cluster) is one entry of ``_CHECKS`` and each
+transform operation (subdivide | homeo | delete-vertex | span) one entry of
+``_TRANSFORMS``: the parser's choices, the transform operand check and the
+dispatch all read those two tables. All output is plain text with
+machine-readable key=value lines; identical inputs always produce
+byte-identical output.
 
 Exit codes: 0 the requested property holds (or the command succeeded),
 1 the property fails, 2 input error, 3 a search bound was exceeded.
@@ -19,17 +22,15 @@ from pathlib import Path
 
 from .balance import is_balanced_fast, is_balanced_oracle, is_clusterable
 from .errors import BoundExceeded, ParseError, SumsignError
-from .graphs import DEFAULT_CYCLE_BOUND, Graph, format_graph, parse_graph
+from .graphs import DEFAULT_CYCLE_BOUND, format_graph, parse_graph
 from .intsets import Sign, parse_digits
 from .labeling import (
-    Labeling,
     SignedLabeledGraph,
     derive,
     format_labeling,
     iasi_collisions,
     parse_labeling,
     validate_aiasl,
-    validate_iasi,
 )
 from .transforms import (
     TransformOutcome,
@@ -65,29 +66,16 @@ def _write(path: str, text: str) -> None:
         raise ParseError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _load_graph(path: str) -> Graph:
-    return parse_graph(_read(path))
-
-
-def _load_labeling(path: str) -> Labeling:
-    return parse_labeling(_read(path))
-
-
 def _load_derived(args) -> SignedLabeledGraph:
-    g = _load_graph(args.graph)
-    lab = _load_labeling(args.labeling)
-    return derive(g, lab, strict=args.strict_universe)
+    graph = parse_graph(_read(args.graph))
+    labeling = parse_labeling(_read(args.labeling))
+    return derive(graph, labeling, strict=args.strict_universe)
 
 
-def _default_cycle_bound() -> int:
-    raw = os.environ.get(ENV_CYCLE_BOUND)
-    if raw is None:
-        return DEFAULT_CYCLE_BOUND
-    return parse_digits(raw, f"{ENV_CYCLE_BOUND} value")
-
-
-def _emit(out, text: str) -> None:
-    out.write(text if text.endswith("\n") else text + "\n")
+def _verdict(out, key: str, holds: bool) -> int:
+    """Write the ``KEY=true|false`` line and return the matching exit code."""
+    print(f"{key}={'true' if holds else 'false'}", file=out)
+    return EXIT_OK if holds else EXIT_PROPERTY_FAILS
 
 
 # ---------------------------------------------------------------------------
@@ -102,79 +90,72 @@ def _cmd_derive(args, out) -> int:
         sign = slg.signs[(u, v)]
         if sign is Sign.POSITIVE:
             positive += 1
-        _emit(out, f"{u} {v} : {label.to_text()} {sign}")
-    _emit(out, f"EDGES={slg.graph.m}")
-    _emit(out, f"POSITIVE={positive}")
-    _emit(out, f"NEGATIVE={slg.graph.m - positive}")
+        print(f"{u} {v} : {label.to_text()} {sign}", file=out)
+    print(f"EDGES={slg.graph.m}", file=out)
+    print(f"POSITIVE={positive}", file=out)
+    print(f"NEGATIVE={slg.graph.m - positive}", file=out)
     return EXIT_OK
+
+
+# Each check property writes its lines as it goes, then returns its KEY and
+# whether the property holds.
+
+def _check_aiasl(args, slg, out) -> tuple[str, bool]:
+    check = validate_aiasl(slg)
+    for v, reason in check.vertex_failures:
+        print(f"vertex {v} : {reason}", file=out)
+    for (u, w), reason in check.edge_failures:
+        print(f"edge {u} {w} : {reason}", file=out)
+    return "AIASL", check.ok
+
+
+def _check_iasi(args, slg, out) -> tuple[str, bool]:
+    collisions = iasi_collisions(slg)
+    for e1, e2 in collisions:
+        print(
+            f"collision: {e1[0]} {e1[1]} and {e2[0]} {e2[1]} share "
+            f"{slg.edge_labels[e1].to_text()}",
+            file=out,
+        )
+    return "IASI", not collisions
+
+
+def _check_balance(args, slg, out) -> tuple[str, bool]:
+    balanced, summaries = is_balanced_oracle(slg, cycle_bound=args.cycle_bound)
+    for summary in summaries:
+        print(
+            f"cycle {' '.join(summary.cycle)} : negatives={summary.negative_edge_count} "
+            f"sign={summary.sign_product}",
+            file=out,
+        )
+    fast_balanced, partition = is_balanced_fast(slg)
+    assert fast_balanced == balanced
+    if partition is not None:
+        print(f"camp1 = {' '.join(partition[0])}", file=out)
+        print(f"camp2 = {' '.join(partition[1])}", file=out)
+    return "BALANCED", balanced
+
+
+def _check_cluster(args, slg, out) -> tuple[str, bool]:
+    result = is_clusterable(slg)
+    # Exactly one of the clusters and the violating cycle is given.
+    for i, cluster in enumerate(result.clusters or (), start=1):
+        print(f"cluster {i} : {' '.join(cluster)}", file=out)
+    if result.violating_cycle is not None:
+        print(f"violating_cycle = {' '.join(result.violating_cycle)}", file=out)
+    return "CLUSTERABLE", result.clusterable
+
+
+_CHECKS = {
+    "aiasl": _check_aiasl,
+    "iasi": _check_iasi,
+    "balance": _check_balance,
+    "cluster": _check_cluster,
+}
 
 
 def _cmd_check(args, out) -> int:
-    slg = _load_derived(args)
-    if args.property == "aiasl":
-        check = validate_aiasl(slg)
-        for v, reason in check.vertex_failures:
-            _emit(out, f"vertex {v} : {reason}")
-        for (u, w), reason in check.edge_failures:
-            _emit(out, f"edge {u} {w} : {reason}")
-        _emit(out, f"AIASL={'true' if check.ok else 'false'}")
-        return EXIT_OK if check.ok else EXIT_PROPERTY_FAILS
-    if args.property == "iasi":
-        ok = validate_iasi(slg)
-        for e1, e2 in iasi_collisions(slg):
-            _emit(
-                out,
-                f"collision: {e1[0]} {e1[1]} and {e2[0]} {e2[1]} share "
-                f"{slg.edge_labels[e1].to_text()}",
-            )
-        _emit(out, f"IASI={'true' if ok else 'false'}")
-        return EXIT_OK if ok else EXIT_PROPERTY_FAILS
-    if args.property == "balance":
-        balanced, summaries = is_balanced_oracle(slg, cycle_bound=args.cycle_bound)
-        for summary in summaries:
-            _emit(
-                out,
-                f"cycle {' '.join(summary.cycle)} : negatives={summary.negative_edge_count} "
-                f"sign={summary.sign_product}",
-            )
-        fast_balanced, partition = is_balanced_fast(slg)
-        assert fast_balanced == balanced
-        if partition is not None:
-            _emit(out, f"camp1 = {' '.join(partition[0])}")
-            _emit(out, f"camp2 = {' '.join(partition[1])}")
-        _emit(out, f"BALANCED={'true' if balanced else 'false'}")
-        return EXIT_OK if balanced else EXIT_PROPERTY_FAILS
-    if args.property == "cluster":
-        result = is_clusterable(slg)
-        if result.clusterable:
-            assert result.clusters is not None
-            for i, cluster in enumerate(result.clusters, start=1):
-                _emit(out, f"cluster {i} : {' '.join(cluster)}")
-        elif result.violating_cycle is not None:
-            _emit(out, f"violating_cycle = {' '.join(result.violating_cycle)}")
-        _emit(out, f"CLUSTERABLE={'true' if result.clusterable else 'false'}")
-        return EXIT_OK if result.clusterable else EXIT_PROPERTY_FAILS
-    raise ParseError(f"unknown check property {args.property!r}")
-
-
-def _emit_transform(args, out, outcome: TransformOutcome, extra: list[str]) -> int:
-    graph_text = format_graph(outcome.result.graph)
-    labeling_text = format_labeling(outcome.result.labeling)
-    # The files first: an unwritable one is an input error with empty stdout.
-    if args.out_graph:
-        _write(args.out_graph, graph_text)
-    if args.out_labeling:
-        _write(args.out_labeling, labeling_text)
-    _emit(out, "-- graph --")
-    out.write(graph_text)
-    _emit(out, "-- labeling --")
-    out.write(labeling_text)
-    _emit(out, "-- provenance --")
-    for line in outcome.provenance_lines():
-        _emit(out, line)
-    for line in extra:
-        _emit(out, line)
-    return EXIT_OK
+    return _verdict(out, *_CHECKS[args.property](args, _load_derived(args), out))
 
 
 def _parse_edge_arg(text: str) -> tuple[str, str]:
@@ -184,22 +165,51 @@ def _parse_edge_arg(text: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
+def _span(args, slg) -> tuple[TransformOutcome, list[str]]:
+    keep = [_parse_edge_arg(e) for e in args.keep]
+    outcome, removed_negatives = spanned_subgraph(slg, keep)
+    return outcome, [f"REMOVED_NEGATIVE_EDGES={removed_negatives}"]
+
+
+# operation: (the args attribute of the flag it needs, how the error names
+# that flag, the call, which returns the outcome and any extra output lines).
+_TRANSFORMS = {
+    "subdivide": (
+        "edge", "--edge 'u v'",
+        lambda args, slg: (subdivide_edge(slg, _parse_edge_arg(args.edge)), []),
+    ),
+    "homeo": (
+        "vertex", "--vertex",
+        lambda args, slg: (elementary_transformation(slg, args.vertex), []),
+    ),
+    "delete-vertex": (
+        "vertex", "--vertex", lambda args, slg: (delete_vertex(slg, args.vertex), []),
+    ),
+    "span": ("keep", "at least one --keep 'u v'", _span),
+}
+
+
 def _cmd_transform(args, out) -> int:
-    slg = _load_derived(args)
-    extra: list[str] = []
-    if args.operation == "subdivide":
-        outcome = subdivide_edge(slg, _parse_edge_arg(args.edge))
-    elif args.operation == "homeo":
-        outcome = elementary_transformation(slg, args.vertex)
-    elif args.operation == "delete-vertex":
-        outcome = delete_vertex(slg, args.vertex)
-    elif args.operation == "span":
-        keep = [_parse_edge_arg(e) for e in args.keep]
-        outcome, removed_negatives = spanned_subgraph(slg, keep)
-        extra.append(f"REMOVED_NEGATIVE_EDGES={removed_negatives}")
-    else:
-        raise ParseError(f"unknown transform {args.operation!r}")
-    return _emit_transform(args, out, outcome, extra)
+    flag, needs, call = _TRANSFORMS[args.operation]
+    # The operand is checked before any file is read.
+    if not getattr(args, flag):
+        raise ParseError(f"transform {args.operation} needs {needs}")
+    outcome, extra = call(args, _load_derived(args))
+    graph_text = format_graph(outcome.result.graph)
+    labeling_text = format_labeling(outcome.result.labeling)
+    # The files first: an unwritable one is an input error with empty stdout.
+    if args.out_graph:
+        _write(args.out_graph, graph_text)
+    if args.out_labeling:
+        _write(args.out_labeling, labeling_text)
+    print("-- graph --", file=out)
+    out.write(graph_text)
+    print("-- labeling --", file=out)
+    out.write(labeling_text)
+    print("-- provenance --", file=out)
+    for line in [*outcome.provenance_lines(), *extra]:
+        print(line, file=out)
+    return EXIT_OK
 
 
 def _bounds(args) -> SearchBounds:
@@ -214,16 +224,13 @@ def _bounds(args) -> SearchBounds:
 
 
 def _cmd_enumerate(args, out) -> int:
-    g = _load_graph(args.graph)
+    graph = parse_graph(_read(args.graph))
     count = 0
-    for lab in enumerate_aiasl(g, _bounds(args)):
+    for lab in enumerate_aiasl(graph, _bounds(args)):
         count += 1
         if args.limit is None or count <= args.limit:
-            _emit(
-                out,
-                " ".join(f"{v}={s.to_text()}" for v, s in lab.items()),
-            )
-    _emit(out, f"COUNT={count}")
+            print(" ".join(f"{v}={s.to_text()}" for v, s in lab.items()), file=out)
+    print(f"COUNT={count}", file=out)
     return EXIT_OK
 
 
@@ -290,14 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_derive)
 
     p = sub.add_parser("check", help="check a property of the derived signed graph")
-    p.add_argument("property", choices=["aiasl", "iasi", "balance", "cluster"])
+    p.add_argument("property", choices=_CHECKS)
     _add_io_arguments(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("transform", help="apply a labeled-graph operation")
-    p.add_argument(
-        "operation", choices=["subdivide", "homeo", "delete-vertex", "span"]
-    )
+    p.add_argument("operation", choices=_TRANSFORMS)
     _add_io_arguments(p)
     p.add_argument("--edge", help="edge 'u v' (subdivide)")
     p.add_argument("--vertex", help="vertex id (homeo, delete-vertex)")
@@ -329,17 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_transform_args(args) -> None:
-    if args.command != "transform":
-        return
-    if args.operation == "subdivide" and not args.edge:
-        raise ParseError("transform subdivide needs --edge 'u v'")
-    if args.operation in ("homeo", "delete-vertex") and not args.vertex:
-        raise ParseError(f"transform {args.operation} needs --vertex")
-    if args.operation == "span" and not args.keep:
-        raise ParseError("transform span needs at least one --keep 'u v'")
-
-
 def main(argv: list[str] | None = None, out=None) -> int:
     if out is None:
         if hasattr(signal, "SIGPIPE"):
@@ -352,8 +346,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.cycle_bound is None:
-            args.cycle_bound = _default_cycle_bound()
-        _validate_transform_args(args)
+            raw = os.environ.get(ENV_CYCLE_BOUND, str(DEFAULT_CYCLE_BOUND))
+            args.cycle_bound = parse_digits(raw, f"{ENV_CYCLE_BOUND} value")
         return args.func(args, out)
     except SumsignError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ the sign sweep and the balance oracle share.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from typing import Iterable
 
@@ -25,6 +26,9 @@ from .errors import BoundExceeded, ParseError, UnknownVertex
 #: super-exponentially and everything here is meant for desk-scale graphs.
 DEFAULT_CYCLE_BOUND = 12
 _CYCLE_MEMO_GRAPHS = 8  # graphs whose cycle listing cycle_masks holds
+# A vertex id that format_graph can write and parse_graph read back: no
+# whitespace, and no '#' first, which would start a comment.
+_VERTEX_ID = re.compile(r"[^\s#]\S*")
 
 Edge = tuple[str, str]
 
@@ -37,6 +41,9 @@ def edge_key(u: str, v: str) -> Edge:
 class Graph:
     """Finite simple graph: no loops, no parallel edges, string vertex ids.
 
+    A vertex id is a non-empty string with no whitespace that does not begin
+    with ``#``, and ``vertex`` is no edge endpoint, so that ``format_graph``
+    writes every graph as text that ``parse_graph`` reads back as it.
     Isolated vertices are permitted (transform operations can transiently
     create them), they just never participate in edge rules.
     """
@@ -44,8 +51,14 @@ class Graph:
     __slots__ = ("vertices", "edges", "_adj")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge] = ()):
-        verts = tuple(sorted(set(vertices)))
-        vset = set(verts)
+        vset = set(vertices)
+        for v in vset:
+            if not (isinstance(v, str) and _VERTEX_ID.fullmatch(v)):
+                raise ValueError(
+                    f"vertex id {v!r} must be a non-empty str with no whitespace "
+                    "and no leading '#'"
+                )
+        verts = tuple(sorted(vset))
         canon = set()
         for u, v in edges:
             if u == v:
@@ -59,6 +72,8 @@ class Graph:
         for u, v in sorted(canon):
             adj[u].append(v)
             adj[v].append(u)
+        if adj.get("vertex"):
+            raise ValueError("vertex id 'vertex' is a keyword, not an edge endpoint")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple(sorted(canon)))
         object.__setattr__(

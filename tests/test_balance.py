@@ -130,6 +130,18 @@ class TestSignedGraphValidation:
         with pytest.raises(ValueError, match=r"edge \('v1', 'v2'\) has sign -1"):
             SignedGraph(graph=g, signs=signs)
 
+    def test_caller_dict_changed_later_changes_nothing(self):
+        g = cycle_graph(3)
+        signs = {e: Sign.NEGATIVE for e in g.edges}
+        sg = SignedGraph(graph=g, signs=signs)
+        verdicts = (is_balanced_fast(sg), is_balanced_oracle(sg), is_clusterable(sg))
+        assert verdicts[0] == (False, None)
+        for e in g.edges:
+            signs[e] = "-"
+        assert (is_balanced_fast(sg), is_balanced_oracle(sg), is_clusterable(sg)) == verdicts
+        with pytest.raises(TypeError):
+            sg.signs[g.edges[0]] = Sign.POSITIVE
+
 
 class TestClusterability:
     def test_all_negative_triangle(self):

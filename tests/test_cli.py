@@ -1,9 +1,11 @@
 """End-to-end command-line behavior: verbs, formats, exit codes."""
 
+import argparse
 import contextlib
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -438,6 +440,95 @@ def test_transform_outputs_match_golden_hashes(
     assert code == 0
     blob = "\0".join([text, out_graph.read_text(), out_labeling.read_text()])
     assert hashlib.sha256(blob.encode()).hexdigest() == expected
+
+
+SQUARE_GRAPH = "a b\nb c\nc d\na d\n"
+SINGLETON_SQUARE_LABELING = "universe_max = 4\na: {0}\nb: {1}\nc: {2}\nd: {3}\n"
+PATH3_GRAPH = "a b\nb c\n"
+
+# Exit code and sha256 of stdout of ``derive``, ``check`` (each property once
+# where it holds and once where it fails) and ``enumerate``, computed before
+# the verbs' cases were gathered into tables: every byte must stay the same.
+# ``--graph`` and, when given, ``--labeling`` are appended to the arguments.
+GOLDEN_RUNS = {
+    "derive-unbalanced-triangle": (
+        ["derive"], UNBALANCED_GRAPH, UNBALANCED_LABELING, 0,
+        "556592e0f0d16aa7d084f15d8807e8633ba19c611a112f7e454ce40f85b337db",
+    ),
+    "aiasl-holds": (
+        ["check", "aiasl"], TRIANGLE_GRAPH, TRIANGLE_LABELING, 0,
+        "06b28c1a45b66f718c035aef1c22232329ba8b586ee2697c907180bf1578e482",
+    ),
+    "aiasl-fails-vertex-and-edges": (
+        ["check", "aiasl"], PATH3_GRAPH,
+        "universe_max = 8\na: {0,1,3}\nb: {0,1}\nc: {0,3,6}\n", 1,
+        "5521567cf0351cdaa176cc1dbd785a1042a1482e2f5c4b094e3d8fadee77d9ba",
+    ),
+    "iasi-holds": (
+        ["check", "iasi"], TRIANGLE_GRAPH, TRIANGLE_LABELING, 0,
+        "2234f490b6618850c5213c1e69313ababa955499765e102d6ff5a05590073992",
+    ),
+    "iasi-fails-collision": (
+        ["check", "iasi"], PATH3_GRAPH,
+        "universe_max = 2\na: {0,2}\nb: {0,1}\nc: {0,1,2}\n", 1,
+        "e6c91c868bb6f8cfd0003ab79746a8aa136f1f430767b4ced28a8d75e7c0c225",
+    ),
+    "balance-holds-two-camps": (
+        ["check", "balance"], SQUARE_GRAPH, SINGLETON_SQUARE_LABELING, 0,
+        "3d12ea5dc0296581ea83b4f88c3bc1c9e384add0a4e313fdbbf81242916ad7b4",
+    ),
+    "balance-holds-empty-camp": (
+        ["check", "balance"], TRIANGLE_GRAPH, TRIANGLE_LABELING, 0,
+        "2a2194d6dbb61226d919ef1295bf4ac2b972588d6a36564a0d8f896bdeb0b5aa",
+    ),
+    "balance-fails": (
+        ["check", "balance"], UNBALANCED_GRAPH, UNBALANCED_LABELING, 1,
+        "ca6885c19f250ee7b9279e1c2f63c8aa4adcc3f03adafe1b1c762e7fcda4bda6",
+    ),
+    "cluster-holds": (
+        ["check", "cluster"], TRIANGLE_GRAPH, "universe_max = 4\nu: {0}\nv: {1}\nw: {2}\n", 0,
+        "e9936f4cea2071a58d065ff16886cbd69fe3f8f63b4ad0e6c8705a61abdb740a",
+    ),
+    "cluster-fails-violating-cycle": (
+        ["check", "cluster"], UNBALANCED_GRAPH, UNBALANCED_LABELING, 1,
+        "3e739ea50dd4db586e459b7532df89df62f5bb8b9e521fe49a8d36b2bf9d9361",
+    ),
+    "enumerate-triangle": (
+        ["enumerate", "--universe-max", "3", "--max-label-size", "2"],
+        TRIANGLE_GRAPH, None, 0,
+        "3cec01b22b53aa0e994f293840bc8d9bc789227246a961102a693cb40628a095",
+    ),
+    "enumerate-triangle-limit": (
+        ["enumerate", "--universe-max", "3", "--max-label-size", "2", "--limit", "4"],
+        TRIANGLE_GRAPH, None, 0,
+        "bff7154b70731b8917339b1875cc31631ab4cb460537189fd2b13b1e34e8434a",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, graph, labeling, code, expected",
+    GOLDEN_RUNS.values(),
+    ids=GOLDEN_RUNS.keys(),
+)
+def test_outputs_match_golden_hashes(files, argv, graph, labeling, code, expected):
+    argv = [*argv, "--graph", files("g", graph)]
+    if labeling is not None:
+        argv += ["--labeling", files("l", labeling)]
+    got_code, text = run(argv)
+    assert (got_code, hashlib.sha256(text.encode()).hexdigest()) == (code, expected)
+
+
+@pytest.mark.parametrize("verb", ["check", "transform"])
+def test_readme_synopsis_names_each_choice_and_no_other(verb):
+    parser = cli.build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (positional,) = [a for a in verbs.choices[verb]._actions if not a.option_strings]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    synopsis = readme.split("## Command line", 1)[1].split("```")[1]
+    # "sumsign check {aiasl|iasi|...}": each alternative begins with its choice.
+    alternatives = re.search(rf"sumsign {verb}\s+\{{([^}}]*)\}}", synopsis)[1].split("|")
+    assert [alt.split()[0] for alt in alternatives] == list(positional.choices)
 
 
 class TestEnumerate:

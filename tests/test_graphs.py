@@ -1,5 +1,6 @@
 """Graph structure queries: bipartiteness, bridges, cycles, triangles."""
 
+import re
 import time
 from itertools import combinations, permutations
 
@@ -88,8 +89,12 @@ class TestGraphBasics:
 
 class TestGraphFormat:
     def test_round_trip(self):
-        g = Graph(["a", "b", "c", "lonely"], [("a", "b"), ("b", "c")])
-        assert parse_graph(format_graph(g)) == g
+        graphs = list(connected_graphs(7))
+        assert len(graphs) == 996
+        graphs += [Graph(["a", "b", "c", "lonely"], [("a", "b"), ("b", "c")]),
+                   Graph(["u*v", "a:b", "é", "x#"], [("u*v", "a:b"), ("a:b", "é"), ("é", "x#")])]
+        for g in graphs:
+            assert parse_graph(format_graph(g)) == g
 
     def test_vertex_keyword_round_trips_or_is_refused(self):
         # "vertex vertex" declares an isolated vertex named vertex.
@@ -112,6 +117,25 @@ class TestGraphFormat:
         for g in (Graph(["a", "b", "x#"], [("a", "x#"), ("b", "x#")]),
                   Graph(["u-1", "v.2", "w_3", "lonely"], [("u-1", "v.2")])):
             assert parse_graph(format_graph(g)) == g
+
+    @pytest.mark.parametrize(
+        "vertices, edges, bad",
+        [
+            ([1, 2], [(1, 2)], 1),  # would be read back as the strings '1', '2'
+            (["a b", "c"], [("a b", "c")], "a b"),
+            (["a\tb"], [], "a\tb"),
+            (["a\u00a0b"], [], "a\u00a0b"),
+            ([""], [], ""),
+            (["#x", "y"], [("#x", "y")], "#x"),
+            ([1, "a"], [], 1),  # used to end in a TypeError from the sort
+            (["a", "vertex"], [("a", "vertex")], "vertex"),
+        ],
+        ids=["ints", "space", "tab", "no-break-space", "empty", "hash", "mixed-types",
+             "vertex-endpoint"],
+    )
+    def test_id_that_cannot_be_written_back_is_refused(self, vertices, edges, bad):
+        with pytest.raises(ValueError, match=re.escape(f"vertex id {bad!r} ")):
+            Graph(vertices, edges)
 
     def test_comments_and_blanks(self):
         g = parse_graph("# a comment\n\na b\nvertex z\n")
