@@ -12,13 +12,23 @@ cycles. Only ``simple_cycles`` lists every cycle; it is the by-definition
 reference and the only query limited by a vertex bound. ``cycle_masks`` adds
 each cycle's edge mask and holds the listing of the last few graphs, which
 the sign sweep and the balance oracle share.
+
+Each ``Graph`` keeps a private memo, filled on first read: the default-root
+spanning forest, the bipartition, the fundamental cycle masks and the
+``format_graph`` text. It belongs to that one graph and dies with it, and
+everything it hands out is read-only (tuples, strings and a
+``MappingProxyType``), so a caller cannot change what a later call returns.
+``cut_edges`` and ``vertices_on_cycles`` fold the memoized masks. The cycle
+listing is not held here but in ``cycle_masks``' bounded cache, since the
+family atlas keeps its graphs for the whole process.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterable
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .errors import BoundExceeded, ParseError, UnknownVertex
 
@@ -31,6 +41,16 @@ _CYCLE_MEMO_GRAPHS = 8  # graphs whose cycle listing cycle_masks holds
 _VERTEX_ID = re.compile(r"[^\s#]\S*")
 
 Edge = tuple[str, str]
+_T = TypeVar("_T")
+
+
+def check_vertex_id(v: object) -> None:
+    """Raise ValueError unless v is an id ``format_graph`` can write back."""
+    if not (isinstance(v, str) and _VERTEX_ID.fullmatch(v)):
+        raise ValueError(
+            f"vertex id {v!r} must be a non-empty str with no whitespace "
+            "and no leading '#'"
+        )
 
 
 def edge_key(u: str, v: str) -> Edge:
@@ -45,19 +65,16 @@ class Graph:
     with ``#``, and ``vertex`` is no edge endpoint, so that ``format_graph``
     writes every graph as text that ``parse_graph`` reads back as it.
     Isolated vertices are permitted (transform operations can transiently
-    create them), they just never participate in edge rules.
+    create them), they just never participate in edge rules. Copies and
+    pickles are rebuilt through this constructor, with an empty memo.
     """
 
-    __slots__ = ("vertices", "edges", "_adj")
+    __slots__ = ("vertices", "edges", "_adj", "_memo")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge] = ()):
         vset = set(vertices)
         for v in vset:
-            if not (isinstance(v, str) and _VERTEX_ID.fullmatch(v)):
-                raise ValueError(
-                    f"vertex id {v!r} must be a non-empty str with no whitespace "
-                    "and no leading '#'"
-                )
+            check_vertex_id(v)
         verts = tuple(sorted(vset))
         canon = set()
         for u, v in edges:
@@ -79,9 +96,13 @@ class Graph:
         object.__setattr__(
             self, "_adj", {v: tuple(sorted(ns)) for v, ns in adj.items()}
         )
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    def __reduce__(self):
+        return Graph, (self.vertices, self.edges)
 
     @classmethod
     def from_edges(cls, edges: Iterable[Edge], isolated: Iterable[str] = ()) -> "Graph":
@@ -159,10 +180,23 @@ def parse_graph(text: str) -> Graph:
 
 
 def format_graph(g: Graph) -> str:
+    return _memoized(g, "text", _format_graph)
+
+
+def _format_graph(g: Graph) -> str:
     lines = [f"{u} {v}" for u, v in g.edges]
     covered = {u for e in g.edges for u in e}
     lines.extend(f"vertex {v}" for v in g.vertices if v not in covered)
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _memoized(g: Graph, key: str, compute: Callable[[Graph], _T]) -> _T:
+    """g's memo entry ``key``, computed by ``compute(g)`` on first read."""
+    try:
+        return g._memo[key]
+    except KeyError:
+        value = g._memo[key] = compute(g)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +205,23 @@ def format_graph(g: Graph) -> str:
 
 def spanning_forest(
     g: Graph, roots: Iterable[str] | None = None
-) -> tuple[list[str], dict[str, str | None]]:
+) -> tuple[tuple[str, ...], Mapping[str, str | None]]:
     """Breadth-first spanning forest: the one traversal every query builds on.
 
     Trees are grown from ``roots`` in the given order (default: every vertex
     in sorted order, so the forest spans g), scanning neighbors in sorted
     order. Returns the visit order, in which every parent precedes its
-    children, and the parent of each reached vertex (None for a root).
+    children, and a read-only map from each reached vertex to its parent
+    (None for a root). The default-root forest is memoized on g.
     """
+    if roots is None:
+        return _memoized(g, "forest", _forest)
+    return _forest(g, roots)
+
+
+def _forest(
+    g: Graph, roots: Iterable[str] | None = None
+) -> tuple[tuple[str, ...], Mapping[str, str | None]]:
     order: list[str] = []
     parent: dict[str, str | None] = {}
     head = 0
@@ -194,28 +237,32 @@ def spanning_forest(
                 if w not in parent:
                     parent[w] = v
                     order.append(w)
-    return order, parent
+    return tuple(order), MappingProxyType(parent)
 
 
-def fundamental_cycle_masks(g: Graph) -> list[int]:
+def fundamental_cycle_masks(g: Graph) -> tuple[int, ...]:
     """Edge masks of the fundamental cycles of the spanning forest.
 
     Bit i stands for ``g.edges[i]``. There is one mask per non-tree edge, in
     edge order: the edge plus the tree path between its endpoints. These
     m - n + c masks span the cycle space (c = number of components), so a
-    parity that is even on each of them is even on every cycle.
+    parity that is even on each of them is even on every cycle. Memoized on g.
     """
+    return _memoized(g, "masks", _fundamental_cycle_masks)
+
+
+def _fundamental_cycle_masks(g: Graph) -> tuple[int, ...]:
     order, parent = spanning_forest(g)
     index = {e: i for i, e in enumerate(g.edges)}
     path: dict[str, int] = {}
     for v in order:
         p = parent[v]
         path[v] = 0 if p is None else path[p] ^ (1 << index[edge_key(p, v)])
-    return [
+    return tuple(
         path[u] ^ path[v] ^ (1 << i)
         for i, (u, v) in enumerate(g.edges)
         if parent[u] != v and parent[v] != u
-    ]
+    )
 
 
 def sign_partition(
@@ -246,7 +293,12 @@ def sign_partition(
 
 
 def bipartition(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
-    """A 2-partition with every edge crossing, or None for non-bipartite g."""
+    """A 2-partition with every edge crossing, or None for non-bipartite g.
+    Memoized on g."""
+    return _memoized(g, "bipartition", _bipartition)
+
+
+def _bipartition(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     return sign_partition(g, g.edges)
 
 
@@ -277,10 +329,16 @@ def cut_edges(g: Graph) -> tuple[Edge, ...]:
     Equivalently, the edges lying on no cycle, which are the edges that no
     fundamental cycle covers.
     """
+    covered = _covered(g)
+    return tuple(e for i, e in enumerate(g.edges) if not covered >> i & 1)
+
+
+def _covered(g: Graph) -> int:
+    """The edge mask of the edges on some cycle: the fundamental masks' union."""
     covered = 0
     for mask in fundamental_cycle_masks(g):
         covered |= mask
-    return tuple(e for i, e in enumerate(g.edges) if not covered >> i & 1)
+    return covered
 
 
 def simple_cycles(g: Graph, max_vertices: int = DEFAULT_CYCLE_BOUND) -> list[tuple[str, ...]]:
@@ -381,5 +439,5 @@ def in_triangle(g: Graph, v: str) -> bool:
 
 def vertices_on_cycles(g: Graph) -> frozenset[str]:
     """Vertices lying on at least one cycle: the endpoints of non-bridge edges."""
-    bridges = set(cut_edges(g))
-    return frozenset(v for e in g.edges if e not in bridges for v in e)
+    covered = _covered(g)
+    return frozenset(v for i, e in enumerate(g.edges) if covered >> i & 1 for v in e)

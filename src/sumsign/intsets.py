@@ -45,6 +45,7 @@ class IntegerSet:
 
     Never empty. Supports ``len``, iteration, membership, equality, hashing,
     ordering (lexicographic on the element tuple) and ``A + B`` as sumset.
+    Copies and pickles are rebuilt through the constructor.
     """
 
     __slots__ = ("elements",)
@@ -62,6 +63,9 @@ class IntegerSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntegerSet is immutable")
+
+    def __reduce__(self):
+        return IntegerSet, (self.elements,)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -97,8 +101,16 @@ class IntegerSet:
 
 
 def sumset(a: IntegerSet, b: IntegerSet) -> IntegerSet:
-    """All pairwise sums {x + y : x in a, y in b}. Commutative."""
-    return IntegerSet({x + y for x in a.elements for y in b.elements})
+    """All pairwise sums {x + y : x in a, y in b}. Commutative.
+
+    The sums of two valid sets are non-negative ints and at least one, so
+    the result is built without the constructor's element checks.
+    """
+    result = object.__new__(IntegerSet)
+    object.__setattr__(
+        result, "elements", tuple(sorted({x + y for x in a.elements for y in b.elements}))
+    )
+    return result
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .errors import (
     UnknownEdge,
     UnknownVertex,
 )
-from .graphs import Edge, Graph, edge_key
+from .graphs import _VERTEX_ID, Edge, Graph, check_vertex_id, edge_key
 from .intsets import (
     ApProfile,
     IntegerSet,
@@ -42,9 +42,12 @@ from .intsets import (
 class Labeling:
     """Map from vertex ids to integer sets over the universe {0..universe_max}.
 
-    Injectivity and universe containment are enforced at use time (see
-    ``derive``), not at construction, so invalid labelings can be built,
-    inspected and reported on.
+    A vertex id follows the ``Graph`` rule (a non-empty str with no
+    whitespace and no leading ``#``), so that ``format_labeling`` writes
+    text that ``parse_labeling`` reads back. Injectivity and universe
+    containment are enforced at use time (see ``derive``), not at
+    construction, so invalid labelings can be built, inspected and reported
+    on. Copies and pickles are rebuilt through the constructor.
     """
 
     __slots__ = ("universe_max", "assignment")
@@ -53,6 +56,8 @@ class Labeling:
         if universe_max < 0:
             raise ValueError("universe_max must be non-negative")
         normalized = {}
+        for v in assignment:
+            check_vertex_id(v)
         for v in sorted(assignment):
             value = assignment[v]
             normalized[v] = value if isinstance(value, IntegerSet) else IntegerSet(value)
@@ -61,6 +66,9 @@ class Labeling:
 
     def __setattr__(self, name, value):
         raise AttributeError("Labeling is immutable")
+
+    def __reduce__(self):
+        return Labeling, (self.universe_max, self.assignment)
 
     def get(self, v: str) -> IntegerSet:
         try:
@@ -118,6 +126,8 @@ def parse_labeling(text: str) -> Labeling:
         vertex = vertex.strip()
         if not vertex:
             raise ParseError("missing vertex id before ':'", lineno)
+        if not _VERTEX_ID.fullmatch(vertex):
+            raise ParseError(f"vertex id {vertex!r} may not contain whitespace", lineno)
         if vertex in assignment:
             raise DuplicateLabel(f"vertex {vertex!r} labeled twice (line {lineno})")
         assignment[vertex] = parse_set_literal(literal, line=lineno)

@@ -117,6 +117,12 @@ class Counterexample:
     explanation: str
 
     def sort_key(self) -> tuple:
+        """The report order: smallest graph first, then smallest total label
+        mass, then the graph's text, then the labeling's text.
+        ``verify_theorem`` sorts findings by the same order in index space,
+        and its sort is stable, so counterexamples with equal keys (the
+        targets of one finding) keep the order the search checked them in.
+        """
         return (
             self.graph.n,
             self.labeling.label_mass(),
@@ -926,6 +932,36 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
 }
 
 
+def _finding_order(space: _LabelingSpace) -> Callable[[tuple], tuple]:
+    """A sort key on findings that orders them as ``Counterexample.sort_key``
+    orders their counterexamples: (n, label mass, graph text, the text rank
+    of each vertex's set).
+
+    Every labeling of one report shares ``universe_max``, and on one graph
+    text the vertex list, so two labeling texts first differ inside the
+    texts of two sets. A set text ends in its only '}', so neither is a
+    proper prefix of the other, and the texts compare as the sets' ranks in
+    ``space.sets`` sorted by text. Index order is not text order: {0,1}
+    comes before {0}, and {10} before {2}.
+    """
+    sets = space.sets
+    rank = [0] * len(sets)
+    for r, i in enumerate(sorted(range(len(sets)), key=lambda i: sets[i].to_text())):
+        rank[i] = r
+    size = [len(s) for s in sets]
+
+    def key(finding: tuple) -> tuple:
+        g, indices, _ = finding
+        return (
+            g.n,
+            sum(size[i] for i in indices),
+            format_graph(g),
+            tuple(rank[i] for i in indices),
+        )
+
+    return key
+
+
 def verify_theorem(
     theorem: TheoremId | str,
     family: str | Iterable[Graph],
@@ -939,9 +975,10 @@ def verify_theorem(
     every theorem, and so does an explicit graph over that bound. The pair
     theorems (POSITIVE_EDGE, CARDINALITY) label one edge, so they check the
     spec but build none of its graphs.
-    Counterexamples are sorted smallest first by (vertex count, total label
-    mass) and each one is replayed through the public pipeline before the
-    report is returned.
+    Counterexamples come in ``Counterexample.sort_key`` order. The
+    findings are sorted in index space before any is replayed, and each
+    target of each finding is then replayed through the public pipeline
+    before the report is returned.
     """
     try:
         tid = TheoremId(theorem)
@@ -963,7 +1000,7 @@ def verify_theorem(
             raise ParseError(f"graph family {family_spec} is empty")
     tally = _run(experiment, graphs, bounds)
     counters = []
-    for g, indices, targets in tally.findings:
+    for g, indices, targets in sorted(tally.findings, key=_finding_order(tally.space)):
         lab = _labeling_from_indices(g, tally.space, indices)
         slg = derive(g, lab)
         for target in targets:
@@ -971,7 +1008,6 @@ def verify_theorem(
             if not explanation:
                 raise AssertionError(f"{tid.value} finding failed to replay at {target!r}")
             counters.append(Counterexample(g, lab, explanation))
-    counters.sort(key=Counterexample.sort_key)
     return VerificationReport(
         theorem_id=tid,
         family_spec=family_spec,

@@ -1,5 +1,7 @@
 """Graph structure queries: bipartiteness, bridges, cycles, triangles."""
 
+import copy
+import pickle
 import re
 import time
 from itertools import combinations, permutations
@@ -312,3 +314,93 @@ def test_vendored_atlas_equals_networkx_atlas():
     assert len(expected) == 996
     for n in range(1, 8):
         assert list(connected_graphs(n)) == [g for g in expected if g.n <= n]
+
+
+class TestMemo:
+    """Each Graph memoizes its forest, bipartition, masks and text, read-only."""
+
+    @staticmethod
+    def memoized(g):
+        return (
+            graphs_module.spanning_forest(g),
+            bipartition(g),
+            fundamental_cycle_masks(g),
+            format_graph(g),
+        )
+
+    @staticmethod
+    def fresh(g):
+        return Graph(g.vertices, g.edges)
+
+    @pytest.mark.parametrize("g", [cycle_graph(4), complete_graph(4), path_graph(3)])
+    def test_values_are_immutable_and_unchanged_by_attempts(self, g):
+        (order, parent), parts, masks, _ = self.memoized(g)
+        attempts = [
+            lambda: order.append("x"),
+            lambda: parent.__setitem__("x", None),
+            lambda: parent.pop(g.vertices[0]),
+            lambda: masks.append(0),
+            lambda: masks.__setitem__(0, 0),
+        ]
+        if parts is not None:
+            attempts.append(lambda: parts[0].append("x"))
+        for attempt in attempts:
+            with pytest.raises((AttributeError, TypeError)):
+                attempt()
+        assert self.memoized(g) == self.memoized(self.fresh(g))
+        first = self.memoized(g)
+        assert all(a is b for a, b in zip(first, self.memoized(g)))
+
+    def test_forest_from_given_roots_is_read_only_and_not_memoized(self):
+        g = path_graph(4)
+        order, parent = graphs_module.spanning_forest(g, ["v3"])
+        assert order == ("v3", "v2", "v1", "v0")
+        with pytest.raises(TypeError):
+            parent["v3"] = "v2"
+        assert graphs_module.spanning_forest(g)[0] == ("v0", "v1", "v2", "v3")
+
+    def test_queries_match_a_fresh_graph(self):
+        for g in connected_graphs(6):
+            self.memoized(g)
+            assert cut_edges(g) == cut_edges(self.fresh(g))
+            assert vertices_on_cycles(g) == vertices_on_cycles(self.fresh(g))
+            assert self.memoized(g) == self.memoized(self.fresh(g))
+
+    def test_filled_and_unfilled_graphs_stay_equal_and_share_the_cycle_cache(self):
+        filled, unfilled = complete_graph(5), complete_graph(5)
+        self.memoized(filled)
+        assert filled._memo and not unfilled._memo
+        assert filled == unfilled and hash(filled) == hash(unfilled)
+        assert len({filled, unfilled}) == 1
+        graphs_module._cycle_masks.cache_clear()
+        cycle_masks(unfilled)
+        cycle_masks(filled)
+        info = graphs_module._cycle_masks.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_construction_fills_nothing(self):
+        assert Graph(["a", "b"], [("a", "b")])._memo == {}
+
+
+class TestCopies:
+    @pytest.mark.parametrize(
+        "copy_of",
+        [
+            lambda g: pickle.loads(pickle.dumps(g)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trip_rebuilds_with_an_empty_memo(self, copy_of):
+        g = Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "c")])
+        format_graph(g)
+        bipartition(g)
+        twin = copy_of(g)
+        assert twin == g and hash(twin) == hash(g)
+        assert twin.vertices == g.vertices and twin.edges == g.edges
+        assert twin._memo == {}
+        assert format_graph(twin) == format_graph(g)
+        assert cut_edges(twin) == cut_edges(g) == ()
+        with pytest.raises(AttributeError):
+            twin.edges = ()

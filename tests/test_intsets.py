@@ -1,5 +1,8 @@
 """Sets, sumsets, progression profiles and their pair rule, parity, and the cardinality formula."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -93,6 +96,27 @@ class TestSumset:
     @given(finite_sets, finite_sets)
     def test_matches_brute_force(self, xs, ys):
         assert list(sumset(IntegerSet(xs), IntegerSet(ys))) == brute_sumset(xs, ys)
+
+    @given(finite_sets, finite_sets)
+    def test_result_equals_the_checked_construction(self, xs, ys):
+        result = sumset(IntegerSet(xs), IntegerSet(ys))
+        expected = IntegerSet(brute_sumset(xs, ys))
+        assert type(result) is IntegerSet
+        assert result == expected and hash(result) == hash(expected)
+        assert result.elements == expected.elements
+        assert type(result.elements) is tuple
+        with pytest.raises(AttributeError):
+            result.elements = ()
+
+    @pytest.mark.parametrize(
+        "copy_of",
+        [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_copies_round_trip(self, copy_of):
+        for s in (IntegerSet([0, 2, 4]), sumset(IntegerSet([1]), IntegerSet([0, 3]))):
+            twin = copy_of(s)
+            assert twin == s and hash(twin) == hash(s) and twin.to_text() == s.to_text()
 
 
 class TestApProfile:

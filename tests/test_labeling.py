@@ -1,5 +1,7 @@
 """Deriving signed labeled graphs and validating the labeling conditions."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -264,3 +266,33 @@ class TestLabelingFormat:
         with pytest.raises(ParseError, match="universe_max given twice") as exc:
             parse_labeling("universe_max = 3\nu: {0,1}\nuniverse_max = 9\n")
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["#c", "a b", "x\nz", "a\u00a0b", "", 1],
+        ids=["hash", "space", "newline", "nbsp", "empty", "int"],
+    )
+    def test_id_that_cannot_be_written_back_is_refused(self, bad):
+        with pytest.raises(ValueError, match="vertex id"):
+            Labeling(3, {bad: [1], "c": [2]})
+
+    def test_id_with_whitespace_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="whitespace") as exc:
+            parse_labeling("universe_max = 3\nu: {0}\na b: {1}\n")
+        assert exc.value.line == 3
+
+
+class TestCopies:
+    @pytest.mark.parametrize(
+        "copy_of",
+        [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_labeling_round_trips(self, copy_of):
+        labeling = lab(8, u=[0, 1], v=[0, 2], w=[0, 2, 4])
+        twin = copy_of(labeling)
+        assert twin == labeling and hash(twin) == hash(labeling)
+        assert format_labeling(twin) == format_labeling(labeling)
+        assert derive(TRIANGLE, twin).signs == derive(TRIANGLE, labeling).signs
+        with pytest.raises(AttributeError):
+            twin.universe_max = 9

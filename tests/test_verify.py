@@ -1,8 +1,10 @@
 """Labeling enumeration, the balanced bipartite construction, and experiments."""
 
+import copy
 import dataclasses
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -46,6 +48,7 @@ from sumsign.verify import (
     _negative_mask,
     _run,
     _visit,
+    Counterexample,
     SearchBounds,
     TheoremId,
     Verdict,
@@ -715,6 +718,73 @@ def test_each_failing_labeling_is_one_finding(tid, family, bounds):
             for found, indices, targets in tally.findings
         )
         assert got == expected, format_graph(g)
+
+
+# The paw (a triangle with a pendant vertex) and the diamond (K4 less an
+# edge) are both non-bipartite on four vertices, so their counterexamples tie
+# on n and label mass and are told apart by the graph text; the repeated paw
+# gives equal findings from two members.
+PAW = Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
+DIAMOND = Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "c"), ("b", "d"), ("c", "d")])
+
+
+def _odd_sumset(slg, e):
+    return "odd" if len(slg.edge_labels[e]) % 2 else ""
+
+
+@pytest.mark.parametrize(
+    "tid, family, bounds, ties",
+    [
+        (TheoremId.BALANCE_BIPARTITE_REV, "connected:4", SearchBounds(3, 2), False),
+        (TheoremId.HOMEOMORPHISM, "connected:5", SearchBounds(2, 2), True),
+        (TheoremId.CARDINALITY, "connected:2", SearchBounds(10, 2), False),
+        (TheoremId.BALANCE_BIPARTITE_REV, [PAW, cycle_graph(3), DIAMOND, PAW],
+         SearchBounds(3, 2), True),
+    ],
+    ids=["rev-connected:4", "homeomorphism-connected:5", "pair-claim", "rev-custom"],
+)
+def test_report_order_is_the_sort_key_order(monkeypatch, tid, family, bounds, ties):
+    """The findings are sorted in index space, yet the report comes in
+    ``Counterexample.sort_key`` order, with the targets of one finding and
+    equal findings of a repeated graph in search order: the report equals
+    replaying every finding in search order and then sorting the
+    counterexamples stably by their formatted text."""
+    if tid is TheoremId.CARDINALITY:
+        # A pair claim that fails often, on sets like {0,1}, {0}, {2} and {10}.
+        replaced = dataclasses.replace(_EXPERIMENTS[tid], explain=_odd_sumset)
+        monkeypatch.setitem(_EXPERIMENTS, tid, replaced)
+    report = verify_theorem(tid, family, bounds)
+    assert report.counterexamples
+    assert list(report.counterexamples) == sorted(
+        report.counterexamples, key=Counterexample.sort_key
+    )
+    graphs = _graphs(family) if isinstance(family, str) else family
+    tally = _run(_EXPERIMENTS[tid], graphs, bounds)
+    replayed = []
+    for g, indices, targets in tally.findings:
+        lab = _labeling_from_indices(g, tally.space, indices)
+        slg = derive(g, lab)
+        replayed.extend(Counterexample(g, lab, _EXPERIMENTS[tid].explain(slg, t)) for t in targets)
+    assert report.counterexamples == tuple(sorted(replayed, key=Counterexample.sort_key))
+    # Where keys tie (several targets, or a repeated graph), the order among
+    # them is the search's, which only a stable sort keeps.
+    keys = [ce.sort_key() for ce in report.counterexamples]
+    assert (len(set(keys)) < len(keys)) == ties
+
+
+@pytest.mark.parametrize(
+    "copy_of",
+    [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_report_copies_round_trip(copy_of):
+    """A report pickles and copies whole; its graphs, labelings and sets are
+    rebuilt through their constructors and give the same text."""
+    report = verify_theorem(TheoremId.HOMEOMORPHISM, "cycle:4", SearchBounds(2, 2))
+    assert report.counterexamples
+    twin = copy_of(report)
+    assert twin == report
+    assert twin.to_text() == report.to_text()
 
 
 def test_subdivision_records_every_failing_edge(monkeypatch):
