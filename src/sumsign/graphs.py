@@ -53,6 +53,13 @@ def check_vertex_id(v: object) -> None:
         )
 
 
+def _id_set(ids: Iterable[str]) -> set:
+    """The set of a collection of ids; a str would give its characters."""
+    if isinstance(ids, str):
+        raise ValueError(f"vertices {ids!r} must be a collection of ids, not a str")
+    return set(ids)
+
+
 def edge_key(u: str, v: str) -> Edge:
     """Canonical (sorted) form of an undirected edge."""
     return (u, v) if u <= v else (v, u)
@@ -63,16 +70,18 @@ class Graph:
 
     A vertex id is a non-empty string with no whitespace that does not begin
     with ``#``, and ``vertex`` is no edge endpoint, so that ``format_graph``
-    writes every graph as text that ``parse_graph`` reads back as it.
-    Isolated vertices are permitted (transform operations can transiently
-    create them), they just never participate in edge rules. Copies and
-    pickles are rebuilt through this constructor, with an empty memo.
+    writes every graph as text that ``parse_graph`` reads back as it. The
+    vertices come as a collection of ids: a str, which would be read as its
+    characters, is refused. Isolated vertices are permitted (transform
+    operations can transiently create them), they just never participate
+    in edge rules. Copies and pickles are rebuilt through this constructor,
+    with an empty memo.
     """
 
     __slots__ = ("vertices", "edges", "_adj", "_memo")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge] = ()):
-        vset = set(vertices)
+        vset = _id_set(vertices)
         for v in vset:
             check_vertex_id(v)
         verts = tuple(sorted(vset))
@@ -107,7 +116,7 @@ class Graph:
     @classmethod
     def from_edges(cls, edges: Iterable[Edge], isolated: Iterable[str] = ()) -> "Graph":
         edges = list(edges)
-        vertices = {u for e in edges for u in e} | set(isolated)
+        vertices = {u for e in edges for u in e} | _id_set(isolated)
         return cls(vertices, edges)
 
     @property

@@ -44,7 +44,8 @@ class Labeling:
 
     A vertex id follows the ``Graph`` rule (a non-empty str with no
     whitespace and no leading ``#``), so that ``format_labeling`` writes
-    text that ``parse_labeling`` reads back. Injectivity and universe
+    text that ``parse_labeling`` reads back, and ``universe_max`` is a
+    non-negative int, never a bool or a float. Injectivity and universe
     containment are enforced at use time (see ``derive``), not at
     construction, so invalid labelings can be built, inspected and reported
     on. Copies and pickles are rebuilt through the constructor.
@@ -53,6 +54,8 @@ class Labeling:
     __slots__ = ("universe_max", "assignment")
 
     def __init__(self, universe_max: int, assignment: Mapping[str, IntegerSet | Iterable[int]]):
+        if not isinstance(universe_max, int) or isinstance(universe_max, bool):
+            raise ValueError(f"universe_max {universe_max!r} must be an int")
         if universe_max < 0:
             raise ValueError("universe_max must be non-negative")
         normalized = {}

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import islice, permutations
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .balance import SignedGraph, is_balanced_fast
@@ -61,6 +61,12 @@ from .labeling import (
 from .transforms import elementary_transformation, subdivide_edge
 
 
+def _check_count(name: str, value: object) -> None:
+    """Raise ParseError unless value is an int; a bool is no count."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{name} must be an int, not {value!r}")
+
+
 @dataclass(frozen=True)
 class SearchBounds:
     """Finite limits for the labeling search space.
@@ -68,7 +74,9 @@ class SearchBounds:
     Labels are arithmetic progressions inside {0..universe_max} with at most
     max_label_size elements. With require_strict_universe, edge labels must
     stay inside the universe as well. odd_ratios_only restricts the space to
-    labelings whose every edge has an odd deterministic ratio.
+    labelings whose every edge has an odd deterministic ratio. The three
+    counts must be ints and the two flags bools: anything else raises
+    ParseError, as an out-of-range count does.
     """
 
     universe_max: int
@@ -78,6 +86,12 @@ class SearchBounds:
     odd_ratios_only: bool = False
 
     def __post_init__(self):
+        for name in ("universe_max", "max_label_size", "max_vertices"):
+            _check_count(name, getattr(self, name))
+        for name in ("require_strict_universe", "odd_ratios_only"):
+            flag = getattr(self, name)
+            if not isinstance(flag, bool):
+                raise ParseError(f"{name} must be a bool, not {flag!r}")
         if self.universe_max < 0:
             raise ParseError("universe_max must be non-negative")
         if self.max_label_size < 1:
@@ -206,9 +220,13 @@ class _LabelingSpace:
     S^2/2 pairs, so S is capped at _MAX_CANDIDATE_SETS.
 
     ``pair_sum`` memoizes what the transform and injectivity searches need
-    of the sumset of one pair. The memo is filled on first read only: an
-    eager fill would hold an entry per allowed pair, several times the
-    rows' memory at the cap, for experiments that never read it.
+    of the sumset of one pair: one integer id per distinct sumset and its
+    subdivision parity, no elements. A candidate set's id is its index in
+    ``sets``; any other sumset gets a fresh id past them, so an id is in a
+    labeling's used-set mask only when the sumset labels a vertex. The memo
+    and the id table are filled on first read only: an eager fill would
+    hold an entry per allowed pair, several times the rows' memory at the
+    cap, for experiments that never read it.
     """
 
     def __init__(self, bounds: SearchBounds):
@@ -240,16 +258,15 @@ class _LabelingSpace:
                     continue
                 self.compat[i] |= 1 << j
                 self.compat[j] |= 1 << i
-        self._sums: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
+        self._sums: dict[tuple[int, int], tuple[int, int]] = {}
 
     @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
+    def _ids(self) -> dict[tuple[int, ...], int]:
         return {s.elements: i for i, s in enumerate(self.sets)}
 
-    def pair_sum(self, i: int, j: int) -> tuple[int, int, tuple[int, ...]]:
-        """(index of C = set_i + set_j in ``sets``, or -1 when C is not a
-        candidate set; the subdivision parity |C| + |set_i + C| + |C + set_j|
-        mod 2; the elements of C, as its hashable key)."""
+    def pair_sum(self, i: int, j: int) -> tuple[int, int]:
+        """(the id of C = set_i + set_j; the subdivision parity
+        |C| + |set_i + C| + |C + set_j| mod 2)."""
         if i > j:
             i, j = j, i
         entry = self._sums.get((i, j))
@@ -261,7 +278,8 @@ class _LabelingSpace:
                 + len({x + z for x in a for z in c})
                 + len({z + y for z in c for y in b})
             ) & 1
-            entry = self._sums[i, j] = (self._index.get(c, -1), delta, c)
+            ids = self._ids
+            entry = self._sums[i, j] = (ids.setdefault(c, len(ids)), delta)
         return entry
 
 
@@ -372,21 +390,6 @@ def _visit(
             allowed ^= low
 
 
-def _filtered_permutations(g: Graph, space: _LabelingSpace) -> Iterator[tuple[int, ...]]:
-    """The tuples of ``_visit(g, space)`` in the same order, from code that
-    shares nothing with the walk: the injective tuples of
-    ``itertools.permutations``, kept when the ``compat`` rows admit every
-    edge. The reference the walk is checked against."""
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    ends = [(pos[u], pos[v]) for u, v in g.edges]
-    compat = space.compat
-    return (
-        combo
-        for combo in permutations(range(len(space.sets)), g.n)
-        if all(compat[combo[a]] >> combo[b] & 1 for a, b in ends)
-    )
-
-
 def _count_indices(g: Graph, space: _LabelingSpace) -> int:
     """len(list(_visit(g, space))), adding up the last vertex's
     candidate masks instead of visiting each set."""
@@ -411,19 +414,15 @@ def _labeling_from_indices(
     )
 
 
-def enumerate_aiasl(
-    g: Graph, b: SearchBounds, prune: bool = True
-) -> Iterator[Labeling]:
+def enumerate_aiasl(g: Graph, b: SearchBounds) -> Iterator[Labeling]:
     """Every injective progression labeling of g admissible under b.
 
-    Deterministic canonical order. With prune=False the same labelings are
-    produced by filtering every injective assignment
-    (``_filtered_permutations``) instead of walking the pruned search tree
-    (``_visit``), which exists as a cross-check of the walk.
+    Deterministic canonical order: the walk of ``_visit``, lexicographic in
+    the candidate-set order of each vertex, vertices sorted.
     """
     _check_vertex_bound(g, b)
     space = _LabelingSpace(b)
-    for indices in _visit(g, space) if prune else _filtered_permutations(g, space):
+    for indices in _visit(g, space):
         yield _labeling_from_indices(g, space, indices)
 
 
@@ -487,9 +486,10 @@ def signed_graph_from_pattern(
 ) -> SignedGraph:
     """Materialize the signed graph encoded by a sweep pattern.
 
-    Raises ParseError when the pattern is outside [0, 2^m).
+    Raises ParseError when the pattern is not an int or is outside [0, 2^m).
     """
     order = edge_order if edge_order is not None else g.edges
+    _check_count("sign pattern", pattern)
     if not 0 <= pattern < 1 << len(order):
         raise ParseError(f"sign pattern {pattern} is outside [0, 2^{len(order)})")
     signs = {
@@ -804,8 +804,8 @@ def _subdivision_search(tally: _Tally, g: Graph) -> None:
             used |= 1 << k
         failed = []
         for a, b, noncut, e in rows:
-            inherited, delta, _ = space.pair_sum(indices[a], indices[b])
-            if inherited >= 0 and used >> inherited & 1:
+            inherited, delta = space.pair_sum(indices[a], indices[b])
+            if used >> inherited & 1:
                 skipped += 1
                 continue
             cases += 1
@@ -857,7 +857,7 @@ def _iasi_search(tally: _Tally, g: Graph) -> None:
     cases = 0
     for indices in _visit(g, space):
         cases += 1
-        sums = {space.pair_sum(indices[a], indices[b])[2] for a, b, _ in ends}
+        sums = {space.pair_sum(indices[a], indices[b])[0] for a, b, _ in ends}
         if len(sums) < len(ends):
             tally.findings.append((g, indices, (None,)))
     tally.cases += cases

@@ -139,6 +139,13 @@ class TestGraphFormat:
         with pytest.raises(ValueError, match=re.escape(f"vertex id {bad!r} ")):
             Graph(vertices, edges)
 
+    def test_str_as_the_vertex_list_is_refused(self):
+        # Read as its characters, 'v0' used to give the vertices '0' and 'v'.
+        with pytest.raises(ValueError, match="not a str"):
+            Graph("v0")
+        with pytest.raises(ValueError, match="not a str"):
+            Graph.from_edges([("a", "b")], isolated="v0")
+
     def test_comments_and_blanks(self):
         g = parse_graph("# a comment\n\na b\nvertex z\n")
         assert g.vertices == ("a", "b", "z")

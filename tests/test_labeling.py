@@ -276,6 +276,12 @@ class TestLabelingFormat:
         with pytest.raises(ValueError, match="vertex id"):
             Labeling(3, {bad: [1], "c": [2]})
 
+    # parse_labeling refuses each of these as a bad universe_max value.
+    @pytest.mark.parametrize("bad", [2.5, True, "3"], ids=["float", "bool", "str"])
+    def test_universe_max_that_is_no_int_is_refused(self, bad):
+        with pytest.raises(ValueError, match=f"universe_max {bad!r} must be an int"):
+            Labeling(bad, {"u": [1]})
+
     def test_id_with_whitespace_is_a_parse_error(self):
         with pytest.raises(ParseError, match="whitespace") as exc:
             parse_labeling("universe_max = 3\nu: {0}\na b: {1}\n")

@@ -85,3 +85,95 @@ def test_every_private_name_is_referenced():
         if private not in loaded
     ]
     assert unreferenced == []
+
+
+# Where every option of the package must be used: its own modules, the demos
+# and the benchmark. A call in the tests alone does not count.
+CALLERS = [
+    *TREES.values(),
+    *(tree for name, tree in SCRIPTS.items() if name.startswith("demos/")),
+    *(ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "perfbench").glob("*.py"))),
+]
+# Options no such call sets, each with the reason it stays.
+UNSET_OPTIONS = {
+    "cli.py main(out)": "the tests pass their own stream; the console script writes to stdout",
+}
+
+
+def _is_dataclass(node):
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _signature_options(fn, bound):
+    """(parameter, position or None) of each defaulted parameter of fn; a
+    position counts the arguments after the ``bound`` leading ones (self or
+    cls), and a keyword-only parameter has None."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args][bound:]
+    for p, arg in enumerate(positional):
+        if p >= len(positional) - len(args.defaults):
+            yield arg.arg, p
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _options(tree):
+    """(callable name, parameter, position or None) of each defaulted
+    parameter of a public function, a public class's constructor and a
+    public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not _is_private(node.name):
+            yield from ((node.name, *option) for option in _signature_options(node, 0))
+        if not isinstance(node, ast.ClassDef) or _is_private(node.name):
+            continue
+        methods = {item.name: item for item in node.body if isinstance(item, ast.FunctionDef)}
+        if "__init__" in methods:
+            yield from ((node.name, *o) for o in _signature_options(methods["__init__"], 1))
+        elif _is_dataclass(node):
+            fields = [item for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            for p, item in enumerate(fields):
+                if item.value is not None:
+                    yield node.name, item.target.id, p
+        for name, item in methods.items():
+            if _is_private(name) or name.startswith("__"):
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+            yield from ((name, *option) for option in _signature_options(item, 0 if static else 1))
+
+
+def _calls(trees):
+    """{callable name: [(positional count, keyword names, has *args, has **kwargs)]}
+    over every call in trees, by bare or attribute name."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append(
+                (len(node.args), keywords - {None}, starred, None in keywords)
+            )
+    return calls
+
+
+def test_every_option_is_set_by_some_call():
+    """A defaulted parameter that no caller sets is a fork only tests reach."""
+    calls = _calls(CALLERS)
+    unset = set()
+    for module, tree in TREES.items():
+        for name, param, position in _options(tree):
+            if not any(
+                param in keywords or kwstar or position is not None and (count > position or star)
+                for count, keywords, star, kwstar in calls.get(name, [])
+            ):
+                unset.add(f"{module} {name}({param})")
+    assert unset == set(UNSET_OPTIONS)

@@ -213,6 +213,25 @@ def test_candidate_set_cap_stops_at_the_first_set_over(universe_max, max_size, o
         assert len(ap_sets(universe_max, max_size)) <= _MAX_CANDIDATE_SETS
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"odd_ratios_only": "no"},  # a true string used to turn the restriction on
+        {"require_strict_universe": 1},
+        {"universe_max": 3.0},  # used to fail later, in the search, with a TypeError
+        {"max_label_size": True},
+        {"max_vertices": 2.5},
+        {"max_vertices": True},  # used to read as 1
+    ],
+    ids=["odd-ratios-str", "strict-int", "universe-float", "size-bool", "vertices-float",
+         "vertices-bool"],
+)
+def test_bounds_refuse_a_field_they_would_misread(fields):
+    name = next(iter(fields))
+    with pytest.raises(ParseError, match=f"{name} must be an? (int|bool), not "):
+        SearchBounds(**{"universe_max": 3, "max_label_size": 2, **fields})
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
@@ -234,16 +253,6 @@ class TestEnumerateAiasl:
     def test_vertex_bound(self):
         with pytest.raises(BoundExceeded):
             list(enumerate_aiasl(path_graph(5), SearchBounds(2, 2, max_vertices=4)))
-
-    def test_pruning_equals_filtering(self):
-        bounds = SearchBounds(universe_max=3, max_label_size=2)
-        disconnected = Graph(
-            ["a", "b", "c", "d"], [("a", "b"), ("c", "d")]
-        )
-        for g in (K2, path_graph(3), cycle_graph(3), disconnected):
-            pruned = list(enumerate_aiasl(g, bounds, prune=True))
-            filtered = list(enumerate_aiasl(g, bounds, prune=False))
-            assert pruned == filtered
 
     def test_matches_independent_oracle(self):
         bounds = SearchBounds(universe_max=3, max_label_size=3)
@@ -625,7 +634,10 @@ BALANCE_MEMBERS = {
 
 
 def _graphs(family):
-    return resolve_family(family) if isinstance(family, str) else [family]
+    """The members of a family spec, a single graph or a list of graphs."""
+    if isinstance(family, str):
+        return resolve_family(family)
+    return [family] if isinstance(family, Graph) else family
 
 
 def _member_targets(tid, g):
@@ -638,9 +650,27 @@ def _member_targets(tid, g):
     }.get(tid, [None])
 
 
+def _lexicographic_walk(g, space):
+    """Every injective index tuple, in lexicographic order, kept when each
+    edge's pair is admissible."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    return [
+        combo
+        for combo in permutations(range(len(space.sets)), g.n)
+        if all(space.compat[combo[pos[u]]] >> combo[pos[v]] & 1 for u, v in g.edges)
+    ]
+
+
+def _filtered_labelings(g, bounds):
+    """Every labeling of g within bounds, from ``_lexicographic_walk``
+    rather than the search's walk."""
+    space = _LabelingSpace(bounds)
+    return [_labeling_from_indices(g, space, combo) for combo in _lexicographic_walk(g, space)]
+
+
 def _object_level_run(tid, graphs, bounds):
     """({graph: (cases, skipped)}, Counter of (graph, labeling, explanation))
-    of one member experiment, from the unpruned enumeration, derive and the
+    of one member experiment, from the filtered enumeration, derive and the
     record's explain at every target of every labeling."""
     explain = _EXPERIMENTS[tid].explain
     counts = {}
@@ -651,7 +681,7 @@ def _object_level_run(tid, graphs, bounds):
             counts[g] = (0, 1)
             continue
         targets = _member_targets(tid, g)
-        for lab in enumerate_aiasl(g, bounds, prune=False):
+        for lab in _filtered_labelings(g, bounds):
             slg = derive(g, lab)
             for target in targets:
                 text = explain(slg, target)
@@ -670,7 +700,7 @@ def _object_level_run(tid, graphs, bounds):
 @pytest.mark.parametrize("family, bounds", COMPLETENESS_CASES, ids=COMPLETENESS_IDS)
 def test_reports_equal_an_object_level_recomputation(tid, family, bounds):
     """No counterexample is missed or invented, and each member's cases and
-    skips match: the report equals a recomputation from the unpruned
+    skips match: the report equals a recomputation from the filtered
     enumeration and the object-level case functions, with no index-space
     search."""
     graphs = _graphs(family)
@@ -707,7 +737,7 @@ def test_each_failing_labeling_is_one_finding(tid, family, bounds):
     for g in _graphs(family):
         expected = Counter()
         if tid not in BALANCE_MEMBERS or BALANCE_MEMBERS[tid](g):
-            for lab in enumerate_aiasl(g, bounds, prune=False):
+            for lab in _filtered_labelings(g, bounds):
                 slg = derive(g, lab)
                 failing = tuple(t for t in _member_targets(tid, g) if exp.explain(slg, t))
                 if failing:
@@ -758,7 +788,7 @@ def test_report_order_is_the_sort_key_order(monkeypatch, tid, family, bounds, ti
     assert list(report.counterexamples) == sorted(
         report.counterexamples, key=Counterexample.sort_key
     )
-    graphs = _graphs(family) if isinstance(family, str) else family
+    graphs = _graphs(family)
     tally = _run(_EXPERIMENTS[tid], graphs, bounds)
     replayed = []
     for g, indices, targets in tally.findings:
@@ -794,8 +824,7 @@ def test_subdivision_records_every_failing_edge(monkeypatch):
     pair_sum = _LabelingSpace.pair_sum
 
     def even_parity(space, i, j):
-        inherited, _, key = pair_sum(space, i, j)
-        return inherited, 0, key
+        return pair_sum(space, i, j)[0], 0
 
     monkeypatch.setattr(_LabelingSpace, "pair_sum", even_parity)
     graphs = resolve_family("connected:4")
@@ -823,21 +852,15 @@ def test_subdivision_records_every_failing_edge(monkeypatch):
 # The labeling walks: visiting, count and balanced modes
 # ---------------------------------------------------------------------------
 
-def _lexicographic_walk(g, space):
-    """Every injective index tuple, in lexicographic order, kept when each
-    edge's pair is admissible."""
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    return [
-        combo
-        for combo in permutations(range(len(space.sets)), g.n)
-        if all(space.compat[combo[pos[u]]] >> combo[pos[v]] & 1 for u, v in g.edges)
-    ]
-
-
 @pytest.mark.parametrize(
     "family, bounds",
-    [("connected:3", SearchBounds(3, 3)), (C4_PLUS_K2, SearchBounds(2, 2))],
-    ids=["connected:3-(3,3)", "C4+K2-(2,2)"],
+    [
+        ("connected:3", SearchBounds(3, 3)),
+        (C4_PLUS_K2, SearchBounds(2, 2)),
+        ([K2, path_graph(3), cycle_graph(3), Graph.from_edges([("a", "b"), ("c", "d")])],
+         SearchBounds(3, 2)),
+    ],
+    ids=["connected:3-(3,3)", "C4+K2-(2,2)", "K2,P3,C3,2K2-(3,2)"],
 )
 def test_visiting_order_is_lexicographic(family, bounds):
     space = _LabelingSpace(bounds)
@@ -972,24 +995,29 @@ def test_explicit_graphs_over_the_vertex_bound_are_refused(tid):
 
 
 def test_pair_sum_memo_matches_sumset():
+    """Each sumset has one id: its index in ``sets`` when it is a candidate
+    set, else one past them, and no two sumsets share one."""
     space = _LabelingSpace(SearchBounds(8, 3))
-    keys: dict = {}
-    pairs = 0
+    sumsets: dict = {}
     for i, row in enumerate(space.compat):
         for j in range(len(space.sets)):
             if not row >> j & 1:
                 continue
             a, b = space.sets[i], space.sets[j]
             c = sumset(a, b)
-            index, delta, key = space.pair_sum(i, j)
-            assert space.pair_sum(j, i) == (index, delta, key)
-            assert index == (space.sets.index(c) if c in space.sets else -1)
+            sid, delta = space.pair_sum(i, j)
+            assert space.pair_sum(j, i) == (sid, delta)
+            assert type(sid) is int and type(delta) is int
+            if c in space.sets:
+                assert sid == space.sets.index(c)
+            else:
+                assert sid >= len(space.sets)
             assert delta == (len(c) + len(sumset(a, c)) + len(sumset(c, b))) % 2
-            assert keys.setdefault(key, c) == c
-            pairs += 1
-    # One key per sumset, both ways.
-    assert len(set(keys.values())) == len(keys)
-    assert pairs > 0 and any(index >= 0 for index, _, _ in space._sums.values())
+            assert sumsets.setdefault(sid, c) == c
+    assert len(set(sumsets.values())) == len(sumsets)
+    fresh = sorted(sid for sid in sumsets if sid >= len(space.sets))
+    assert fresh == list(range(len(space.sets), len(space.sets) + len(fresh)))
+    assert 0 < len(fresh) < len(sumsets)
 
 
 def test_pair_sum_memo_is_filled_only_when_read():
@@ -997,7 +1025,7 @@ def test_pair_sum_memo_is_filled_only_when_read():
     assert _LabelingSpace(bounds)._sums == {}
     tally = _run(_EXPERIMENTS[TheoremId.BALANCE_BIPARTITE_REV], [cycle_graph(3)], bounds)
     assert tally.findings  # the run enumerated labelings
-    assert tally.space._sums == {} and "_index" not in vars(tally.space)
+    assert tally.space._sums == {} and "_ids" not in vars(tally.space)
     tally = _run(_EXPERIMENTS[TheoremId.SUBDIVISION], [cycle_graph(3)], bounds)
     assert tally.space._sums
 
@@ -1077,3 +1105,9 @@ class TestSweepSignPatterns:
                 signed_graph_from_pattern(g, pattern)
         sg = signed_graph_from_pattern(g, 7)
         assert all(sg.signs[e] is Sign.NEGATIVE for e in g.edges)
+
+    # 2.0 used to end in a TypeError from the shift; True read as pattern 1.
+    @pytest.mark.parametrize("pattern", [2.0, True], ids=["float", "bool"])
+    def test_pattern_that_is_no_int_is_refused(self, pattern):
+        with pytest.raises(ParseError, match="sign pattern must be an int"):
+            signed_graph_from_pattern(cycle_graph(3), pattern)
