@@ -84,7 +84,8 @@ def is_balanced_oracle(
     ``graphs.cycle_masks``, shared with the sign sweep, so a cycle's
     negative count is (mask & negative mask).bit_count(). Acyclic graphs are
     vacuously balanced. Raises BoundExceeded when the graph is too large to
-    enumerate cycles.
+    enumerate cycles, and ParseError when cycle_bound is not an int or is a
+    bool.
     """
     neg = sum(1 << i for i, e in enumerate(s.graph.edges) if s.signs[e] is Sign.NEGATIVE)
     summaries = []

@@ -2,7 +2,8 @@
 
 Every error carries a stable ``code`` string (used by the CLI and by
 machine-readable output) and the CLI exit status it maps to: 2 for input
-errors, 3 for exceeded search bounds.
+errors, 3 for exceeded search bounds. ``check_count`` and ``check_flag`` are
+the one type check of a count and of a flag that a caller passes in.
 """
 
 from __future__ import annotations
@@ -92,3 +93,15 @@ class ParseError(SumsignError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def check_count(name: str, value: object) -> None:
+    """Raise ParseError unless value is an int; a bool is no count."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{name} must be an int, not {value!r}")
+
+
+def check_flag(name: str, value: object) -> None:
+    """Raise ParseError unless value is a bool."""
+    if not isinstance(value, bool):
+        raise ParseError(f"{name} must be a bool, not {value!r}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib.resources import files
 
-from .errors import BoundExceeded, ParseError
+from .errors import BoundExceeded, ParseError, check_count
 from .graphs import Graph, is_bipartite
 from .intsets import parse_digits
 
@@ -61,7 +61,7 @@ def complete_bipartite_graph(m: int, n: int) -> Graph:
     return Graph(part_a + part_b, [(a, b) for a in part_a for b in part_b])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_ATLAS_VERTICES + 1)
 def connected_graphs(max_vertices: int) -> tuple[Graph, ...]:
     """Every connected graph with 1..max_vertices vertices, up to isomorphism.
 
@@ -139,9 +139,12 @@ def parse_family(spec: str, max_vertices: int | None = None) -> tuple[str, tuple
 
     M and N are ASCII digits; anything else, or a size outside its range,
     raises ParseError, so no valid spec names an empty family. With
-    max_vertices, a spec whose largest member would have more vertices (N,
-    or M+N for biclique) raises BoundExceeded first.
+    max_vertices, which must be an int (not a bool), a spec whose largest
+    member would have more vertices (N, or M+N for biclique) raises
+    BoundExceeded first.
     """
+    if max_vertices is not None:
+        check_count("max_vertices", max_vertices)
     spec = spec.strip()
     kind, sep, arg = ("cycle", ":", "3") if spec == "triangle" else spec.partition(":")
     if not sep:

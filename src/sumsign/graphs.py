@@ -30,7 +30,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, TypeVar
 
-from .errors import BoundExceeded, ParseError, UnknownVertex
+from .errors import BoundExceeded, ParseError, UnknownVertex, check_count
 
 #: Default ceiling on |V| for simple-cycle enumeration; cycle counts grow
 #: super-exponentially and everything here is meant for desk-scale graphs.
@@ -355,7 +355,8 @@ def simple_cycles(g: Graph, max_vertices: int = DEFAULT_CYCLE_BOUND) -> list[tup
 
     Each cycle is reported as a vertex sequence starting at its smallest
     vertex, oriented toward its smaller neighbor, and the list is sorted by
-    (length, sequence). Raises BoundExceeded when |V| > max_vertices.
+    (length, sequence). Raises BoundExceeded when |V| > max_vertices, and
+    ParseError when max_vertices is not an int or is a bool.
     """
     _check_cycle_bound(g, max_vertices)
     adj = g._adj
@@ -412,6 +413,7 @@ def cycle_edges(cycle: tuple[str, ...]) -> tuple[Edge, ...]:
 
 
 def _check_cycle_bound(g: Graph, max_vertices: int) -> None:
+    check_count("cycle bound", max_vertices)
     if g.n > max_vertices:
         raise BoundExceeded(
             f"cycle enumeration limited to {max_vertices} vertices, graph has {g.n}"

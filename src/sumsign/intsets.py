@@ -4,15 +4,23 @@ The value layer of the package: immutable integer sets, sumsets,
 arithmetic-progression detection, the integer admissibility rule of two
 progressions (``ap_pair``), cardinality parity, and the closed-form
 cardinality of a sumset of two compatible progressions.
+
+Every value here is immutable, so what is derived from one is computed once:
+an ``IntegerSet`` keeps its ``to_text`` rendering once asked for it, and
+``sumset`` hands out one result per operand pair from a bounded memo, keyed
+on the element tuples, that holds the last ``_SUMSET_MEMO_PAIRS`` pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import AdmissibilityViolation, EmptyLabel, ParseError
+
+_SUMSET_MEMO_PAIRS = 1024  # operand pairs whose sumset sumset holds
 
 
 class Parity(Enum):
@@ -45,10 +53,12 @@ class IntegerSet:
 
     Never empty. Supports ``len``, iteration, membership, equality, hashing,
     ordering (lexicographic on the element tuple) and ``A + B`` as sumset.
-    Copies and pickles are rebuilt through the constructor.
+    The ``to_text`` rendering is kept once made; equality, hashing and
+    ordering read the elements alone. Copies and pickles are rebuilt through
+    the constructor, with no text kept.
     """
 
-    __slots__ = ("elements",)
+    __slots__ = ("elements", "_text")
 
     def __init__(self, elements: Iterable[int]):
         seen = sorted(set(elements))
@@ -60,6 +70,7 @@ class IntegerSet:
             if x < 0:
                 raise ValueError(f"integer set elements must be non-negative, got {x}")
         object.__setattr__(self, "elements", tuple(seen))
+        object.__setattr__(self, "_text", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntegerSet is immutable")
@@ -93,7 +104,11 @@ class IntegerSet:
 
     def to_text(self) -> str:
         """Render as a set literal, e.g. ``{0,2,4}``."""
-        return "{" + ",".join(str(x) for x in self.elements) + "}"
+        text = self._text
+        if text is None:
+            text = "{" + ",".join(map(str, self.elements)) + "}"
+            object.__setattr__(self, "_text", text)
+        return text
 
     @classmethod
     def from_text(cls, text: str) -> "IntegerSet":
@@ -103,13 +118,20 @@ class IntegerSet:
 def sumset(a: IntegerSet, b: IntegerSet) -> IntegerSet:
     """All pairwise sums {x + y : x in a, y in b}. Commutative.
 
-    The sums of two valid sets are non-negative ints and at least one, so
-    the result is built without the constructor's element checks.
+    Equal operands, in either order, give the same immutable result while
+    their pair is among the last ``_SUMSET_MEMO_PAIRS`` the memo holds.
     """
+    x, y = a.elements, b.elements
+    return _sumset(x, y) if x <= y else _sumset(y, x)
+
+
+@lru_cache(maxsize=_SUMSET_MEMO_PAIRS)
+def _sumset(a: tuple[int, ...], b: tuple[int, ...]) -> IntegerSet:
+    # The sums of two valid sets are non-negative ints and at least one, so
+    # the result is built without the constructor's element checks.
     result = object.__new__(IntegerSet)
-    object.__setattr__(
-        result, "elements", tuple(sorted({x + y for x in a.elements for y in b.elements}))
-    )
+    object.__setattr__(result, "elements", tuple(sorted({x + y for x in a for y in b})))
+    object.__setattr__(result, "_text", None)
     return result
 
 

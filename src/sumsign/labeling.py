@@ -24,6 +24,7 @@ from .errors import (
     UniverseViolation,
     UnknownEdge,
     UnknownVertex,
+    check_flag,
 )
 from .graphs import _VERTEX_ID, Edge, Graph, check_vertex_id, edge_key
 from .intsets import (
@@ -49,6 +50,7 @@ class Labeling:
     containment are enforced at use time (see ``derive``), not at
     construction, so invalid labelings can be built, inspected and reported
     on. Copies and pickles are rebuilt through the constructor.
+    ``_from_checked`` builds one from parts that are checked already.
     """
 
     __slots__ = ("universe_max", "assignment")
@@ -66,6 +68,17 @@ class Labeling:
             normalized[v] = value if isinstance(value, IntegerSet) else IntegerSet(value)
         object.__setattr__(self, "universe_max", universe_max)
         object.__setattr__(self, "assignment", normalized)
+
+    @classmethod
+    def _from_checked(cls, universe_max: int, assignment: dict[str, IntegerSet]) -> "Labeling":
+        """A labeling of checked parts, taken as they are: universe_max a
+        non-negative int, and assignment a dict of ``IntegerSet`` values whose
+        keys passed ``check_vertex_id`` and come in sorted order, as the
+        vertices of a ``Graph`` do. The dict is kept, not copied."""
+        lab = object.__new__(cls)
+        object.__setattr__(lab, "universe_max", universe_max)
+        object.__setattr__(lab, "assignment", assignment)
+        return lab
 
     def __setattr__(self, name, value):
         raise AttributeError("Labeling is immutable")
@@ -176,33 +189,41 @@ def derive(g: Graph, f: Labeling, strict: bool = False) -> SignedLabeledGraph:
 
     Checks that f labels every vertex of g, and no other vertex, and is
     injective. With strict=True, additionally requires every vertex and
-    edge label to stay inside {0..universe_max}.
+    edge label to stay inside {0..universe_max}. strict must be a bool.
     """
-    seen: dict[IntegerSet, str] = {}
+    check_flag("strict", strict)
+    assignment = f.assignment
+    seen: dict[tuple[int, ...], str] = {}
     for v in g.vertices:
-        label = f.get(v)
-        if label in seen:
+        try:
+            label = assignment[v]
+        except KeyError:
+            raise MissingLabel(f"vertex {v!r} has no set-label") from None
+        elements = label.elements
+        if elements in seen:
             raise DuplicateLabel(
-                f"vertices {seen[label]!r} and {v!r} share the set-label {label.to_text()}"
+                f"vertices {seen[elements]!r} and {v!r} share the set-label {label.to_text()}"
             )
-        seen[label] = v
-        if strict and label.elements[-1] > f.universe_max:
+        seen[elements] = v
+        if strict and elements[-1] > f.universe_max:
             raise UniverseViolation(
                 f"label {label.to_text()} of vertex {v!r} escapes universe_max={f.universe_max}"
             )
-    if len(f.assignment) != g.n:
-        extra = sorted(set(f.assignment) - set(g.vertices))
+    if len(assignment) != g.n:
+        extra = sorted(set(assignment) - set(g.vertices))
         raise UnknownVertex(f"labeled vertices not in the graph: {', '.join(extra)}")
     edge_labels: dict[Edge, IntegerSet] = {}
     signs: dict[Edge, Sign] = {}
-    for u, v in g.edges:
-        label = sumset(f.get(u), f.get(v))
-        if strict and label.elements[-1] > f.universe_max:
+    for e in g.edges:
+        u, v = e
+        label = sumset(assignment[u], assignment[v])
+        elements = label.elements
+        if strict and elements[-1] > f.universe_max:
             raise UniverseViolation(
                 f"edge label {label.to_text()} of ({u}, {v}) escapes universe_max={f.universe_max}"
             )
-        edge_labels[(u, v)] = label
-        signs[(u, v)] = sign_of_size(len(label))
+        edge_labels[e] = label
+        signs[e] = sign_of_size(len(elements))
     return SignedLabeledGraph(graph=g, labeling=f, edge_labels=edge_labels, signs=signs)
 
 

@@ -28,6 +28,8 @@ from .errors import (
     NotBipartite,
     ParseError,
     UnknownTheorem,
+    check_count,
+    check_flag,
 )
 from .families import parse_family, resolve_family
 from .graphs import (
@@ -61,12 +63,6 @@ from .labeling import (
 from .transforms import elementary_transformation, subdivide_edge
 
 
-def _check_count(name: str, value: object) -> None:
-    """Raise ParseError unless value is an int; a bool is no count."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"{name} must be an int, not {value!r}")
-
-
 @dataclass(frozen=True)
 class SearchBounds:
     """Finite limits for the labeling search space.
@@ -87,11 +83,9 @@ class SearchBounds:
 
     def __post_init__(self):
         for name in ("universe_max", "max_label_size", "max_vertices"):
-            _check_count(name, getattr(self, name))
+            check_count(name, getattr(self, name))
         for name in ("require_strict_universe", "odd_ratios_only"):
-            flag = getattr(self, name)
-            if not isinstance(flag, bool):
-                raise ParseError(f"{name} must be a bool, not {flag!r}")
+            check_flag(name, getattr(self, name))
         if self.universe_max < 0:
             raise ParseError("universe_max must be non-negative")
         if self.max_label_size < 1:
@@ -408,7 +402,10 @@ def _check_vertex_bound(g: Graph, b: SearchBounds) -> None:
 def _labeling_from_indices(
     g: Graph, space: _LabelingSpace, indices: Sequence[int]
 ) -> Labeling:
-    return Labeling(
+    """The labeling of one set-index tuple, built from checked parts: the
+    ids are the graph's sorted vertices, the sets the space's candidates and
+    universe_max the bounds'."""
+    return Labeling._from_checked(
         space.bounds.universe_max,
         {v: space.sets[j] for v, j in zip(g.vertices, indices)},
     )
@@ -489,7 +486,7 @@ def signed_graph_from_pattern(
     Raises ParseError when the pattern is not an int or is outside [0, 2^m).
     """
     order = edge_order if edge_order is not None else g.edges
-    _check_count("sign pattern", pattern)
+    check_count("sign pattern", pattern)
     if not 0 <= pattern < 1 << len(order):
         raise ParseError(f"sign pattern {pattern} is outside [0, 2^{len(order)})")
     signs = {

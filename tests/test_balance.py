@@ -15,7 +15,7 @@ from sumsign.balance import (
     is_clusterable,
     negative_edges,
 )
-from sumsign.errors import BoundExceeded, UnknownEdge
+from sumsign.errors import BoundExceeded, ParseError, UnknownEdge
 from sumsign.families import (
     complete_graph,
     connected_graphs,
@@ -320,6 +320,12 @@ class TestSharedCycleListing:
             is_balanced_oracle(signed(g))
         with pytest.raises(BoundExceeded, match="limited to 12 vertices, graph has 13"):
             cycle_masks(g)
+
+    # True used to be written into the BoundExceeded text as the bound.
+    @pytest.mark.parametrize("bound", [True, 12.0], ids=["bool", "float"])
+    def test_oracle_bound_must_be_an_int(self, bound):
+        with pytest.raises(ParseError, match=f"^cycle bound must be an int, not {bound!r}$"):
+            is_balanced_oracle(signed(cycle_graph(3)), cycle_bound=bound)
 
     def test_sweep_and_oracle_list_cycles_once(self, monkeypatch):
         calls = []

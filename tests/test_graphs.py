@@ -214,6 +214,15 @@ class TestSimpleCycles:
             simple_cycles(path_graph(13))
         assert simple_cycles(path_graph(13), max_vertices=13) == []
 
+    # True and 2.5 used to be written into the BoundExceeded text, and 3.5
+    # to pass as a bound.
+    @pytest.mark.parametrize("bound", [True, 2.5, 3.5], ids=["bool", "float-under", "float-over"])
+    def test_bound_must_be_an_int(self, bound):
+        for listing in (simple_cycles, cycle_masks):
+            with pytest.raises(ParseError) as exc:
+                listing(cycle_graph(3), bound)
+            assert str(exc.value) == f"cycle bound must be an int, not {bound!r}"
+
     def test_long_path_and_long_cycle_need_no_recursion(self):
         names = [f"v{i:05d}" for i in range(5000)]
         path = Graph(names, list(zip(names, names[1:])))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sumsign.intsets as intsets_module
 import sumsign.labeling
 from sumsign.errors import AdmissibilityViolation, EmptyLabel, ParseError
 from sumsign.intsets import (
@@ -117,6 +118,61 @@ class TestSumset:
         for s in (IntegerSet([0, 2, 4]), sumset(IntegerSet([1]), IntegerSet([0, 3]))):
             twin = copy_of(s)
             assert twin == s and hash(twin) == hash(s) and twin.to_text() == s.to_text()
+
+
+class TestMemos:
+    """``sumset``'s bounded pair memo and the text an ``IntegerSet`` keeps."""
+
+    def test_sumset_memo_is_bounded_and_its_results_are_checked_sets(self):
+        sets = ap_sets(8, 3)
+        memo = intsets_module._sumset
+        assert memo.cache_info().maxsize == intsets_module._SUMSET_MEMO_PAIRS
+        # The 1,891 unordered pairs overflow the memo, so later pairs evict
+        # earlier ones and the second pass reads back both kinds.
+        assert len(sets) * (len(sets) + 1) // 2 > intsets_module._SUMSET_MEMO_PAIRS
+        for _ in range(2):
+            for a in sets:
+                for b in sets:
+                    result = sumset(a, b)
+                    expected = IntegerSet(brute_sumset(a, b))
+                    assert type(result) is IntegerSet
+                    assert result.elements == expected.elements
+                    assert result == expected and hash(result) == hash(expected)
+        assert 0 < memo.cache_info().currsize <= intsets_module._SUMSET_MEMO_PAIRS
+
+    def test_equal_operands_give_the_identical_result(self):
+        a, b = IntegerSet([0, 2]), IntegerSet([1, 2, 3])
+        first = sumset(a, b)
+        assert sumset(IntegerSet([2, 0]), IntegerSet([3, 2, 1])) is first
+        assert sumset(b, a) is first and a + b is first
+
+    def test_every_candidate_text_equals_an_uncached_rendering(self):
+        for s in ap_sets(8, 3):
+            rendered = "{" + ",".join(str(x) for x in s.elements) + "}"
+            assert s.to_text() == rendered
+            assert s.to_text() is s.to_text()
+            assert repr(s) == f"IntegerSet({rendered})"
+        assert sumset(IntegerSet([1]), IntegerSet([0, 9])).to_text() == "{1,10}"
+
+    @pytest.mark.parametrize(
+        "copy_of",
+        [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_a_set_with_its_text_kept_copies_and_compares_as_before(self, copy_of):
+        for make in (lambda: IntegerSet([0, 2, 4]), lambda: sumset(IntegerSet([0, 2]), IntegerSet([0, 2]))):
+            s, fresh = make(), IntegerSet([0, 2, 4])
+            assert s.to_text() == "{0,2,4}"
+            assert pickle.dumps(s) == pickle.dumps(fresh)
+            twin = copy_of(s)
+            for other in (twin, fresh):
+                assert other == s and hash(other) == hash(s)
+                assert not other < s and not s < other
+            assert s != IntegerSet([0, 2]) and IntegerSet([0, 2]) < s
+            assert twin.to_text() == "{0,2,4}"
+            with pytest.raises(AttributeError):
+                s._text = "{1}"
+            assert s.to_text() == "{0,2,4}"
 
 
 class TestApProfile:

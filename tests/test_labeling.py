@@ -82,6 +82,35 @@ class TestDerive:
         with pytest.raises(UniverseViolation):
             derive(K2, bad, strict=True)
 
+    # The texts derive gave before it read each label once.
+    @pytest.mark.parametrize(
+        "graph, labeling, strict, error, text",
+        [
+            (TRIANGLE, lab(4, u=[0], v=[1]), False, MissingLabel,
+             "vertex 'w' has no set-label"),
+            (TRIANGLE, lab(9, u=[0], v=[2, 4], w=[2, 4]), False, DuplicateLabel,
+             "vertices 'v' and 'w' share the set-label {2,4}"),
+            (K2, lab(4, u=[0], v=[1], zz=[3], zy=[4]), False, UnknownVertex,
+             "labeled vertices not in the graph: zy, zz"),
+            (K2, lab(2, u=[0], v=[5]), True, UniverseViolation,
+             "label {5} of vertex 'v' escapes universe_max=2"),
+            (K2, lab(3, u=[0, 2], v=[1, 3]), True, UniverseViolation,
+             "edge label {1,3,5} of (u, v) escapes universe_max=3"),
+        ],
+        ids=["missing", "duplicate", "extra-vertex", "strict-vertex", "strict-edge"],
+    )
+    def test_error_texts(self, graph, labeling, strict, error, text):
+        with pytest.raises(error) as exc:
+            derive(graph, labeling, strict=strict)
+        assert str(exc.value) == text
+
+    # "no" used to read as strict, and None as lenient.
+    @pytest.mark.parametrize("strict", ["no", 1, None], ids=["str", "int", "none"])
+    def test_strict_must_be_a_bool(self, strict):
+        with pytest.raises(ParseError) as exc:
+            derive(K2, lab(2, u=[0, 1], v=[1, 2]), strict=strict)
+        assert str(exc.value) == f"strict must be a bool, not {strict!r}"
+
     def test_deterministic(self):
         a = derive(TRIANGLE, lab(8, u=[0, 1], v=[0, 2], w=[0, 2, 4]))
         b = derive(TRIANGLE, lab(8, u=[0, 1], v=[0, 2], w=[0, 2, 4]))

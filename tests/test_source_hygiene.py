@@ -1,11 +1,14 @@
 """Dead code: unused imports in the package, its tests and its demos, and
-unreferenced private names in the package.
+unreferenced private names in the package; and unbounded memos.
 
-Both checks read the sources with the standard library's ``ast`` only.
+The checks read the sources with the standard library's ``ast`` only.
 """
 
 import ast
+import re
 from pathlib import Path
+
+import pytest
 
 import sumsign
 
@@ -177,3 +180,67 @@ def test_every_option_is_set_by_some_call():
             ):
                 unset.add(f"{module} {name}({param})")
     assert unset == set(UNSET_OPTIONS)
+
+
+# A module constant: an upper-case name, private or not.
+_CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def _unbounded_memos(tree):
+    """Line of each functools memo in tree that may grow without a named
+    bound: ``cache``, a bare ``lru_cache`` (128 entries by default), and an
+    ``lru_cache`` whose maxsize is missing, None or a literal, or reads any
+    name but this module's upper-case constants."""
+    constants = {
+        target.id
+        for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and _CONSTANT.fullmatch(target.id)
+    }
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name == "cache" for alias in node.names):
+                yield node.lineno
+            continue
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        else:
+            continue
+        if name == "cache" and isinstance(node, ast.Attribute):
+            yield node.lineno
+        if name != "lru_cache":
+            continue
+        call = calls.get(id(node))
+        if call is None:
+            yield node.lineno
+            continue
+        sizes = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1]
+        names = [n.id for size in sizes for n in ast.walk(size) if isinstance(n, ast.Name)]
+        if not names or not set(names) <= constants:
+            yield node.lineno
+
+
+@pytest.mark.parametrize(
+    "source, faults",
+    [
+        ("from functools import cache", [1]),
+        ("import functools\n@functools.cache\ndef f(x): pass", [2]),
+        ("from functools import lru_cache\n@lru_cache\ndef f(x): pass", [2]),
+        ("from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(x): pass", [2]),
+        ("from functools import lru_cache\n@lru_cache(64)\ndef f(x): pass", [2]),
+        ("from functools import lru_cache\n@lru_cache(maxsize=n)\ndef f(x, n): pass", [2]),
+        ("import functools\nN = 4\n@functools.lru_cache(N + 1)\ndef f(x): pass", []),
+        ("from functools import lru_cache\n_N = 4\n@lru_cache(maxsize=_N)\ndef f(x): pass", []),
+    ],
+)
+def test_unbounded_memo_check_sees_each_form(source, faults):
+    assert list(_unbounded_memos(ast.parse(source))) == faults
+
+
+def test_every_memo_is_bounded_by_a_named_constant():
+    """An unbounded memo holds every key it is ever given for the life of
+    the process; each one in the package names its bound."""
+    assert [f"{name}:{line}" for name, tree in TREES.items() for line in _unbounded_memos(tree)] == []

@@ -21,6 +21,7 @@ from sumsign.families import (
     complete_graph,
     connected_graphs,
     cycle_graph,
+    parse_family,
     path_graph,
     resolve_family,
     star_graph,
@@ -34,7 +35,7 @@ from sumsign.graphs import (
     is_bipartite,
 )
 from sumsign.intsets import IntegerSet, Sign, sumset
-from sumsign.labeling import derive, format_labeling, validate_aiasl
+from sumsign.labeling import Labeling, derive, format_labeling, validate_aiasl
 from sumsign.verify import (
     _EXPERIMENTS,
     _balanced,
@@ -230,6 +231,15 @@ def test_bounds_refuse_a_field_they_would_misread(fields):
     name = next(iter(fields))
     with pytest.raises(ParseError, match=f"{name} must be an? (int|bool), not "):
         SearchBounds(**{"universe_max": 3, "max_label_size": 2, **fields})
+
+
+# True used to read as the bound 1, and a str to fail on comparison.
+@pytest.mark.parametrize("bound", [True, 2.5, "3"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("check", [parse_family, resolve_family], ids=["parse", "resolve"])
+def test_family_bound_must_be_an_int(check, bound):
+    with pytest.raises(ParseError) as exc:
+        check("path:1", max_vertices=bound)
+    assert str(exc.value) == f"max_vertices must be an int, not {bound!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -963,6 +973,24 @@ def test_replay_derives_each_labeling_once(monkeypatch):
     assert hashlib.sha256(report.to_text().encode()).hexdigest() == (
         "942544c22d249fe10f038bd651e9904e36ce0ee5fabfff03e60913fb368aa6b1"
     )
+
+
+def test_replayed_labelings_equal_the_public_construction():
+    """Replay builds each labeling from checked parts, skipping the id
+    checks; the result is the labeling ``Labeling(...)`` builds."""
+    bounds = SearchBounds(3, 2)
+    candidates = set(ap_sets(3, 2))
+    report = verify_theorem(TheoremId.BALANCE_BIPARTITE_REV, "connected:4", bounds)
+    assert len(report.counterexamples) > 100
+    for ce in report.counterexamples:
+        lab = ce.labeling
+        assert tuple(lab.assignment) == ce.graph.vertices
+        assert set(lab.assignment.values()) <= candidates
+        public = Labeling(3, {v: IntegerSet(s.elements) for v, s in lab.items()})
+        assert type(lab) is Labeling and lab.universe_max == 3
+        assert lab == public and hash(lab) == hash(public)
+        assert lab.items() == public.items()
+        assert format_labeling(lab) == format_labeling(public)
 
 
 def test_a_walk_that_ignores_balanced_does_not_pass(monkeypatch):
