@@ -56,7 +56,6 @@ from .graphs import (
     format_graph,
     in_triangle,
     is_bipartite,
-    is_connected,
     parse_graph,
     simple_cycles,
     vertices_on_cycles,
@@ -102,7 +101,6 @@ from .verify import (
     TheoremId,
     Verdict,
     VerificationReport,
-    ap_sets,
     construct_balanced_bipartite_labeling,
     count_aiasl,
     enumerate_aiasl,

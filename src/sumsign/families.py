@@ -21,6 +21,7 @@ MAX_ATLAS_VERTICES = 7
 
 def path_graph(n: int) -> Graph:
     """P_n on vertices v0..v{n-1}."""
+    check_count("path size", n)
     if n < 1:
         raise ValueError("path needs at least one vertex")
     verts = [f"v{i}" for i in range(n)]
@@ -29,6 +30,7 @@ def path_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     """C_n on vertices v0..v{n-1}."""
+    check_count("cycle size", n)
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
     verts = [f"v{i}" for i in range(n)]
@@ -37,6 +39,7 @@ def cycle_graph(n: int) -> Graph:
 
 def star_graph(n: int) -> Graph:
     """Star on n vertices: center c0 joined to n-1 leaves."""
+    check_count("star size", n)
     if n < 2:
         raise ValueError("star needs at least two vertices")
     leaves = [f"v{i}" for i in range(1, n)]
@@ -44,6 +47,7 @@ def star_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
+    check_count("complete graph size", n)
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
     verts = [f"v{i}" for i in range(n)]
@@ -54,6 +58,8 @@ def complete_graph(n: int) -> Graph:
 
 
 def complete_bipartite_graph(m: int, n: int) -> Graph:
+    check_count("first part size", m)
+    check_count("second part size", n)
     if m < 1 or n < 1:
         raise ValueError("both parts need at least one vertex")
     part_a = [f"a{i}" for i in range(m)]
@@ -61,7 +67,6 @@ def complete_bipartite_graph(m: int, n: int) -> Graph:
     return Graph(part_a + part_b, [(a, b) for a in part_a for b in part_b])
 
 
-@lru_cache(maxsize=MAX_ATLAS_VERTICES + 1)
 def connected_graphs(max_vertices: int) -> tuple[Graph, ...]:
     """Every connected graph with 1..max_vertices vertices, up to isomorphism.
 
@@ -71,14 +76,20 @@ def connected_graphs(max_vertices: int) -> tuple[Graph, ...]:
     graph holds its vertex count, then its ``u-v`` edges. The atlas orders
     graphs by vertex count, and its order is preserved. Atlas nodes are
     renamed v0.. so everything downstream stays string-keyed and
-    lexicographically ordered.
+    lexicographically ordered. The bound is checked before the memo.
     """
+    check_count("max_vertices", max_vertices)
     if max_vertices < 1:
         return ()
     if max_vertices > MAX_ATLAS_VERTICES:
         raise ValueError(
             f"connected-graph family is atlas-backed and stops at {MAX_ATLAS_VERTICES} vertices"
         )
+    return _connected_graphs(max_vertices)
+
+
+@lru_cache(maxsize=MAX_ATLAS_VERTICES)
+def _connected_graphs(max_vertices: int) -> tuple[Graph, ...]:
     out = []
     for line in files(__package__).joinpath("atlas.txt").read_text("ascii").splitlines():
         n, *edges = line.split()
@@ -98,6 +109,7 @@ def bipartite_family(max_vertices: int) -> tuple[Graph, ...]:
     eight-vertex paths, cycles, stars and complete bipartite graphs when the
     bound allows them.
     """
+    check_count("max_vertices", max_vertices)
     atlas_bound = min(max_vertices, MAX_ATLAS_VERTICES)
     members = [g for g in connected_graphs(atlas_bound) if is_bipartite(g)]
     for n in range(MAX_ATLAS_VERTICES + 1, max_vertices + 1):

@@ -328,10 +328,6 @@ def connected_components(g: Graph) -> list[tuple[str, ...]]:
     return [tuple(c) for c in comps.values()]
 
 
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
-
-
 def cut_edges(g: Graph) -> tuple[Edge, ...]:
     """The bridges of g: edges whose removal disconnects their endpoints.
 

@@ -110,10 +110,6 @@ class IntegerSet:
             object.__setattr__(self, "_text", text)
         return text
 
-    @classmethod
-    def from_text(cls, text: str) -> "IntegerSet":
-        return parse_set_literal(text)
-
 
 def sumset(a: IntegerSet, b: IntegerSet) -> IntegerSet:
     """All pairwise sums {x + y : x in a, y in b}. Commutative.
@@ -156,10 +152,6 @@ class ApProfile:
             raise ValueError("diff must be a positive integer")
         if self.first < 0:
             raise ValueError("first must be non-negative")
-
-    def reconstruct(self) -> IntegerSet:
-        step = self.diff if self.diff is not None else 0
-        return IntegerSet(self.first + i * step for i in range(self.length))
 
 
 def ap_profile(s: IntegerSet) -> ApProfile | None:

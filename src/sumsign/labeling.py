@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -49,11 +50,12 @@ class Labeling:
     non-negative int, never a bool or a float. Injectivity and universe
     containment are enforced at use time (see ``derive``), not at
     construction, so invalid labelings can be built, inspected and reported
-    on. Copies and pickles are rebuilt through the constructor.
+    on. ``assignment`` is a read-only view, so a labeling's hash never
+    changes. Copies and pickles are rebuilt through the constructor.
     ``_from_checked`` builds one from parts that are checked already.
     """
 
-    __slots__ = ("universe_max", "assignment")
+    __slots__ = ("universe_max", "_assignment")
 
     def __init__(self, universe_max: int, assignment: Mapping[str, IntegerSet | Iterable[int]]):
         if not isinstance(universe_max, int) or isinstance(universe_max, bool):
@@ -67,7 +69,7 @@ class Labeling:
             value = assignment[v]
             normalized[v] = value if isinstance(value, IntegerSet) else IntegerSet(value)
         object.__setattr__(self, "universe_max", universe_max)
-        object.__setattr__(self, "assignment", normalized)
+        object.__setattr__(self, "_assignment", normalized)
 
     @classmethod
     def _from_checked(cls, universe_max: int, assignment: dict[str, IntegerSet]) -> "Labeling":
@@ -77,41 +79,46 @@ class Labeling:
         vertices of a ``Graph`` do. The dict is kept, not copied."""
         lab = object.__new__(cls)
         object.__setattr__(lab, "universe_max", universe_max)
-        object.__setattr__(lab, "assignment", assignment)
+        object.__setattr__(lab, "_assignment", assignment)
         return lab
+
+    @property
+    def assignment(self) -> Mapping[str, IntegerSet]:
+        """Each vertex's set, in sorted vertex order, as a read-only view."""
+        return MappingProxyType(self._assignment)
 
     def __setattr__(self, name, value):
         raise AttributeError("Labeling is immutable")
 
     def __reduce__(self):
-        return Labeling, (self.universe_max, self.assignment)
+        return Labeling, (self.universe_max, self._assignment)
 
     def get(self, v: str) -> IntegerSet:
         try:
-            return self.assignment[v]
+            return self._assignment[v]
         except KeyError:
             raise MissingLabel(f"vertex {v!r} has no set-label") from None
 
     def items(self) -> tuple[tuple[str, IntegerSet], ...]:
-        return tuple(self.assignment.items())
+        return tuple(self._assignment.items())
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Labeling)
             and self.universe_max == other.universe_max
-            and self.assignment == other.assignment
+            and self._assignment == other._assignment
         )
 
     def __hash__(self) -> int:
-        return hash((self.universe_max, tuple(self.assignment.items())))
+        return hash((self.universe_max, tuple(self._assignment.items())))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{v}: {s.to_text()}" for v, s in self.assignment.items())
+        body = ", ".join(f"{v}: {s.to_text()}" for v, s in self._assignment.items())
         return f"Labeling(universe_max={self.universe_max}, {{{body}}})"
 
     def label_mass(self) -> int:
         """Total size of all assigned sets; the tie-break used in reports."""
-        return sum(len(s) for s in self.assignment.values())
+        return sum(len(s) for s in self._assignment.values())
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +169,8 @@ def format_labeling(lab: Labeling) -> str:
 
 @dataclass(frozen=True)
 class SignedLabeledGraph:
-    """A graph, its vertex labeling, and the derived edge labels and signs."""
+    """A graph, its vertex labeling, and the derived edge labels and signs,
+    which ``derive`` hands out as read-only views."""
 
     graph: Graph
     labeling: Labeling
@@ -224,12 +232,7 @@ def derive(g: Graph, f: Labeling, strict: bool = False) -> SignedLabeledGraph:
             )
         edge_labels[e] = label
         signs[e] = sign_of_size(len(elements))
-    return SignedLabeledGraph(graph=g, labeling=f, edge_labels=edge_labels, signs=signs)
-
-
-def validate_iasi(s: SignedLabeledGraph) -> bool:
-    """True iff the derived edge-label map is injective over the edges."""
-    return len(set(s.edge_labels.values())) == len(s.edge_labels)
+    return SignedLabeledGraph(g, f, MappingProxyType(edge_labels), MappingProxyType(signs))
 
 
 def iasi_collisions(s: SignedLabeledGraph) -> list[tuple[Edge, Edge]]:
@@ -243,6 +246,11 @@ def iasi_collisions(s: SignedLabeledGraph) -> list[tuple[Edge, Edge]]:
             for j in range(i + 1, len(edges)):
                 out.append((edges[i], edges[j]))
     return sorted(out)
+
+
+def validate_iasi(s: SignedLabeledGraph) -> bool:
+    """True iff the derived edge-label map is injective over the edges."""
+    return not iasi_collisions(s)
 
 
 # ---------------------------------------------------------------------------

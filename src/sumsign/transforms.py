@@ -87,10 +87,10 @@ def _rebuild(
         assignment[w] = label
         notes.append((w, source))
         added_vertices = (w,)
-    result = derive(
-        Graph(assignment, kept_edges + list(added_edges)),
-        Labeling(s.labeling.universe_max, assignment),
-    )
+    graph = Graph(assignment, kept_edges + list(added_edges))
+    # Graph has just checked every id, so the labeling is built from checked parts.
+    labels = {x: assignment[x] for x in graph.vertices}
+    result = derive(graph, Labeling._from_checked(s.labeling.universe_max, labels))
     # Induced = carried: identical labels give identical sumsets and signs.
     assert all(result.signs[e] == s.signs[e] for e in kept_edges)
     notes.extend((f"{u} {v}", "sumset of endpoints") for u, v in added_edges)

@@ -179,22 +179,14 @@ class VerificationReport:
 def _progressions(universe_max: int, max_size: int) -> Iterator[IntegerSet]:
     """The progression-valued subsets of {0..universe_max} up to max_size,
     generated in canonical order: by length, then first element, then
-    difference, which is the order of (size, elements)."""
+    difference, which is the order of (size, elements). Singletons come
+    first, so searches visit small label masses early."""
     for first in range(universe_max + 1):
         yield IntegerSet([first])
     for length in range(2, min(max_size, universe_max + 1) + 1):
         for first in range(universe_max + 1):
             for diff in range(1, (universe_max - first) // (length - 1) + 1):
                 yield IntegerSet(range(first, first + length * diff, diff))
-
-
-def ap_sets(universe_max: int, max_size: int) -> tuple[IntegerSet, ...]:
-    """All progression-valued subsets of {0..universe_max} up to max_size.
-
-    Canonical order: by (size, elements). Singletons come first, so searches
-    visit small label masses early.
-    """
-    return tuple(_progressions(universe_max, max_size))
 
 
 # Most candidate sets one search space may hold; its build checks every
@@ -424,9 +416,9 @@ def enumerate_aiasl(g: Graph, b: SearchBounds) -> Iterator[Labeling]:
 
 
 def count_aiasl(g: Graph, b: SearchBounds) -> int:
+    """How many labelings ``enumerate_aiasl`` yields, counted without them."""
     _check_vertex_bound(g, b)
-    space = _LabelingSpace(b)
-    return sum(1 for _ in _visit(g, space))
+    return _count_indices(g, _LabelingSpace(b))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from sumsign.graphs import (
     fundamental_cycle_masks,
     in_triangle,
     is_bipartite,
-    is_connected,
     parse_graph,
     simple_cycles,
     vertices_on_cycles,
@@ -86,7 +85,6 @@ class TestGraphBasics:
         g = Graph(["a", "b", "c"], [("a", "b")])
         assert g.degree("c") == 0
         assert connected_components(g) == [("a", "b"), ("c",)]
-        assert not is_connected(g)
 
 
 class TestGraphFormat:

@@ -23,7 +23,7 @@ from sumsign.intsets import (
     sign_of_size,
     sumset,
 )
-from sumsign.verify import SearchBounds, _LabelingSpace, ap_sets
+from sumsign.verify import SearchBounds, _LabelingSpace, _progressions
 
 
 def brute_sumset(a, b):
@@ -60,7 +60,7 @@ class TestIntegerSet:
     def test_text_round_trip(self):
         s = IntegerSet([0, 2, 4])
         assert s.to_text() == "{0,2,4}"
-        assert IntegerSet.from_text("{ 0 , 2 ,4 }") == s
+        assert parse_set_literal("{ 0 , 2 ,4 }") == s
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ParseError):
@@ -124,7 +124,7 @@ class TestMemos:
     """``sumset``'s bounded pair memo and the text an ``IntegerSet`` keeps."""
 
     def test_sumset_memo_is_bounded_and_its_results_are_checked_sets(self):
-        sets = ap_sets(8, 3)
+        sets = tuple(_progressions(8, 3))
         memo = intsets_module._sumset
         assert memo.cache_info().maxsize == intsets_module._SUMSET_MEMO_PAIRS
         # The 1,891 unordered pairs overflow the memo, so later pairs evict
@@ -147,7 +147,7 @@ class TestMemos:
         assert sumset(b, a) is first and a + b is first
 
     def test_every_candidate_text_equals_an_uncached_rendering(self):
-        for s in ap_sets(8, 3):
+        for s in _progressions(8, 3):
             rendered = "{" + ",".join(str(x) for x in s.elements) + "}"
             assert s.to_text() == rendered
             assert s.to_text() is s.to_text()
@@ -191,9 +191,9 @@ class TestApProfile:
             assert (got is not None) == is_progression(list(s))
 
     @given(st.integers(0, 30), st.integers(1, 9), st.integers(2, 8))
-    def test_reconstruct_round_trip(self, first, diff, length):
-        profile = ApProfile(first=first, diff=diff, length=length)
-        assert ap_profile(profile.reconstruct()) == profile
+    def test_profile_of_a_built_progression(self, first, diff, length):
+        s = IntegerSet(range(first, first + length * diff, diff))
+        assert ap_profile(s) == ApProfile(first=first, diff=diff, length=length)
 
     def test_invalid_profiles_rejected(self):
         with pytest.raises(ValueError):
@@ -265,7 +265,7 @@ class TestApSumsetCardinality:
 class TestApPair:
     @pytest.mark.parametrize("bounds", [(8, 3), (20, 5)])
     def test_admits_exactly_the_pairs_whose_sumset_is_a_progression(self, bounds):
-        sets = ap_sets(*bounds)
+        sets = tuple(_progressions(*bounds))
         profiles = [ap_profile(s) for s in sets]
         for i, a in enumerate(sets):
             for j in range(i + 1, len(sets)):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from sumsign.balance import is_balanced_fast, is_balanced_oracle
 from sumsign.errors import (
     AdmissibilityViolation,
     DuplicateLabel,
@@ -28,6 +29,7 @@ from sumsign.labeling import (
     validate_aiasl,
     validate_iasi,
 )
+from sumsign.transforms import subdivide_edge
 
 K2 = Graph(["u", "v"], [("u", "v")])
 TRIANGLE = Graph(["u", "v", "w"], [("u", "v"), ("u", "w"), ("v", "w")])
@@ -315,6 +317,32 @@ class TestLabelingFormat:
         with pytest.raises(ParseError, match="whitespace") as exc:
             parse_labeling("universe_max = 3\nu: {0}\na b: {1}\n")
         assert exc.value.line == 3
+
+
+class TestReadOnly:
+    """What a labeling holds and what derive hands out cannot be changed, so
+    a labeling's hash and the signs the balance checks read stay as built."""
+
+    def test_assignment_edge_labels_and_signs_refuse_writes(self):
+        labeling = lab(8, u=[0, 1], v=[0, 2], w=[0, 2, 4])
+        before = hash(labeling)
+        slg = derive(TRIANGLE, labeling)
+        trusted = Labeling._from_checked(8, {"u": IntegerSet([0, 1]), "v": IntegerSet([0, 2])})
+        subdivided = subdivide_edge(slg, ("u", "v")).result
+        for mapping, key, value in [
+            (labeling.assignment, "u", IntegerSet([5])),
+            (trusted.assignment, "u", IntegerSet([5])),
+            (subdivided.labeling.assignment, "u", IntegerSet([5])),
+            (slg.edge_labels, ("u", "v"), IntegerSet([1])),
+            (slg.signs, ("u", "v"), Sign.NEGATIVE),
+            (subdivided.signs, ("u", "u*v"), Sign.NEGATIVE),
+        ]:
+            with pytest.raises(TypeError):
+                mapping[key] = value
+            with pytest.raises(TypeError):
+                del mapping[key]
+        assert hash(labeling) == before
+        assert is_balanced_fast(slg)[0] and is_balanced_oracle(slg)[0]
 
 
 class TestCopies:

@@ -1,11 +1,13 @@
-"""Dead code: unused imports in the package, its tests and its demos, and
-unreferenced private names in the package; and unbounded memos.
+"""Dead code: unused imports in the package, its tests and its demos,
+unreferenced private names in the package, options no caller sets and public
+names no caller uses; and unbounded memos.
 
 The checks read the sources with the standard library's ``ast`` only.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -90,13 +92,21 @@ def test_every_private_name_is_referenced():
     assert unreferenced == []
 
 
-# Where every option of the package must be used: its own modules, the demos
-# and the benchmark. A call in the tests alone does not count.
-CALLERS = [
-    *TREES.values(),
-    *(tree for name, tree in SCRIPTS.items() if name.startswith("demos/")),
-    *(ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "perfbench").glob("*.py"))),
-]
+def _callers(modules, scripts):
+    """The trees where every option and public name of the package must be
+    used: its own modules and the scripts under demos/ and perfbench/. A use
+    in the tests alone does not count."""
+    return [
+        *modules.values(),
+        *(tree for path, tree in scripts.items() if path.startswith(("demos/", "perfbench/"))),
+    ]
+
+
+BENCH = {
+    path.relative_to(ROOT).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+    for path in sorted((ROOT / "perfbench").glob("*.py"))
+}
+CALLERS = _callers(TREES, {**SCRIPTS, **BENCH})
 # Options no such call sets, each with the reason it stays.
 UNSET_OPTIONS = {
     "cli.py main(out)": "the tests pass their own stream; the console script writes to stdout",
@@ -180,6 +190,74 @@ def test_every_option_is_set_by_some_call():
             ):
                 unset.add(f"{module} {name}({param})")
     assert unset == set(UNSET_OPTIONS)
+
+
+# Public names no caller uses, each with the reason it stays.
+UNCALLED_NAMES = {
+    "verify.py Counterexample.sort_key": "the README documents it as the report order, and c06 compares against it",
+    "labeling.py SignedLabeledGraph.edge_label": "it hides edge_key's canonical order from a caller",
+}
+
+
+def _public_definitions(tree):
+    """(qualified name, name, node) of each public module-level function and
+    class of tree, and of each public method of a public class. A dunder is
+    not public: the language calls it."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def _uncalled(modules, scripts):
+    """'module qualified-name' of each public definition in modules whose
+    name no caller (see _callers) reads outside the definition's own body.
+    An import is no read, so the ``__init__`` re-export is no use."""
+    loads = Counter()
+    for tree in _callers(modules, scripts):
+        loads.update(_loaded_names(tree))
+    for module, tree in modules.items():
+        for qualname, name, node in _public_definitions(tree):
+            if loads[name] == sum(1 for loaded in _loaded_names(node) if loaded == name):
+                yield f"{module} {qualname}"
+
+
+@pytest.mark.parametrize(
+    "modules, scripts, flagged",
+    [
+        # A function only tests call.
+        ({"m.py": "def f(): pass"}, {"tests/test_m.py": "from m import f\nf()"}, ["m.py f"]),
+        ({"m.py": "def f(): pass"}, {"demos/d.py": "from m import f\nf()"}, []),
+        ({"m.py": "def f(): pass"}, {"perfbench/w.py": "import m\nm.f()"}, []),
+        ({"m.py": "def f(): pass", "n.py": "from .m import f\nf()"}, {}, []),
+        # A method, by its name.
+        ({"m.py": "class C:\n    def run(self): pass\n    def stop(self): pass\nC().run()"}, {},
+         ["m.py C.stop"]),
+        # A name read in its own body only.
+        ({"m.py": "def f(n):\n    return f(n - 1)"}, {}, ["m.py f"]),
+        ({"m.py": "class C:\n    def copy(self):\n        return C()"}, {"demos/d.py": "def dup(x): return x.copy()"},
+         ["m.py C"]),
+        # A re-export.
+        ({"m.py": "def f(): pass", "__init__.py": "from .m import f"}, {}, ["m.py f"]),
+        # Dunders.
+        ({"m.py": "class C:\n    def __len__(self): return 0\nC()\ndef __getattr__(name): pass"}, {}, []),
+    ],
+    ids=["tests-only", "demo", "perfbench", "other-module", "method", "recursion", "own-class",
+         "re-export", "dunders"],
+)
+def test_uncalled_name_check_sees_each_form(modules, scripts, flagged):
+    modules, scripts = ({name: ast.parse(source) for name, source in d.items()} for d in (modules, scripts))
+    assert list(_uncalled(modules, scripts)) == flagged
+
+
+def test_every_public_name_is_used_by_some_caller():
+    """A public function, class or method that only tests call is API kept
+    for them alone."""
+    assert set(_uncalled(TREES, {**SCRIPTS, **BENCH})) == set(UNCALLED_NAMES)
 
 
 # A module constant: an upper-case name, private or not.

@@ -47,13 +47,13 @@ from sumsign.verify import (
     _labeling_from_indices,
     _LabelingSpace,
     _negative_mask,
+    _progressions,
     _run,
     _visit,
     Counterexample,
     SearchBounds,
     TheoremId,
     Verdict,
-    ap_sets,
     construct_balanced_bipartite_labeling,
     count_aiasl,
     enumerate_aiasl,
@@ -130,19 +130,19 @@ def oracle_enumerate(g, universe_max, max_size):
 class TestApSets:
     def test_counts_match_subset_filter_oracle(self):
         for universe_max, max_size in [(1, 2), (3, 3), (4, 3), (8, 3)]:
-            got = ap_sets(universe_max, max_size)
+            got = tuple(_progressions(universe_max, max_size))
             expected = oracle_ap_sets(universe_max, max_size)
             assert len(got) == len(expected)
             assert {frozenset(s.elements) for s in got} == set(expected)
 
     def test_frozen_count(self):
-        assert len(ap_sets(8, 3)) == 61
+        assert len(tuple(_progressions(8, 3))) == 61
 
     def test_canonical_order(self):
         # The sets are generated in this order, not sorted into it.
         for universe_max in range(14):
             for max_size in range(1, 9):
-                keys = [(len(s), s.elements) for s in ap_sets(universe_max, max_size)]
+                keys = [(len(s), s.elements) for s in _progressions(universe_max, max_size)]
                 assert keys == sorted(set(keys))
 
 
@@ -193,7 +193,7 @@ def test_pair_tables_match_inline_rule(bounds):
 
 def test_candidate_set_cap():
     bounds = SearchBounds(universe_max=60, max_label_size=10)
-    assert len(ap_sets(60, 10)) > _MAX_CANDIDATE_SETS
+    assert len(tuple(_progressions(60, 10))) > _MAX_CANDIDATE_SETS
     with pytest.raises(BoundExceeded, match="candidate label sets"):
         count_aiasl(K2, bounds)
     with pytest.raises(BoundExceeded, match="candidate label sets"):
@@ -211,7 +211,7 @@ def test_candidate_set_cap_stops_at_the_first_set_over(universe_max, max_size, o
         with pytest.raises(BoundExceeded, match="candidate label sets"):
             _LabelingSpace(SearchBounds(universe_max, max_size))
     else:
-        assert len(ap_sets(universe_max, max_size)) <= _MAX_CANDIDATE_SETS
+        assert len(tuple(_progressions(universe_max, max_size))) <= _MAX_CANDIDATE_SETS
 
 
 @pytest.mark.parametrize(
@@ -240,6 +240,23 @@ def test_family_bound_must_be_an_int(check, bound):
     with pytest.raises(ParseError) as exc:
         check("path:1", max_vertices=bound)
     assert str(exc.value) == f"max_vertices must be an int, not {bound!r}"
+
+
+# True used to build the one-vertex graph (connected_graphs served it from its
+# cached 1 entry), and 2.5 to fail inside range with a TypeError.
+@pytest.mark.parametrize("size", [True, 2.5, "3"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize(
+    "build",
+    [path_graph, cycle_graph, star_graph, complete_graph, connected_graphs, bipartite_family,
+     lambda n: complete_bipartite_graph(n, 2), lambda n: complete_bipartite_graph(2, n)],
+    ids=["path", "cycle", "star", "complete", "connected", "bipartite", "biclique-m",
+         "biclique-n"],
+)
+def test_family_builders_refuse_a_size_that_is_no_int(build, size):
+    assert len(connected_graphs(1)) == 1
+    with pytest.raises(ParseError) as exc:
+        build(size)
+    assert str(exc.value).endswith(f" must be an int, not {size!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -979,7 +996,7 @@ def test_replayed_labelings_equal_the_public_construction():
     """Replay builds each labeling from checked parts, skipping the id
     checks; the result is the labeling ``Labeling(...)`` builds."""
     bounds = SearchBounds(3, 2)
-    candidates = set(ap_sets(3, 2))
+    candidates = set(_progressions(3, 2))
     report = verify_theorem(TheoremId.BALANCE_BIPARTITE_REV, "connected:4", bounds)
     assert len(report.counterexamples) > 100
     for ce in report.counterexamples:
