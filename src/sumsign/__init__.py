@@ -51,7 +51,6 @@ from .graphs import (
     bipartition,
     connected_components,
     cut_edges,
-    cycle_edges,
     edge_key,
     format_graph,
     in_triangle,

@@ -34,7 +34,7 @@ from .graphs import (
     sign_partition,
     spanning_forest,
 )
-from .intsets import Sign, sign_of_size
+from .intsets import Sign
 
 
 class SignedGraphLike(Protocol):
@@ -66,6 +66,10 @@ def negative_edges(s: SignedGraphLike) -> tuple[Edge, ...]:
     return tuple(e for e in s.graph.edges if s.signs[e] is Sign.NEGATIVE)
 
 
+# The sign of a cycle whose negative count has parity i: (-1)**i.
+_SIGN_OF_PARITY = (Sign.POSITIVE, Sign.NEGATIVE)
+
+
 class CycleSignSummary(NamedTuple):
     """One simple cycle with its negative-edge count and sign product."""
 
@@ -88,10 +92,11 @@ def is_balanced_oracle(
     bool.
     """
     neg = sum(1 << i for i, e in enumerate(s.graph.edges) if s.signs[e] is Sign.NEGATIVE)
+    make = CycleSignSummary._make
     summaries = []
     for c, mask in cycle_masks(s.graph, cycle_bound):
         k = (mask & neg).bit_count()
-        summaries.append(CycleSignSummary(c, k, sign_of_size(k)))
+        summaries.append(make((c, k, _SIGN_OF_PARITY[k & 1])))
     balanced = all(c.sign_product is Sign.POSITIVE for c in summaries)
     return balanced, summaries
 

@@ -401,13 +401,6 @@ def simple_cycles(g: Graph, max_vertices: int = DEFAULT_CYCLE_BOUND) -> list[tup
     return cycles
 
 
-def cycle_edges(cycle: tuple[str, ...]) -> tuple[Edge, ...]:
-    """Edges traversed by a cyclic vertex sequence, in canonical form."""
-    return tuple(
-        edge_key(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
-    )
-
-
 def _check_cycle_bound(g: Graph, max_vertices: int) -> None:
     check_count("cycle bound", max_vertices)
     if g.n > max_vertices:
@@ -429,9 +422,19 @@ def cycle_masks(
 
 @lru_cache(maxsize=_CYCLE_MEMO_GRAPHS)
 def _cycle_masks(g: Graph) -> tuple[tuple[tuple[str, ...], int], ...]:
-    index = {e: i for i, e in enumerate(g.edges)}
-    cycles = simple_cycles(g, g.n)
-    return tuple((c, sum(1 << index[e] for e in cycle_edges(c))) for c in cycles)
+    """Each cycle's mask ORs the bits of its consecutive vertex pairs, the
+    closing pair included, read from a map that holds both orientations of
+    every edge."""
+    bit: dict[tuple[str, str], int] = {}
+    for i, (u, v) in enumerate(g.edges):
+        bit[u, v] = bit[v, u] = 1 << i
+    listing = []
+    for c in simple_cycles(g, g.n):
+        mask = bit[c[-1], c[0]]
+        for pair in zip(c, c[1:]):
+            mask |= bit[pair]
+        listing.append((c, mask))
+    return tuple(listing)
 
 
 def in_triangle(g: Graph, v: str) -> bool:

@@ -507,9 +507,44 @@ def _set_bits(x: int) -> Iterator[int]:
         i = digits.find("1", i + 1)
 
 
+def _parity_groups(
+    masks: Sequence[int], planes: list[int], full: int
+) -> list[tuple[int, int, int]]:
+    """Fold each mask's low part once, grouped by its high part.
+
+    ``planes`` are the k bit planes below the chunk size. A mask splits into
+    its low k bits and its high part h = mask >> k; in every chunk the
+    mask's parity plane is its low part's plane, complemented when h meets
+    an odd number of the chunk's set high bits. Returns (h, any_odd,
+    any_odd_flipped) per distinct h, in first-seen order: the OR of the
+    group's low planes, and the OR of their complements.
+    """
+    k = len(planes)
+    low = (1 << k) - 1
+    groups: dict[int, list[int]] = {}
+    for mask in masks:
+        plane = _mask_parities(planes, mask & low)
+        group = groups.get(mask >> k)
+        if group is None:
+            groups[mask >> k] = [plane, plane]
+        else:
+            group[0] |= plane
+            group[1] &= plane
+    return [(h, any_odd, full ^ all_odd) for h, (any_odd, all_odd) in groups.items()]
+
+
+def _odd_patterns(groups: list[tuple[int, int, int]], high: int) -> int:
+    """Bit p set iff some grouped mask is odd on pattern p of the chunk
+    whose high bits are ``high``."""
+    odd = 0
+    for h, any_odd, any_odd_flipped in groups:
+        odd |= any_odd_flipped if (h & high).bit_count() & 1 else any_odd
+    return odd
+
+
 # Patterns per batch of the sweep, a power of two: each bit plane is an int
 # of this many bits.
-_SWEEP_CHUNK = 1 << 18
+_SWEEP_CHUNK = 1 << 14
 # The desk-scale bound on edges, hence 2^32 patterns at most.
 _SWEEP_MAX_EDGES = 32
 
@@ -517,14 +552,19 @@ _SWEEP_MAX_EDGES = 32
 def sweep_sign_patterns(g: Graph) -> PatternSweep:
     """Run both balance definitions over all 2^m sign patterns of g.
 
-    Literal but batched on bit planes: within a chunk of patterns starting
-    at ``start``, bit p of plane b is bit b of pattern start + p, so XOR-ing
-    the planes of a cycle's edges gives every pattern's negative parity on
-    that cycle at once. The oracle side requires every simple cycle even;
-    the fast side requires every fundamental cycle of the spanning forest
-    even. Returns the patterns on which the two sides disagree (expected:
-    none) and the oracle-balanced patterns, both ascending. Graphs with more
-    than 32 edges raise BoundExceeded.
+    Literal but batched on bit planes: within a chunk of 2^k patterns
+    starting at ``start``, bit p of plane b is bit b of pattern start + p,
+    so XOR-ing the planes of a cycle's edges gives every pattern's negative
+    parity on that cycle at once. The planes below bit k are the same in
+    every chunk and each plane from bit k up is all zeros or all ones, so
+    each cycle's low planes are folded once per graph, and a chunk only
+    complements that fold when the cycle's high edges hold an odd number
+    of negatives (``_parity_groups``). The oracle side requires every
+    simple cycle even; the fast side requires every fundamental cycle of
+    the spanning forest even; each side has its own groups. Returns the
+    patterns on which the two sides disagree (expected: none) and the
+    oracle-balanced patterns, both ascending. Graphs with more than 32
+    edges raise BoundExceeded.
     """
     m = g.m
     if m > _SWEEP_MAX_EDGES:
@@ -537,26 +577,23 @@ def sweep_sign_patterns(g: Graph) -> PatternSweep:
     total = 1 << m
     size = min(_SWEEP_CHUNK, total)
     full = (1 << size) - 1
-    # Planes below the chunk size repeat a 2^(b+1)-bit block in every chunk;
-    # the planes above it are all zeros or all ones within a chunk.
-    varying = []
+    # Plane b repeats a 2^(b+1)-bit block, and is the same in every chunk.
+    planes = []
     for b in range(size.bit_length() - 1):
         half = 1 << b
         plane, width = ((1 << half) - 1) << half, 2 * half
         while width < size:
             plane |= plane << width
             width *= 2
-        varying.append(plane)
+        planes.append(plane)
+    k = len(planes)
+    oracle = _parity_groups(oracle_masks, planes, full)
+    fast = _parity_groups(fund_masks, planes, full)
     balanced: list[int] = []
     disagreements: list[int] = []
     for start in range(0, total, size):
-        planes = varying + [full if start >> b & 1 else 0 for b in range(len(varying), m)]
-        oracle_odd = 0
-        for mask in oracle_masks:
-            oracle_odd |= _mask_parities(planes, mask)
-        fast_odd = 0
-        for mask in fund_masks:
-            fast_odd |= _mask_parities(planes, mask)
+        oracle_odd = _odd_patterns(oracle, start >> k)
+        fast_odd = _odd_patterns(fast, start >> k)
         disagreements.extend(start + p for p in _set_bits(oracle_odd ^ fast_odd))
         balanced.extend(start + p for p in _set_bits(full ^ oracle_odd))
     return PatternSweep(

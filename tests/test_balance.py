@@ -26,7 +26,6 @@ from sumsign.families import (
 from sumsign.graphs import (
     Graph,
     bipartition,
-    cycle_edges,
     cycle_masks,
     edge_key,
     sign_partition,
@@ -35,6 +34,14 @@ from sumsign.graphs import (
 from sumsign.intsets import IntegerSet, Sign
 from sumsign.labeling import Labeling, derive
 from sumsign.verify import signed_graph_from_pattern, sweep_sign_patterns
+
+
+def cycle_edges(cycle):
+    """Edges traversed by a cyclic vertex sequence, in canonical form: the
+    tests' own reference for a cycle's edges."""
+    return tuple(
+        edge_key(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
+    )
 
 
 def signed(graph, negatives=()):

@@ -22,7 +22,6 @@ from sumsign.graphs import (
     bipartition,
     connected_components,
     cut_edges,
-    cycle_edges,
     cycle_masks,
     edge_key,
     format_graph,
@@ -33,6 +32,14 @@ from sumsign.graphs import (
     simple_cycles,
     vertices_on_cycles,
 )
+
+
+def cycle_edges(cycle):
+    """Edges traversed by a cyclic vertex sequence, in canonical form: the
+    tests' own reference for ``cycle_masks``."""
+    return tuple(
+        edge_key(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
+    )
 
 
 def brute_cycles(g):

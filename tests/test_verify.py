@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import os
 import pickle
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -29,6 +30,7 @@ from sumsign.families import (
 from sumsign.graphs import (
     Graph,
     cut_edges,
+    cycle_masks,
     format_graph,
     fundamental_cycle_masks,
     in_triangle,
@@ -1135,6 +1137,47 @@ class TestSweepSignPatterns:
         expected = [sweep_sign_patterns(g) for g in graphs]
         monkeypatch.setattr(verify_module, "_SWEEP_CHUNK", 8)
         assert [sweep_sign_patterns(g) for g in graphs] == expected
+
+    # The grouped kernel against a recount of each pattern on each mask. The
+    # fast side is run as is and without its last fundamental cycle, so
+    # that the sweep must report real disagreements. Graphs up to 14 edges
+    # are recounted on every pattern; the 19-edge graph on every balanced
+    # pattern and a seeded sample. At 8 patterns per chunk, every graph has
+    # high bits; at the default size, only the 19-edge graph does.
+    @pytest.mark.parametrize("chunk", [None, 8], ids=["default", "8"])
+    def test_sweep_equals_a_literal_recount(self, monkeypatch, chunk):
+        import sumsign.verify as verify_module
+
+        def even(masks, pattern):
+            return all((mask & pattern).bit_count() % 2 == 0 for mask in masks)
+
+        atlas_14 = next(g for g in connected_graphs(7) if g.m == 14)
+        dense = next(g for g in connected_graphs(7) if g.m >= 19)
+        if chunk is not None:
+            monkeypatch.setattr(verify_module, "_SWEEP_CHUNK", chunk)
+        cases = [(g, fundamental_cycle_masks(g)[:drop])
+                 for g in (complete_graph(5), complete_bipartite_graph(3, 3), atlas_14)
+                 for drop in (None, -1)]
+        cases.append((dense, fundamental_cycle_masks(dense)))
+        assert [(g.m, len(fast)) for g, fast in cases] == [
+            (10, 6), (10, 5), (9, 4), (9, 3), (14, 9), (14, 8), (19, 13)]
+        rng = random.Random(2025)
+        for g, fast in cases:
+            oracle = [mask for _, mask in cycle_masks(g, max_vertices=g.n)]
+            monkeypatch.setattr(verify_module, "fundamental_cycle_masks", lambda _: fast)
+            sweep = sweep_sign_patterns(g)
+            balanced = set(sweep.balanced_patterns)
+            disagreements = set(sweep.disagreements)
+            if g.m <= 14:
+                patterns = range(1 << g.m)
+            else:
+                patterns = sorted(balanced | disagreements
+                                  | {rng.randrange(1 << g.m) for _ in range(2000)})
+            for p in patterns:
+                assert (p in balanced) == even(oracle, p), (g.edges, p)
+                assert (p in disagreements) == (even(oracle, p) != even(fast, p)), (g.edges, p)
+            if len(fast) < g.m - g.n + 1:
+                assert disagreements
 
     def test_pattern_round_trip(self):
         g = cycle_graph(3)
