@@ -84,9 +84,10 @@ def is_balanced_oracle(
     """Balance by definition: every simple cycle has an even negative count.
 
     Returns the verdict and one summary per simple cycle, in
-    ``simple_cycles`` order. The cycles and their edge masks come from
-    ``graphs.cycle_masks``, shared with the sign sweep, so a cycle's
-    negative count is (mask & negative mask).bit_count(). Acyclic graphs are
+    ``simple_cycles`` order, from the one search that lists each cycle with
+    its edge mask (``graphs.cycle_masks``); the sign sweep and
+    ``simple_cycles`` read the same per-graph listing. A cycle's negative
+    count is (mask & negative mask).bit_count(). Acyclic graphs are
     vacuously balanced. Raises BoundExceeded when the graph is too large to
     enumerate cycles, and ParseError when cycle_bound is not an int or is a
     bool.

@@ -8,10 +8,11 @@ One breadth-first spanning forest (``spanning_forest``) answers every
 traversal question: Harary's sign partition (``sign_partition``, whose
 all-negative case is the 2-coloring), the components, and, through the
 fundamental cycles of its non-tree edges, the bridges and the vertices on
-cycles. Only ``simple_cycles`` lists every cycle; it is the by-definition
-reference and the only query limited by a vertex bound. ``cycle_masks`` adds
-each cycle's edge mask and holds the listing of the last few graphs, which
-the sign sweep and the balance oracle share.
+cycles. Only ``cycle_masks`` lists every cycle, in one depth-first search
+that carries each cycle's edge mask; it is the by-definition reference and
+the only query limited by a vertex bound. It holds the listing of the last
+few graphs, which the sign sweep, the balance oracle and ``simple_cycles``
+share.
 
 Each ``Graph`` keeps a private memo, filled on first read: the default-root
 spanning forest, the bipartition, the fundamental cycle masks and the
@@ -351,24 +352,51 @@ def simple_cycles(g: Graph, max_vertices: int = DEFAULT_CYCLE_BOUND) -> list[tup
 
     Each cycle is reported as a vertex sequence starting at its smallest
     vertex, oriented toward its smaller neighbor, and the list is sorted by
-    (length, sequence). Raises BoundExceeded when |V| > max_vertices, and
-    ParseError when max_vertices is not an int or is a bool.
+    (length, sequence). Reads ``cycle_masks``' per-graph listing, so it
+    raises as that does, and returns its cycles in a fresh list.
     """
-    _check_cycle_bound(g, max_vertices)
-    adj = g._adj
+    return [c for c, _ in cycle_masks(g, max_vertices)]
+
+
+def cycle_masks(
+    g: Graph, max_vertices: int = DEFAULT_CYCLE_BOUND
+) -> tuple[tuple[tuple[str, ...], int], ...]:
+    """Every simple cycle of g with its edge mask, in ``simple_cycles`` order.
+
+    Bit i of a mask stands for ``g.edges[i]``. Raises BoundExceeded when
+    |V| > max_vertices, and ParseError when max_vertices is not an int or is
+    a bool, on every call; the listing is held per graph alone.
+    """
+    check_count("cycle bound", max_vertices)
+    if g.n > max_vertices:
+        raise BoundExceeded(
+            f"cycle enumeration limited to {max_vertices} vertices, graph has {g.n}"
+        )
+    return _cycle_masks(g)
+
+
+@lru_cache(maxsize=_CYCLE_MEMO_GRAPHS)
+def _cycle_masks(g: Graph) -> tuple[tuple[tuple[str, ...], int], ...]:
+    """The one cycle search: each path from a start vertex carries the OR of
+    its edges' bits, so a cycle is listed with its mask as it closes."""
+    # Each vertex's neighbours in sorted order, each with its edge's bit.
+    links: dict[str, list[tuple[str, int]]] = {v: [] for v in g.vertices}
+    for i, (u, v) in enumerate(g.edges):
+        links[u].append((v, 1 << i))
+        links[v].append((u, 1 << i))
     # The vertices an unlisted cycle may still pass through, with their
     # degree among each other. A vertex left with fewer than two neighbours
     # lies on no such cycle, nor does a start vertex once its search is done;
     # both leave, and ``doomed`` holds those whose neighbours are still to be
     # told. On a ring, the first search lists the cycle and the peel then
     # empties it.
-    degree = {v: len(ns) for v, ns in adj.items()}
+    degree = {v: len(ns) for v, ns in links.items()}
     present = {v for v, d in degree.items() if d >= 2}
     doomed = [v for v, d in degree.items() if d < 2]
-    cycles: list[tuple[str, ...]] = []
+    cycles: list[tuple[tuple[str, ...], int]] = []
     for s in g.vertices:
         while doomed:
-            for w in adj[doomed.pop()]:
+            for w, _ in links[doomed.pop()]:
                 if w in present:
                     degree[w] -= 1
                     if degree[w] < 2:
@@ -378,63 +406,31 @@ def simple_cycles(g: Graph, max_vertices: int = DEFAULT_CYCLE_BOUND) -> list[tup
             continue
         # Depth-first over the paths from s through present vertices, one
         # neighbour iterator per path vertex, so long paths need no recursion.
-        # A path vertex is out of ``present`` until it is popped.
+        # ``masks`` holds the edge mask of each prefix of the path. A path
+        # vertex is out of ``present`` until it is popped.
         present.discard(s)
         path = [s]
-        stack = [iter(adj[s])]
+        masks = [0]
+        stack = [iter(links[s])]
         while stack:
-            for w in stack[-1]:
+            for w, bit in stack[-1]:
                 if w == s:
                     if len(path) >= 3 and path[1] < path[-1]:
-                        cycles.append(tuple(path))
+                        cycles.append((tuple(path), masks[-1] | bit))
                 elif w in present:
                     present.discard(w)
                     path.append(w)
-                    stack.append(iter(adj[w]))
+                    masks.append(masks[-1] | bit)
+                    stack.append(iter(links[w]))
                     break
             else:
                 stack.pop()
+                masks.pop()
                 present.add(path.pop())
         present.discard(s)
         doomed.append(s)
-    cycles.sort(key=lambda c: (len(c), c))
-    return cycles
-
-
-def _check_cycle_bound(g: Graph, max_vertices: int) -> None:
-    check_count("cycle bound", max_vertices)
-    if g.n > max_vertices:
-        raise BoundExceeded(
-            f"cycle enumeration limited to {max_vertices} vertices, graph has {g.n}"
-        )
-
-
-def cycle_masks(
-    g: Graph, max_vertices: int = DEFAULT_CYCLE_BOUND
-) -> tuple[tuple[tuple[str, ...], int], ...]:
-    """``simple_cycles`` as (cycle, edge mask) pairs; bit i stands for ``g.edges[i]``.
-
-    The bound is checked on every call; the listing is held per graph alone.
-    """
-    _check_cycle_bound(g, max_vertices)
-    return _cycle_masks(g)
-
-
-@lru_cache(maxsize=_CYCLE_MEMO_GRAPHS)
-def _cycle_masks(g: Graph) -> tuple[tuple[tuple[str, ...], int], ...]:
-    """Each cycle's mask ORs the bits of its consecutive vertex pairs, the
-    closing pair included, read from a map that holds both orientations of
-    every edge."""
-    bit: dict[tuple[str, str], int] = {}
-    for i, (u, v) in enumerate(g.edges):
-        bit[u, v] = bit[v, u] = 1 << i
-    listing = []
-    for c in simple_cycles(g, g.n):
-        mask = bit[c[-1], c[0]]
-        for pair in zip(c, c[1:]):
-            mask |= bit[pair]
-        listing.append((c, mask))
-    return tuple(listing)
+    cycles.sort(key=lambda entry: (len(entry[0]), entry[0]))
+    return tuple(cycles)
 
 
 def in_triangle(g: Graph, v: str) -> bool:

@@ -334,23 +334,20 @@ class TestSharedCycleListing:
         with pytest.raises(ParseError, match=f"^cycle bound must be an int, not {bound!r}$"):
             is_balanced_oracle(signed(cycle_graph(3)), cycle_bound=bound)
 
-    def test_sweep_and_oracle_list_cycles_once(self, monkeypatch):
-        calls = []
-        listing = graphs_module.simple_cycles
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return listing(*args, **kwargs)
-
-        monkeypatch.setattr(graphs_module, "simple_cycles", counted)
-        graphs_module._cycle_masks.cache_clear()
+    def test_sweep_and_oracle_list_cycles_once(self):
+        # The sweep fills the memo; the eight oracle calls and simple_cycles
+        # read it.
+        memo = graphs_module._cycle_masks
+        memo.cache_clear()
         g = complete_graph(5)
         sweep = sweep_sign_patterns(g)
         balanced = set(sweep.balanced_patterns)
         for pattern in random.Random(5).sample(range(1 << g.m), 8):
             sg = signed_graph_from_pattern(g, pattern, sweep.edge_order)
             assert is_balanced_oracle(sg)[0] == (pattern in balanced)
-        assert calls == [g]
+        assert len(simple_cycles(g)) == 37
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (1, 9)
 
     def test_listing_handed_out_is_not_the_memo(self):
         g = cycle_graph(4)

@@ -45,7 +45,13 @@ def _loaded_names(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
-        elif isinstance(node, ast.Attribute):
+    yield from _attribute_names(tree)
+
+
+def _attribute_names(tree):
+    """Every name read in tree as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
             yield node.attr
 
 
@@ -196,33 +202,39 @@ def test_every_option_is_set_by_some_call():
 UNCALLED_NAMES = {
     "verify.py Counterexample.sort_key": "the README documents it as the report order, and c06 compares against it",
     "labeling.py SignedLabeledGraph.edge_label": "it hides edge_key's canonical order from a caller",
+    "labeling.py SignedLabeledGraph.sign": "it hides edge_key's canonical order from a caller",
 }
 
 
 def _public_definitions(tree):
-    """(qualified name, name, node) of each public module-level function and
-    class of tree, and of each public method of a public class. A dunder is
-    not public: the language calls it."""
+    """(qualified name, name, node, reader) of each public module-level
+    function and class of tree, and of each public method of a public class.
+    ``reader`` yields the names in a tree that can use the definition: any
+    read for a function or class, attribute reads alone for a method. A
+    dunder is not public: the language calls it."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
-        yield node.name, node.name, node
+        yield node.name, node.name, node, _loaded_names
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name, item
+                    yield f"{node.name}.{item.name}", item.name, item, _attribute_names
 
 
 def _uncalled(modules, scripts):
     """'module qualified-name' of each public definition in modules whose
     name no caller (see _callers) reads outside the definition's own body.
-    An import is no read, so the ``__init__`` re-export is no use."""
-    loads = Counter()
+    An import is no read, so the ``__init__`` re-export is no use, and a
+    bare name is no use of a method, so a local variable named like it is
+    none either."""
+    reads = {_loaded_names: Counter(), _attribute_names: Counter()}
     for tree in _callers(modules, scripts):
-        loads.update(_loaded_names(tree))
+        for reader, counts in reads.items():
+            counts.update(reader(tree))
     for module, tree in modules.items():
-        for qualname, name, node in _public_definitions(tree):
-            if loads[name] == sum(1 for loaded in _loaded_names(node) if loaded == name):
+        for qualname, name, node, reader in _public_definitions(tree):
+            if reads[reader][name] == sum(1 for loaded in reader(node) if loaded == name):
                 yield f"{module} {qualname}"
 
 
@@ -237,6 +249,9 @@ def _uncalled(modules, scripts):
         # A method, by its name.
         ({"m.py": "class C:\n    def run(self): pass\n    def stop(self): pass\nC().run()"}, {},
          ["m.py C.stop"]),
+        # A method named like a caller's local variable.
+        ({"m.py": "class C:\n    def sign(self): pass\ndef show(c: C):\n    sign = 1\n    return sign"},
+         {"demos/d.py": "from m import show\nshow(None)"}, ["m.py C.sign"]),
         # A name read in its own body only.
         ({"m.py": "def f(n):\n    return f(n - 1)"}, {}, ["m.py f"]),
         ({"m.py": "class C:\n    def copy(self):\n        return C()"}, {"demos/d.py": "def dup(x): return x.copy()"},
@@ -246,8 +261,8 @@ def _uncalled(modules, scripts):
         # Dunders.
         ({"m.py": "class C:\n    def __len__(self): return 0\nC()\ndef __getattr__(name): pass"}, {}, []),
     ],
-    ids=["tests-only", "demo", "perfbench", "other-module", "method", "recursion", "own-class",
-         "re-export", "dunders"],
+    ids=["tests-only", "demo", "perfbench", "other-module", "method", "method-named-like-a-local",
+         "recursion", "own-class", "re-export", "dunders"],
 )
 def test_uncalled_name_check_sees_each_form(modules, scripts, flagged):
     modules, scripts = ({name: ast.parse(source) for name, source in d.items()} for d in (modules, scripts))
