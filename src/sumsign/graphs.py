@@ -15,13 +15,14 @@ few graphs, which the sign sweep, the balance oracle and ``simple_cycles``
 share.
 
 Each ``Graph`` keeps a private memo, filled on first read: the default-root
-spanning forest, the bipartition, the fundamental cycle masks and the
-``format_graph`` text. It belongs to that one graph and dies with it, and
-everything it hands out is read-only (tuples, strings and a
-``MappingProxyType``), so a caller cannot change what a later call returns.
-``cut_edges`` and ``vertices_on_cycles`` fold the memoized masks. The cycle
-listing is not held here but in ``cycle_masks``' bounded cache, since the
-family atlas keeps its graphs for the whole process.
+spanning forest, the bipartition, the fundamental cycle masks, the
+``format_graph`` text, and the bridges (``cut_edges``) and vertices on
+cycles (``vertices_on_cycles``), each folded once from the memoized masks.
+It belongs to that one graph and dies with it, and everything it hands out
+is read-only (tuples, strings, a frozenset and a ``MappingProxyType``), so a
+caller cannot change what a later call returns. The cycle listing is not
+held here but in ``cycle_masks``' bounded cache, since the family atlas
+keeps its graphs for the whole process.
 """
 
 from __future__ import annotations
@@ -333,8 +334,12 @@ def cut_edges(g: Graph) -> tuple[Edge, ...]:
     """The bridges of g: edges whose removal disconnects their endpoints.
 
     Equivalently, the edges lying on no cycle, which are the edges that no
-    fundamental cycle covers.
+    fundamental cycle covers. Memoized on g.
     """
+    return _memoized(g, "cut", _cut_edges)
+
+
+def _cut_edges(g: Graph) -> tuple[Edge, ...]:
     covered = _covered(g)
     return tuple(e for i, e in enumerate(g.edges) if not covered >> i & 1)
 
@@ -377,7 +382,7 @@ def cycle_masks(
 
 @lru_cache(maxsize=_CYCLE_MEMO_GRAPHS)
 def _cycle_masks(g: Graph) -> tuple[tuple[tuple[str, ...], int], ...]:
-    """The one cycle search: each path from a start vertex carries the OR of
+    """The one cycle search: each path from a start vertex carries the XOR of
     its edges' bits, so a cycle is listed with its mask as it closes."""
     # Each vertex's neighbours in sorted order, each with its edge's bit.
     links: dict[str, list[tuple[str, int]]] = {v: [] for v in g.vertices}
@@ -406,26 +411,30 @@ def _cycle_masks(g: Graph) -> tuple[tuple[tuple[str, ...], int], ...]:
             continue
         # Depth-first over the paths from s through present vertices, one
         # neighbour iterator per path vertex, so long paths need no recursion.
-        # ``masks`` holds the edge mask of each prefix of the path. A path
-        # vertex is out of ``present`` until it is popped.
+        # ``mask`` is the path's edge mask; ``bits`` holds the bit of the edge
+        # that reached each path vertex (0 for s), XOR-ed into ``mask`` on
+        # push and out again on pop. A path vertex is out of ``present``
+        # until it is popped.
         present.discard(s)
         path = [s]
-        masks = [0]
+        bits = [0]
+        mask = 0
         stack = [iter(links[s])]
         while stack:
             for w, bit in stack[-1]:
                 if w == s:
                     if len(path) >= 3 and path[1] < path[-1]:
-                        cycles.append((tuple(path), masks[-1] | bit))
+                        cycles.append((tuple(path), mask | bit))
                 elif w in present:
                     present.discard(w)
                     path.append(w)
-                    masks.append(masks[-1] | bit)
+                    bits.append(bit)
+                    mask ^= bit
                     stack.append(iter(links[w]))
                     break
             else:
                 stack.pop()
-                masks.pop()
+                mask ^= bits.pop()
                 present.add(path.pop())
         present.discard(s)
         doomed.append(s)
@@ -444,6 +453,11 @@ def in_triangle(g: Graph, v: str) -> bool:
 
 
 def vertices_on_cycles(g: Graph) -> frozenset[str]:
-    """Vertices lying on at least one cycle: the endpoints of non-bridge edges."""
+    """Vertices lying on at least one cycle: the endpoints of non-bridge edges.
+    Memoized on g."""
+    return _memoized(g, "on_cycle", _vertices_on_cycles)
+
+
+def _vertices_on_cycles(g: Graph) -> frozenset[str]:
     covered = _covered(g)
     return frozenset(v for i, e in enumerate(g.edges) if covered >> i & 1 for v in e)

@@ -6,11 +6,19 @@ their endpoints' labels, and a vertex replacing an edge inherits that edge's
 label. ``_rebuild`` is the one place that applies these rules; each public
 transform checks its input and makes one ``_rebuild`` call. Inputs are never
 mutated.
+
+The result graph depends only on the input graph and the change, not on the
+labels, so ``_rebuild`` takes it from a bounded memo of transform plans:
+equal transforms of one graph return the same result ``Graph``, whose
+forest, bipartition and cycle masks are then computed once, however many
+labelings are replayed through it. The labels, ``derive``, the carried-sign
+check and the notes are made on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import (
@@ -23,6 +31,8 @@ from .errors import (
 from .graphs import Edge, Graph, edge_key, in_triangle
 from .intsets import IntegerSet, Sign
 from .labeling import AiaslCheck, Labeling, SignedLabeledGraph, derive, validate_aiasl
+
+_TRANSFORM_PLANS = 256  # (graph, change) pairs whose result graph _plan holds
 
 
 @dataclass(frozen=True)
@@ -72,13 +82,17 @@ def _rebuild(
     Drops ``drop_vertex`` with its incident edges and every edge in
     ``drop_edges``, adds ``new_vertex`` as ``(id, label, source note)`` and
     ``new_edges``. Every kept vertex carries its label; ``derive`` gives every
-    edge the sumset of its endpoints' labels.
+    edge the sumset of its endpoints' labels. The result graph comes from
+    ``_plan``, so equal changes to one graph share it.
     """
-    drop = set(drop_edges)
-    removed_edges = tuple(e for e in s.graph.edges if e in drop or drop_vertex in e)
-    kept_edges = [e for e in s.graph.edges if e not in removed_edges]
     added_edges = tuple(new_edges)
-    kept_vertices = [x for x in s.graph.vertices if x != drop_vertex]
+    graph, removed_edges, kept_edges, kept_vertices = _plan(
+        s.graph,
+        drop_vertex,
+        tuple(drop_edges),
+        None if new_vertex is None else new_vertex[0],
+        added_edges,
+    )
     assignment = {x: s.labeling.get(x) for x in kept_vertices}
     notes = [(x, "carried") for x in kept_vertices]
     added_vertices: tuple[str, ...] = ()
@@ -87,8 +101,7 @@ def _rebuild(
         assignment[w] = label
         notes.append((w, source))
         added_vertices = (w,)
-    graph = Graph(assignment, kept_edges + list(added_edges))
-    # Graph has just checked every id, so the labeling is built from checked parts.
+    # Graph has checked every id, so the labeling is built from checked parts.
     labels = {x: assignment[x] for x in graph.vertices}
     result = derive(graph, Labeling._from_checked(s.labeling.universe_max, labels))
     # Induced = carried: identical labels give identical sumsets and signs.
@@ -102,6 +115,25 @@ def _rebuild(
         removed_edges=removed_edges,
         label_notes=tuple(notes),
     )
+
+
+@lru_cache(maxsize=_TRANSFORM_PLANS)
+def _plan(
+    g: Graph,
+    drop_vertex: str | None,
+    drop_edges: tuple[Edge, ...],
+    new_vertex: str | None,
+    new_edges: tuple[Edge, ...],
+) -> tuple[Graph, tuple[Edge, ...], tuple[Edge, ...], tuple[str, ...]]:
+    """The structural half of ``_rebuild``: the result graph, the removed
+    edges, the kept edges and the kept vertices, in g's order."""
+    drop = set(drop_edges)
+    removed_edges = tuple(e for e in g.edges if e in drop or drop_vertex in e)
+    kept_edges = tuple(e for e in g.edges if e not in removed_edges)
+    kept_vertices = tuple(x for x in g.vertices if x != drop_vertex)
+    vertices = kept_vertices if new_vertex is None else kept_vertices + (new_vertex,)
+    graph = Graph(vertices, kept_edges + new_edges)
+    return graph, removed_edges, kept_edges, kept_vertices
 
 
 def delete_vertex(s: SignedLabeledGraph, v: str) -> TransformOutcome:

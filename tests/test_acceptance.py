@@ -13,6 +13,7 @@ import sys
 import time
 from itertools import combinations
 
+from sumsign import transforms
 from sumsign.balance import is_balanced_fast, is_balanced_oracle, is_clusterable
 from sumsign.families import bipartite_family, connected_graphs
 from sumsign.graphs import Graph, fundamental_cycle_masks, is_bipartite
@@ -301,6 +302,7 @@ def test_c08_homeomorphism_off_cycle_preserves_balance():
     """Eligible off-cycle transformations never break balance."""
     start = time.time()
     bounds = SearchBounds(universe_max=3, max_label_size=3)
+    plans_before = transforms._plan.cache_info()
     report = verify_theorem("HOMEOMORPHISM", "connected:5", bounds)
     off_cycle_violations = [
         ce for ce in report.counterexamples
@@ -309,6 +311,13 @@ def test_c08_homeomorphism_off_cycle_preserves_balance():
     assert off_cycle_violations == []
     elapsed = time.time() - start
     assert elapsed < 600.0
+    # Replay builds one result graph per (member, vertex), however many
+    # labelings it replays there, and the plan memo stays within its bound.
+    plans = transforms._plan.cache_info()
+    targets = {(ce.graph, ce.explanation.split(":")[0]) for ce in report.counterexamples}
+    assert plans.misses - plans_before.misses <= len(targets) < 100
+    assert plans.hits - plans_before.hits >= len(report.counterexamples) - len(targets)
+    assert plans.currsize <= transforms._TRANSFORM_PLANS
     print(f"ACCEPTANCE 8 PASS: {report.cases_checked} eligible transformations, "
           f"zero off-cycle balance violations ({len(report.counterexamples)} "
           f"on-cycle transformations preserved balance, a recorded finding) "

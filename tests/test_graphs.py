@@ -399,6 +399,16 @@ class TestMemo:
         info = graphs_module._cycle_masks.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
+    def test_bridges_and_cycle_vertices_are_memoized_apart(self):
+        # A triangle with a pendant edge, read in both orders.
+        edges = [("u", "v"), ("v", "w"), ("u", "w"), ("u", "x")]
+        for reads in ((cut_edges, vertices_on_cycles), (vertices_on_cycles, cut_edges)):
+            g = Graph(["u", "v", "w", "x"], edges)
+            first = [read(g) for read in reads]
+            assert all(read(g) is value for read, value in zip(reads, first))
+            assert cut_edges(g) == (("u", "x"),)
+            assert vertices_on_cycles(g) == frozenset({"u", "v", "w"})
+
     def test_construction_fills_nothing(self):
         assert Graph(["a", "b"], [("a", "b")])._memo == {}
 

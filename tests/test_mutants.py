@@ -38,14 +38,14 @@ MUTANTS = [
     Mutant(
         "closing-edge-bit-dropped",
         "graphs.py",
-        "cycles.append((tuple(path), masks[-1] | bit))",
-        "cycles.append((tuple(path), masks[-1]))",
+        "cycles.append((tuple(path), mask | bit))",
+        "cycles.append((tuple(path), mask))",
         "tests/test_graphs.py::TestCycleMasks::test_masks_follow_simple_cycles",
     ),
     Mutant(
         "mask-stack-kept-on-backtrack",
         "graphs.py",
-        "                stack.pop()\n                masks.pop()\n",
+        "                stack.pop()\n                mask ^= bits.pop()\n",
         "                stack.pop()\n",
         "tests/test_graphs.py::TestCycleMasks::test_masks_follow_simple_cycles",
     ),
@@ -62,6 +62,58 @@ MUTANTS = [
         "fast = _parity_groups(fund_masks, planes, full)",
         "fast = oracle",
         "tests/test_verify.py::TestSweepSignPatterns::test_sweep_equals_a_literal_recount[default]",
+    ),
+    Mutant(
+        "sweep-flip-ignored",
+        "verify.py",
+        "odd |= any_odd_flipped if (h & high).bit_count() & 1 else any_odd",
+        "odd |= any_odd",
+        "tests/test_verify.py::TestSweepSignPatterns::test_sweep_equals_a_literal_recount[default]",
+    ),
+    Mutant(
+        "sweep-groups-keyed-on-low-bits",
+        "verify.py",
+        "        group = groups.get(mask >> k)\n"
+        "        if group is None:\n"
+        "            groups[mask >> k] = [plane, plane]\n",
+        "        group = groups.get(mask & low)\n"
+        "        if group is None:\n"
+        "            groups[mask & low] = [plane, plane]\n",
+        "tests/test_verify.py::TestSweepSignPatterns::test_sweep_equals_a_literal_recount[default]",
+    ),
+    Mutant(
+        "oracle-sign-read-by-count",
+        "balance.py",
+        "_SIGN_OF_PARITY[k & 1]",
+        "_SIGN_OF_PARITY[k]",
+        "tests/test_balance.py::TestBalanceExamples::test_c4_two_negatives",
+    ),
+    Mutant(
+        "plan-key-without-dropped-vertex",
+        "transforms.py",
+        "@lru_cache(maxsize=_TRANSFORM_PLANS)\ndef _plan(\n",
+        "_PLANS = {}\n\n\n"
+        "def _plan(g, drop_vertex, drop_edges, new_vertex, new_edges):\n"
+        "    key = (g, drop_edges, new_vertex, new_edges)\n"
+        "    if key not in _PLANS:\n"
+        "        _PLANS[key] = _any_plan(g, drop_vertex, drop_edges, new_vertex, new_edges)\n"
+        "    return _PLANS[key]\n\n\n"
+        "def _any_plan(\n",
+        "tests/test_transforms.py::TestTransformPlans::test_same_neighbours_give_different_plans",
+    ),
+    Mutant(
+        "on-cycle-set-under-the-bridge-key",
+        "graphs.py",
+        'return _memoized(g, "on_cycle", _vertices_on_cycles)',
+        'return _memoized(g, "cut", _vertices_on_cycles)',
+        "tests/test_graphs.py::TestMemo::test_bridges_and_cycle_vertices_are_memoized_apart",
+    ),
+    Mutant(
+        "bridges-are-the-covered-edges",
+        "graphs.py",
+        "return tuple(e for i, e in enumerate(g.edges) if not covered >> i & 1)",
+        "return tuple(e for i, e in enumerate(g.edges) if covered >> i & 1)",
+        "tests/test_graphs.py::TestCutEdges::test_triangle_with_pendant",
     ),
 ]
 

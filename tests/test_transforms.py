@@ -2,6 +2,7 @@
 
 import pytest
 
+from sumsign import transforms
 from sumsign.balance import is_balanced_fast, is_balanced_oracle
 from sumsign.errors import (
     DegreeNotTwo,
@@ -10,8 +11,8 @@ from sumsign.errors import (
     UnknownVertex,
     VertexInTriangle,
 )
-from sumsign.families import cycle_graph, path_graph, complete_graph
-from sumsign.graphs import Graph, cut_edges
+from sumsign.families import connected_graphs, cycle_graph, path_graph, complete_graph
+from sumsign.graphs import Graph, cut_edges, edge_key, in_triangle
 from sumsign.intsets import IntegerSet, Sign, sumset
 from sumsign.labeling import Labeling, derive
 from sumsign.transforms import (
@@ -225,3 +226,121 @@ class TestElementaryTransformation:
         assert "removed_vertex = v1" in lines
         assert "added_edge = v0 v2" in lines
         assert lines == elementary_transformation(singleton_c4(), "v1").provenance_lines()
+
+
+def literal_rebuild(slg, vertices, edges, new_label=None):
+    """The result of a transform built by hand: a fresh Graph on ``vertices``
+    and ``edges``, every old vertex keeping its label, the one vertex not in
+    slg taking ``new_label``, and ``derive`` for the edges."""
+    labels = {
+        v: slg.labeling.get(v) if slg.graph.has_vertex(v) else new_label
+        for v in vertices
+    }
+    return derive(Graph(vertices, edges), Labeling(slg.labeling.universe_max, labels))
+
+
+def each_transform(slg):
+    """(transform call, literal rebuild) for every transform of slg: each
+    vertex deleted, each edge left out of a spanned subgraph, each edge
+    subdivided and each eligible vertex replaced by an edge."""
+    g = slg.graph
+    for v in g.vertices:
+        yield (
+            lambda v=v: delete_vertex(slg, v),
+            lambda v=v: literal_rebuild(
+                slg, [x for x in g.vertices if x != v], [e for e in g.edges if v not in e]
+            ),
+        )
+    for e in g.edges:
+        keep = [f for f in g.edges if f != e]
+        yield (
+            lambda keep=keep: spanned_subgraph(slg, keep)[0],
+            lambda keep=keep: literal_rebuild(slg, g.vertices, keep),
+        )
+    for u, v in g.edges:
+        if any(slg.labeling.get(x) == slg.edge_labels[(u, v)] for x in g.vertices):
+            continue  # the inherited label collides: no transform
+        w = f"{u}*{v}"
+        yield (
+            lambda e=(u, v): subdivide_edge(slg, e),
+            lambda u=u, v=v, w=w: literal_rebuild(
+                slg,
+                [*g.vertices, w],
+                [e for e in g.edges if e != (u, v)] + [(u, w), (w, v)],
+                new_label=slg.edge_labels[(u, v)],
+            ),
+        )
+    for v in g.vertices:
+        if g.degree(v) == 2 and not in_triangle(g, v):
+            a, b = g.neighbors(v)
+            yield (
+                lambda v=v: elementary_transformation(slg, v),
+                lambda v=v, a=a, b=b: literal_rebuild(
+                    slg,
+                    [x for x in g.vertices if x != v],
+                    [e for e in g.edges if v not in e] + [edge_key(a, b)],
+                ),
+            )
+
+
+class TestTransformPlans:
+    """Equal transforms of one graph share the result graph of one plan."""
+
+    def test_equal_transforms_share_the_result_graph(self):
+        g = cycle_graph(4)
+        slg = singleton_c4()
+        other = derive(g, lab(4, v0=[0], v1=[1, 2], v2=[4], v3=[3]))
+        first = elementary_transformation(slg, "v1").result
+        assert elementary_transformation(slg, "v1").result.graph is first.graph
+        again = elementary_transformation(other, "v1").result
+        assert again.graph is first.graph
+        assert again.labeling.get("v2") == IntegerSet([4])
+        assert subdivide_edge(other, ("v2", "v3")).result.graph is (
+            subdivide_edge(other, ("v2", "v3")).result.graph
+        )
+
+    def test_same_neighbours_give_different_plans(self):
+        # v1 and v3 of C4 both have the neighbours v0 and v2, so both
+        # transforms add the edge v0 v2; only the dropped vertex differs.
+        slg = singleton_c4()
+        one = elementary_transformation(slg, "v1")
+        three = elementary_transformation(slg, "v3")
+        assert one.result.graph.vertices == ("v0", "v2", "v3")
+        assert three.result.graph.vertices == ("v0", "v1", "v2")
+        assert three.removed_edges == (("v0", "v3"), ("v2", "v3"))
+
+    def test_members_with_the_same_ids_get_their_own_result_graphs(self):
+        path, ring = path_graph(4), cycle_graph(4)
+        labels = lab(3, v0=[0], v1=[1], v2=[2], v3=[3])
+        from_path = delete_vertex(derive(path, labels), "v2").result.graph
+        from_ring = delete_vertex(derive(ring, labels), "v2").result.graph
+        assert from_path is not from_ring
+        assert from_path.edges == (("v0", "v1"),)
+        assert from_ring.edges == (("v0", "v1"), ("v0", "v3"))
+
+    def test_every_transform_equals_a_literal_rebuild(self, monkeypatch):
+        # Each transform runs twice through the memo and once around it;
+        # all three must agree with a rebuild by hand.
+        bounds = SearchBounds(universe_max=2, max_label_size=2)
+        cases = [
+            pair
+            for g in connected_graphs(4)
+            for labeling in enumerate_aiasl(g, bounds)
+            for pair in each_transform(derive(g, labeling))
+        ]
+        shared = [(transform(), transform()) for transform, _ in cases]
+        with monkeypatch.context() as m:
+            m.setattr(transforms, "_plan", transforms._plan.__wrapped__)
+            around = [transform() for transform, _ in cases]
+        assert len(cases) > 20_000
+        for (_, rebuild), (first, second), alone in zip(cases, shared, around):
+            expected = rebuild()
+            lines = alone.provenance_lines()
+            assert second.result.graph is first.result.graph
+            for outcome in (first, second, alone):
+                result = outcome.result
+                assert result.graph == expected.graph
+                assert result.labeling.assignment == expected.labeling.assignment
+                assert dict(result.signs) == dict(expected.signs)
+                assert dict(result.edge_labels) == dict(expected.edge_labels)
+            assert first.provenance_lines() == lines
