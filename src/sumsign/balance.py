@@ -6,8 +6,10 @@ Two independent balance checks are provided on purpose:
   one carries an even number of negative edges (the definition);
 * ``is_balanced_fast`` applies Harary's criterion: the signed graph is
   balanced iff some 2-partition is crossed by exactly its negative edges.
-  ``graphs.sign_partition`` finds that partition, the witness, with one fold
-  over the breadth-first spanning forest and without listing cycles; the
+  It reads the negative edges from the signs as one edge mask and finds
+  that partition, the witness, with the fold of ``graphs.sign_partition``:
+  one pass over the breadth-first spanning forest, without listing cycles
+  and without the index-space tables of the labeling search. The
   bipartition of ``graphs.bipartition`` is its all-negative case.
 
 They must agree wherever the oracle is applicable; that equivalence is part
@@ -29,9 +31,9 @@ from .graphs import (
     DEFAULT_CYCLE_BOUND,
     Edge,
     Graph,
+    _partition,
     connected_components,
     cycle_masks,
-    sign_partition,
     spanning_forest,
 )
 from .intsets import Sign
@@ -107,11 +109,17 @@ def is_balanced_fast(
 ) -> tuple[bool, tuple[tuple[str, ...], tuple[str, ...]] | None]:
     """Balance by Harary's criterion, with a camp 2-partition witness.
 
-    ``graphs.sign_partition`` folds a side over the spanning forest; the
-    signed graph is balanced iff it finds a partition that every negative
-    edge crosses and no positive edge does.
+    Builds the negative edge mask from ``s.signs`` and folds a side over the
+    spanning forest, as ``graphs.sign_partition`` does; the signed graph is
+    balanced iff that finds a partition that every negative edge crosses
+    and no positive edge does.
     """
-    parts = sign_partition(s.graph, negative_edges(s))
+    g, signs = s.graph, s.signs
+    neg = 0
+    for i, e in enumerate(g.edges):
+        if signs[e] is Sign.NEGATIVE:
+            neg |= 1 << i
+    parts = _partition(g, neg)
     return parts is not None, parts
 
 

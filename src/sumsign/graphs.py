@@ -15,12 +15,14 @@ few graphs, which the sign sweep, the balance oracle and ``simple_cycles``
 share.
 
 Each ``Graph`` keeps a private memo, filled on first read: the default-root
-spanning forest, the bipartition, the fundamental cycle masks, the
-``format_graph`` text, and the bridges (``cut_edges``) and vertices on
-cycles (``vertices_on_cycles``), each folded once from the memoized masks.
-It belongs to that one graph and dies with it, and everything it hands out
-is read-only (tuples, strings, a frozenset and a ``MappingProxyType``), so a
-caller cannot change what a later call returns. The cycle listing is not
+spanning forest, the sign partition's forest steps and per-vertex edge
+masks, the bipartition, the fundamental cycle masks, the ``format_graph``
+text, and the bridges (``cut_edges``) and vertices on cycles
+(``vertices_on_cycles``), each folded once from the memoized masks. Each
+entry has one string key, read by one query. The memo belongs to that one
+graph and dies with it, and everything it hands out is read-only (tuples,
+strings, a frozenset and a ``MappingProxyType``), so a caller cannot change
+what a later call returns. The cycle listing is not
 held here but in ``cycle_masks``' bounded cache, since the family atlas
 keeps its graphs for the whole process.
 """
@@ -29,10 +31,12 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import compress
+from operator import not_
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, TypeVar
 
-from .errors import BoundExceeded, ParseError, UnknownVertex, check_count
+from .errors import BoundExceeded, ParseError, UnknownEdge, UnknownVertex, check_count
 
 #: Default ceiling on |V| for simple-cycle enumeration; cycle counts grow
 #: super-exponentially and everything here is meant for desk-scale graphs.
@@ -282,25 +286,63 @@ def sign_partition(
     """A 2-partition that exactly the ``negative`` edges of g cross, or None.
 
     Harary's criterion (1953): a signature is balanced iff such a partition
-    exists, and with every edge negative it is a bipartition. Folds a side
-    over the spanning forest: a root takes side 0, and a tree edge flips its
-    parent's side iff it is negative. The partition exists iff every edge
-    then agrees. Returns the roots' side first, each part in sorted order.
-    Edges are in canonical form (``edge_key``), as in ``g.edges``.
+    exists, and with every edge negative it is a bipartition. Each pair is
+    brought to canonical form (``edge_key``), so (u, v) and (v, u) name one
+    edge; a pair that is no edge of g raises UnknownEdge. Returns the roots'
+    side first, so each component's smallest vertex is in the first part,
+    and each part in sorted order.
     """
-    neg = set(negative)
+    index = {e: i for i, e in enumerate(g.edges)}
+    neg = 0
+    for u, v in negative:
+        key = edge_key(u, v)
+        try:
+            neg |= 1 << index[key]
+        except KeyError:
+            raise UnknownEdge(f"edge {key} is not in the graph") from None
+    return _partition(g, neg)
+
+
+def _partition(
+    g: Graph, neg: int
+) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    """``sign_partition`` for the edge mask ``neg`` (bit i for ``g.edges[i]``).
+
+    Folds a side over the spanning forest: a root takes side 0, and each
+    other vertex its parent's side XOR the negative bit of its tree edge.
+    The XOR of the side-1 vertices' incidence masks is the mask of the edges
+    that cross, so the partition exists iff it equals ``neg``.
+    """
+    steps, incidence = _memoized(g, "steps", _steps)
+    side = [0] * g.n
+    cross = 0
+    for v, p, i in steps:
+        s = side[v] = side[p] ^ (neg >> i & 1)
+        if s:
+            cross ^= incidence[v]
+    if cross != neg:
+        return None
+    return tuple(compress(g.vertices, map(not_, side))), tuple(compress(g.vertices, side))
+
+
+def _steps(g: Graph) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+    """(forest steps, incidence masks) for ``_partition``: one step
+    (vertex position, parent position, tree-edge index) per non-root vertex
+    in forest order, positions in ``g.vertices``; and per vertex the mask of
+    its edges."""
     order, parent = spanning_forest(g)
-    side: dict[str, int] = {}
-    for v in order:
-        p = parent[v]
-        side[v] = 0 if p is None else side[p] ^ ((p, v) in neg or (v, p) in neg)
-    for u, v in g.edges:
-        if side[u] ^ side[v] != ((u, v) in neg):
-            return None
-    return (
-        tuple(v for v in g.vertices if not side[v]),
-        tuple(v for v in g.vertices if side[v]),
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    index = {e: i for i, e in enumerate(g.edges)}
+    incidence = [0] * g.n
+    for i, (u, v) in enumerate(g.edges):
+        incidence[pos[u]] |= 1 << i
+        incidence[pos[v]] |= 1 << i
+    steps = tuple(
+        (pos[v], pos[p], index[edge_key(p, v)])
+        for v in order
+        if (p := parent[v]) is not None
     )
+    return steps, tuple(incidence)
 
 
 def bipartition(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...]] | None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -192,47 +193,65 @@ class SignedLabeledGraph:
             raise UnknownEdge(f"edge {key} is not in the graph") from None
 
 
+_elements = attrgetter("elements")
+
+
 def derive(g: Graph, f: Labeling, strict: bool = False) -> SignedLabeledGraph:
     """Compute edge labels (sumsets) and signs for every edge of g.
 
     Checks that f labels every vertex of g, and no other vertex, and is
     injective. With strict=True, additionally requires every vertex and
     edge label to stay inside {0..universe_max}. strict must be a bool.
+    A labeling with several faults raises for the first vertex, in
+    ``g.vertices`` order, that is missing, repeats an earlier set or (strict)
+    escapes the universe; then for labeled vertices not in g; then for the
+    first edge whose label escapes.
     """
     check_flag("strict", strict)
-    assignment = f.assignment
-    seen: dict[tuple[int, ...], str] = {}
-    for v in g.vertices:
-        try:
-            label = assignment[v]
-        except KeyError:
-            raise MissingLabel(f"vertex {v!r} has no set-label") from None
-        elements = label.elements
-        if elements in seen:
-            raise DuplicateLabel(
-                f"vertices {seen[elements]!r} and {v!r} share the set-label {label.to_text()}"
-            )
-        seen[elements] = v
-        if strict and elements[-1] > f.universe_max:
-            raise UniverseViolation(
-                f"label {label.to_text()} of vertex {v!r} escapes universe_max={f.universe_max}"
-            )
-    if len(assignment) != g.n:
-        extra = sorted(set(assignment) - set(g.vertices))
-        raise UnknownVertex(f"labeled vertices not in the graph: {', '.join(extra)}")
+    # The keys of f and the vertices of g are both sorted, so they are the
+    # same ids iff they are equal as tuples.
+    assignment = f._assignment
+    universe_max = f.universe_max
+    if (
+        tuple(assignment) != g.vertices
+        or len(set(map(_elements, assignment.values()))) != g.n
+        or strict and any(label.elements[-1] > universe_max for label in assignment.values())
+    ):
+        _raise_first_fault(g, f, strict)
     edge_labels: dict[Edge, IntegerSet] = {}
     signs: dict[Edge, Sign] = {}
     for e in g.edges:
         u, v = e
         label = sumset(assignment[u], assignment[v])
         elements = label.elements
-        if strict and elements[-1] > f.universe_max:
+        if strict and elements[-1] > universe_max:
             raise UniverseViolation(
-                f"edge label {label.to_text()} of ({u}, {v}) escapes universe_max={f.universe_max}"
+                f"edge label {label.to_text()} of ({u}, {v}) escapes universe_max={universe_max}"
             )
         edge_labels[e] = label
         signs[e] = sign_of_size(len(elements))
     return SignedLabeledGraph(g, f, MappingProxyType(edge_labels), MappingProxyType(signs))
+
+
+def _raise_first_fault(g: Graph, f: Labeling, strict: bool) -> None:
+    """Raise for the first fault of a labeling that ``derive`` found faulty."""
+    assignment = f.assignment
+    seen: dict[IntegerSet, str] = {}
+    for v in g.vertices:
+        label = assignment.get(v)
+        if label is None:
+            raise MissingLabel(f"vertex {v!r} has no set-label")
+        if label in seen:
+            raise DuplicateLabel(
+                f"vertices {seen[label]!r} and {v!r} share the set-label {label.to_text()}"
+            )
+        seen[label] = v
+        if strict and label.elements[-1] > f.universe_max:
+            raise UniverseViolation(
+                f"label {label.to_text()} of vertex {v!r} escapes universe_max={f.universe_max}"
+            )
+    extra = sorted(set(assignment) - set(g.vertices))
+    raise UnknownVertex(f"labeled vertices not in the graph: {', '.join(extra)}")
 
 
 def iasi_collisions(s: SignedLabeledGraph) -> list[tuple[Edge, Edge]]:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import islice
+from operator import getitem
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .balance import SignedGraph, is_balanced_fast
@@ -161,9 +162,13 @@ class VerificationReport:
             f"counterexamples = {len(self.counterexamples)}",
         ]
         lines.extend(f"note: {note}" for note in self.notes)
-        # One string per counterexample, its leading blank line included.
+        # One string per counterexample, its leading blank line included, and
+        # one text per graph.
+        graphs: dict[int, str] = {}
         for i, ce in enumerate(self.counterexamples, start=1):
-            graph = format_graph(ce.graph).rstrip("\n")
+            graph = graphs.get(id(ce.graph))
+            if graph is None:
+                graph = graphs[id(ce.graph)] = format_graph(ce.graph).rstrip("\n")
             labeling = format_labeling(ce.labeling).rstrip("\n")
             lines.append(
                 f"\n== counterexample {i} ==\nexplanation = {ce.explanation}\n"
@@ -399,7 +404,7 @@ def _labeling_from_indices(
     universe_max the bounds'."""
     return Labeling._from_checked(
         space.bounds.universe_max,
-        {v: space.sets[j] for v, j in zip(g.vertices, indices)},
+        dict(zip(g.vertices, map(space.sets.__getitem__, indices))),
     )
 
 
@@ -958,10 +963,10 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
 }
 
 
-def _finding_order(space: _LabelingSpace) -> Callable[[tuple], tuple]:
-    """A sort key on findings that orders them as ``Counterexample.sort_key``
-    orders their counterexamples: (n, label mass, graph text, the text rank
-    of each vertex's set).
+def _finding_order(space: _LabelingSpace, graphs: Sequence[Graph]) -> Callable[[tuple], int]:
+    """A sort key on the findings on ``graphs`` that orders them as
+    ``Counterexample.sort_key`` orders their counterexamples: by n, label
+    mass, graph text, then the text rank of each vertex's set.
 
     Every labeling of one report shares ``universe_max``, and on one graph
     text the vertex list, so two labeling texts first differ inside the
@@ -969,21 +974,42 @@ def _finding_order(space: _LabelingSpace) -> Callable[[tuple], tuple]:
     proper prefix of the other, and the texts compare as the sets' ranks in
     ``space.sets`` sorted by text. Index order is not text order: {0,1}
     comes before {0}, and {10} before {2}.
+
+    The key is one int with these four as its digits, from the top. For an
+    n-vertex graph, the set ranks are n digits in base S (the number of
+    sets), below ``per_text`` = S**n; the graph-text rank counts in
+    ``per_text`` below ``per_mass``; the mass counts in ``per_mass``; and n
+    counts in ``per_n``, which exceeds the lower digits of any finding. A
+    finding's key is its graph's constant plus one entry per vertex of the
+    table for n: ``tables[n][p][i]`` is the mass and rank digits of set i at
+    vertex position p. Graphs are keyed on their id, since the findings hold
+    the ``Graph`` objects of ``graphs`` themselves.
     """
     sets = space.sets
-    rank = [0] * len(sets)
-    for r, i in enumerate(sorted(range(len(sets)), key=lambda i: sets[i].to_text())):
+    count = len(sets)
+    rank = [0] * count
+    for r, i in enumerate(sorted(range(count), key=lambda i: sets[i].to_text())):
         rank[i] = r
     size = [len(s) for s in sets]
+    text_rank = {text: r for r, text in enumerate(sorted({format_graph(g) for g in graphs}))}
+    top = max(g.n for g in graphs)
+    per_n = (top * max(size) + 1) * len(text_rank) * count**top
+    tables: dict[int, list[list[int]]] = {}
+    bases: dict[int, tuple[int, list[list[int]]]] = {}
+    for g in graphs:
+        n = g.n
+        per_text = count**n
+        if n not in tables:
+            per_mass = len(text_rank) * per_text
+            tables[n] = [
+                [size[i] * per_mass + rank[i] * count ** (n - 1 - p) for i in range(count)]
+                for p in range(n)
+            ]
+        bases[id(g)] = (n * per_n + text_rank[format_graph(g)] * per_text, tables[n])
 
-    def key(finding: tuple) -> tuple:
-        g, indices, _ = finding
-        return (
-            g.n,
-            sum(size[i] for i in indices),
-            format_graph(g),
-            tuple(rank[i] for i in indices),
-        )
+    def key(finding: tuple) -> int:
+        base, table = bases[id(finding[0])]
+        return base + sum(map(getitem, table, finding[1]))
 
     return key
 
@@ -1025,8 +1051,9 @@ def verify_theorem(
         if not graphs:
             raise ParseError(f"graph family {family_spec} is empty")
     tally = _run(experiment, graphs, bounds)
+    order = _finding_order(tally.space, graphs if experiment.search else (_K2,))
     counters = []
-    for g, indices, targets in sorted(tally.findings, key=_finding_order(tally.space)):
+    for g, indices, targets in sorted(tally.findings, key=order):
         lab = _labeling_from_indices(g, tally.space, indices)
         slg = derive(g, lab)
         for target in targets:

@@ -26,10 +26,12 @@ from sumsign.families import (
 from sumsign.graphs import (
     Graph,
     bipartition,
+    connected_components,
     cycle_masks,
     edge_key,
     sign_partition,
     simple_cycles,
+    spanning_forest,
 )
 from sumsign.intsets import IntegerSet, Sign
 from sumsign.labeling import Labeling, derive
@@ -267,6 +269,24 @@ class TestCycleSummaries:
             assert is_balanced_oracle(sg)[1] == literal(sg)
 
 
+def _set_and_dict_partition(g, negative):
+    """A literal copy of the earlier sign partition: a side per vertex in a
+    dict, folded over the spanning forest, with the negative edges in a set."""
+    neg = set(negative)
+    order, parent = spanning_forest(g)
+    side = {}
+    for v in order:
+        p = parent[v]
+        side[v] = 0 if p is None else side[p] ^ ((p, v) in neg or (v, p) in neg)
+    for u, v in g.edges:
+        if side[u] ^ side[v] != ((u, v) in neg):
+            return None
+    return (
+        tuple(v for v in g.vertices if not side[v]),
+        tuple(v for v in g.vertices if side[v]),
+    )
+
+
 class TestSignPartition:
     """graphs.sign_partition is Harary's criterion; bipartition is its all-negative case."""
 
@@ -296,6 +316,57 @@ class TestSignPartition:
             balanced, witness = is_balanced_fast(all_negative)
             assert bipartition(g) == witness
             assert (witness is not None) == balanced
+
+    def test_a_pair_names_its_edge_in_either_order(self):
+        triangle = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+        expected = (("a",), ("b", "c"))
+        assert sign_partition(triangle, [("a", "b"), ("a", "c")]) == expected
+        assert sign_partition(triangle, [("b", "a"), ("c", "a")]) == expected
+        assert sign_partition(triangle, [("b", "a"), ("a", "c")]) == expected
+        assert sign_partition(triangle, [("c", "b")]) is None
+
+    @pytest.mark.parametrize(
+        "pair, key",
+        [(("a", "c"), ("a", "c")), (("c", "a"), ("a", "c")), (("a", "z"), ("a", "z")),
+         (("a", "a"), ("a", "a"))],
+        ids=["non-edge", "non-edge-reversed", "unknown-vertex", "loop"],
+    )
+    def test_a_pair_that_is_no_edge_is_refused(self, pair, key):
+        path = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        with pytest.raises(UnknownEdge) as exc:
+            sign_partition(path, [("a", "b"), pair])
+        assert str(exc.value) == f"edge {key} is not in the graph"
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # A triangle, a path, a 4-cycle and two isolated vertices.
+            Graph(["a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k"],
+                  [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"),
+                   ("g", "h"), ("h", "i"), ("i", "j"), ("g", "j")]),
+            # K4 beside a paw whose ids interleave with it, and an isolated vertex.
+            Graph(["a", "b", "c", "d", "e", "f", "g", "h", "i"],
+                  [("a", "c"), ("a", "e"), ("a", "g"), ("c", "e"), ("c", "g"), ("e", "g"),
+                   ("b", "d"), ("d", "f"), ("b", "f"), ("f", "h")]),
+            # Isolated vertices only, and one edge among them.
+            Graph(["x", "y", "z"]),
+            Graph(["x", "y", "z"], [("x", "z")]),
+        ],
+        ids=["triangle-path-c4-isolated", "k4-paw-interleaved", "isolated", "edge-and-isolated"],
+    )
+    def test_the_fold_equals_the_set_and_dict_fold(self, g):
+        """On every pattern of a graph with several components, the witness
+        is the one a literal side fold over a set of negative edges gives,
+        and each component's smallest vertex is on side 0."""
+        smallest = [comp[0] for comp in connected_components(g)]
+        for pattern in range(1 << g.m):
+            sg = signed_graph_from_pattern(g, pattern)
+            negatives = negative_edges(sg)
+            parts = sign_partition(g, negatives)
+            assert parts == _set_and_dict_partition(g, negatives), pattern
+            assert is_balanced_fast(sg) == (parts is not None, parts)
+            if parts is not None:
+                assert not set(smallest) & set(parts[1])
 
 
 class TestCycleSignSummaryRecord:

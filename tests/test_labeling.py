@@ -34,6 +34,7 @@ from sumsign.transforms import subdivide_edge
 K2 = Graph(["u", "v"], [("u", "v")])
 TRIANGLE = Graph(["u", "v", "w"], [("u", "v"), ("u", "w"), ("v", "w")])
 PATH3 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+PATH4 = Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
 
 
 def lab(universe_max, **sets):
@@ -98,13 +99,34 @@ class TestDerive:
              "label {5} of vertex 'v' escapes universe_max=2"),
             (K2, lab(3, u=[0, 2], v=[1, 3]), True, UniverseViolation,
              "edge label {1,3,5} of (u, v) escapes universe_max=3"),
+            # Two faults: the first in vertex order wins, and a vertex fault
+            # beats an extra vertex and an escaping edge label.
+            (PATH4, lab(4, a=[0], b=[0], d=[1]), False, DuplicateLabel,
+             "vertices 'a' and 'b' share the set-label {0}"),
+            (PATH4, lab(4, b=[0], c=[1], d=[0]), False, MissingLabel,
+             "vertex 'a' has no set-label"),
+            (PATH4, lab(2, a=[0], b=[1], c=[1], d=[9]), True, DuplicateLabel,
+             "vertices 'b' and 'c' share the set-label {1}"),
+            (PATH4, lab(2, a=[0], b=[7], c=[1], d=[1]), True, UniverseViolation,
+             "label {7} of vertex 'b' escapes universe_max=2"),
+            (PATH4, lab(4, a=[0], b=[1], d=[2], z=[3]), False, MissingLabel,
+             "vertex 'c' has no set-label"),
+            (PATH4, lab(2, a=[0], b=[2], c=[1], d=[0, 1], z=[3]), True, UnknownVertex,
+             "labeled vertices not in the graph: z"),
         ],
-        ids=["missing", "duplicate", "extra-vertex", "strict-vertex", "strict-edge"],
+        ids=["missing", "duplicate", "extra-vertex", "strict-vertex", "strict-edge",
+             "duplicate-then-missing", "missing-then-duplicate", "duplicate-then-strict-vertex",
+             "strict-vertex-then-duplicate", "missing-and-extra", "extra-then-strict-edge"],
     )
     def test_error_texts(self, graph, labeling, strict, error, text):
         with pytest.raises(error) as exc:
             derive(graph, labeling, strict=strict)
         assert str(exc.value) == text
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_the_empty_graph_has_the_empty_labeling(self, strict):
+        slg = derive(Graph([]), Labeling(0, {}), strict=strict)
+        assert dict(slg.edge_labels) == {} and dict(slg.signs) == {}
 
     # "no" used to read as strict, and None as lenient.
     @pytest.mark.parametrize("strict", ["no", 1, None], ids=["str", "int", "none"])

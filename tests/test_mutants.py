@@ -115,6 +115,34 @@ MUTANTS = [
         "return tuple(e for i, e in enumerate(g.edges) if covered >> i & 1)",
         "tests/test_graphs.py::TestCutEdges::test_triangle_with_pendant",
     ),
+    Mutant(
+        "incidence-from-one-endpoint",
+        "graphs.py",
+        "        incidence[pos[u]] |= 1 << i\n        incidence[pos[v]] |= 1 << i\n",
+        "        incidence[pos[u]] |= 1 << i\n",
+        "tests/test_balance.py::TestSignPartition::test_the_fold_equals_the_set_and_dict_fold",
+    ),
+    Mutant(
+        "side-fold-reads-the-parent-bit",
+        "graphs.py",
+        "side[p] ^ (neg >> i & 1)",
+        "side[p] ^ (neg >> p & 1)",
+        "tests/test_balance.py::TestSignPartition::test_the_fold_equals_the_set_and_dict_fold",
+    ),
+    Mutant(
+        "steps-under-the-masks-key",
+        "graphs.py",
+        '_memoized(g, "steps", _steps)',
+        '_memoized(g, "masks", _steps)',
+        "tests/test_source_hygiene.py::test_each_memo_key_is_a_literal_with_one_compute",
+    ),
+    Mutant(
+        "sort-key-without-the-graph-text",
+        "verify.py",
+        "n * per_n + text_rank[format_graph(g)] * per_text",
+        "n * per_n",
+        "tests/test_verify.py::test_report_order_is_the_sort_key_order[rev-custom]",
+    ),
 ]
 
 
