@@ -94,7 +94,7 @@ def is_balanced_oracle(
     enumerate cycles, and ParseError when cycle_bound is not an int or is a
     bool.
     """
-    neg = sum(1 << i for i, e in enumerate(s.graph.edges) if s.signs[e] is Sign.NEGATIVE)
+    neg = _negative_edge_mask(s)
     make = CycleSignSummary._make
     summaries = []
     for c, mask in cycle_masks(s.graph, cycle_bound):
@@ -114,13 +114,18 @@ def is_balanced_fast(
     balanced iff that finds a partition that every negative edge crosses
     and no positive edge does.
     """
-    g, signs = s.graph, s.signs
+    parts = _partition(s.graph, _negative_edge_mask(s))
+    return parts is not None, parts
+
+
+def _negative_edge_mask(s: SignedGraphLike) -> int:
+    """The mask of s's negative edges: bit i for ``s.graph.edges[i]``."""
+    signs = s.signs
     neg = 0
-    for i, e in enumerate(g.edges):
+    for i, e in enumerate(s.graph.edges):
         if signs[e] is Sign.NEGATIVE:
             neg |= 1 << i
-    parts = _partition(g, neg)
-    return parts is not None, parts
+    return neg
 
 
 @dataclass(frozen=True)

@@ -19,18 +19,19 @@ spanning forest, the sign partition's forest steps and per-vertex edge
 masks, the bipartition, the fundamental cycle masks, the ``format_graph``
 text, and the bridges (``cut_edges``) and vertices on cycles
 (``vertices_on_cycles``), each folded once from the memoized masks. Each
-entry has one string key, read by one query. The memo belongs to that one
-graph and dies with it, and everything it hands out is read-only (tuples,
-strings, a frozenset and a ``MappingProxyType``), so a caller cannot change
-what a later call returns. The cycle listing is not
-held here but in ``cycle_masks``' bounded cache, since the family atlas
-keeps its graphs for the whole process.
+entry is keyed on its query, the function ``_per_graph`` wraps, so no two
+queries share one. The memo belongs to that one graph and dies with it,
+and everything it hands out is read-only (tuples, strings, a frozenset and
+a ``MappingProxyType``), so a caller cannot change what a later call
+returns. The cycle listing is not held here but in ``cycle_masks``'
+bounded cache, since the family atlas keeps its graphs for the whole
+process.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import compress
 from operator import not_
 from types import MappingProxyType
@@ -194,24 +195,27 @@ def parse_graph(text: str) -> Graph:
     return Graph.from_edges(edges, isolated=isolated)
 
 
+def _per_graph(query: Callable[[Graph], _T]) -> Callable[[Graph], _T]:
+    """``query`` memoized on each graph: its value on g is computed on first
+    read and kept in ``g._memo`` under ``query`` itself."""
+
+    @wraps(query)
+    def memoized(g: Graph) -> _T:
+        try:
+            return g._memo[query]
+        except KeyError:
+            value = g._memo[query] = query(g)
+            return value
+
+    return memoized
+
+
+@_per_graph
 def format_graph(g: Graph) -> str:
-    return _memoized(g, "text", _format_graph)
-
-
-def _format_graph(g: Graph) -> str:
     lines = [f"{u} {v}" for u, v in g.edges]
     covered = {u for e in g.edges for u in e}
     lines.extend(f"vertex {v}" for v in g.vertices if v not in covered)
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _memoized(g: Graph, key: str, compute: Callable[[Graph], _T]) -> _T:
-    """g's memo entry ``key``, computed by ``compute(g)`` on first read."""
-    try:
-        return g._memo[key]
-    except KeyError:
-        value = g._memo[key] = compute(g)
-        return value
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +234,11 @@ def spanning_forest(
     (None for a root). The default-root forest is memoized on g.
     """
     if roots is None:
-        return _memoized(g, "forest", _forest)
-    return _forest(g, roots)
-
-
-def _forest(
-    g: Graph, roots: Iterable[str] | None = None
-) -> tuple[tuple[str, ...], Mapping[str, str | None]]:
+        return _forest(g)
     order: list[str] = []
     parent: dict[str, str | None] = {}
     head = 0
-    for root in g.vertices if roots is None else roots:
+    for root in roots:
         if root in parent:
             continue
         parent[root] = None
@@ -255,6 +253,12 @@ def _forest(
     return tuple(order), MappingProxyType(parent)
 
 
+@_per_graph
+def _forest(g: Graph) -> tuple[tuple[str, ...], Mapping[str, str | None]]:
+    return spanning_forest(g, g.vertices)
+
+
+@_per_graph
 def fundamental_cycle_masks(g: Graph) -> tuple[int, ...]:
     """Edge masks of the fundamental cycles of the spanning forest.
 
@@ -263,10 +267,6 @@ def fundamental_cycle_masks(g: Graph) -> tuple[int, ...]:
     m - n + c masks span the cycle space (c = number of components), so a
     parity that is even on each of them is even on every cycle. Memoized on g.
     """
-    return _memoized(g, "masks", _fundamental_cycle_masks)
-
-
-def _fundamental_cycle_masks(g: Graph) -> tuple[int, ...]:
     order, parent = spanning_forest(g)
     index = {e: i for i, e in enumerate(g.edges)}
     path: dict[str, int] = {}
@@ -313,7 +313,7 @@ def _partition(
     The XOR of the side-1 vertices' incidence masks is the mask of the edges
     that cross, so the partition exists iff it equals ``neg``.
     """
-    steps, incidence = _memoized(g, "steps", _steps)
+    steps, incidence = _steps(g)
     side = [0] * g.n
     cross = 0
     for v, p, i in steps:
@@ -325,6 +325,7 @@ def _partition(
     return tuple(compress(g.vertices, map(not_, side))), tuple(compress(g.vertices, side))
 
 
+@_per_graph
 def _steps(g: Graph) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
     """(forest steps, incidence masks) for ``_partition``: one step
     (vertex position, parent position, tree-edge index) per non-root vertex
@@ -345,13 +346,10 @@ def _steps(g: Graph) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]
     return steps, tuple(incidence)
 
 
+@_per_graph
 def bipartition(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     """A 2-partition with every edge crossing, or None for non-bipartite g.
     Memoized on g."""
-    return _memoized(g, "bipartition", _bipartition)
-
-
-def _bipartition(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     return sign_partition(g, g.edges)
 
 
@@ -372,16 +370,13 @@ def connected_components(g: Graph) -> list[tuple[str, ...]]:
     return [tuple(c) for c in comps.values()]
 
 
+@_per_graph
 def cut_edges(g: Graph) -> tuple[Edge, ...]:
     """The bridges of g: edges whose removal disconnects their endpoints.
 
     Equivalently, the edges lying on no cycle, which are the edges that no
     fundamental cycle covers. Memoized on g.
     """
-    return _memoized(g, "cut", _cut_edges)
-
-
-def _cut_edges(g: Graph) -> tuple[Edge, ...]:
     covered = _covered(g)
     return tuple(e for i, e in enumerate(g.edges) if not covered >> i & 1)
 
@@ -494,12 +489,9 @@ def in_triangle(g: Graph, v: str) -> bool:
     return False
 
 
+@_per_graph
 def vertices_on_cycles(g: Graph) -> frozenset[str]:
     """Vertices lying on at least one cycle: the endpoints of non-bridge edges.
     Memoized on g."""
-    return _memoized(g, "on_cycle", _vertices_on_cycles)
-
-
-def _vertices_on_cycles(g: Graph) -> frozenset[str]:
     covered = _covered(g)
     return frozenset(v for i, e in enumerate(g.edges) if covered >> i & 1 for v in e)

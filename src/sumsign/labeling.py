@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -51,8 +50,9 @@ class Labeling:
     non-negative int, never a bool or a float. Injectivity and universe
     containment are enforced at use time (see ``derive``), not at
     construction, so invalid labelings can be built, inspected and reported
-    on. ``assignment`` is a read-only view, so a labeling's hash never
-    changes. Copies and pickles are rebuilt through the constructor.
+    on. Its sets are read through ``get`` and ``items`` only, so a
+    labeling's hash never changes. Copies and pickles are rebuilt through
+    the constructor.
     ``_from_checked`` builds one from parts that are checked already.
     """
 
@@ -82,11 +82,6 @@ class Labeling:
         object.__setattr__(lab, "universe_max", universe_max)
         object.__setattr__(lab, "_assignment", assignment)
         return lab
-
-    @property
-    def assignment(self) -> Mapping[str, IntegerSet]:
-        """Each vertex's set, in sorted vertex order, as a read-only view."""
-        return MappingProxyType(self._assignment)
 
     def __setattr__(self, name, value):
         raise AttributeError("Labeling is immutable")
@@ -193,9 +188,6 @@ class SignedLabeledGraph:
             raise UnknownEdge(f"edge {key} is not in the graph") from None
 
 
-_elements = attrgetter("elements")
-
-
 def derive(g: Graph, f: Labeling, strict: bool = False) -> SignedLabeledGraph:
     """Compute edge labels (sumsets) and signs for every edge of g.
 
@@ -208,16 +200,27 @@ def derive(g: Graph, f: Labeling, strict: bool = False) -> SignedLabeledGraph:
     first edge whose label escapes.
     """
     check_flag("strict", strict)
-    # The keys of f and the vertices of g are both sorted, so they are the
-    # same ids iff they are equal as tuples.
     assignment = f._assignment
     universe_max = f.universe_max
-    if (
-        tuple(assignment) != g.vertices
-        or len(set(map(_elements, assignment.values()))) != g.n
-        or strict and any(label.elements[-1] > universe_max for label in assignment.values())
-    ):
-        _raise_first_fault(g, f, strict)
+    seen: dict[tuple[int, ...], str] = {}
+    for v in g.vertices:
+        label = assignment.get(v)
+        if label is None:
+            raise MissingLabel(f"vertex {v!r} has no set-label")
+        elements = label.elements
+        if elements in seen:
+            raise DuplicateLabel(
+                f"vertices {seen[elements]!r} and {v!r} share the set-label {label.to_text()}"
+            )
+        seen[elements] = v
+        if strict and elements[-1] > universe_max:
+            raise UniverseViolation(
+                f"label {label.to_text()} of vertex {v!r} escapes universe_max={universe_max}"
+            )
+    # Every vertex of g is labeled, so any further key is an extra vertex.
+    if len(assignment) != g.n:
+        extra = sorted(set(assignment) - set(g.vertices))
+        raise UnknownVertex(f"labeled vertices not in the graph: {', '.join(extra)}")
     edge_labels: dict[Edge, IntegerSet] = {}
     signs: dict[Edge, Sign] = {}
     for e in g.edges:
@@ -231,27 +234,6 @@ def derive(g: Graph, f: Labeling, strict: bool = False) -> SignedLabeledGraph:
         edge_labels[e] = label
         signs[e] = sign_of_size(len(elements))
     return SignedLabeledGraph(g, f, MappingProxyType(edge_labels), MappingProxyType(signs))
-
-
-def _raise_first_fault(g: Graph, f: Labeling, strict: bool) -> None:
-    """Raise for the first fault of a labeling that ``derive`` found faulty."""
-    assignment = f.assignment
-    seen: dict[IntegerSet, str] = {}
-    for v in g.vertices:
-        label = assignment.get(v)
-        if label is None:
-            raise MissingLabel(f"vertex {v!r} has no set-label")
-        if label in seen:
-            raise DuplicateLabel(
-                f"vertices {seen[label]!r} and {v!r} share the set-label {label.to_text()}"
-            )
-        seen[label] = v
-        if strict and label.elements[-1] > f.universe_max:
-            raise UniverseViolation(
-                f"label {label.to_text()} of vertex {v!r} escapes universe_max={f.universe_max}"
-            )
-    extra = sorted(set(assignment) - set(g.vertices))
-    raise UnknownVertex(f"labeled vertices not in the graph: {', '.join(extra)}")
 
 
 def iasi_collisions(s: SignedLabeledGraph) -> list[tuple[Edge, Edge]]:

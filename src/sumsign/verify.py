@@ -656,7 +656,7 @@ class _Experiment:
 
     ``explain(slg, target)`` checks the claim at one target of a derived
     signed labeled graph with public object-level functions only: the
-    violation text, or '' or None where the claim holds or does not apply.
+    violation text, or '' where the claim holds or does not apply.
     A pair claim has no ``search``: its explain runs on every admissible
     label pair i < j on K2, each pair one case. Otherwise ``search(tally,
     g)`` runs once per family member; it builds the per-graph rows it reads,
@@ -665,7 +665,7 @@ class _Experiment:
     notes from the tally.
     """
 
-    explain: Callable[[SignedLabeledGraph, object], str | None]
+    explain: Callable[[SignedLabeledGraph, object], str]
     notes: Callable[[_Tally], list[str]]
     search: Callable[[_Tally, Graph], None] | None = None
 
@@ -773,16 +773,16 @@ def _balance_rev_search(tally: _Tally, g: Graph) -> None:
         tally.findings.append((g, indices, (None,)))
 
 
-def _subdivision_case(slg: SignedLabeledGraph, e: Edge) -> str | None:
-    """Subdivide e of a balanced slg and test the claim: the violation, '' if
-    it holds, or None when slg is unbalanced or the inherited label collides
-    with a vertex label."""
+def _subdivision_case(slg: SignedLabeledGraph, e: Edge) -> str:
+    """Subdivide e of a balanced slg and test the claim: the violation, or ''
+    when it holds, slg is unbalanced or the inherited label collides with a
+    vertex label."""
     if not is_balanced_fast(slg)[0]:
-        return None
+        return ""
     try:
         outcome = subdivide_edge(slg, e)
     except InjectivityCollision:
-        return None
+        return ""
     cut = e in cut_edges(slg.graph)
     if is_balanced_fast(outcome.result)[0] == cut:
         return ""
@@ -791,11 +791,11 @@ def _subdivision_case(slg: SignedLabeledGraph, e: Edge) -> str | None:
     return f"edge {e[0]} {e[1]}: non-cut edge subdivision left the graph balanced"
 
 
-def _homeomorphism_case(slg: SignedLabeledGraph, v: str) -> str | None:
+def _homeomorphism_case(slg: SignedLabeledGraph, v: str) -> str:
     """Replace the eligible vertex v of a balanced slg by an edge and test the
-    claim: the violation, '' if it holds, or None when slg is unbalanced."""
+    claim: the violation, or '' when it holds or slg is unbalanced."""
     if not is_balanced_fast(slg)[0]:
-        return None
+        return ""
     outcome = elementary_transformation(slg, v)
     on_cycle = v in vertices_on_cycles(slg.graph)
     if is_balanced_fast(outcome.result)[0] != on_cycle:

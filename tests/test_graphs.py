@@ -412,6 +412,20 @@ class TestMemo:
     def test_construction_fills_nothing(self):
         assert Graph(["a", "b"], [("a", "b")])._memo == {}
 
+    def test_each_query_keeps_its_own_entry(self):
+        # A triangle with a pendant edge: every query has a value to keep.
+        edges = [("u", "v"), ("v", "w"), ("u", "w"), ("u", "x")]
+        g = Graph(["u", "v", "w", "x"], edges)
+        queries = [
+            format_graph, graphs_module._forest, fundamental_cycle_masks,
+            graphs_module._steps, bipartition, cut_edges, vertices_on_cycles,
+        ]
+        values = [query(g) for query in queries]
+        assert len(g._memo) == len(queries)
+        for query, value in zip(queries, values):
+            assert g._memo[query.__wrapped__] is value is query(g)
+            assert value == query(self.fresh(g))
+
 
 class TestCopies:
     @pytest.mark.parametrize(

@@ -102,11 +102,22 @@ MUTANTS = [
         "tests/test_transforms.py::TestTransformPlans::test_same_neighbours_give_different_plans",
     ),
     Mutant(
-        "on-cycle-set-under-the-bridge-key",
+        "every-query-under-one-memo-key",
         "graphs.py",
-        'return _memoized(g, "on_cycle", _vertices_on_cycles)',
-        'return _memoized(g, "cut", _vertices_on_cycles)',
-        "tests/test_graphs.py::TestMemo::test_bridges_and_cycle_vertices_are_memoized_apart",
+        "            return g._memo[query]\n"
+        "        except KeyError:\n"
+        "            value = g._memo[query] = query(g)\n",
+        "            return g._memo[None]\n"
+        "        except KeyError:\n"
+        "            value = g._memo[None] = query(g)\n",
+        "tests/test_graphs.py::TestMemo",
+    ),
+    Mutant(
+        "memo-value-never-stored",
+        "graphs.py",
+        "value = g._memo[query] = query(g)",
+        "value = query(g)",
+        "tests/test_graphs.py::TestMemo",
     ),
     Mutant(
         "bridges-are-the-covered-edges",
@@ -130,18 +141,47 @@ MUTANTS = [
         "tests/test_balance.py::TestSignPartition::test_the_fold_equals_the_set_and_dict_fold",
     ),
     Mutant(
-        "steps-under-the-masks-key",
-        "graphs.py",
-        '_memoized(g, "steps", _steps)',
-        '_memoized(g, "masks", _steps)',
-        "tests/test_source_hygiene.py::test_each_memo_key_is_a_literal_with_one_compute",
-    ),
-    Mutant(
         "sort-key-without-the-graph-text",
         "verify.py",
         "n * per_n + text_rank[format_graph(g)] * per_text",
         "n * per_n",
         "tests/test_verify.py::test_report_order_is_the_sort_key_order[rev-custom]",
+    ),
+    Mutant(
+        "derive-without-the-duplicate-check",
+        "labeling.py",
+        "        if elements in seen:\n"
+        "            raise DuplicateLabel(\n"
+        "                f\"vertices {seen[elements]!r} and {v!r} share the set-label {label.to_text()}\"\n"
+        "            )\n",
+        "",
+        "tests/test_labeling.py::TestDerive::test_error_texts[duplicate]",
+    ),
+    Mutant(
+        "derive-without-the-strict-vertex-check",
+        "labeling.py",
+        "        if strict and elements[-1] > universe_max:\n"
+        "            raise UniverseViolation(\n"
+        "                f\"label {label.to_text()} of vertex {v!r} escapes universe_max={universe_max}\"\n"
+        "            )\n",
+        "",
+        "tests/test_labeling.py::TestDerive::test_error_texts[strict-vertex]",
+    ),
+    Mutant(
+        "derive-without-the-extra-vertex-check",
+        "labeling.py",
+        "    if len(assignment) != g.n:\n"
+        "        extra = sorted(set(assignment) - set(g.vertices))\n"
+        "        raise UnknownVertex(f\"labeled vertices not in the graph: {', '.join(extra)}\")\n",
+        "",
+        "tests/test_labeling.py::TestDerive::test_error_texts[extra-vertex]",
+    ),
+    Mutant(
+        "homeomorphism-counts-the-cycle-vertices-alone",
+        "verify.py",
+        "tally.cases += labelings * len(eligible)",
+        "tally.cases += labelings * len(rows)",
+        "tests/test_verify.py::test_reports_equal_an_object_level_recomputation[connected:4-(3,2)-HOMEOMORPHISM]",
     ),
 ]
 

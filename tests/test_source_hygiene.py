@@ -338,54 +338,3 @@ def test_every_memo_is_bounded_by_a_named_constant():
     the process; each one in the package names its bound."""
     assert [f"{name}:{line}" for name, tree in TREES.items() for line in _unbounded_memos(tree)] == []
 
-
-def _memo_faults(trees):
-    """What is wrong with the ``_memoized(g, key, compute)`` calls in trees,
-    and the keys they use: each key must be a string literal, and each key
-    must go with one compute function, so that two queries never read each
-    other's memo entry."""
-    faults = []
-    computes = {}
-    for name, tree in trees.items():
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "_memoized":
-                continue
-            args = dict(zip(("g", "key", "compute"), node.args))
-            args.update((k.arg, k.value) for k in node.keywords)
-            key, compute = args.get("key"), args.get("compute")
-            if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-                faults.append(f"{name}:{node.lineno} key is no string literal")
-                continue
-            computes.setdefault(key.value, set()).add(ast.unparse(compute) if compute else None)
-    faults += [
-        f"key {key!r} goes with {sorted(map(str, found))}"
-        for key, found in computes.items() if len(found) > 1
-    ]
-    return faults, sorted(computes)
-
-
-@pytest.mark.parametrize(
-    "source, faults",
-    [
-        ('_memoized(g, "a", _f)\n_memoized(g, "b", _g)\nx = _memoized(g, "a", _f)', []),
-        ('_memoized(g, "a", _f)\n_memoized(g, "a", _g)', ["key 'a' goes with ['_f', '_g']"]),
-        ('graphs._memoized(g, "a", _f)\n_memoized(g, key="a", compute=_g)',
-         ["key 'a' goes with ['_f', '_g']"]),
-        ('KEY = "a"\n_memoized(g, KEY, _f)', ["m.py:2 key is no string literal"]),
-        ('_memoized(g, "a" + k, _f)', ["m.py:1 key is no string literal"]),
-    ],
-    ids=["distinct", "shared", "attribute-and-keywords", "constant", "computed"],
-)
-def test_memo_key_check_sees_each_form(source, faults):
-    assert _memo_faults({"m.py": ast.parse(source)})[0] == faults
-
-
-def test_each_memo_key_is_a_literal_with_one_compute():
-    """A ``Graph`` memo entry read under two keys, or two queries under one
-    key, would hand one query's value to the other."""
-    faults, keys = _memo_faults(TREES)
-    assert faults == []
-    assert {"forest", "masks", "steps", "cut", "on_cycle"} <= set(keys)

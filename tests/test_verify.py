@@ -700,8 +700,11 @@ def _filtered_labelings(g, bounds):
 def _object_level_run(tid, graphs, bounds):
     """({graph: (cases, skipped)}, Counter of (graph, labeling, explanation))
     of one member experiment, from the filtered enumeration, derive and the
-    record's explain at every target of every labeling."""
+    record's explain at every target of every labeling. A transform claim
+    counts the targets of balanced labelings alone, and SUBDIVISION skips an
+    edge whose label already labels a vertex."""
     explain = _EXPERIMENTS[tid].explain
+    transform = tid in (TheoremId.SUBDIVISION, TheoremId.HOMEOMORPHISM)
     counts = {}
     found = Counter()
     for g in graphs:
@@ -712,15 +715,18 @@ def _object_level_run(tid, graphs, bounds):
         targets = _member_targets(tid, g)
         for lab in _filtered_labelings(g, bounds):
             slg = derive(g, lab)
+            counted = not transform or is_balanced_fast(slg)[0]
+            labels = {s for _, s in lab.items()}
             for target in targets:
                 text = explain(slg, target)
-                if text is None:
-                    # Only a balanced labeling's collisions count as skipped.
-                    skipped += tid is TheoremId.SUBDIVISION and is_balanced_fast(slg)[0]
-                    continue
-                cases += 1
                 if text:
                     found[g, lab, text] += 1
+                if not counted:
+                    continue
+                if tid is TheoremId.SUBDIVISION and slg.edge_labels[target] in labels:
+                    skipped += 1
+                else:
+                    cases += 1
         counts[g] = (cases, skipped)
     return counts, found
 
@@ -844,6 +850,25 @@ def test_report_copies_round_trip(copy_of):
     twin = copy_of(report)
     assert twin == report
     assert twin.to_text() == report.to_text()
+
+
+@pytest.mark.parametrize(
+    "tid, graph, labeling, target",
+    [
+        # All three edges negative: the triangle is unbalanced.
+        (TheoremId.SUBDIVISION, cycle_graph(3), {"v0": [0], "v1": [1], "v2": [2]}, ("v0", "v1")),
+        (TheoremId.HOMEOMORPHISM, cycle_graph(3), {"v0": [0], "v1": [1], "v2": [2]}, "v0"),
+        # {0} + {1} = {1}: the inherited label is v1's.
+        (TheoremId.SUBDIVISION, path_graph(2), {"v0": [0], "v1": [1]}, ("v0", "v1")),
+    ],
+    ids=["subdivision-unbalanced", "homeomorphism-unbalanced", "subdivision-collision"],
+)
+def test_a_transform_claim_that_does_not_apply_explains_as_empty(tid, graph, labeling, target):
+    """Where a transform claim does not apply, explain answers '', the same
+    str as where it holds, never None."""
+    slg = derive(graph, Labeling(3, {v: IntegerSet(s) for v, s in labeling.items()}))
+    assert is_balanced_fast(slg)[0] == (graph.m == 1)
+    assert _EXPERIMENTS[tid].explain(slg, target) == ""
 
 
 def test_subdivision_records_every_failing_edge(monkeypatch):
@@ -1003,8 +1028,8 @@ def test_replayed_labelings_equal_the_public_construction():
     assert len(report.counterexamples) > 100
     for ce in report.counterexamples:
         lab = ce.labeling
-        assert tuple(lab.assignment) == ce.graph.vertices
-        assert set(lab.assignment.values()) <= candidates
+        assert tuple(v for v, _ in lab.items()) == ce.graph.vertices
+        assert {s for _, s in lab.items()} <= candidates
         public = Labeling(3, {v: IntegerSet(s.elements) for v, s in lab.items()})
         assert type(lab) is Labeling and lab.universe_max == 3
         assert lab == public and hash(lab) == hash(public)
