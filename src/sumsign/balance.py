@@ -7,10 +7,11 @@ Two independent balance checks are provided on purpose:
 * ``is_balanced_fast`` applies Harary's criterion: the signed graph is
   balanced iff some 2-partition is crossed by exactly its negative edges.
   It reads the negative edges from the signs as one edge mask and finds
-  that partition, the witness, with the fold of ``graphs.sign_partition``:
-  one pass over the breadth-first spanning forest, without listing cycles
-  and without the index-space tables of the labeling search. The
-  bipartition of ``graphs.bipartition`` is its all-negative case.
+  that partition, the witness, with the one sign fold of the package
+  (``graphs._partition``): one pass over the breadth-first spanning forest,
+  without listing cycles and without the index-space tables of the
+  labeling search. The bipartition of ``graphs.bipartition`` is its
+  all-negative case.
 
 They must agree wherever the oracle is applicable; that equivalence is part
 of the test suite.
@@ -110,9 +111,10 @@ def is_balanced_fast(
     """Balance by Harary's criterion, with a camp 2-partition witness.
 
     Builds the negative edge mask from ``s.signs`` and folds a side over the
-    spanning forest, as ``graphs.sign_partition`` does; the signed graph is
-    balanced iff that finds a partition that every negative edge crosses
-    and no positive edge does.
+    spanning forest (``graphs._partition``); the signed graph is balanced
+    iff that finds a partition that every negative edge crosses and no
+    positive edge does. The witness puts each component's smallest vertex
+    in the first part, and each part is in sorted order.
     """
     parts = _partition(s.graph, _negative_edge_mask(s))
     return parts is not None, parts

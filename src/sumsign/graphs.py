@@ -5,12 +5,13 @@ every derived artifact is deterministic. Graphs are immutable after
 construction and safe to share.
 
 One breadth-first spanning forest (``spanning_forest``) answers every
-traversal question: Harary's sign partition (``sign_partition``, whose
-all-negative case is the 2-coloring), the components, and, through the
-fundamental cycles of its non-tree edges, the bridges and the vertices on
-cycles. Only ``cycle_masks`` lists every cycle, in one depth-first search
-that carries each cycle's edge mask; it is the by-definition reference and
-the only query limited by a vertex bound. It holds the listing of the last
+traversal question: Harary's sign partition (``_partition``, the one fold
+behind ``balance.is_balanced_fast``, whose all-negative case is
+``bipartition``), the components, and, through the fundamental cycles of
+its non-tree edges, the bridges and the vertices on cycles. Only
+``cycle_masks`` lists every cycle, in one depth-first search that carries
+each cycle's edge mask; it is the by-definition reference and the only
+query limited by a vertex bound. It holds the listing of the last
 few graphs, which the sign sweep, the balance oracle and ``simple_cycles``
 share.
 
@@ -140,6 +141,14 @@ class Graph:
     def has_edge(self, u: str, v: str) -> bool:
         ns = self._adj.get(u)
         return ns is not None and v in ns
+
+    def edge(self, u: str, v: str) -> Edge:
+        """The edge uv in canonical form (``edge_key``), so either order names
+        it; raises UnknownEdge when uv is no edge of the graph."""
+        key = edge_key(u, v)
+        if not self.has_edge(*key):
+            raise UnknownEdge(f"edge {key} is not in the graph")
+        return key
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         try:
@@ -280,38 +289,20 @@ def fundamental_cycle_masks(g: Graph) -> tuple[int, ...]:
     )
 
 
-def sign_partition(
-    g: Graph, negative: Iterable[Edge]
-) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
-    """A 2-partition that exactly the ``negative`` edges of g cross, or None.
-
-    Harary's criterion (1953): a signature is balanced iff such a partition
-    exists, and with every edge negative it is a bipartition. Each pair is
-    brought to canonical form (``edge_key``), so (u, v) and (v, u) name one
-    edge; a pair that is no edge of g raises UnknownEdge. Returns the roots'
-    side first, so each component's smallest vertex is in the first part,
-    and each part in sorted order.
-    """
-    index = {e: i for i, e in enumerate(g.edges)}
-    neg = 0
-    for u, v in negative:
-        key = edge_key(u, v)
-        try:
-            neg |= 1 << index[key]
-        except KeyError:
-            raise UnknownEdge(f"edge {key} is not in the graph") from None
-    return _partition(g, neg)
-
-
 def _partition(
     g: Graph, neg: int
 ) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
-    """``sign_partition`` for the edge mask ``neg`` (bit i for ``g.edges[i]``).
+    """Harary's criterion (1953): a 2-partition that exactly the edges of the
+    mask ``neg`` (bit i for ``g.edges[i]``) cross, or None.
 
-    Folds a side over the spanning forest: a root takes side 0, and each
-    other vertex its parent's side XOR the negative bit of its tree edge.
-    The XOR of the side-1 vertices' incidence masks is the mask of the edges
-    that cross, so the partition exists iff it equals ``neg``.
+    A signature is balanced iff such a partition exists, and with every edge
+    negative it is a bipartition. Folds a side over the spanning forest: a
+    root takes side 0, and each other vertex its parent's side XOR the
+    negative bit of its tree edge. The XOR of the side-1 vertices'
+    incidence masks is the mask of the edges that cross, so the partition
+    exists iff it equals ``neg``. Returns the roots' side first, so each
+    component's smallest vertex is in the first part, and each part in
+    sorted order.
     """
     steps, incidence = _steps(g)
     side = [0] * g.n
@@ -350,7 +341,7 @@ def _steps(g: Graph) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]
 def bipartition(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     """A 2-partition with every edge crossing, or None for non-bipartite g.
     Memoized on g."""
-    return sign_partition(g, g.edges)
+    return _partition(g, (1 << g.m) - 1)
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -23,7 +23,6 @@ from .errors import (
     NotApLabel,
     ParseError,
     UniverseViolation,
-    UnknownEdge,
     UnknownVertex,
     check_flag,
 )
@@ -174,18 +173,10 @@ class SignedLabeledGraph:
     signs: Mapping[Edge, Sign]
 
     def sign(self, u: str, v: str) -> Sign:
-        key = edge_key(u, v)
-        try:
-            return self.signs[key]
-        except KeyError:
-            raise UnknownEdge(f"edge {key} is not in the graph") from None
+        return self.signs[self.graph.edge(u, v)]
 
     def edge_label(self, u: str, v: str) -> IntegerSet:
-        key = edge_key(u, v)
-        try:
-            return self.edge_labels[key]
-        except KeyError:
-            raise UnknownEdge(f"edge {key} is not in the graph") from None
+        return self.edge_labels[self.graph.edge(u, v)]
 
 
 def derive(g: Graph, f: Labeling, strict: bool = False) -> SignedLabeledGraph:
@@ -310,10 +301,7 @@ def validate_aiasl(s: SignedLabeledGraph) -> AiaslCheck:
 
 
 def _edge_profiles(s: SignedLabeledGraph, e: Edge) -> tuple[ApProfile, ApProfile]:
-    key = edge_key(*e)
-    if key not in s.signs:
-        raise UnknownEdge(f"edge {key} is not in the graph")
-    u, v = key
+    u, v = s.graph.edge(*e)
     pu = ap_profile(s.labeling.get(u))
     pv = ap_profile(s.labeling.get(v))
     if pu is None:

@@ -171,9 +171,7 @@ def subdivide_edge(s: SignedLabeledGraph, e: Edge) -> TransformOutcome:
     taken. Raises InjectivityCollision when the inherited label already
     labels a surviving vertex.
     """
-    key = edge_key(*e)
-    if key not in s.signs:
-        raise UnknownEdge(f"edge {key} is not in the graph")
+    key = s.graph.edge(*e)
     u, v = key
     inherited = s.edge_labels[key]
     for x in s.graph.vertices:
@@ -200,8 +198,6 @@ def elementary_transformation(s: SignedLabeledGraph, v: str) -> TransformOutcome
     The new edge uw is labeled f(u) + f(w) with the derived sign. The result
     is homeomorphic to the input graph.
     """
-    if not s.graph.has_vertex(v):
-        raise UnknownVertex(f"vertex {v!r} is not in the graph")
     if s.graph.degree(v) != 2:
         raise DegreeNotTwo(f"vertex {v!r} has degree {s.graph.degree(v)}, need 2")
     if in_triangle(s.graph, v):

@@ -162,17 +162,20 @@ class VerificationReport:
             f"counterexamples = {len(self.counterexamples)}",
         ]
         lines.extend(f"note: {note}" for note in self.notes)
-        # One string per counterexample, its leading blank line included, and
-        # one text per graph.
-        graphs: dict[int, str] = {}
+        # One string per counterexample, its leading blank line included. The
+        # targets of one finding come in a row and share one graph and one
+        # labeling, so a text is made again only when the object changes.
+        graph = labeling = None
         for i, ce in enumerate(self.counterexamples, start=1):
-            graph = graphs.get(id(ce.graph))
-            if graph is None:
-                graph = graphs[id(ce.graph)] = format_graph(ce.graph).rstrip("\n")
-            labeling = format_labeling(ce.labeling).rstrip("\n")
+            if ce.graph is not graph:
+                graph = ce.graph
+                graph_text = format_graph(graph).rstrip("\n")
+            if ce.labeling is not labeling:
+                labeling = ce.labeling
+                labeling_text = format_labeling(labeling).rstrip("\n")
             lines.append(
                 f"\n== counterexample {i} ==\nexplanation = {ce.explanation}\n"
-                f"-- graph --\n{graph}\n-- labeling --\n{labeling}"
+                f"-- graph --\n{graph_text}\n-- labeling --\n{labeling_text}"
             )
         return "\n".join(lines) + "\n"
 

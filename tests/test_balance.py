@@ -29,7 +29,6 @@ from sumsign.graphs import (
     connected_components,
     cycle_masks,
     edge_key,
-    sign_partition,
     simple_cycles,
     spanning_forest,
 )
@@ -288,7 +287,7 @@ def _set_and_dict_partition(g, negative):
 
 
 class TestSignPartition:
-    """graphs.sign_partition is Harary's criterion; bipartition is its all-negative case."""
+    """is_balanced_fast's witness is Harary's criterion; bipartition is its all-negative case."""
 
     def test_every_pattern_up_to_5_vertices_matches_the_cycle_definition(self):
         checked = 0
@@ -296,8 +295,8 @@ class TestSignPartition:
             for pattern in range(1 << g.m):
                 sg = signed_graph_from_pattern(g, pattern)
                 negatives = set(negative_edges(sg))
-                parts = sign_partition(g, negatives)
-                assert (parts is None) == (not is_balanced_oracle(sg)[0])
+                balanced, parts = is_balanced_fast(sg)
+                assert (parts is None) == (not is_balanced_oracle(sg)[0]) == (not balanced)
                 checked += 1
                 if parts is None:
                     continue
@@ -316,26 +315,6 @@ class TestSignPartition:
             balanced, witness = is_balanced_fast(all_negative)
             assert bipartition(g) == witness
             assert (witness is not None) == balanced
-
-    def test_a_pair_names_its_edge_in_either_order(self):
-        triangle = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
-        expected = (("a",), ("b", "c"))
-        assert sign_partition(triangle, [("a", "b"), ("a", "c")]) == expected
-        assert sign_partition(triangle, [("b", "a"), ("c", "a")]) == expected
-        assert sign_partition(triangle, [("b", "a"), ("a", "c")]) == expected
-        assert sign_partition(triangle, [("c", "b")]) is None
-
-    @pytest.mark.parametrize(
-        "pair, key",
-        [(("a", "c"), ("a", "c")), (("c", "a"), ("a", "c")), (("a", "z"), ("a", "z")),
-         (("a", "a"), ("a", "a"))],
-        ids=["non-edge", "non-edge-reversed", "unknown-vertex", "loop"],
-    )
-    def test_a_pair_that_is_no_edge_is_refused(self, pair, key):
-        path = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
-        with pytest.raises(UnknownEdge) as exc:
-            sign_partition(path, [("a", "b"), pair])
-        assert str(exc.value) == f"edge {key} is not in the graph"
 
     @pytest.mark.parametrize(
         "g",
@@ -362,9 +341,9 @@ class TestSignPartition:
         for pattern in range(1 << g.m):
             sg = signed_graph_from_pattern(g, pattern)
             negatives = negative_edges(sg)
-            parts = sign_partition(g, negatives)
+            balanced, parts = is_balanced_fast(sg)
             assert parts == _set_and_dict_partition(g, negatives), pattern
-            assert is_balanced_fast(sg) == (parts is not None, parts)
+            assert balanced == (parts is not None)
             if parts is not None:
                 assert not set(smallest) & set(parts[1])
 

@@ -9,7 +9,7 @@ from itertools import combinations, permutations
 import pytest
 
 import sumsign.graphs as graphs_module
-from sumsign.errors import BoundExceeded, ParseError, UnknownVertex
+from sumsign.errors import BoundExceeded, ParseError, UnknownEdge, UnknownVertex
 from sumsign.families import (
     complete_graph,
     connected_graphs,
@@ -92,6 +92,28 @@ class TestGraphBasics:
         g = Graph(["a", "b", "c"], [("a", "b")])
         assert g.degree("c") == 0
         assert connected_components(g) == [("a", "b"), ("c",)]
+
+
+class TestEdge:
+    """Graph.edge is the one rule that resolves an edge named by its ends."""
+
+    def test_a_pair_names_its_edge_in_either_order(self):
+        triangle = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+        for u, v in triangle.edges:
+            assert triangle.edge(u, v) == triangle.edge(v, u) == (u, v)
+
+    @pytest.mark.parametrize(
+        "pair, key",
+        [(("a", "c"), ("a", "c")), (("c", "a"), ("a", "c")), (("a", "z"), ("a", "z")),
+         (("a", "a"), ("a", "a"))],
+        ids=["non-edge", "non-edge-reversed", "unknown-vertex", "loop"],
+    )
+    def test_a_pair_that_is_no_edge_is_refused(self, pair, key):
+        path = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        assert path.edge("b", "a") == ("a", "b")
+        with pytest.raises(UnknownEdge) as exc:
+            path.edge(*pair)
+        assert str(exc.value) == f"edge {key} is not in the graph"
 
 
 class TestGraphFormat:

@@ -14,6 +14,7 @@ from sumsign.errors import (
     NotApLabel,
     ParseError,
     UniverseViolation,
+    UnknownEdge,
     UnknownVertex,
 )
 from sumsign.graphs import Graph, parse_graph
@@ -286,6 +287,39 @@ class TestPredictedSign:
                 assert predicted_sign(slg, ("u", "v")) is slg.signs[("u", "v")]
                 checked += 1
         assert checked > 1000
+
+
+# Every public caller that takes an edge named by its two ends.
+NAMED_EDGE_CALLERS = {
+    "sign": lambda s, u, v: s.sign(u, v),
+    "edge_label": lambda s, u, v: s.edge_label(u, v),
+    "predicted_sign": lambda s, u, v: predicted_sign(s, (u, v)),
+    "deterministic_ratio": lambda s, u, v: deterministic_ratio(s, (u, v)),
+    "subdivide_edge": lambda s, u, v: subdivide_edge(s, (u, v)),
+}
+
+
+@pytest.mark.parametrize("call", NAMED_EDGE_CALLERS.values(), ids=NAMED_EDGE_CALLERS.keys())
+class TestNamedEdges:
+    """Each caller resolves a named edge by the one rule, ``Graph.edge``."""
+
+    # Admissible on both edges, and a + b = {0,1,2,3} labels no vertex.
+    SLG = derive(PATH3, lab(8, a=[0, 1], b=[0, 2], c=[1]))
+
+    def test_either_order_gives_the_same_result(self, call):
+        for u, v in PATH3.edges:
+            assert call(self.SLG, u, v) == call(self.SLG, v, u)
+
+    @pytest.mark.parametrize(
+        "pair, key",
+        [(("a", "c"), ("a", "c")), (("c", "a"), ("a", "c")), (("a", "z"), ("a", "z")),
+         (("a", "a"), ("a", "a"))],
+        ids=["non-edge", "non-edge-reversed", "unknown-vertex", "loop"],
+    )
+    def test_a_pair_that_is_no_edge_is_refused(self, call, pair, key):
+        with pytest.raises(UnknownEdge) as exc:
+            call(self.SLG, *pair)
+        assert str(exc.value) == f"edge {key} is not in the graph"
 
 
 class TestLabelingFormat:

@@ -127,6 +127,35 @@ MUTANTS = [
         "tests/test_graphs.py::TestCutEdges::test_triangle_with_pendant",
     ),
     Mutant(
+        "edge-named-in-one-order-only",
+        "graphs.py",
+        "key = edge_key(u, v)",
+        "key = (u, v)",
+        "tests/test_graphs.py::TestEdge::test_a_pair_names_its_edge_in_either_order",
+    ),
+    Mutant(
+        "edge-without-the-membership-check",
+        "graphs.py",
+        "        if not self.has_edge(*key):\n"
+        "            raise UnknownEdge(f\"edge {key} is not in the graph\")\n",
+        "",
+        "tests/test_graphs.py::TestEdge::test_a_pair_that_is_no_edge_is_refused",
+    ),
+    Mutant(
+        "bipartition-folds-no-negative-edge",
+        "graphs.py",
+        "return _partition(g, (1 << g.m) - 1)",
+        "return _partition(g, 0)",
+        "tests/test_balance.py::TestSignPartition::test_bipartition_is_the_all_negative_witness",
+    ),
+    Mutant(
+        "cycle-bound-check-removed",
+        "graphs.py",
+        "    check_count(\"cycle bound\", max_vertices)\n",
+        "",
+        "tests/test_graphs.py::TestSimpleCycles::test_bound_must_be_an_int",
+    ),
+    Mutant(
         "incidence-from-one-endpoint",
         "graphs.py",
         "        incidence[pos[u]] |= 1 << i\n        incidence[pos[v]] |= 1 << i\n",
@@ -139,6 +168,27 @@ MUTANTS = [
         "side[p] ^ (neg >> i & 1)",
         "side[p] ^ (neg >> p & 1)",
         "tests/test_balance.py::TestSignPartition::test_the_fold_equals_the_set_and_dict_fold",
+    ),
+    Mutant(
+        "sumset-memo-drops-the-second-operand",
+        "intsets.py",
+        "    return _sumset(x, y) if x <= y else _sumset(y, x)\n",
+        "    return sumset.__dict__.setdefault(x if x <= y else y, _sumset(x, y) if x <= y else _sumset(y, x))\n",
+        "tests/test_intsets.py::TestMemos::test_sumset_memo_is_bounded_and_its_results_are_checked_sets",
+    ),
+    Mutant(
+        "set-equality-reads-the-text",
+        "intsets.py",
+        "isinstance(other, IntegerSet) and self.elements == other.elements",
+        "isinstance(other, IntegerSet) and self._text == other._text",
+        "tests/test_intsets.py::TestMemos::test_a_set_with_its_text_kept_copies_and_compares_as_before",
+    ),
+    Mutant(
+        "replay-keeps-ids-in-reverse-order",
+        "verify.py",
+        "dict(zip(g.vertices, map(space.sets.__getitem__, indices)))",
+        "dict(reversed(list(zip(g.vertices, map(space.sets.__getitem__, indices)))))",
+        "tests/test_verify.py::test_replayed_labelings_equal_the_public_construction",
     ),
     Mutant(
         "sort-key-without-the-graph-text",

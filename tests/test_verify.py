@@ -10,6 +10,7 @@ import subprocess
 import sys
 from collections import Counter
 from itertools import combinations, permutations
+from math import perm
 from pathlib import Path
 
 import pytest
@@ -783,6 +784,40 @@ def test_each_failing_labeling_is_one_finding(tid, family, bounds):
             for found, indices, targets in tally.findings
         )
         assert got == expected, format_graph(g)
+
+
+def _random_case(rng):
+    """A random graph on 1 to 5 vertices, isolated vertices and several
+    components included, with random bounds (strict universe and odd ratios
+    included) small enough for ``_lexicographic_walk``."""
+    n = rng.randint(1, 5)
+    vertices = [f"v{i}" for i in range(n)]
+    g = Graph(vertices, [e for e in combinations(vertices, 2) if rng.random() < 0.5])
+    while True:
+        bounds = SearchBounds(
+            rng.randint(1, 4),
+            rng.randint(1, 3),
+            require_strict_universe=rng.random() < 0.3,
+            odd_ratios_only=rng.random() < 0.3,
+        )
+        candidates = len(list(_progressions(bounds.universe_max, bounds.max_label_size)))
+        if perm(candidates, n) <= 20000:
+            return g, bounds
+
+
+def test_random_graphs_and_bounds_equal_an_object_level_recomputation():
+    """The differential of the two paths on random small cases: for each
+    member claim, the report's counterexamples, cases and skips equal the
+    object-level recomputation's."""
+    rng = random.Random(30)
+    for _ in range(150):
+        g, bounds = _random_case(rng)
+        for tid in MEMBER_THEOREMS:
+            report = verify_theorem(tid, [g], bounds)
+            counts, found = _object_level_run(tid, [g], bounds)
+            got = Counter((ce.graph, ce.labeling, ce.explanation) for ce in report.counterexamples)
+            assert got == found, (tid, format_graph(g), bounds)
+            assert (report.cases_checked, report.skipped) == counts[g], (tid, format_graph(g), bounds)
 
 
 # The paw (a triangle with a pendant vertex) and the diamond (K4 less an
