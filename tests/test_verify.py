@@ -32,6 +32,7 @@ from sumsign.graphs import (
     Graph,
     cut_edges,
     cycle_masks,
+    edge_key,
     format_graph,
     fundamental_cycle_masks,
     in_triangle,
@@ -820,6 +821,87 @@ def test_random_graphs_and_bounds_equal_an_object_level_recomputation():
             assert (report.cases_checked, report.skipped) == counts[g], (tid, format_graph(g), bounds)
 
 
+def _brute_automorphisms(g):
+    """Every vertex map of g onto itself that keeps its edges, as one
+    {vertex: image} dict each: the n! brute force."""
+    edges = set(g.edges)
+    maps = (dict(zip(g.vertices, images)) for images in permutations(g.vertices))
+    return [s for s in maps if all(edge_key(s[u], s[v]) in edges for u, v in g.edges)]
+
+
+def _relabelings(g):
+    """Per automorphism s of g: the positions whose labels the image of a
+    labeling (as set indices in ``g.vertices`` order) takes, and the map of
+    each target (a vertex, an edge or None) to its image."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    out = []
+    for s in _brute_automorphisms(g):
+        source = [0] * g.n
+        for v in g.vertices:
+            source[pos[s[v]]] = pos[v]
+        targets = {None: None, **s, **{(u, v): edge_key(s[u], s[v]) for u, v in g.edges}}
+        out.append((source, targets))
+    return out
+
+
+def _even_subdivision_parity(monkeypatch):
+    """Read every pair's subdivision parity as even, so that SUBDIVISION
+    fails at each non-cut edge whose inherited set labels no vertex."""
+    pair_sum = _LabelingSpace.pair_sum
+    monkeypatch.setattr(
+        _LabelingSpace, "pair_sum", lambda space, i, j: (pair_sum(space, i, j)[0], 0)
+    )
+
+
+# (claim, family, bounds, whether the reflection x -> N - x is a symmetry).
+CLOSURE_CASES = [
+    (TheoremId.BALANCE_BIPARTITE_REV, "connected:5", SearchBounds(3, 2), True),
+    (TheoremId.HOMEOMORPHISM, "connected:5", SearchBounds(3, 3), True),
+    (TheoremId.HOMEOMORPHISM, "connected:5", SearchBounds(3, 3, odd_ratios_only=True), True),
+    (TheoremId.IASI_INJECTIVITY, "connected:4", SearchBounds(4, 2), True),
+    (TheoremId.BALANCE_BIPARTITE_FWD, "connected:4", SearchBounds(4, 3), True),
+    (TheoremId.SUBDIVISION, "connected:4", SearchBounds(3, 2), False),
+    (TheoremId.IASI_INJECTIVITY, "connected:4", SearchBounds(4, 2, require_strict_universe=True), False),
+    (TheoremId.HOMEOMORPHISM, "connected:4", SearchBounds(4, 2, require_strict_universe=True), False),
+]
+
+
+@pytest.mark.parametrize(
+    "tid, family, bounds, reflect",
+    CLOSURE_CASES,
+    ids=["rev", "homeomorphism", "homeomorphism-odd", "iasi", "fwd", "subdivision-even-parity",
+         "iasi-strict", "homeomorphism-strict"],
+)
+def test_findings_are_closed_under_the_claims_symmetries(monkeypatch, tid, family, bounds, reflect):
+    """Every member claim is invariant under relabeling by an automorphism,
+    and, outside SUBDIVISION's collision skips and the strict universe, under
+    the reflection x -> N - x of every label. So each image of a finding,
+    its targets mapped, is the finding recorded for the image's labeling.
+    SUBDIVISION has no finding within desk bounds, so it runs under an even
+    subdivision parity."""
+    if tid is TheoremId.SUBDIVISION:
+        _even_subdivision_parity(monkeypatch)
+    graphs = resolve_family(family)
+    tally = _run(_EXPERIMENTS[tid], graphs, bounds)
+    space = tally.space
+    recorded = {(g, indices): targets for g, indices, targets in tally.findings}
+    assert len(recorded) == len(tally.findings)
+    ids = {s.elements: i for i, s in enumerate(space.sets)}
+    top = bounds.universe_max
+    mirror = [ids[tuple(sorted(top - x for x in s.elements))] for s in space.sets]
+    relabelings = {g: _relabelings(g) for g in graphs}
+    images = 0
+    for (g, indices), targets in recorded.items():
+        for source, image_of in relabelings[g]:
+            image = tuple(map(indices.__getitem__, source))
+            mapped = tuple(sorted(map(image_of.__getitem__, targets)))
+            assert recorded.get((g, image)) == mapped, format_graph(g)
+            images += 1
+        if reflect:
+            assert recorded.get((g, tuple(mirror[k] for k in indices))) == targets, format_graph(g)
+    assert images > len(recorded) > 0
+
+
 # The paw (a triangle with a pendant vertex) and the diamond (K4 less an
 # edge) are both non-bipartite on four vertices, so their counterexamples tie
 # on n and label mass and are told apart by the graph text; the repeated paw
@@ -910,12 +992,7 @@ def test_subdivision_records_every_failing_edge(monkeypatch):
     """With every pair's subdivision parity read as even, a balanced
     labeling fails at each non-cut edge whose inherited set labels no
     vertex, and its one finding names all of those edges, in edge order."""
-    pair_sum = _LabelingSpace.pair_sum
-
-    def even_parity(space, i, j):
-        return pair_sum(space, i, j)[0], 0
-
-    monkeypatch.setattr(_LabelingSpace, "pair_sum", even_parity)
+    _even_subdivision_parity(monkeypatch)
     graphs = resolve_family("connected:4")
     tally = _run(_EXPERIMENTS[TheoremId.SUBDIVISION], graphs, SearchBounds(3, 2))
     space = tally.space
