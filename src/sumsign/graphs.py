@@ -18,8 +18,9 @@ share.
 Each ``Graph`` keeps a private memo, filled on first read: the default-root
 spanning forest, the sign partition's forest steps and per-vertex edge
 masks, the bipartition, the fundamental cycle masks, the ``format_graph``
-text, and the bridges (``cut_edges``) and vertices on cycles
-(``vertices_on_cycles``), each folded once from the memoized masks. Each
+text, the bridges (``cut_edges``) and vertices on cycles
+(``vertices_on_cycles``), each folded once from the memoized masks, and the
+automorphism group as a stabilizer chain (``automorphism_chain``). Each
 entry is keyed on its query, the function ``_per_graph`` wraps, so no two
 queries share one. The memo belongs to that one graph and dies with it,
 and everything it hands out is read-only (tuples, strings, a frozenset and
@@ -478,6 +479,109 @@ def in_triangle(g: Graph, v: str) -> bool:
             if g.has_edge(a, b):
                 return True
     return False
+
+
+@_per_graph
+def automorphism_chain(
+    g: Graph,
+) -> tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]:
+    """Aut(g) as a stabilizer chain along the spanning-forest order.
+
+    An automorphism is a tuple whose entry i is the image of vertex i, both
+    positions in ``g.vertices``. Level k of the chain is (w_k, transversal),
+    with w_k the k-th vertex of ``spanning_forest(g)``'s order. Its
+    transversal holds, per vertex x of the orbit of w_k under the
+    automorphisms that fix w_0 … w_{k-1}, ascending, the pair (x, one such
+    automorphism taking w_k to x). So |Aut(g)| is the product of the orbit
+    sizes (``automorphism_count``), and each automorphism is one product
+    t_0 ∘ t_1 ∘ … of one transversal entry per level (``automorphisms``).
+    Each entry is found by its own backtracking search, so the group is
+    never listed here. Memoized on g.
+    """
+    order, _ = spanning_forest(g)
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    base = [pos[v] for v in order]
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[pos[u]] |= 1 << pos[v]
+        adj[pos[v]] |= 1 << pos[u]
+    chain = []
+    for k, w in enumerate(base):
+        # The automorphisms at this level fix base[:k], so they take w into
+        # base[k:] alone.
+        images = ((x, _automorphism_to(adj, base, k, x)) for x in sorted(base[k:]))
+        chain.append((w, tuple((x, s) for x, s in images if s is not None)))
+    return tuple(chain)
+
+
+def _automorphism_to(
+    adj: list[int], base: list[int], k: int, x: int
+) -> tuple[int, ...] | None:
+    """An automorphism that fixes base[:k] and takes base[k] to x, or None.
+
+    Maps base[k], base[k+1], … in turn, each to an unused vertex of its
+    degree whose adjacency to the vertices mapped so far is its own
+    adjacency to their preimages, so the completed map keeps every edge and
+    every non-edge. Depth-first, with one mask of untried images per level.
+    """
+    n = len(base)
+    full = (1 << n) - 1
+    degree = [a.bit_count() for a in adj]
+    image = list(range(n))
+    mapped = used = 0  # the mapped vertices, and their images
+    for v in base[:k]:
+        mapped |= 1 << v
+        used |= 1 << v
+    untried = [0] * n
+    untried[k] = 1 << x
+    i = k
+    while i >= k:
+        if i == n:
+            return tuple(image)
+        v = base[i]
+        # The images of v's mapped neighbours: y must be adjacent to exactly
+        # these among the used vertices.
+        want = 0
+        rest = adj[v] & mapped
+        while rest:
+            low = rest & -rest
+            want |= 1 << image[low.bit_length() - 1]
+            rest ^= low
+        while untried[i]:
+            low = untried[i] & -untried[i]
+            untried[i] ^= low
+            y = low.bit_length() - 1
+            if degree[y] == degree[v] and adj[y] & used == want:
+                image[v] = y
+                mapped |= 1 << v
+                used |= low
+                i += 1
+                if i < n:
+                    untried[i] = full & ~used
+                break
+        else:
+            i -= 1
+            if i >= k:
+                mapped ^= 1 << base[i]
+                used ^= 1 << image[base[i]]
+    return None
+
+
+def automorphism_count(g: Graph) -> int:
+    """|Aut(g)|: the product of ``automorphism_chain``'s orbit sizes."""
+    count = 1
+    for _, transversal in automorphism_chain(g):
+        count *= len(transversal)
+    return count
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of g once, as ``automorphism_chain`` writes them:
+    the |Aut(g)| products of one transversal entry per level."""
+    group = [tuple(range(g.n))]
+    for _, transversal in reversed(automorphism_chain(g)):
+        group = [tuple(map(t.__getitem__, s)) for _, t in transversal for s in group]
+    return group
 
 
 @_per_graph

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import islice
 from operator import getitem
 from typing import Callable, Iterable, Iterator, Sequence
@@ -36,9 +36,13 @@ from .families import parse_family, resolve_family
 from .graphs import (
     Edge,
     Graph,
+    automorphism_chain,
+    automorphism_count,
+    automorphisms,
     bipartition,
     cut_edges,
     cycle_masks,
+    edge_key,
     format_graph,
     fundamental_cycle_masks,
     in_triangle,
@@ -200,6 +204,9 @@ def _progressions(universe_max: int, max_size: int) -> Iterator[IntegerSet]:
 # Most candidate sets one search space may hold; its build checks every
 # pair, so its time grows as the square of this count.
 _MAX_CANDIDATE_SETS = 2000
+# Search spaces kept for reuse: runs at the bounds of the last one (one run
+# per family member, say) share its tables and its warm pair_sum memo.
+_LABELING_SPACES = 1
 
 
 class _LabelingSpace:
@@ -277,8 +284,15 @@ class _LabelingSpace:
         return entry
 
 
+@lru_cache(maxsize=_LABELING_SPACES)
+def _labeling_space(bounds: SearchBounds) -> _LabelingSpace:
+    """The search space of bounds, built once while they are the last ones
+    asked for."""
+    return _LabelingSpace(bounds)
+
+
 def _walk(
-    g: Graph, space: _LabelingSpace, balanced: bool = False
+    g: Graph, space: _LabelingSpace, balanced: bool = False, orbits: bool = False
 ) -> tuple[list[int], int, Iterator[int]]:
     """The odometer every labeling walk shares: ``(assign, last, masks)``.
 
@@ -299,31 +313,54 @@ def _walk(
     A signed graph is balanced iff such potentials exist (Harary 1953), and
     they are unique once the roots are fixed, so the balanced walk reaches
     each balanced labeling once and no other. g must have a vertex.
+
+    With ``orbits``, either walk assigns vertices in ``spanning_forest``
+    order w_0, w_1, … and reaches only the least labeling of each orbit of
+    Aut(g), comparing labelings as sequences in that order. Aut(g) acts on
+    labelings by f -> f∘s, and freely, since every labeling is injective; the
+    walks' admissibility and balance are invariant under it, so every orbit
+    the plain or balanced walk meets holds |Aut(g)| of its labelings. For
+    s ≠ id, let k be the first position with s(w_k) ≠ w_k: f and f∘s first
+    differ there, so f is the least iff f(w_k) < f(x) for each x ≠ w_k in
+    the orbit of w_k under the automorphisms that fix w_0 … w_{k-1}, which
+    is level k of ``automorphism_chain``. Each such pair is one mask AND at
+    x's level, keeping the sets above w_k's.
     """
     verts = g.vertices
     n = len(verts)
     pos = {v: i for i, v in enumerate(verts)}
-    order, parent = spanning_forest(g) if balanced else (verts, {})
+    order, parent = spanning_forest(g) if balanced or orbits else (verts, {})
     rank = {v: r for r, v in enumerate(order)}
+    # Per vertex position, the earlier vertices whose sets its set must lie
+    # above.
+    above: list[list[int]] = [[] for _ in range(n)]
+    if orbits:
+        for w, transversal in automorphism_chain(g):
+            for x, _ in transversal:
+                if x != w:
+                    above[x].append(w)
     # Per level: the vertex position, the earlier neighbours whose compat
-    # rows cut it, its forest parent (-1 for a root or in the plain walk) and
-    # the other earlier neighbours whose potentials cut it.
+    # rows cut it, its forest parent (-1 for a root or in the plain walk),
+    # the other earlier neighbours whose potentials cut it, and the earlier
+    # vertices whose sets it must lie above.
     levels = []
     for v in order:
         before = [pos[w] for w in g.neighbors(v) if rank[w] < rank[v]]
-        p0 = pos[parent[v]] if parent.get(v) is not None else -1
+        p0 = pos[parent[v]] if balanced and parent[v] is not None else -1
         others = [q for q in before if q != p0] if balanced else []
-        levels.append((pos[v], before, p0, others))
+        levels.append((pos[v], before, p0, others, above[pos[v]]))
     compat, odd = space.compat, space.odd
     full = (1 << len(space.sets)) - 1
     assign = [0] * n
     potential = [0] * n
 
     def candidates(level: int, used: int) -> int:
-        _, before, p0, others = levels[level]
+        _, before, p0, others, above = levels[level]
         allowed = full & ~used
         for q in before:
             allowed &= compat[assign[q]]
+        for q in above:
+            allowed &= -(2 << assign[q])
         if others:
             odd0, s0 = odd[assign[p0]], potential[p0]
             for q in others:
@@ -349,7 +386,7 @@ def _walk(
             low = m & -m
             rem[i] = m ^ low
             j = low.bit_length() - 1
-            v, _, p0, _ = levels[i]
+            v, _, p0, _, _ = levels[i]
             assign[v] = j
             if p0 >= 0:
                 potential[v] = potential[p0] ^ (odd[assign[p0]] >> j & 1)
@@ -364,18 +401,19 @@ def _walk(
 
 
 def _visit(
-    g: Graph, space: _LabelingSpace, balanced: bool = False
+    g: Graph, space: _LabelingSpace, balanced: bool = False, orbits: bool = False
 ) -> Iterator[tuple[int, ...]]:
     """All injective admissible assignments, as set-index tuples in
     ``g.vertices`` order, expanded from the masks of ``_walk``: in
     lexicographic order, vertices sorted and candidate sets in canonical
     order. With ``balanced``, only those whose signed graph is balanced, each
-    once, in the balanced walk's order. The empty graph has one labeling, the
-    empty one."""
+    once, in the balanced walk's order. With ``orbits``, only the least of
+    each orbit of Aut(g) (see ``_walk``). The empty graph has one labeling,
+    the empty one."""
     if not g.vertices:
         yield ()
         return
-    assign, last, masks = _walk(g, space, balanced)
+    assign, last, masks = _walk(g, space, balanced, orbits)
     for allowed in masks:
         while allowed:
             low = allowed & -allowed
@@ -384,12 +422,12 @@ def _visit(
             allowed ^= low
 
 
-def _count_indices(g: Graph, space: _LabelingSpace) -> int:
-    """len(list(_visit(g, space))), adding up the last vertex's
-    candidate masks instead of visiting each set."""
+def _count_indices(g: Graph, space: _LabelingSpace, orbits: bool = False) -> int:
+    """len(list(_visit(g, space, orbits=orbits))), adding up the last
+    vertex's candidate masks instead of visiting each set."""
     if not g.vertices:
         return 1
-    return sum(allowed.bit_count() for allowed in _walk(g, space)[2])
+    return sum(allowed.bit_count() for allowed in _walk(g, space, orbits=orbits)[2])
 
 
 def _check_vertex_bound(g: Graph, b: SearchBounds) -> None:
@@ -418,7 +456,7 @@ def enumerate_aiasl(g: Graph, b: SearchBounds) -> Iterator[Labeling]:
     the candidate-set order of each vertex, vertices sorted.
     """
     _check_vertex_bound(g, b)
-    space = _LabelingSpace(b)
+    space = _labeling_space(b)
     for indices in _visit(g, space):
         yield _labeling_from_indices(g, space, indices)
 
@@ -426,7 +464,7 @@ def enumerate_aiasl(g: Graph, b: SearchBounds) -> Iterator[Labeling]:
 def count_aiasl(g: Graph, b: SearchBounds) -> int:
     """How many labelings ``enumerate_aiasl`` yields, counted without them."""
     _check_vertex_bound(g, b)
-    return _count_indices(g, _LabelingSpace(b))
+    return _count_indices(g, _labeling_space(b))
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +690,41 @@ class _Tally:
         self.constructed_ok = 0
         self.findings: list[tuple[Graph, tuple[int, ...], tuple]] = []
 
+    def add_orbits(
+        self, g: Graph, cases: int, skipped: int, findings: list[tuple[tuple[int, ...], tuple]]
+    ) -> None:
+        """Add what a search counted and found on the orbit walk of g, one
+        labeling per orbit of Aut(g): each count |Aut(g)| times, and each
+        finding ``(indices, targets)`` as its |Aut(g)| images. The image
+        under an automorphism s puts the set of each vertex v on s(v), and
+        fails at the images of the targets, put back in search order: edge
+        order or vertex order, both sorted. The group is listed only here,
+        and only when there is a finding."""
+        order = automorphism_count(g)
+        self.cases += cases * order
+        self.skipped += skipped * order
+        if not findings:
+            return
+        names = g.vertices
+        images = []
+        for s in automorphisms(g):
+            source = [0] * g.n
+            for i, x in enumerate(s):
+                source[x] = i
+            image = {None: None}
+            for i, v in enumerate(names):
+                image[v] = names[s[i]]
+            for u, v in g.edges:
+                image[u, v] = edge_key(image[u], image[v])
+            images.append((source, image))
+        for indices, targets in findings:
+            for source, image in images:
+                self.findings.append((
+                    g,
+                    tuple(map(indices.__getitem__, source)),
+                    tuple(sorted(map(image.__getitem__, targets))),
+                ))
+
 
 @dataclass(frozen=True)
 class _Experiment:
@@ -663,14 +736,34 @@ class _Experiment:
     A pair claim has no ``search``: its explain runs on every admissible
     label pair i < j on K2, each pair one case. Otherwise ``search(tally,
     g)`` runs once per family member; it builds the per-graph rows it reads,
-    walks its labelings as set-index tuples, adds its cases, skips and
-    findings to the tally, and returns nothing. ``notes`` builds the report
-    notes from the tally.
+    walks one labeling per automorphism orbit as set-index tuples, hands its
+    cases, skips and findings to ``_Tally.add_orbits``, and returns nothing.
+    ``notes`` builds the report notes from the tally. A transform claim also
+    has its ``case`` (see ``_transform_claim``).
     """
 
     explain: Callable[[SignedLabeledGraph, object], str]
     notes: Callable[[_Tally], list[str]]
     search: Callable[[_Tally, Graph], None] | None = None
+    case: Callable[[SignedLabeledGraph, object], str] | None = None
+
+
+def _transform_claim(
+    search: Callable[[_Tally, Graph], None],
+    case: Callable[[SignedLabeledGraph, object], str],
+    notes: Callable[[_Tally], list[str]],
+) -> _Experiment:
+    """The record of a transform claim, which applies to balanced labeled
+    graphs alone. ``case`` checks it at one target of a balanced slg; the
+    explain answers '' on an unbalanced one and defers to ``case`` on any
+    other. Replay checks balance once per finding, then runs ``case`` at
+    each of its targets."""
+    return _Experiment(
+        explain=lambda slg, target: case(slg, target) if is_balanced_fast(slg)[0] else "",
+        notes=notes,
+        search=search,
+        case=case,
+    )
 
 
 # The single edge a pair claim labels: set i on u, set j on v.
@@ -681,7 +774,7 @@ _K2_EDGE = _K2.edges[0]
 def _run(exp: _Experiment, graphs: Sequence[Graph], bounds: SearchBounds) -> _Tally:
     """Run one experiment over its whole space, after checking every given
     graph against the vertex bound."""
-    tally = _Tally(_LabelingSpace(bounds))
+    tally = _Tally(_labeling_space(bounds))
     for g in graphs:
         _check_vertex_bound(g, bounds)
     if exp.search is None:
@@ -756,11 +849,12 @@ def _balance_fwd_search(tally: _Tally, g: Graph) -> None:
     tally.constructed_ok += 1
     ends, cycles = _edge_ends(g), fundamental_cycle_masks(g)
     cases = 0
-    for indices in _visit(g, space):
+    found = []
+    for indices in _visit(g, space, orbits=True):
         cases += 1
         if not _balanced(_negative_mask(ends, space.odd, indices), cycles):
-            tally.findings.append((g, indices, (None,)))
-    tally.cases += cases
+            found.append((indices, (None,)))
+    tally.add_orbits(g, cases, 0, found)
 
 
 def _balance_rev_search(tally: _Tally, g: Graph) -> None:
@@ -771,17 +865,13 @@ def _balance_rev_search(tally: _Tally, g: Graph) -> None:
     if is_bipartite(g):
         tally.skipped += 1
         return
-    tally.cases += _count_indices(g, space)
-    for indices in _visit(g, space, balanced=True):
-        tally.findings.append((g, indices, (None,)))
+    found = [(indices, (None,)) for indices in _visit(g, space, balanced=True, orbits=True)]
+    tally.add_orbits(g, _count_indices(g, space, orbits=True), 0, found)
 
 
 def _subdivision_case(slg: SignedLabeledGraph, e: Edge) -> str:
     """Subdivide e of a balanced slg and test the claim: the violation, or ''
-    when it holds, slg is unbalanced or the inherited label collides with a
-    vertex label."""
-    if not is_balanced_fast(slg)[0]:
-        return ""
+    when it holds or the inherited label collides with a vertex label."""
     try:
         outcome = subdivide_edge(slg, e)
     except InjectivityCollision:
@@ -796,9 +886,7 @@ def _subdivision_case(slg: SignedLabeledGraph, e: Edge) -> str:
 
 def _homeomorphism_case(slg: SignedLabeledGraph, v: str) -> str:
     """Replace the eligible vertex v of a balanced slg by an edge and test the
-    claim: the violation, or '' when it holds or slg is unbalanced."""
-    if not is_balanced_fast(slg)[0]:
-        return ""
+    claim: the violation, or '' when it holds."""
     outcome = elementary_transformation(slg, v)
     on_cycle = v in vertices_on_cycles(slg.graph)
     if is_balanced_fast(outcome.result)[0] != on_cycle:
@@ -832,7 +920,8 @@ def _subdivision_search(tally: _Tally, g: Graph) -> None:
     cut = set(cut_edges(g))
     rows = [(pos[u], pos[v], (u, v) not in cut, (u, v)) for u, v in g.edges]
     cases = skipped = 0
-    for indices in _visit(g, space, balanced=True):
+    found = []
+    for indices in _visit(g, space, balanced=True, orbits=True):
         used = 0
         for k in indices:
             used |= 1 << k
@@ -846,9 +935,8 @@ def _subdivision_search(tally: _Tally, g: Graph) -> None:
             if noncut and not delta:
                 failed.append(e)
         if failed:
-            tally.findings.append((g, indices, tuple(failed)))
-    tally.cases += cases
-    tally.skipped += skipped
+            found.append((indices, tuple(failed)))
+    tally.add_orbits(g, cases, skipped, found)
 
 
 def _homeomorphism_search(tally: _Tally, g: Graph) -> None:
@@ -872,7 +960,8 @@ def _homeomorphism_search(tally: _Tally, g: Graph) -> None:
             a, b = g.neighbors(v)
             rows.append((pos[v], pos[a], pos[b], v))
     labelings = 0
-    for indices in _visit(g, space, balanced=True):
+    found = []
+    for indices in _visit(g, space, balanced=True, orbits=True):
         labelings += 1
         failed = []
         for p, a, b, v in rows:
@@ -880,8 +969,8 @@ def _homeomorphism_search(tally: _Tally, g: Graph) -> None:
             if not (odd[x] >> y ^ odd[x] >> z ^ odd[z] >> y) & 1:
                 failed.append(v)
         if failed:
-            tally.findings.append((g, indices, tuple(failed)))
-    tally.cases += labelings * len(eligible)
+            found.append((indices, tuple(failed)))
+    tally.add_orbits(g, labelings * len(eligible), 0, found)
 
 
 def _iasi_search(tally: _Tally, g: Graph) -> None:
@@ -889,23 +978,25 @@ def _iasi_search(tally: _Tally, g: Graph) -> None:
     space = tally.space
     ends = _edge_ends(g)
     cases = 0
-    for indices in _visit(g, space):
+    found = []
+    for indices in _visit(g, space, orbits=True):
         cases += 1
         sums = {space.pair_sum(indices[a], indices[b])[0] for a, b, _ in ends}
         if len(sums) < len(ends):
-            tally.findings.append((g, indices, (None,)))
-    tally.cases += cases
+            found.append((indices, (None,)))
+    tally.add_orbits(g, cases, 0, found)
 
 
 # One record per claim. Its explain is the claim's only object-level check:
 # it runs on every pair of a pair claim, and replays every target of every
-# finding of a member search. The searches read only the index-space tables
-# of _LabelingSpace and the per-graph rows each one builds, and record each
-# finding as set indices: replay alone turns one into a Labeling. The
-# transforms are called only from the case functions. Traced functions
-# (derive, the transforms, is_balanced_fast, cut_edges) are called by name,
-# never stored here, so a wrapper installed on the module later still sees
-# every call.
+# finding of a member search (a transform claim's replay runs its case, the
+# explain less the balance check, at each target of a balanced finding). The
+# searches read only the index-space tables of _LabelingSpace, the per-graph
+# rows each one builds and the automorphism chain, and record each finding
+# as set indices: replay alone turns one into a Labeling. The transforms are
+# called only from the case functions. Traced functions (derive, the
+# transforms, is_balanced_fast, cut_edges) are called by name, never stored
+# here, so a wrapper installed on the module later still sees every call.
 _EXPERIMENTS: dict[TheoremId, _Experiment] = {
     TheoremId.POSITIVE_EDGE: _Experiment(
         explain=_positive_edge_case,
@@ -938,18 +1029,18 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
             f"skipped {tally.skipped} bipartite family member(s) (conclusion holds trivially)",
         ],
     ),
-    TheoremId.SUBDIVISION: _Experiment(
+    TheoremId.SUBDIVISION: _transform_claim(
         search=_subdivision_search,
-        explain=_subdivision_case,
+        case=_subdivision_case,
         notes=lambda tally: [
             "claim: subdividing an edge of a balanced labeled graph preserves balance iff the edge is a cut edge",
             "cases are (balanced labeling, edge) subdivisions; collisions of the inherited label are skipped",
             f"skipped {tally.skipped} subdivision(s) whose inherited label collided with a vertex label",
         ],
     ),
-    TheoremId.HOMEOMORPHISM: _Experiment(
+    TheoremId.HOMEOMORPHISM: _transform_claim(
         search=_homeomorphism_search,
-        explain=_homeomorphism_case,
+        case=_homeomorphism_case,
         notes=lambda tally: [
             "claim: removing a triangle-free degree-2 vertex and joining its neighbors preserves balance iff the vertex lies on no cycle",
             "cases are (balanced labeling, eligible vertex) transformations",
@@ -1059,8 +1150,11 @@ def verify_theorem(
     for g, indices, targets in sorted(tally.findings, key=order):
         lab = _labeling_from_indices(g, tally.space, indices)
         slg = derive(g, lab)
+        explain = experiment.explain
+        if experiment.case is not None and is_balanced_fast(slg)[0]:
+            explain = experiment.case  # balance checked once for every target
         for target in targets:
-            explanation = experiment.explain(slg, target)
+            explanation = explain(slg, target)
             if not explanation:
                 raise AssertionError(f"{tid.value} finding failed to replay at {target!r}")
             counters.append(Counterexample(g, lab, explanation))

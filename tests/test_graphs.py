@@ -19,6 +19,9 @@ from sumsign.families import (
 )
 from sumsign.graphs import (
     Graph,
+    automorphism_chain,
+    automorphism_count,
+    automorphisms,
     bipartition,
     connected_components,
     cut_edges,
@@ -30,6 +33,7 @@ from sumsign.graphs import (
     is_bipartite,
     parse_graph,
     simple_cycles,
+    spanning_forest,
     vertices_on_cycles,
 )
 
@@ -441,6 +445,7 @@ class TestMemo:
         queries = [
             format_graph, graphs_module._forest, fundamental_cycle_masks,
             graphs_module._steps, bipartition, cut_edges, vertices_on_cycles,
+            automorphism_chain,
         ]
         values = [query(g) for query in queries]
         assert len(g._memo) == len(queries)
@@ -471,3 +476,28 @@ class TestCopies:
         assert cut_edges(twin) == cut_edges(g) == ()
         with pytest.raises(AttributeError):
             twin.edges = ()
+
+
+class TestAutomorphisms:
+    def test_the_chain_equals_an_n_factorial_brute_force(self):
+        """On every member of connected:6 (connected:5's among them), the
+        group's size, its listing and each level's orbit and transversal
+        equal those of the n! vertex maps that keep the edges."""
+        for g in connected_graphs(6):
+            pos = {v: i for i, v in enumerate(g.vertices)}
+            edges = set(g.edges)
+            brute = [
+                s for s in permutations(range(g.n))
+                if all(edge_key(g.vertices[s[pos[u]]], g.vertices[s[pos[v]]]) in edges for u, v in g.edges)
+            ]
+            assert automorphism_count(g) == len(brute)
+            listed = automorphisms(g)
+            assert len(listed) == len(set(listed)) and set(listed) == set(brute)
+            chain = automorphism_chain(g)
+            base = [w for w, _ in chain]
+            assert base == [pos[v] for v in spanning_forest(g)[0]]
+            for k, (w, transversal) in enumerate(chain):
+                fixing = [s for s in brute if all(s[b] == b for b in base[:k])]
+                assert [x for x, _ in transversal] == sorted({s[w] for s in fixing})
+                for x, s in transversal:
+                    assert s in fixing and s[w] == x

@@ -8,6 +8,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from itertools import combinations, permutations
 from math import perm
@@ -30,6 +31,7 @@ from sumsign.families import (
 )
 from sumsign.graphs import (
     Graph,
+    automorphism_count,
     cut_edges,
     cycle_masks,
     edge_key,
@@ -37,6 +39,7 @@ from sumsign.graphs import (
     fundamental_cycle_masks,
     in_triangle,
     is_bipartite,
+    spanning_forest,
 )
 from sumsign.intsets import IntegerSet, Sign, sumset
 from sumsign.labeling import Labeling, derive, format_labeling, validate_aiasl
@@ -1009,7 +1012,11 @@ def test_subdivision_records_every_failing_edge(monkeypatch):
             )
             if failing:
                 expected.append((g, indices, failing))
-    assert tally.findings == expected
+
+    def order(finding):
+        return format_graph(finding[0]), finding[1]
+
+    assert sorted(tally.findings, key=order) == sorted(expected, key=order)
     assert len(expected) == 3552
     assert sum(len(targets) > 1 for _, _, targets in expected) == 3208
 
@@ -1060,6 +1067,50 @@ def test_count_and_balanced_modes_equal_the_filtered_walk(family, bounds):
             for indices in every
             if _balanced(_negative_mask(ends, space.odd, indices), cycles)
         }
+
+
+@pytest.mark.parametrize("family, bounds", WALK_CASES, ids=WALK_IDS)
+def test_orbit_walks_yield_the_least_labeling_of_each_orbit(family, bounds):
+    """With ``orbits``, the plain and the balanced walk each yield exactly
+    the least labeling, compared in spanning-forest order, of every orbit of
+    Aut(g) that they would visit, and count |Aut(g)| times fewer."""
+    space = _LabelingSpace(bounds)
+    for g in _graphs(family):
+        relabelings = [source for source, _ in _relabelings(g)]
+        assert automorphism_count(g) == len(relabelings)
+        pos = {v: i for i, v in enumerate(g.vertices)}
+        order = [pos[v] for v in spanning_forest(g)[0]]
+
+        def least(indices):
+            images = (tuple(map(indices.__getitem__, source)) for source in relabelings)
+            return min(images, key=lambda image: [image[i] for i in order])
+
+        for balanced in (False, True):
+            every = list(_visit(g, space, balanced))
+            least_ones = list(_visit(g, space, balanced, orbits=True))
+            assert len(set(least_ones)) == len(least_ones)
+            assert set(least_ones) == {least(indices) for indices in every}
+            assert len(least_ones) * len(relabelings) == len(every)
+        assert _count_indices(g, space, orbits=True) * len(relabelings) == _count_indices(g, space)
+
+
+@pytest.mark.parametrize(
+    "tid, family, bounds",
+    [
+        (TheoremId.SUBDIVISION, "complete:10", SearchBounds(3, 2)),
+        (TheoremId.SUBDIVISION, "complete:12", SearchBounds(3, 2)),
+        (TheoremId.BALANCE_BIPARTITE_FWD, "bipartite:12", SearchBounds(2, 2)),
+    ],
+    ids=["subdivision-complete:10", "subdivision-complete:12", "fwd-bipartite:12"],
+)
+def test_a_large_automorphism_group_is_not_listed(tid, family, bounds):
+    """The orbit walk reads |Aut(g)| from the stabilizer chain, and lists
+    the group only to expand a finding. complete:12 has 12! automorphisms
+    and star:12 11!, so these runs, which the unreduced search finished in
+    0.36 s at most, would not finish if the group were listed up front."""
+    start = time.perf_counter()
+    verify_theorem(tid, family, bounds).to_text()
+    assert time.perf_counter() - start < 3
 
 
 def test_replay_refuses_a_finding_at_the_wrong_target(monkeypatch):
@@ -1156,7 +1207,7 @@ def test_a_walk_that_ignores_balanced_does_not_pass(monkeypatch):
 
     visit = verify_module._visit
     monkeypatch.setattr(
-        verify_module, "_visit", lambda g, space, balanced=False: visit(g, space)
+        verify_module, "_visit", lambda g, space, balanced=False, orbits=False: visit(g, space)
     )
     bounds = SearchBounds(2, 2)
     for tid in (TheoremId.BALANCE_BIPARTITE_REV, TheoremId.HOMEOMORPHISM):
