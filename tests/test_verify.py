@@ -52,6 +52,7 @@ from sumsign.verify import (
     _K2,
     _K2_EDGE,
     _labeling_from_indices,
+    _labeling_space,
     _LabelingSpace,
     _negative_mask,
     _progressions,
@@ -1258,11 +1259,24 @@ def test_pair_sum_memo_matches_sumset():
 def test_pair_sum_memo_is_filled_only_when_read():
     bounds = SearchBounds(8, 3)
     assert _LabelingSpace(bounds)._sums == {}
+    _labeling_space.cache_clear()  # runs at one bounds share one space
     tally = _run(_EXPERIMENTS[TheoremId.BALANCE_BIPARTITE_REV], [cycle_graph(3)], bounds)
     assert tally.findings  # the run enumerated labelings
     assert tally.space._sums == {} and "_ids" not in vars(tally.space)
     tally = _run(_EXPERIMENTS[TheoremId.SUBDIVISION], [cycle_graph(3)], bounds)
     assert tally.space._sums
+
+
+def test_runs_at_the_same_bounds_share_one_space():
+    """Consecutive runs at the same bounds build their space once, and share
+    its tables and its pair_sum memo; a run at other bounds replaces it, so
+    a caller holds the last run's space alone."""
+    rev = _EXPERIMENTS[TheoremId.BALANCE_BIPARTITE_REV]
+    first = _run(rev, [cycle_graph(3)], SearchBounds(3, 2)).space
+    subdivision = _EXPERIMENTS[TheoremId.SUBDIVISION]
+    assert _run(subdivision, [cycle_graph(3)], SearchBounds(3, 2)).space is first
+    assert _run(rev, [cycle_graph(3)], SearchBounds(2, 2)).space is not first
+    assert _run(rev, [cycle_graph(3)], SearchBounds(3, 2)).space is not first
 
 
 # ---------------------------------------------------------------------------
@@ -1387,3 +1401,4 @@ class TestSweepSignPatterns:
     def test_pattern_that_is_no_int_is_refused(self, pattern):
         with pytest.raises(ParseError, match="sign pattern must be an int"):
             signed_graph_from_pattern(cycle_graph(3), pattern)
+
