@@ -37,7 +37,7 @@ from .graphs import (
     cycle_masks,
     spanning_forest,
 )
-from .intsets import Sign
+from .intsets import _SIGN_OF_PARITY, Sign
 
 
 class SignedGraphLike(Protocol):
@@ -67,10 +67,6 @@ class SignedGraph:
 
 def negative_edges(s: SignedGraphLike) -> tuple[Edge, ...]:
     return tuple(e for e in s.graph.edges if s.signs[e] is Sign.NEGATIVE)
-
-
-# The sign of a cycle whose negative count has parity i: (-1)**i.
-_SIGN_OF_PARITY = (Sign.POSITIVE, Sign.NEGATIVE)
 
 
 class CycleSignSummary(NamedTuple):
@@ -123,10 +119,13 @@ def is_balanced_fast(
 def _negative_edge_mask(s: SignedGraphLike) -> int:
     """The mask of s's negative edges: bit i for ``s.graph.edges[i]``."""
     signs = s.signs
+    negative = Sign.NEGATIVE
     neg = 0
-    for i, e in enumerate(s.graph.edges):
-        if signs[e] is Sign.NEGATIVE:
-            neg |= 1 << i
+    bit = 1
+    for e in s.graph.edges:
+        if signs[e] is negative:
+            neg |= bit
+        bit <<= 1
     return neg
 
 

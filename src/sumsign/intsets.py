@@ -48,6 +48,10 @@ def sign_of_size(n: int) -> Sign:
     return Sign.POSITIVE if n % 2 == 0 else Sign.NEGATIVE
 
 
+# The sign of a size of parity i, for readers that index it by ``n & 1``.
+_SIGN_OF_PARITY = (sign_of_size(0), sign_of_size(1))
+
+
 class IntegerSet:
     """Immutable, sorted, duplicate-free set of non-negative integers.
 

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .graphs import _VERTEX_ID, Edge, Graph, check_vertex_id, edge_key
 from .intsets import (
+    _SIGN_OF_PARITY,
     ApProfile,
     IntegerSet,
     Sign,
@@ -35,7 +36,6 @@ from .intsets import (
     ap_profile,
     parse_digits,
     parse_set_literal,
-    sign_of_size,
     sumset,
 )
 
@@ -157,9 +157,8 @@ def parse_labeling(text: str) -> Labeling:
 
 
 def format_labeling(lab: Labeling) -> str:
-    lines = [f"universe_max = {lab.universe_max}"]
-    lines.extend(f"{v}: {s.to_text()}" for v, s in lab.items())
-    return "\n".join(lines) + "\n"
+    lines = [f"{v}: {s.to_text()}\n" for v, s in lab._assignment.items()]
+    return f"universe_max = {lab.universe_max}\n" + "".join(lines)
 
 
 @dataclass(frozen=True)
@@ -189,6 +188,9 @@ def derive(g: Graph, f: Labeling, strict: bool = False) -> SignedLabeledGraph:
     ``g.vertices`` order, that is missing, repeats an earlier set or (strict)
     escapes the universe; then for labeled vertices not in g; then for the
     first edge whose label escapes.
+
+    It calls ``sumset`` by its module-level name once per edge, so that a
+    tracer which rebinds the name sees every call and times it apart.
     """
     check_flag("strict", strict)
     assignment = f._assignment
@@ -208,22 +210,23 @@ def derive(g: Graph, f: Labeling, strict: bool = False) -> SignedLabeledGraph:
             raise UniverseViolation(
                 f"label {label.to_text()} of vertex {v!r} escapes universe_max={universe_max}"
             )
-    # Every vertex of g is labeled, so any further key is an extra vertex.
-    if len(assignment) != g.n:
+    # seen holds one entry per vertex of g, so any further key is an extra vertex.
+    if len(assignment) != len(seen):
         extra = sorted(set(assignment) - set(g.vertices))
         raise UnknownVertex(f"labeled vertices not in the graph: {', '.join(extra)}")
+    sign_of_parity = _SIGN_OF_PARITY
     edge_labels: dict[Edge, IntegerSet] = {}
     signs: dict[Edge, Sign] = {}
     for e in g.edges:
-        u, v = e
-        label = sumset(assignment[u], assignment[v])
+        label = sumset(assignment[e[0]], assignment[e[1]])
         elements = label.elements
         if strict and elements[-1] > universe_max:
+            u, v = e
             raise UniverseViolation(
                 f"edge label {label.to_text()} of ({u}, {v}) escapes universe_max={universe_max}"
             )
         edge_labels[e] = label
-        signs[e] = sign_of_size(len(elements))
+        signs[e] = sign_of_parity[len(elements) & 1]
     return SignedLabeledGraph(g, f, MappingProxyType(edge_labels), MappingProxyType(signs))
 
 

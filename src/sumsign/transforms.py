@@ -86,30 +86,23 @@ def _rebuild(
     ``_plan``, so equal changes to one graph share it.
     """
     added_edges = tuple(new_edges)
+    w, label, source = (None, None, None) if new_vertex is None else new_vertex
     graph, removed_edges, kept_edges, kept_vertices = _plan(
-        s.graph,
-        drop_vertex,
-        tuple(drop_edges),
-        None if new_vertex is None else new_vertex[0],
-        added_edges,
+        s.graph, drop_vertex, tuple(drop_edges), w, added_edges
     )
-    assignment = {x: s.labeling.get(x) for x in kept_vertices}
-    notes = [(x, "carried") for x in kept_vertices]
-    added_vertices: tuple[str, ...] = ()
-    if new_vertex is not None:
-        w, label, source = new_vertex
-        assignment[w] = label
-        notes.append((w, source))
-        added_vertices = (w,)
+    carried = s.labeling._assignment
     # Graph has checked every id, so the labeling is built from checked parts.
-    labels = {x: assignment[x] for x in graph.vertices}
+    labels = {x: label if x == w else carried[x] for x in graph.vertices}
     result = derive(graph, Labeling._from_checked(s.labeling.universe_max, labels))
     # Induced = carried: identical labels give identical sumsets and signs.
     assert all(result.signs[e] == s.signs[e] for e in kept_edges)
+    notes = [(x, "carried") for x in kept_vertices]
+    if w is not None:
+        notes.append((w, source))
     notes.extend((f"{u} {v}", "sumset of endpoints") for u, v in added_edges)
     return TransformOutcome(
         result=result,
-        added_vertices=added_vertices,
+        added_vertices=() if w is None else (w,),
         removed_vertices=() if drop_vertex is None else (drop_vertex,),
         added_edges=added_edges,
         removed_edges=removed_edges,

@@ -443,9 +443,9 @@ def _labeling_from_indices(
     """The labeling of one set-index tuple, built from checked parts: the
     ids are the graph's sorted vertices, the sets the space's candidates and
     universe_max the bounds'."""
+    sets = space.sets
     return Labeling._from_checked(
-        space.bounds.universe_max,
-        dict(zip(g.vertices, map(space.sets.__getitem__, indices))),
+        space.bounds.universe_max, {v: sets[i] for v, i in zip(g.vertices, indices)}
     )
 
 
@@ -1146,18 +1146,19 @@ def verify_theorem(
             raise ParseError(f"graph family {family_spec} is empty")
     tally = _run(experiment, graphs, bounds)
     order = _finding_order(tally.space, graphs if experiment.search else (_K2,))
+    space, explain_any, case = tally.space, experiment.explain, experiment.case
     counters = []
+    append = counters.append
     for g, indices, targets in sorted(tally.findings, key=order):
-        lab = _labeling_from_indices(g, tally.space, indices)
+        lab = _labeling_from_indices(g, space, indices)
         slg = derive(g, lab)
-        explain = experiment.explain
-        if experiment.case is not None and is_balanced_fast(slg)[0]:
-            explain = experiment.case  # balance checked once for every target
+        # A transform claim checks balance once for every target.
+        explain = case if case is not None and is_balanced_fast(slg)[0] else explain_any
         for target in targets:
             explanation = explain(slg, target)
             if not explanation:
                 raise AssertionError(f"{tid.value} finding failed to replay at {target!r}")
-            counters.append(Counterexample(g, lab, explanation))
+            append(Counterexample(g, lab, explanation))
     return VerificationReport(
         theorem_id=tid,
         family_spec=family_spec,

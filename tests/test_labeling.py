@@ -17,6 +17,7 @@ from sumsign.errors import (
     UnknownEdge,
     UnknownVertex,
 )
+from sumsign.families import resolve_family
 from sumsign.graphs import Graph, parse_graph
 from sumsign.intsets import IntegerSet, Sign, ap_profile
 from sumsign.labeling import (
@@ -31,6 +32,7 @@ from sumsign.labeling import (
     validate_iasi,
 )
 from sumsign.transforms import subdivide_edge
+from sumsign.verify import SearchBounds, enumerate_aiasl
 
 K2 = Graph(["u", "v"], [("u", "v")])
 TRIANGLE = Graph(["u", "v", "w"], [("u", "v"), ("u", "w"), ("v", "w")])
@@ -135,6 +137,40 @@ class TestDerive:
         with pytest.raises(ParseError) as exc:
             derive(K2, lab(2, u=[0, 1], v=[1, 2]), strict=strict)
         assert str(exc.value) == f"strict must be a bool, not {strict!r}"
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_every_enumerated_labeling_equals_a_literal_recomputation(self, strict):
+        """derive and format_labeling against their definitions written out,
+        on every labeling of connected:4 at (3,2): each edge label is the set
+        of pairwise sums, each sign (-1) ** |label|, and the text the
+        header and one line per vertex joined by newlines. Strict, a
+        labeling with an escaping edge label raises for the first one."""
+        sign_of = {1: Sign.POSITIVE, -1: Sign.NEGATIVE}
+        derived = 0
+        for g in resolve_family("connected:4"):
+            for f in enumerate_aiasl(g, SearchBounds(3, 2)):
+                lines = [f"universe_max = {f.universe_max}"]
+                lines.extend(f"{v}: {s.to_text()}" for v, s in f.items())
+                assert format_labeling(f) == "\n".join(lines) + "\n"
+                literal = {
+                    (u, v): IntegerSet({x + y for x in f.get(u) for y in f.get(v)})
+                    for u, v in g.edges
+                }
+                escaping = [e for e in g.edges if max(literal[e]) > f.universe_max]
+                if strict and escaping:
+                    (u, v) = e = escaping[0]
+                    with pytest.raises(UniverseViolation) as exc:
+                        derive(g, f, strict=True)
+                    assert str(exc.value) == (
+                        f"edge label {literal[e].to_text()} of ({u}, {v}) "
+                        f"escapes universe_max={f.universe_max}"
+                    )
+                    continue
+                slg = derive(g, f, strict=strict)
+                assert dict(slg.edge_labels) == literal
+                assert dict(slg.signs) == {e: sign_of[(-1) ** len(literal[e])] for e in g.edges}
+                derived += 1
+        assert derived == (1_690 if strict else 21_730)
 
     def test_deterministic(self):
         a = derive(TRIANGLE, lab(8, u=[0, 1], v=[0, 2], w=[0, 2, 4]))

@@ -191,8 +191,8 @@ MUTANTS = [
     Mutant(
         "replay-keeps-ids-in-reverse-order",
         "verify.py",
-        "dict(zip(g.vertices, map(space.sets.__getitem__, indices)))",
-        "dict(reversed(list(zip(g.vertices, map(space.sets.__getitem__, indices)))))",
+        "{v: sets[i] for v, i in zip(g.vertices, indices)}",
+        "dict(reversed([(v, sets[i]) for v, i in zip(g.vertices, indices)]))",
         "tests/test_verify.py::test_replayed_labelings_equal_the_public_construction",
     ),
     Mutant(
@@ -225,11 +225,61 @@ MUTANTS = [
     Mutant(
         "derive-without-the-extra-vertex-check",
         "labeling.py",
-        "    if len(assignment) != g.n:\n"
+        "    if len(assignment) != len(seen):\n"
         "        extra = sorted(set(assignment) - set(g.vertices))\n"
         "        raise UnknownVertex(f\"labeled vertices not in the graph: {', '.join(extra)}\")\n",
         "",
         "tests/test_labeling.py::TestDerive::test_error_texts[extra-vertex]",
+    ),
+    Mutant(
+        "derive-sign-table-reversed",
+        "intsets.py",
+        "_SIGN_OF_PARITY = (sign_of_size(0), sign_of_size(1))",
+        "_SIGN_OF_PARITY = (sign_of_size(1), sign_of_size(0))",
+        "tests/test_labeling.py::TestDerive::test_every_enumerated_labeling_equals_a_literal_recomputation[lenient]",
+    ),
+    Mutant(
+        "negative-mask-bit-never-shifted",
+        "balance.py",
+        "            neg |= bit\n        bit <<= 1\n",
+        "            neg |= bit\n",
+        "tests/test_balance.py::TestBalanceExamples::test_c4_two_negatives",
+    ),
+    Mutant(
+        "labeling-text-loses-its-last-newline",
+        "labeling.py",
+        'return f"universe_max = {lab.universe_max}\\n" + "".join(lines)',
+        'return f"universe_max = {lab.universe_max}\\n" + "".join(lines)[:-1]',
+        "tests/test_labeling.py::TestDerive::test_every_enumerated_labeling_equals_a_literal_recomputation[lenient]",
+    ),
+    Mutant(
+        "set-text-kept-per-length",
+        "intsets.py",
+        "        text = self._text\n"
+        "        if text is None:\n"
+        "            text = \"{\" + \",\".join(map(str, self.elements)) + \"}\"\n"
+        "            object.__setattr__(self, \"_text\", text)\n",
+        "        kept = IntegerSet.to_text.__dict__\n"
+        "        text = kept.get(len(self.elements))\n"
+        "        if text is None:\n"
+        "            text = kept[len(self.elements)] = \"{\" + \",\".join(map(str, self.elements)) + \"}\"\n",
+        "tests/test_intsets.py::TestMemos::test_every_candidate_text_equals_an_uncached_rendering",
+    ),
+    Mutant(
+        "set-pickle-carries-the-text",
+        "intsets.py",
+        "        return IntegerSet, (self.elements,)\n",
+        "        return IntegerSet, (self.elements,), self._text\n\n"
+        "    def __setstate__(self, text):\n"
+        "        object.__setattr__(self, \"_text\", text)\n",
+        "tests/test_intsets.py::TestMemos::test_a_set_with_its_text_kept_copies_and_compares_as_before[pickle]",
+    ),
+    Mutant(
+        "replay-takes-max-label-size-as-universe-max",
+        "verify.py",
+        "space.bounds.universe_max, {v: sets[i]",
+        "space.bounds.max_label_size, {v: sets[i]",
+        "tests/test_verify.py::test_replayed_labelings_equal_the_public_construction",
     ),
     Mutant(
         "homeomorphism-counts-the-cycle-vertices-alone",
