@@ -158,7 +158,7 @@ class TestDerive:
                 }
                 escaping = [e for e in g.edges if max(literal[e]) > f.universe_max]
                 if strict and escaping:
-                    (u, v) = e = escaping[0]
+                    u, v = e = escaping[0]
                     with pytest.raises(UniverseViolation) as exc:
                         derive(g, f, strict=True)
                     assert str(exc.value) == (
