@@ -1,12 +1,12 @@
-"""Exhaustive desk-scale labeling enumeration and claim verification.
+"""Claim verification, labeling enumeration and the sign-pattern sweep.
 
 Each claim about sumset-signed graphs is one record of ``_EXPERIMENTS``: an
 explain function, the claim's one object-level check, run on every
-admissible label pair when the record has no search; else a search over
-every family member within finite bounds, which picks its own labeling walk
-and skips; and the report notes. One runner drives them all.
-The report either confirms the claim within bounds or lists every
-counterexample, smallest first, each replayed through the public pipeline.
+admissible label pair when the record has no search; else a member search
+from ``search`` over every family member within finite bounds; and the
+report notes. One runner drives them all. The report either confirms the
+claim within bounds or lists every counterexample, smallest first, each
+replayed here through the public pipeline.
 
 ``sweep_sign_patterns`` checks the two balance definitions against each
 other on every sign pattern of a graph, with one bit plane per edge held as
@@ -17,9 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
-from itertools import islice
-from operator import getitem
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .balance import SignedGraph, is_balanced_fast
@@ -30,24 +27,18 @@ from .errors import (
     ParseError,
     UnknownTheorem,
     check_count,
-    check_flag,
 )
 from .families import parse_family, resolve_family
 from .graphs import (
     Edge,
     Graph,
-    automorphism_chain,
     automorphism_count,
-    automorphisms,
     bipartition,
     cut_edges,
     cycle_masks,
-    edge_key,
     format_graph,
     fundamental_cycle_masks,
-    in_triangle,
     is_bipartite,
-    spanning_forest,
     vertices_on_cycles,
 )
 from .intsets import (
@@ -65,47 +56,21 @@ from .labeling import (
     iasi_collisions,
     predicted_sign,
 )
+from .search import (
+    SearchBounds,
+    _balance_fwd_search,
+    _balance_rev_search,
+    _count_indices,
+    _finding_order,
+    _homeomorphism_search,
+    _iasi_search,
+    _labeling_space,
+    _LabelingSpace,
+    _subdivision_search,
+    _Tally,
+    _visit,
+)
 from .transforms import elementary_transformation, subdivide_edge
-
-
-@dataclass(frozen=True)
-class SearchBounds:
-    """Finite limits for the labeling search space.
-
-    Labels are arithmetic progressions inside {0..universe_max} with at most
-    max_label_size elements. With require_strict_universe, edge labels must
-    stay inside the universe as well. odd_ratios_only restricts the space to
-    labelings whose every edge has an odd deterministic ratio. The three
-    counts must be ints and the two flags bools: anything else raises
-    ParseError, as an out-of-range count does.
-    """
-
-    universe_max: int
-    max_label_size: int
-    max_vertices: int = 12
-    require_strict_universe: bool = False
-    odd_ratios_only: bool = False
-
-    def __post_init__(self):
-        for name in ("universe_max", "max_label_size", "max_vertices"):
-            check_count(name, getattr(self, name))
-        for name in ("require_strict_universe", "odd_ratios_only"):
-            check_flag(name, getattr(self, name))
-        if self.universe_max < 0:
-            raise ParseError("universe_max must be non-negative")
-        if self.max_label_size < 1:
-            raise ParseError("max_label_size must be positive")
-        if self.max_vertices < 1:
-            raise ParseError("max_vertices must be positive")
-
-    def describe(self) -> str:
-        return (
-            f"universe_max={self.universe_max} "
-            f"max_label_size={self.max_label_size} "
-            f"max_vertices={self.max_vertices} "
-            f"strict_universe={'true' if self.require_strict_universe else 'false'} "
-            f"odd_ratios_only={'true' if self.odd_ratios_only else 'false'}"
-        )
 
 
 class TheoremId(str, Enum):
@@ -184,252 +149,6 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# The labeling search space
-# ---------------------------------------------------------------------------
-
-def _progressions(universe_max: int, max_size: int) -> Iterator[IntegerSet]:
-    """The progression-valued subsets of {0..universe_max} up to max_size,
-    generated in canonical order: by length, then first element, then
-    difference, which is the order of (size, elements). Singletons come
-    first, so searches visit small label masses early."""
-    for first in range(universe_max + 1):
-        yield IntegerSet([first])
-    for length in range(2, min(max_size, universe_max + 1) + 1):
-        for first in range(universe_max + 1):
-            for diff in range(1, (universe_max - first) // (length - 1) + 1):
-                yield IntegerSet(range(first, first + length * diff, diff))
-
-
-# Most candidate sets one search space may hold; its build checks every
-# pair, so its time grows as the square of this count.
-_MAX_CANDIDATE_SETS = 2000
-# Search spaces kept for reuse: runs at the bounds of the last one (one run
-# per family member, say) share its tables and its warm pair_sum memo.
-_LABELING_SPACES = 1
-
-
-class _LabelingSpace:
-    """Per-bounds tables: candidate sets and two S-bit rows.
-
-    ``__init__`` fills the rows in one pass over the pairs i < j:
-    ``compat[i]``, a bitmask of the j allowed next to set i (admitted by
-    intsets.ap_pair, and within the bounds' odd-ratio and strict-universe
-    rules); ``odd[i]``, a bitmask of the j with |set_i + set_j| odd, i.e. a
-    negative edge. The parity is brute force, not intsets.sumset, so the
-    search stays independent of the object-level replay. The pass checks
-    S^2/2 pairs, so S is capped at _MAX_CANDIDATE_SETS.
-
-    ``pair_sum`` memoizes what the transform and injectivity searches need
-    of the sumset of one pair: one integer id per distinct sumset and its
-    subdivision parity, no elements. A candidate set's id is its index in
-    ``sets``; any other sumset gets a fresh id past them, so an id is in a
-    labeling's used-set mask only when the sumset labels a vertex. The memo
-    and the id table are filled on first read only: an eager fill would
-    hold an entry per allowed pair, several times the rows' memory at the
-    cap, for experiments that never read it.
-    """
-
-    def __init__(self, bounds: SearchBounds):
-        sets = _progressions(bounds.universe_max, bounds.max_label_size)
-        self.sets = tuple(islice(sets, _MAX_CANDIDATE_SETS + 1))
-        if len(self.sets) > _MAX_CANDIDATE_SETS:
-            raise BoundExceeded(
-                f"search space limited to {_MAX_CANDIDATE_SETS} candidate label sets, "
-                f"universe_max={bounds.universe_max} "
-                f"max_label_size={bounds.max_label_size} gives more"
-            )
-        self.bounds = bounds
-        profiles = [ap_profile(s) for s in self.sets]
-        assert None not in profiles
-        n = len(self.sets)
-        self.compat = [0] * n
-        self.odd = [0] * n
-        for i in range(n):
-            a = self.sets[i].elements
-            for j in range(i + 1, n):
-                b = self.sets[j].elements
-                if len({x + y for x in a for y in b}) & 1:
-                    self.odd[i] |= 1 << j
-                    self.odd[j] |= 1 << i
-                k = ap_pair(profiles[i], profiles[j])[2]
-                if k is None or (bounds.odd_ratios_only and k % 2 == 0):
-                    continue
-                if bounds.require_strict_universe and a[-1] + b[-1] > bounds.universe_max:
-                    continue
-                self.compat[i] |= 1 << j
-                self.compat[j] |= 1 << i
-        self._sums: dict[tuple[int, int], tuple[int, int]] = {}
-
-    @cached_property
-    def _ids(self) -> dict[tuple[int, ...], int]:
-        return {s.elements: i for i, s in enumerate(self.sets)}
-
-    def pair_sum(self, i: int, j: int) -> tuple[int, int]:
-        """(the id of C = set_i + set_j; the subdivision parity
-        |C| + |set_i + C| + |C + set_j| mod 2)."""
-        if i > j:
-            i, j = j, i
-        entry = self._sums.get((i, j))
-        if entry is None:
-            a, b = self.sets[i].elements, self.sets[j].elements
-            c = tuple(sorted({x + y for x in a for y in b}))
-            delta = (
-                len(c)
-                + len({x + z for x in a for z in c})
-                + len({z + y for z in c for y in b})
-            ) & 1
-            ids = self._ids
-            entry = self._sums[i, j] = (ids.setdefault(c, len(ids)), delta)
-        return entry
-
-
-@lru_cache(maxsize=_LABELING_SPACES)
-def _labeling_space(bounds: SearchBounds) -> _LabelingSpace:
-    """The search space of bounds, built once while they are the last ones
-    asked for."""
-    return _LabelingSpace(bounds)
-
-
-def _walk(
-    g: Graph, space: _LabelingSpace, balanced: bool = False, orbits: bool = False
-) -> tuple[list[int], int, Iterator[int]]:
-    """The odometer every labeling walk shares: ``(assign, last, masks)``.
-
-    ``assign`` holds one set index per vertex, in ``g.vertices`` order. The
-    generator ``masks`` assigns every vertex but the one at position
-    ``last``, injectively and with each candidate set in canonical order,
-    and yields once per such prefix, with the prefix in ``assign``: the
-    bitmask of the sets the last vertex may take. The caller expands or
-    counts that mask, so the last level costs no stack step.
-
-    Each vertex is cut by its earlier neighbours' ``compat`` rows. The plain
-    walk assigns vertices in sorted order. The balanced walk assigns them in
-    ``spanning_forest`` order and keeps a potential s per vertex: s = 0 at
-    a root, and s(i) = s(p0) xor p(p0, i) below its forest parent p0, where
-    p is the negative-edge parity. Each other earlier neighbour q must then
-    close an even cycle, p(q, i) = s(q) xor s(i), so it cuts the candidates
-    to ``x`` or ``~x``, x = odd[a_q] ^ odd[a_p0].
-    A signed graph is balanced iff such potentials exist (Harary 1953), and
-    they are unique once the roots are fixed, so the balanced walk reaches
-    each balanced labeling once and no other. g must have a vertex.
-
-    With ``orbits``, either walk assigns vertices in ``spanning_forest``
-    order w_0, w_1, … and reaches only the least labeling of each orbit of
-    Aut(g), comparing labelings as sequences in that order. Aut(g) acts on
-    labelings by f -> f∘s, and freely, since every labeling is injective; the
-    walks' admissibility and balance are invariant under it, so every orbit
-    the plain or balanced walk meets holds |Aut(g)| of its labelings. For
-    s ≠ id, let k be the first position with s(w_k) ≠ w_k: f and f∘s first
-    differ there, so f is the least iff f(w_k) < f(x) for each x ≠ w_k in
-    the orbit of w_k under the automorphisms that fix w_0 … w_{k-1}, which
-    is level k of ``automorphism_chain``. Each such pair is one mask AND at
-    x's level, keeping the sets above w_k's.
-    """
-    verts = g.vertices
-    n = len(verts)
-    pos = {v: i for i, v in enumerate(verts)}
-    order, parent = spanning_forest(g) if balanced or orbits else (verts, {})
-    rank = {v: r for r, v in enumerate(order)}
-    # Per vertex position, the earlier vertices whose sets its set must lie
-    # above.
-    above: list[list[int]] = [[] for _ in range(n)]
-    if orbits:
-        for w, transversal in automorphism_chain(g):
-            for x, _ in transversal:
-                if x != w:
-                    above[x].append(w)
-    # Per level: the vertex position, the earlier neighbours whose compat
-    # rows cut it, its forest parent (-1 for a root or in the plain walk),
-    # the other earlier neighbours whose potentials cut it, and the earlier
-    # vertices whose sets it must lie above.
-    levels = []
-    for v in order:
-        before = [pos[w] for w in g.neighbors(v) if rank[w] < rank[v]]
-        p0 = pos[parent[v]] if balanced and parent[v] is not None else -1
-        others = [q for q in before if q != p0] if balanced else []
-        levels.append((pos[v], before, p0, others, above[pos[v]]))
-    compat, odd = space.compat, space.odd
-    full = (1 << len(space.sets)) - 1
-    assign = [0] * n
-    potential = [0] * n
-
-    def candidates(level: int, used: int) -> int:
-        _, before, p0, others, above = levels[level]
-        allowed = full & ~used
-        for q in before:
-            allowed &= compat[assign[q]]
-        for q in above:
-            allowed &= -(2 << assign[q])
-        if others:
-            odd0, s0 = odd[assign[p0]], potential[p0]
-            for q in others:
-                x = odd[assign[q]] ^ odd0
-                allowed &= x if potential[q] != s0 else ~x
-        return allowed
-
-    def masks() -> Iterator[int]:
-        last = n - 1
-        if last == 0:
-            yield candidates(0, 0)
-            return
-        # rem[i]: the sets level i has still to try; used[i]: the sets the
-        # levels before i hold.
-        rem = [candidates(0, 0)] + [0] * (last - 1)
-        used = [0] * last
-        i = 0
-        while i >= 0:
-            m = rem[i]
-            if not m:
-                i -= 1
-                continue
-            low = m & -m
-            rem[i] = m ^ low
-            j = low.bit_length() - 1
-            v, _, p0, _, _ = levels[i]
-            assign[v] = j
-            if p0 >= 0:
-                potential[v] = potential[p0] ^ (odd[assign[p0]] >> j & 1)
-            if i + 1 == last:
-                yield candidates(last, used[i] | low)
-            else:
-                used[i + 1] = used[i] | low
-                i += 1
-                rem[i] = candidates(i, used[i])
-
-    return assign, levels[-1][0], masks()
-
-
-def _visit(
-    g: Graph, space: _LabelingSpace, balanced: bool = False, orbits: bool = False
-) -> Iterator[tuple[int, ...]]:
-    """All injective admissible assignments, as set-index tuples in
-    ``g.vertices`` order, expanded from the masks of ``_walk``: in
-    lexicographic order, vertices sorted and candidate sets in canonical
-    order. With ``balanced``, only those whose signed graph is balanced, each
-    once, in the balanced walk's order. With ``orbits``, only the least of
-    each orbit of Aut(g) (see ``_walk``). The empty graph has one labeling,
-    the empty one."""
-    if not g.vertices:
-        yield ()
-        return
-    assign, last, masks = _walk(g, space, balanced, orbits)
-    for allowed in masks:
-        while allowed:
-            low = allowed & -allowed
-            assign[last] = low.bit_length() - 1
-            yield tuple(assign)
-            allowed ^= low
-
-
-def _count_indices(g: Graph, space: _LabelingSpace, orbits: bool = False) -> int:
-    """len(list(_visit(g, space, orbits=orbits))), adding up the last
-    vertex's candidate masks instead of visiting each set."""
-    if not g.vertices:
-        return 1
-    return sum(allowed.bit_count() for allowed in _walk(g, space, orbits=orbits)[2])
-
-
 def _check_vertex_bound(g: Graph, b: SearchBounds) -> None:
     if g.n > b.max_vertices:
         raise BoundExceeded(
@@ -462,9 +181,9 @@ def enumerate_aiasl(g: Graph, b: SearchBounds) -> Iterator[Labeling]:
 
 
 def count_aiasl(g: Graph, b: SearchBounds) -> int:
-    """How many labelings ``enumerate_aiasl`` yields, counted without them."""
+    """How many labelings ``enumerate_aiasl`` yields: one per orbit, times |Aut(g)|."""
     _check_vertex_bound(g, b)
-    return _count_indices(g, _labeling_space(b))
+    return _count_indices(g, _labeling_space(b)) * automorphism_count(g)
 
 
 # ---------------------------------------------------------------------------
@@ -654,78 +373,6 @@ def sweep_sign_patterns(g: Graph) -> PatternSweep:
 # Theorem experiments
 # ---------------------------------------------------------------------------
 
-def _edge_ends(g: Graph) -> list[tuple[int, int, int]]:
-    """(end position, end position, edge bit) per edge, positions in ``g.vertices``."""
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    return [(pos[u], pos[v], 1 << e) for e, (u, v) in enumerate(g.edges)]
-
-
-def _negative_mask(ends: list[tuple[int, int, int]], odd: list[int], indices) -> int:
-    """The edge bits of ``ends`` whose pair of sets has an odd sumset."""
-    mask = 0
-    for a, b, bit in ends:
-        if odd[indices[a]] >> indices[b] & 1:
-            mask |= bit
-    return mask
-
-
-def _balanced(neg_mask: int, cycles: list[int]) -> bool:
-    """Even negative count on every fundamental cycle, hence on every cycle."""
-    return all((neg_mask & c).bit_count() % 2 == 0 for c in cycles)
-
-
-class _Tally:
-    """What one experiment run counted and where its claim failed.
-
-    A finding is ``(graph, indices, targets)``: one per failing labeling,
-    given by its set indices into ``space.sets`` in ``graph.vertices``
-    order, with a tuple of every target where it fails, in the order the
-    search checked them. Only replay builds its ``Labeling``.
-    """
-
-    def __init__(self, space: _LabelingSpace):
-        self.space = space
-        self.cases = 0
-        self.skipped = 0
-        self.constructed_ok = 0
-        self.findings: list[tuple[Graph, tuple[int, ...], tuple]] = []
-
-    def add_orbits(
-        self, g: Graph, cases: int, skipped: int, findings: list[tuple[tuple[int, ...], tuple]]
-    ) -> None:
-        """Add what a search counted and found on the orbit walk of g, one
-        labeling per orbit of Aut(g): each count |Aut(g)| times, and each
-        finding ``(indices, targets)`` as its |Aut(g)| images. The image
-        under an automorphism s puts the set of each vertex v on s(v), and
-        fails at the images of the targets, put back in search order: edge
-        order or vertex order, both sorted. The group is listed only here,
-        and only when there is a finding."""
-        order = automorphism_count(g)
-        self.cases += cases * order
-        self.skipped += skipped * order
-        if not findings:
-            return
-        names = g.vertices
-        images = []
-        for s in automorphisms(g):
-            source = [0] * g.n
-            for i, x in enumerate(s):
-                source[x] = i
-            image = {None: None}
-            for i, v in enumerate(names):
-                image[v] = names[s[i]]
-            for u, v in g.edges:
-                image[u, v] = edge_key(image[u], image[v])
-            images.append((source, image))
-        for indices, targets in findings:
-            for source, image in images:
-                self.findings.append((
-                    g,
-                    tuple(map(indices.__getitem__, source)),
-                    tuple(sorted(map(image.__getitem__, targets))),
-                ))
-
-
 @dataclass(frozen=True)
 class _Experiment:
     """How one claim is checked.
@@ -735,9 +382,9 @@ class _Experiment:
     violation text, or '' where the claim holds or does not apply.
     A pair claim has no ``search``: its explain runs on every admissible
     label pair i < j on K2, each pair one case. Otherwise ``search(tally,
-    g)`` runs once per family member; it builds the per-graph rows it reads,
-    walks one labeling per automorphism orbit as set-index tuples, hands its
-    cases, skips and findings to ``_Tally.add_orbits``, and returns nothing.
+    g)`` runs once per family member: a member search of ``search`` (FWD's
+    after its construction check), which walks one labeling per orbit as
+    set-index tuples and hands its counts and findings to ``_Tally``.
     ``notes`` builds the report notes from the tally. A transform claim also
     has its ``case`` (see ``_transform_claim``).
     """
@@ -778,12 +425,12 @@ def _run(exp: _Experiment, graphs: Sequence[Graph], bounds: SearchBounds) -> _Ta
     for g in graphs:
         _check_vertex_bound(g, bounds)
     if exp.search is None:
-        for indices in _visit(_K2, tally.space):
-            if indices[0] < indices[1]:
-                tally.cases += 1
-                lab = _labeling_from_indices(_K2, tally.space, indices)
-                if exp.explain(derive(_K2, lab), _K2_EDGE):
-                    tally.findings.append((_K2, indices, (_K2_EDGE,)))
+        # The orbit walk of K2 yields each pair i < j once.
+        for indices in _visit(_K2, tally.space, orbits=True):
+            tally.cases += 1
+            lab = _labeling_from_indices(_K2, tally.space, indices)
+            if exp.explain(derive(_K2, lab), _K2_EDGE):
+                tally.findings.append((_K2, indices, (_K2_EDGE,)))
         return tally
     for g in graphs:
         exp.search(tally, g)
@@ -834,39 +481,15 @@ def _balance_case(slg: SignedLabeledGraph, target: object) -> str:
     )
 
 
-def _balance_fwd_search(tally: _Tally, g: Graph) -> None:
-    """Every labeling of a bipartite member must be balanced; a
-    non-bipartite member is skipped. Its constructed labeling lies outside
-    the bounds, so it is checked as a construction, not recorded as a
-    finding."""
-    space = tally.space
-    if not is_bipartite(g):
-        tally.skipped += 1
-        return
-    lab = construct_balanced_bipartite_labeling(g)
-    if not is_balanced_fast(derive(g, lab))[0]:
-        raise AssertionError(f"constructed labeling {format_labeling(lab)!r} is not balanced")
-    tally.constructed_ok += 1
-    ends, cycles = _edge_ends(g), fundamental_cycle_masks(g)
-    cases = 0
-    found = []
-    for indices in _visit(g, space, orbits=True):
-        cases += 1
-        if not _balanced(_negative_mask(ends, space.odd, indices), cycles):
-            found.append((indices, (None,)))
-    tally.add_orbits(g, cases, 0, found)
-
-
-def _balance_rev_search(tally: _Tally, g: Graph) -> None:
-    """A non-bipartite member must have no balanced labeling: every labeling
-    counts as a case and each one the balanced walk yields is a finding. A
-    bipartite member is skipped."""
-    space = tally.space
+def _balance_fwd_member(tally: _Tally, g: Graph) -> None:
+    """FWD's member search, after checking a bipartite member's constructed
+    labeling as a construction: it lies outside the bounds."""
     if is_bipartite(g):
-        tally.skipped += 1
-        return
-    found = [(indices, (None,)) for indices in _visit(g, space, balanced=True, orbits=True)]
-    tally.add_orbits(g, _count_indices(g, space, orbits=True), 0, found)
+        lab = construct_balanced_bipartite_labeling(g)
+        if not is_balanced_fast(derive(g, lab))[0]:
+            raise AssertionError(f"constructed labeling {format_labeling(lab)!r} is not balanced")
+        tally.constructed_ok += 1
+    _balance_fwd_search(tally, g)
 
 
 def _subdivision_case(slg: SignedLabeledGraph, e: Edge) -> str:
@@ -908,95 +531,14 @@ def _iasi_case(slg: SignedLabeledGraph, target: object) -> str:
     )
 
 
-def _subdivision_search(tally: _Tally, g: Graph) -> None:
-    """Subdivide every edge of every balanced labeling, in index space.
-
-    Carried edges keep their signs, so the result is balanced iff the edge
-    is a cut edge or its pair's subdivision parity is even. An edge whose
-    inherited set labels a vertex is skipped.
-    """
-    space = tally.space
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    cut = set(cut_edges(g))
-    rows = [(pos[u], pos[v], (u, v) not in cut, (u, v)) for u, v in g.edges]
-    cases = skipped = 0
-    found = []
-    for indices in _visit(g, space, balanced=True, orbits=True):
-        used = 0
-        for k in indices:
-            used |= 1 << k
-        failed = []
-        for a, b, noncut, e in rows:
-            inherited, delta = space.pair_sum(indices[a], indices[b])
-            if used >> inherited & 1:
-                skipped += 1
-                continue
-            cases += 1
-            if noncut and not delta:
-                failed.append(e)
-        if failed:
-            found.append((indices, tuple(failed)))
-    tally.add_orbits(g, cases, skipped, found)
-
-
-def _homeomorphism_search(tally: _Tally, g: Graph) -> None:
-    """Transform every eligible vertex (degree 2, in no triangle) of every
-    balanced labeling, in index space.
-
-    The new edge ab replaces the path a-v-b, so the result is balanced iff v
-    lies on no cycle or p(ab) + p(av) + p(vb) is even. Only the eligible
-    vertices on a cycle can fail; every eligible vertex is a case.
-    """
-    eligible = [v for v in g.vertices if g.degree(v) == 2 and not in_triangle(g, v)]
-    if not eligible:
-        return
-    space = tally.space
-    odd = space.odd
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    on_cycle = vertices_on_cycles(g)
-    rows = []
-    for v in eligible:
-        if v in on_cycle:
-            a, b = g.neighbors(v)
-            rows.append((pos[v], pos[a], pos[b], v))
-    labelings = 0
-    found = []
-    for indices in _visit(g, space, balanced=True, orbits=True):
-        labelings += 1
-        failed = []
-        for p, a, b, v in rows:
-            x, y, z = indices[a], indices[b], indices[p]
-            if not (odd[x] >> y ^ odd[x] >> z ^ odd[z] >> y) & 1:
-                failed.append(v)
-        if failed:
-            found.append((indices, tuple(failed)))
-    tally.add_orbits(g, labelings * len(eligible), 0, found)
-
-
-def _iasi_search(tally: _Tally, g: Graph) -> None:
-    """Injective iff the edges' sumsets are distinct."""
-    space = tally.space
-    ends = _edge_ends(g)
-    cases = 0
-    found = []
-    for indices in _visit(g, space, orbits=True):
-        cases += 1
-        sums = {space.pair_sum(indices[a], indices[b])[0] for a, b, _ in ends}
-        if len(sums) < len(ends):
-            found.append((indices, (None,)))
-    tally.add_orbits(g, cases, 0, found)
-
-
 # One record per claim. Its explain is the claim's only object-level check:
 # it runs on every pair of a pair claim, and replays every target of every
 # finding of a member search (a transform claim's replay runs its case, the
 # explain less the balance check, at each target of a balanced finding). The
-# searches read only the index-space tables of _LabelingSpace, the per-graph
-# rows each one builds and the automorphism chain, and record each finding
-# as set indices: replay alone turns one into a Labeling. The transforms are
-# called only from the case functions. Traced functions (derive, the
-# transforms, is_balanced_fast, cut_edges) are called by name, never stored
-# here, so a wrapper installed on the module later still sees every call.
+# transforms are called only from the case functions. Traced functions
+# (derive, the transforms, is_balanced_fast, cut_edges) are called by name,
+# here and in ``search``, never stored, so a wrapper installed on a module
+# later still sees every call.
 _EXPERIMENTS: dict[TheoremId, _Experiment] = {
     TheoremId.POSITIVE_EDGE: _Experiment(
         explain=_positive_edge_case,
@@ -1013,7 +555,7 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
         ],
     ),
     TheoremId.BALANCE_BIPARTITE_FWD: _Experiment(
-        search=_balance_fwd_search,
+        search=_balance_fwd_member,
         explain=_balance_case,
         notes=lambda tally: [
             "claim (universal reading): every admissible labeling of a bipartite graph is balanced",
@@ -1055,57 +597,6 @@ _EXPERIMENTS: dict[TheoremId, _Experiment] = {
         ],
     ),
 }
-
-
-def _finding_order(space: _LabelingSpace, graphs: Sequence[Graph]) -> Callable[[tuple], int]:
-    """A sort key on the findings on ``graphs`` that orders them as
-    ``Counterexample.sort_key`` orders their counterexamples: by n, label
-    mass, graph text, then the text rank of each vertex's set.
-
-    Every labeling of one report shares ``universe_max``, and on one graph
-    text the vertex list, so two labeling texts first differ inside the
-    texts of two sets. A set text ends in its only '}', so neither is a
-    proper prefix of the other, and the texts compare as the sets' ranks in
-    ``space.sets`` sorted by text. Index order is not text order: {0,1}
-    comes before {0}, and {10} before {2}.
-
-    The key is one int with these four as its digits, from the top. For an
-    n-vertex graph, the set ranks are n digits in base S (the number of
-    sets), below ``per_text`` = S**n; the graph-text rank counts in
-    ``per_text`` below ``per_mass``; the mass counts in ``per_mass``; and n
-    counts in ``per_n``, which exceeds the lower digits of any finding. A
-    finding's key is its graph's constant plus one entry per vertex of the
-    table for n: ``tables[n][p][i]`` is the mass and rank digits of set i at
-    vertex position p. Graphs are keyed on their id, since the findings hold
-    the ``Graph`` objects of ``graphs`` themselves.
-    """
-    sets = space.sets
-    count = len(sets)
-    rank = [0] * count
-    for r, i in enumerate(sorted(range(count), key=lambda i: sets[i].to_text())):
-        rank[i] = r
-    size = [len(s) for s in sets]
-    text_rank = {text: r for r, text in enumerate(sorted({format_graph(g) for g in graphs}))}
-    top = max(g.n for g in graphs)
-    per_n = (top * max(size) + 1) * len(text_rank) * count**top
-    tables: dict[int, list[list[int]]] = {}
-    bases: dict[int, tuple[int, list[list[int]]]] = {}
-    for g in graphs:
-        n = g.n
-        per_text = count**n
-        if n not in tables:
-            per_mass = len(text_rank) * per_text
-            tables[n] = [
-                [size[i] * per_mass + rank[i] * count ** (n - 1 - p) for i in range(count)]
-                for p in range(n)
-            ]
-        bases[id(g)] = (n * per_n + text_rank[format_graph(g)] * per_text, tables[n])
-
-    def key(finding: tuple) -> int:
-        base, table = bases[id(finding[0])]
-        return base + sum(map(getitem, table, finding[1]))
-
-    return key
 
 
 def verify_theorem(

@@ -28,7 +28,7 @@ from sumsign.verify import (
     sweep_sign_patterns,
     verify_theorem,
 )
-from sumsign.verify import _balanced, _edge_ends, _LabelingSpace, _negative_mask, _visit
+from sumsign.search import _edge_ends, _LabelingSpace, _visit
 
 K2 = Graph(["u", "v"], [("u", "v")])
 
@@ -66,6 +66,20 @@ def oracle_admissible(a, b):
     k = hi // lo
     m, n = (na, nb) if da <= db else (nb, na)
     return k <= m, m, n, k
+
+
+def _negative_mask(ends, odd, indices):
+    """The edge bits of ``ends`` whose pair of sets has an odd sumset."""
+    mask = 0
+    for a, b, bit in ends:
+        if odd[indices[a]] >> indices[b] & 1:
+            mask |= bit
+    return mask
+
+
+def _balanced(neg_mask, cycles):
+    """Even negative count on every fundamental cycle, hence on every cycle."""
+    return all((neg_mask & c).bit_count() % 2 == 0 for c in cycles)
 
 
 # ---------------------------------------------------------------------------

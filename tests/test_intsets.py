@@ -23,7 +23,7 @@ from sumsign.intsets import (
     sign_of_size,
     sumset,
 )
-from sumsign.verify import SearchBounds, _LabelingSpace, _progressions
+from sumsign.search import SearchBounds, _LabelingSpace, _progressions
 
 
 def brute_sumset(a, b):

@@ -197,7 +197,7 @@ MUTANTS = [
     ),
     Mutant(
         "sort-key-without-the-graph-text",
-        "verify.py",
+        "search.py",
         "n * per_n + text_rank[format_graph(g)] * per_text",
         "n * per_n",
         "tests/test_verify.py::test_report_order_is_the_sort_key_order[rev-custom]",
@@ -283,52 +283,80 @@ MUTANTS = [
     ),
     Mutant(
         "homeomorphism-counts-the-cycle-vertices-alone",
-        "verify.py",
+        "search.py",
         "labelings * len(eligible)",
         "labelings * len(rows)",
         "tests/test_verify.py::test_reports_equal_an_object_level_recomputation[connected:4-(3,2)-HOMEOMORPHISM]",
     ),
     Mutant(
         "homeomorphism-keeps-its-first-failing-vertex",
-        "verify.py",
+        "search.py",
         "failed.append(v)",
         "failed.append(v) if not failed else None",
         "tests/test_verify.py::test_findings_are_closed_under_the_claims_symmetries[homeomorphism]",
     ),
     Mutant(
         "orbit-walk-drops-the-first-level-constraints",
-        "verify.py",
+        "search.py",
         "for w, transversal in automorphism_chain(g):",
         "for w, transversal in automorphism_chain(g)[1:]:",
         "tests/test_verify.py::test_reports_match_golden_hashes[connected:4-(2,2)]",
     ),
     Mutant(
         "orbit-constraint-reversed",
-        "verify.py",
+        "search.py",
         "allowed &= -(2 << assign[q])",
         "allowed &= (1 << assign[q]) - 1",
         "tests/test_verify.py::test_orbit_walks_yield_the_least_labeling_of_each_orbit",
     ),
     Mutant(
         "orbit-counts-not-multiplied",
-        "verify.py",
+        "search.py",
         "order = automorphism_count(g)",
         "order = 1",
         "tests/test_verify.py::test_reports_match_golden_hashes[connected:4-(2,2)]",
     ),
     Mutant(
         "orbit-findings-not-expanded",
-        "verify.py",
+        "search.py",
         "for source, image in images:",
         "for source, image in images[:1]:",
         "tests/test_verify.py::test_reports_match_golden_hashes[connected:4-(2,2)]",
     ),
     Mutant(
         "orbit-image-targets-unmapped",
-        "verify.py",
+        "search.py",
         "tuple(sorted(map(image.__getitem__, targets)))",
         "targets",
         "tests/test_verify.py::test_reports_equal_an_object_level_recomputation[connected:4-(2,2)-HOMEOMORPHISM]",
+    ),
+    Mutant(
+        "search-imports-a-labeling-function",
+        "search.py",
+        "from .intsets import IntegerSet, ap_pair, ap_profile\n",
+        "from .intsets import IntegerSet, ap_pair, ap_profile\nfrom .labeling import derive\n",
+        "tests/test_source_hygiene.py::test_the_search_imports_no_replay_module",
+    ),
+    Mutant(
+        "fwd-merge-never-moves-on",
+        "search.py",
+        "            expected = next(balanced, None)\n",
+        "            pass\n",
+        "tests/test_verify.py::test_reports_match_golden_hashes[connected:4-(2,2)]",
+    ),
+    Mutant(
+        "count-not-multiplied-by-the-group-order",
+        "verify.py",
+        "return _count_indices(g, _labeling_space(b)) * automorphism_count(g)",
+        "return _count_indices(g, _labeling_space(b))",
+        "tests/test_verify.py::TestEnumerateAiasl::test_count_helper[P3-default]",
+    ),
+    Mutant(
+        "pair-claims-walk-every-ordered-pair",
+        "verify.py",
+        "for indices in _visit(_K2, tally.space, orbits=True):",
+        "for indices in _visit(_K2, tally.space):",
+        "tests/test_verify.py::test_reports_match_golden_hashes[connected:4-(2,2)]",
     ),
 ]
 

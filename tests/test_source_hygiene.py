@@ -7,6 +7,7 @@ The checks read the sources with the standard library's ``ast`` only.
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -112,7 +113,6 @@ BENCH = {
     path.relative_to(ROOT).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
     for path in sorted((ROOT / "perfbench").glob("*.py"))
 }
-CALLERS = _callers(TREES, {**SCRIPTS, **BENCH})
 # Options no such call sets, each with the reason it stays.
 UNSET_OPTIONS = {
     "cli.py main(out)": "the tests pass their own stream; the console script writes to stdout",
@@ -143,12 +143,12 @@ def _signature_options(fn, bound):
 
 def _options(tree):
     """(callable name, parameter, position or None) of each defaulted
-    parameter of a public function, a public class's constructor and a
-    public method of a public class."""
+    parameter of a module-level function, a class's constructor and a
+    method of a class but its dunders, private ones included."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not _is_private(node.name):
+        if isinstance(node, ast.FunctionDef):
             yield from ((node.name, *option) for option in _signature_options(node, 0))
-        if not isinstance(node, ast.ClassDef) or _is_private(node.name):
+        if not isinstance(node, ast.ClassDef):
             continue
         methods = {item.name: item for item in node.body if isinstance(item, ast.FunctionDef)}
         if "__init__" in methods:
@@ -160,7 +160,7 @@ def _options(tree):
                 if item.value is not None:
                     yield node.name, item.target.id, p
         for name, item in methods.items():
-            if _is_private(name) or name.startswith("__"):
+            if name.startswith("__"):
                 continue
             static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
             yield from ((name, *option) for option in _signature_options(item, 0 if static else 1))
@@ -184,18 +184,41 @@ def _calls(trees):
     return calls
 
 
-def test_every_option_is_set_by_some_call():
-    """A defaulted parameter that no caller sets is a fork only tests reach."""
-    calls = _calls(CALLERS)
-    unset = set()
-    for module, tree in TREES.items():
+def _unset_options(modules, scripts):
+    """'module name(parameter)' of each option (see _options) in modules
+    that no call in a caller (see _callers) sets."""
+    calls = _calls(_callers(modules, scripts))
+    for module, tree in modules.items():
         for name, param, position in _options(tree):
             if not any(
                 param in keywords or kwstar or position is not None and (count > position or star)
                 for count, keywords, star, kwstar in calls.get(name, [])
             ):
-                unset.add(f"{module} {name}({param})")
-    assert unset == set(UNSET_OPTIONS)
+                yield f"{module} {name}({param})"
+
+
+@pytest.mark.parametrize(
+    "modules, scripts, flagged",
+    [
+        ({"m.py": "def f(x=0): pass\nf(1)"}, {}, []),
+        ({"m.py": "def f(x=0): pass\nf()"}, {"tests/test_m.py": "from m import f\nf(x=1)"}, ["m.py f(x)"]),
+        # A private function and a private class's method, set only by a test.
+        ({"m.py": "def _f(x, y=0): pass\n_f(1)"}, {"tests/test_m.py": "from m import _f\n_f(1, 2)"},
+         ["m.py _f(y)"]),
+        ({"m.py": "class _C:\n    def _g(self, y=0): pass\n_C()._g()"}, {}, ["m.py _g(y)"]),
+        ({"m.py": "def _f(*, y=0): pass\n_f(**{})"}, {}, []),
+    ],
+    ids=["set", "set-by-a-test", "private-function", "private-method", "keywords-spread"],
+)
+def test_unset_option_check_sees_each_form(modules, scripts, flagged):
+    modules, scripts = ({name: ast.parse(source) for name, source in d.items()} for d in (modules, scripts))
+    assert list(_unset_options(modules, scripts)) == flagged
+
+
+def test_every_option_is_set_by_some_call():
+    """A defaulted parameter that no caller sets is a fork only tests reach,
+    in private code as in public."""
+    assert set(_unset_options(TREES, {**SCRIPTS, **BENCH})) == set(UNSET_OPTIONS)
 
 
 # Public names no caller uses, each with the reason it stays.
@@ -338,3 +361,64 @@ def test_every_memo_is_bounded_by_a_named_constant():
     the process; each one in the package names its bound."""
     assert [f"{name}:{line}" for name, tree in TREES.items() for line in _unbounded_memos(tree)] == []
 
+
+# The package modules the index-space search may read: the graph queries,
+# the candidate sets' admissibility (``ap_profile``, ``ap_pair``) and the
+# errors. Anything else of the package (derive, the balance checks, the
+# transforms) belongs to the object-level replay, which must check the
+# search independently.
+SEARCH_IMPORTS = {"graphs", "intsets", "errors"}
+
+
+def _package_imports(tree):
+    """(line, module) of each import in tree: a module of the package by its
+    bare name, any other module by its top-level name, and '..' for a
+    relative import from outside the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name.split(".")[0]) for alias in node.names)
+        elif not isinstance(node, ast.ImportFrom):
+            continue
+        elif node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+        elif node.level > 1:
+            yield node.lineno, ".."
+        elif node.module:
+            yield node.lineno, node.module.split(".")[0]
+        else:
+            yield from ((node.lineno, alias.name) for alias in node.names)
+
+
+def _search_import_faults(tree):
+    """'line module' of each import of tree that the search may not make:
+    another module of the package, the package itself, or a module outside
+    the standard library."""
+    for line, module in _package_imports(tree):
+        if module in SEARCH_IMPORTS or module in sys.stdlib_module_names:
+            continue
+        yield f"{line} {module}"
+
+
+@pytest.mark.parametrize(
+    "source, faults",
+    [
+        ("from __future__ import annotations\nimport itertools\nfrom .graphs import Graph", []),
+        ("from .labeling import derive", ["1 labeling"]),
+        ("from .balance import is_balanced_fast", ["1 balance"]),
+        ("from . import graphs, transforms", ["1 transforms"]),
+        ("from .. import sumsign", ["1 .."]),
+        ("import sumsign.labeling", ["1 sumsign"]),
+        ("from sumsign.graphs import Graph", ["1 sumsign"]),
+        ("def f():\n    from .labeling import derive", ["2 labeling"]),
+        ("import numpy", ["1 numpy"]),
+    ],
+)
+def test_search_import_check_sees_each_form(source, faults):
+    assert list(_search_import_faults(ast.parse(source))) == faults
+
+
+def test_the_search_imports_no_replay_module():
+    """The index-space search and the object-level replay check each other
+    only while the search reads nothing of the replay: ``search.py`` imports
+    from the graph, set and error modules and the standard library alone."""
+    assert list(_search_import_faults(TREES["search.py"])) == []

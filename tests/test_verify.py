@@ -43,21 +43,21 @@ from sumsign.graphs import (
 )
 from sumsign.intsets import IntegerSet, Sign, sumset
 from sumsign.labeling import Labeling, derive, format_labeling, validate_aiasl
-from sumsign.verify import (
-    _EXPERIMENTS,
-    _balanced,
+from sumsign.search import (
     _count_indices,
     _edge_ends,
     _MAX_CANDIDATE_SETS,
+    _labeling_space,
+    _LabelingSpace,
+    _progressions,
+    _visit,
+)
+from sumsign.verify import (
+    _EXPERIMENTS,
     _K2,
     _K2_EDGE,
     _labeling_from_indices,
-    _labeling_space,
-    _LabelingSpace,
-    _negative_mask,
-    _progressions,
     _run,
-    _visit,
     Counterexample,
     SearchBounds,
     TheoremId,
@@ -274,6 +274,13 @@ def test_family_builders_refuse_a_size_that_is_no_int(build, size):
 K2 = Graph(["u", "v"], [("u", "v")])
 
 
+# A graph with no automorphism but the identity, on six vertices: the
+# triangle v1 v2 v4, with v0 hung on v2 and the path v3 v5 on v1.
+ASYMMETRIC = Graph.from_edges(
+    [("v0", "v2"), ("v1", "v2"), ("v1", "v3"), ("v1", "v4"), ("v2", "v4"), ("v3", "v5")]
+)
+
+
 class TestEnumerateAiasl:
     def test_k2_universe_one_exactly_six(self):
         labs = list(enumerate_aiasl(K2, SearchBounds(universe_max=1, max_label_size=2)))
@@ -326,11 +333,28 @@ class TestEnumerateAiasl:
             slg = derive(K2, labeling, strict=True)
             assert max(slg.edge_labels[("u", "v")].elements) <= 4
 
-    def test_count_helper(self):
-        bounds = SearchBounds(universe_max=2, max_label_size=2)
-        assert count_aiasl(cycle_graph(3), bounds) == len(
-            list(enumerate_aiasl(cycle_graph(3), bounds))
-        )
+    @pytest.mark.parametrize(
+        "bounds",
+        [SearchBounds(3, 2), SearchBounds(4, 2, require_strict_universe=True),
+         SearchBounds(3, 3, odd_ratios_only=True)],
+        ids=["default", "strict", "odd"],
+    )
+    @pytest.mark.parametrize(
+        "g, order",
+        [
+            (ASYMMETRIC, 1),
+            (path_graph(3), 2),
+            (complete_graph(4), 24),
+            (Graph.from_edges([("a", "b"), ("c", "d")]), 8),
+            (Graph(["a"]), 1),
+        ],
+        ids=["asymmetric", "P3", "K4", "2K2", "K1"],
+    )
+    def test_count_helper(self, g, order, bounds):
+        """count_aiasl counts one labeling per orbit, times |Aut(g)|: the
+        number enumerate_aiasl yields."""
+        assert automorphism_count(g) == order
+        assert count_aiasl(g, bounds) == len(list(enumerate_aiasl(g, bounds))) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1052,15 +1076,29 @@ WALK_CASES = COMPLETENESS_CASES + [
 WALK_IDS = COMPLETENESS_IDS + ["K3+isolated-(3,3)", "K1-(3,2)", "empty-(3,2)"]
 
 
+def _negative_mask(ends, odd, indices):
+    """The edge bits of ``ends`` whose pair of sets has an odd sumset."""
+    mask = 0
+    for a, b, bit in ends:
+        if odd[indices[a]] >> indices[b] & 1:
+            mask |= bit
+    return mask
+
+
+def _balanced(neg_mask, cycles):
+    """Even negative count on every fundamental cycle, hence on every cycle."""
+    return all((neg_mask & c).bit_count() % 2 == 0 for c in cycles)
+
+
 @pytest.mark.parametrize("family, bounds", WALK_CASES, ids=WALK_IDS)
 def test_count_and_balanced_modes_equal_the_filtered_walk(family, bounds):
-    """Count mode counts the visiting walk; the balanced mode yields each
+    """Count mode counts the orbit walk; the balanced mode yields each
     labeling that _negative_mask plus _balanced keeps, once, and no other."""
     space = _LabelingSpace(bounds)
     for g in _graphs(family):
         ends, cycles = _edge_ends(g), fundamental_cycle_masks(g)
         every = list(_visit(g, space))
-        assert _count_indices(g, space) == len(every)
+        assert _count_indices(g, space) == len(list(_visit(g, space, orbits=True)))
         balanced = list(_visit(g, space, balanced=True))
         assert len(set(balanced)) == len(balanced)
         assert set(balanced) == {
@@ -1092,7 +1130,7 @@ def test_orbit_walks_yield_the_least_labeling_of_each_orbit(family, bounds):
             assert len(set(least_ones)) == len(least_ones)
             assert set(least_ones) == {least(indices) for indices in every}
             assert len(least_ones) * len(relabelings) == len(every)
-        assert _count_indices(g, space, orbits=True) * len(relabelings) == _count_indices(g, space)
+        assert _count_indices(g, space) * len(relabelings) == len(list(_visit(g, space)))
 
 
 @pytest.mark.parametrize(
@@ -1203,14 +1241,19 @@ def test_replayed_labelings_equal_the_public_construction():
 
 def test_a_walk_that_ignores_balanced_does_not_pass(monkeypatch):
     """The searches trust the balanced walk: if it yields unbalanced
-    labelings too, replay fails or the counts change, never silently."""
-    import sumsign.verify as verify_module
+    labelings too, replay fails or the report changes, never silently. FWD's
+    findings are the labelings the balanced walk skips, so they would
+    vanish."""
+    import sumsign.search as search_module
 
-    visit = verify_module._visit
-    monkeypatch.setattr(
-        verify_module, "_visit", lambda g, space, balanced=False, orbits=False: visit(g, space)
-    )
     bounds = SearchBounds(2, 2)
+    fwd = verify_theorem(TheoremId.BALANCE_BIPARTITE_FWD, "connected:4", bounds)
+    assert fwd.counterexamples
+    visit = search_module._visit
+    monkeypatch.setattr(
+        search_module, "_visit", lambda g, space, balanced=False, orbits=False: visit(g, space)
+    )
+    assert verify_theorem(TheoremId.BALANCE_BIPARTITE_FWD, "connected:4", bounds) != fwd
     for tid in (TheoremId.BALANCE_BIPARTITE_REV, TheoremId.HOMEOMORPHISM):
         with pytest.raises(AssertionError, match=f"{tid.value} finding failed to replay"):
             verify_theorem(tid, "connected:4", bounds)
