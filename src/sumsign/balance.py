@@ -54,14 +54,16 @@ class SignedGraph:
 
     def __post_init__(self):
         # A read-only copy: the checks below hold for as long as the value lives.
-        object.__setattr__(self, "signs", MappingProxyType(dict(self.signs)))
-        for e in self.graph.edges:
-            if e not in self.signs:
+        signs = dict(self.signs)
+        object.__setattr__(self, "signs", MappingProxyType(signs))
+        edges = self.graph.edges
+        for e in edges:
+            if e not in signs:
                 raise UnknownEdge(f"edge {e} has no sign")
-            if not isinstance(self.signs[e], Sign):
-                raise ValueError(f"edge {e} has sign {self.signs[e]!r}, not a Sign")
-        if len(self.signs) != len(self.graph.edges):
-            extra = set(self.signs) - set(self.graph.edges)
+            if not isinstance(signs[e], Sign):
+                raise ValueError(f"edge {e} has sign {signs[e]!r}, not a Sign")
+        if len(signs) != len(edges):
+            extra = set(signs) - set(edges)
             raise UnknownEdge(f"signs given for non-edges: {sorted(extra)}")
 
 
@@ -93,10 +95,10 @@ def is_balanced_oracle(
     """
     neg = _negative_edge_mask(s)
     make = CycleSignSummary._make
-    summaries = []
-    for c, mask in cycle_masks(s.graph, cycle_bound):
-        k = (mask & neg).bit_count()
-        summaries.append(make((c, k, _SIGN_OF_PARITY[k & 1])))
+    summaries = [
+        make((c, (k := (mask & neg).bit_count()), _SIGN_OF_PARITY[k & 1]))
+        for c, mask in cycle_masks(s.graph, cycle_bound)
+    ]
     balanced = all(c.sign_product is Sign.POSITIVE for c in summaries)
     return balanced, summaries
 

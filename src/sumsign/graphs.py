@@ -443,12 +443,16 @@ def _cycle_masks(g: Graph) -> tuple[tuple[tuple[str, ...], int], ...]:
         # ``mask`` is the path's edge mask; ``bits`` holds the bit of the edge
         # that reached each path vertex (0 for s), XOR-ed into ``mask`` on
         # push and out again on pop. A path vertex is out of ``present``
-        # until it is popped.
+        # until it is popped. A cycle that starts at s's largest present
+        # neighbour ends at a smaller one, so the orientation rule would drop
+        # it: that first step is never taken.
         present.discard(s)
+        first = [link for link in links[s] if link[0] in present]
+        first.pop()
         path = [s]
         bits = [0]
         mask = 0
-        stack = [iter(links[s])]
+        stack = [iter(first)]
         while stack:
             for w, bit in stack[-1]:
                 if w == s:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .balance import SignedGraph, is_balanced_fast
@@ -42,8 +43,8 @@ from .graphs import (
     vertices_on_cycles,
 )
 from .intsets import (
+    _SIGN_OF_PARITY,
     IntegerSet,
-    Sign,
     ap_pair,
     ap_profile,
     ap_sumset_cardinality,
@@ -246,21 +247,10 @@ def signed_graph_from_pattern(
     check_count("sign pattern", pattern)
     if not 0 <= pattern < 1 << len(order):
         raise ParseError(f"sign pattern {pattern} is outside [0, 2^{len(order)})")
-    signs = {
-        e: Sign.NEGATIVE if (pattern >> i) & 1 else Sign.POSITIVE
-        for i, e in enumerate(order)
-    }
-    return SignedGraph(graph=g, signs=signs)
-
-
-def _mask_parities(planes: list[int], mask: int) -> int:
-    """XOR-fold the bit planes that mask selects: bit p is pattern p's parity on mask."""
-    parity = 0
-    while mask:
-        low = mask & -mask
-        parity ^= planes[low.bit_length() - 1]
-        mask ^= low
-    return parity
+    sign_of = _SIGN_OF_PARITY
+    return SignedGraph(
+        graph=g, signs={e: sign_of[pattern >> i & 1] for i, e in enumerate(order)}
+    )
 
 
 def _set_bits(x: int) -> Iterator[int]:
@@ -272,23 +262,51 @@ def _set_bits(x: int) -> Iterator[int]:
         i = digits.find("1", i + 1)
 
 
+# Plane counts whose subset tables the sweep keeps: every count up to the
+# default chunk's 14, whose two tables hold 256 planes of 2 KB.
+_PLANE_TABLE_WIDTHS = 15
+
+
+@lru_cache(maxsize=_PLANE_TABLE_WIDTHS)
+def _plane_tables(k: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(h, low, high): the k bit planes of a 2^k-pattern chunk as two
+    subset-XOR tables, h = k // 2. Bit p of plane b is bit b of p; entry i of
+    ``low`` XORs the planes b < h that i selects, and entry j of ``high`` the
+    planes h + b that j selects, so a k-bit mask's parity plane is
+    ``low[mask & (2^h - 1)] ^ high[mask >> h]``."""
+    size = 1 << k
+    h = k // 2
+    low, high = [0], [0]
+    for b in range(k):
+        # Plane b repeats a 2^(b+1)-bit block.
+        half = 1 << b
+        plane, width = ((1 << half) - 1) << half, 2 * half
+        while width < size:
+            plane |= plane << width
+            width *= 2
+        table = low if b < h else high
+        table += [t ^ plane for t in table]
+    return h, tuple(low), tuple(high)
+
+
 def _parity_groups(
-    masks: Sequence[int], planes: list[int], full: int
+    masks: Sequence[int], k: int, full: int
 ) -> list[tuple[int, int, int]]:
     """Fold each mask's low part once, grouped by its high part.
 
-    ``planes`` are the k bit planes below the chunk size. A mask splits into
-    its low k bits and its high part h = mask >> k; in every chunk the
-    mask's parity plane is its low part's plane, complemented when h meets
-    an odd number of the chunk's set high bits. Returns (h, any_odd,
+    A chunk holds 2^k patterns. A mask splits into its low k bits and its
+    high part h = mask >> k; in every chunk the mask's parity plane is its
+    low part's plane, read from ``_plane_tables(k)``, complemented when h
+    meets an odd number of the chunk's set high bits. Returns (h, any_odd,
     any_odd_flipped) per distinct h, in first-seen order: the OR of the
     group's low planes, and the OR of their complements.
     """
-    k = len(planes)
+    half, low_xors, high_xors = _plane_tables(k)
+    low_half = (1 << half) - 1
     low = (1 << k) - 1
     groups: dict[int, list[int]] = {}
     for mask in masks:
-        plane = _mask_parities(planes, mask & low)
+        plane = low_xors[mask & low_half] ^ high_xors[(mask & low) >> half]
         group = groups.get(mask >> k)
         if group is None:
             groups[mask >> k] = [plane, plane]
@@ -322,7 +340,8 @@ def sweep_sign_patterns(g: Graph) -> PatternSweep:
     so XOR-ing the planes of a cycle's edges gives every pattern's negative
     parity on that cycle at once. The planes below bit k are the same in
     every chunk and each plane from bit k up is all zeros or all ones, so
-    each cycle's low planes are folded once per graph, and a chunk only
+    each cycle's low part is folded once per graph, with one read of each
+    of two subset-XOR tables (``_plane_tables``), and a chunk only
     complements that fold when the cycle's high edges hold an odd number
     of negatives (``_parity_groups``). The oracle side requires every
     simple cycle even; the fast side requires every fundamental cycle of
@@ -341,26 +360,19 @@ def sweep_sign_patterns(g: Graph) -> PatternSweep:
 
     total = 1 << m
     size = min(_SWEEP_CHUNK, total)
+    k = size.bit_length() - 1
     full = (1 << size) - 1
-    # Plane b repeats a 2^(b+1)-bit block, and is the same in every chunk.
-    planes = []
-    for b in range(size.bit_length() - 1):
-        half = 1 << b
-        plane, width = ((1 << half) - 1) << half, 2 * half
-        while width < size:
-            plane |= plane << width
-            width *= 2
-        planes.append(plane)
-    k = len(planes)
-    oracle = _parity_groups(oracle_masks, planes, full)
-    fast = _parity_groups(fund_masks, planes, full)
+    oracle = _parity_groups(oracle_masks, k, full)
+    fast = _parity_groups(fund_masks, k, full)
     balanced: list[int] = []
     disagreements: list[int] = []
     for start in range(0, total, size):
         oracle_odd = _odd_patterns(oracle, start >> k)
-        fast_odd = _odd_patterns(fast, start >> k)
-        disagreements.extend(start + p for p in _set_bits(oracle_odd ^ fast_odd))
-        balanced.extend(start + p for p in _set_bits(full ^ oracle_odd))
+        mismatch = oracle_odd ^ _odd_patterns(fast, start >> k)
+        if mismatch:
+            disagreements.extend(start + p for p in _set_bits(mismatch))
+        if oracle_odd != full:
+            balanced.extend(start + p for p in _set_bits(full ^ oracle_odd))
     return PatternSweep(
         edge_order=g.edges,
         patterns_checked=total,

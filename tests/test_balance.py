@@ -138,6 +138,27 @@ class TestSignedGraphValidation:
         with pytest.raises(ValueError, match=r"edge \('v1', 'v2'\) has sign -1"):
             SignedGraph(graph=g, signs=signs)
 
+    def test_a_sign_of_none_is_no_missing_sign(self):
+        g = cycle_graph(3)
+        signs = {e: Sign.POSITIVE for e in g.edges}
+        signs[("v0", "v2")] = None
+        with pytest.raises(ValueError, match=r"edge \('v0', 'v2'\) has sign None"):
+            SignedGraph(graph=g, signs=signs)
+
+    def test_the_first_fault_in_edge_order_is_reported(self):
+        g = cycle_graph(3)
+        assert g.edges == (("v0", "v1"), ("v0", "v2"), ("v1", "v2"))
+        missing_first = {("v0", "v2"): -1, ("v1", "v2"): Sign.NEGATIVE}
+        with pytest.raises(UnknownEdge, match=r"edge \('v0', 'v1'\) has no sign"):
+            SignedGraph(graph=g, signs=missing_first)
+        bad_first = {("v0", "v1"): 1, ("v0", "v2"): Sign.NEGATIVE}
+        with pytest.raises(ValueError, match=r"edge \('v0', 'v1'\) has sign 1"):
+            SignedGraph(graph=g, signs=bad_first)
+        # Every edge fine but one extra: the extra is reported last.
+        extra = {e: Sign.NEGATIVE for e in g.edges} | {("v0", "v3"): 1}
+        with pytest.raises(UnknownEdge, match="non-edges"):
+            SignedGraph(graph=g, signs=extra)
+
     def test_caller_dict_changed_later_changes_nothing(self):
         g = cycle_graph(3)
         signs = {e: Sign.NEGATIVE for e in g.edges}

@@ -1,6 +1,7 @@
 """Graph structure queries: bipartiteness, bridges, cycles, triangles."""
 
 import copy
+import hashlib
 import pickle
 import re
 import time
@@ -289,6 +290,20 @@ class TestCycleMasks:
                 (c, sum(1 << index[e] for e in cycle_edges(c))) for c in simple_cycles(g)
             )
             assert cycle_masks(g) == expected
+
+    def test_connected_7_listing_is_pinned(self):
+        # The brute-force comparison stops at connected:6; on 7 vertices the
+        # listing, masks and order are pinned by count and sha256.
+        digest = hashlib.sha256()
+        count = 0
+        for g in connected_graphs(7):
+            listing = cycle_masks(g)
+            count += len(listing)
+            digest.update(repr(listing).encode() + b"\n")
+        assert count == 39_512
+        assert digest.hexdigest() == (
+            "b3b1562b7e01fc61c4312b3a82898c5c1694be7eb405e1b12f1d5c2b59b4fce9"
+        )
 
     def test_memo_holds_a_bounded_number_of_graphs(self):
         from sumsign.verify import sweep_sign_patterns

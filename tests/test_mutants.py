@@ -62,6 +62,13 @@ MUTANTS = [
         "tests/test_graphs.py::TestSimpleCycles::test_matches_oracle_on_small_connected_graphs",
     ),
     Mutant(
+        "first-step-cut-drops-the-smallest-neighbour",
+        "graphs.py",
+        "        first.pop()\n",
+        "        first.pop(0)\n",
+        "tests/test_graphs.py::TestCycleMasks::test_connected_7_listing_is_pinned",
+    ),
+    Mutant(
         "sweep-fast-side-reads-oracle-groups",
         "verify.py",
         "fast = _parity_groups(fund_masks, planes, full)",
@@ -85,6 +92,34 @@ MUTANTS = [
         "        if group is None:\n"
         "            groups[mask & low] = [plane, plane]\n",
         "tests/test_verify.py::TestSweepSignPatterns::test_sweep_equals_a_literal_recount[default]",
+    ),
+    Mutant(
+        "sweep-half-tables-swapped",
+        "verify.py",
+        "plane = low_xors[mask & low_half] ^ high_xors[(mask & low) >> half]",
+        "plane = high_xors[mask & low_half] ^ low_xors[(mask & low) >> half]",
+        "tests/test_verify.py::TestSweepSignPatterns::test_sweep_equals_a_literal_recount[default]",
+    ),
+    Mutant(
+        "plane-tables-memo-holds-one-width",
+        "verify.py",
+        "@lru_cache(maxsize=_PLANE_TABLE_WIDTHS)",
+        "@lru_cache(maxsize=1)",
+        "tests/test_verify.py::TestSweepSignPatterns::test_plane_tables_are_built_once_per_width",
+    ),
+    Mutant(
+        "sweep-scan-skipped-on-a-disagreeing-chunk",
+        "verify.py",
+        "        if mismatch:\n",
+        "        if not mismatch:\n",
+        "tests/test_verify.py::TestSweepSignPatterns::test_sweep_equals_a_literal_recount[default]",
+    ),
+    Mutant(
+        "sweep-scan-skipped-on-an-all-balanced-chunk",
+        "verify.py",
+        "if oracle_odd != full:",
+        "if oracle_odd:",
+        "tests/test_verify.py::TestSweepSignPatterns::test_tree_every_pattern_balanced",
     ),
     Mutant(
         "oracle-sign-read-by-count",

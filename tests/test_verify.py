@@ -1370,6 +1370,18 @@ class TestSweepSignPatterns:
         with pytest.raises(BoundExceeded, match="32 edges"):
             sweep_sign_patterns(complete_graph(9))  # 36 edges
 
+    def test_plane_tables_are_built_once_per_width(self):
+        import sumsign.verify as verify_module
+
+        tables = verify_module._plane_tables
+        tables.cache_clear()
+        graphs = connected_graphs(7)
+        for g in graphs:
+            sweep_sign_patterns(g)
+        k = verify_module._SWEEP_CHUNK.bit_length() - 1
+        assert tables.cache_info().misses == len({min(g.m, k) for g in graphs})
+        assert tables.cache_info().maxsize == verify_module._PLANE_TABLE_WIDTHS
+
     def test_small_chunks_give_the_same_sweep(self, monkeypatch):
         # With 8 patterns per chunk, every plane from bit 3 up is constant
         # within a chunk.
