@@ -71,7 +71,7 @@ MUTANTS = [
     Mutant(
         "sweep-fast-side-reads-oracle-groups",
         "verify.py",
-        "fast = _parity_groups(fund_masks, planes, full)",
+        "fast = _parity_groups(fund_masks, k, full)",
         "fast = oracle",
         "tests/test_verify.py::TestSweepSignPatterns::test_sweep_equals_a_literal_recount[default]",
     ),
