@@ -94,9 +94,10 @@ def is_balanced_oracle(
     bool.
     """
     neg = _negative_edge_mask(s)
-    make = CycleSignSummary._make
+    # CycleSignSummary._make without its length check: three fields each.
+    new = tuple.__new__
     summaries = [
-        make((c, (k := (mask & neg).bit_count()), _SIGN_OF_PARITY[k & 1]))
+        new(CycleSignSummary, (c, (k := (mask & neg).bit_count()), _SIGN_OF_PARITY[k & 1]))
         for c, mask in cycle_masks(s.graph, cycle_bound)
     ]
     balanced = all(c.sign_product is Sign.POSITIVE for c in summaries)
