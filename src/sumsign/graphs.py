@@ -18,13 +18,14 @@ share.
 Each ``Graph`` keeps a private memo, filled on first read: the default-root
 spanning forest, the sign partition's forest steps and per-vertex edge
 masks, the bipartition, the fundamental cycle masks, the ``format_graph``
-text, the bridges (``cut_edges``) and vertices on cycles
-(``vertices_on_cycles``), each folded once from the memoized masks, and the
-automorphism group as a stabilizer chain (``automorphism_chain``). Each
-entry is keyed on its query, the function ``_per_graph`` wraps, so no two
-queries share one. The memo belongs to that one graph and dies with it,
-and everything it hands out is read-only (tuples, strings, a frozenset and
-a ``MappingProxyType``), so a caller cannot change what a later call
+text, each edge's end positions (``_edge_positions``), the bridges
+(``cut_edges``) and vertices on cycles (``vertices_on_cycles``), each
+folded once from the memoized masks, and the automorphism group as a
+stabilizer chain (``automorphism_chain``). Each entry is keyed on its
+query, the function ``_per_graph`` wraps, so no two queries share one.
+The memo belongs to that one graph and dies with it, and everything it
+hands out is read-only (tuples, strings, a frozenset and a
+``MappingProxyType``), so a caller cannot change what a later call
 returns. The cycle listing is not held here but in ``cycle_masks``'
 bounded cache, since the family atlas keeps its graphs for the whole
 process.
@@ -226,6 +227,14 @@ def format_graph(g: Graph) -> str:
     covered = {u for e in g.edges for u in e}
     lines.extend(f"vertex {v}" for v in g.vertices if v not in covered)
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+@_per_graph
+def _edge_positions(g: Graph) -> tuple[tuple[Edge, int, int], ...]:
+    """Per edge, in edge order: the edge and the positions of its two ends
+    in ``g.vertices``."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    return tuple((e, pos[e[0]], pos[e[1]]) for e in g.edges)
 
 
 # ---------------------------------------------------------------------------

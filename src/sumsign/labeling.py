@@ -11,6 +11,7 @@ smaller-difference endpoint.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -26,7 +27,7 @@ from .errors import (
     UnknownVertex,
     check_flag,
 )
-from .graphs import _VERTEX_ID, Edge, Graph, check_vertex_id, edge_key
+from .graphs import _VERTEX_ID, Edge, Graph, _edge_positions, check_vertex_id, edge_key
 from .intsets import (
     _SIGN_OF_PARITY,
     ApProfile,
@@ -49,71 +50,84 @@ class Labeling:
     non-negative int, never a bool or a float. Injectivity and universe
     containment are enforced at use time (see ``derive``), not at
     construction, so invalid labelings can be built, inspected and reported
-    on. Its sets are read through ``get`` and ``items`` only, so a
-    labeling's hash never changes. Copies and pickles are rebuilt through
-    the constructor.
+    on. It holds two aligned tuples, the sorted ids and their sets, and no
+    dict; ``get`` finds an id by bisection. Its sets are read through
+    ``get`` and ``items`` only, so a labeling's hash never changes. Copies
+    and pickles are rebuilt through the constructor.
     ``_from_checked`` builds one from parts that are checked already.
     """
 
-    __slots__ = ("universe_max", "_assignment")
+    __slots__ = ("universe_max", "_vertices", "_sets")
 
     def __init__(self, universe_max: int, assignment: Mapping[str, IntegerSet | Iterable[int]]):
         if not isinstance(universe_max, int) or isinstance(universe_max, bool):
             raise ValueError(f"universe_max {universe_max!r} must be an int")
         if universe_max < 0:
             raise ValueError("universe_max must be non-negative")
-        normalized = {}
         for v in assignment:
             check_vertex_id(v)
-        for v in sorted(assignment):
+        vertices = tuple(sorted(assignment))
+        sets = []
+        for v in vertices:
             value = assignment[v]
-            normalized[v] = value if isinstance(value, IntegerSet) else IntegerSet(value)
+            sets.append(value if isinstance(value, IntegerSet) else IntegerSet(value))
         object.__setattr__(self, "universe_max", universe_max)
-        object.__setattr__(self, "_assignment", normalized)
+        object.__setattr__(self, "_vertices", vertices)
+        object.__setattr__(self, "_sets", tuple(sets))
 
     @classmethod
-    def _from_checked(cls, universe_max: int, assignment: dict[str, IntegerSet]) -> "Labeling":
+    def _from_checked(
+        cls, universe_max: int, vertices: tuple[str, ...], sets: tuple[IntegerSet, ...]
+    ) -> "Labeling":
         """A labeling of checked parts, taken as they are: universe_max a
-        non-negative int, and assignment a dict of ``IntegerSet`` values whose
-        keys passed ``check_vertex_id`` and come in sorted order, as the
-        vertices of a ``Graph`` do. The dict is kept, not copied."""
+        non-negative int, vertices a sorted tuple of distinct ids that passed
+        ``check_vertex_id``, as a ``Graph``'s ``vertices`` are, and sets a
+        tuple of ``IntegerSet`` aligned with it. Both tuples are kept, not
+        copied, so a labeling of a graph's vertices shares that graph's
+        tuple."""
         lab = object.__new__(cls)
         object.__setattr__(lab, "universe_max", universe_max)
-        object.__setattr__(lab, "_assignment", assignment)
+        object.__setattr__(lab, "_vertices", vertices)
+        object.__setattr__(lab, "_sets", sets)
         return lab
 
     def __setattr__(self, name, value):
         raise AttributeError("Labeling is immutable")
 
     def __reduce__(self):
-        return Labeling, (self.universe_max, self._assignment)
+        return Labeling, (self.universe_max, dict(zip(self._vertices, self._sets)))
 
     def get(self, v: str) -> IntegerSet:
+        vertices = self._vertices
         try:
-            return self._assignment[v]
-        except KeyError:
-            raise MissingLabel(f"vertex {v!r} has no set-label") from None
+            i = bisect_left(vertices, v)
+            if vertices[i] == v:
+                return self._sets[i]
+        except (IndexError, TypeError):
+            pass  # past the last id, or no str to compare
+        raise MissingLabel(f"vertex {v!r} has no set-label")
 
     def items(self) -> tuple[tuple[str, IntegerSet], ...]:
-        return tuple(self._assignment.items())
+        return tuple(zip(self._vertices, self._sets))
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Labeling)
             and self.universe_max == other.universe_max
-            and self._assignment == other._assignment
+            and self._vertices == other._vertices
+            and self._sets == other._sets
         )
 
     def __hash__(self) -> int:
-        return hash((self.universe_max, tuple(self._assignment.items())))
+        return hash((self.universe_max, self._vertices, self._sets))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{v}: {s.to_text()}" for v, s in self._assignment.items())
+        body = ", ".join(f"{v}: {s.to_text()}" for v, s in zip(self._vertices, self._sets))
         return f"Labeling(universe_max={self.universe_max}, {{{body}}})"
 
     def label_mass(self) -> int:
         """Total size of all assigned sets; the tie-break used in reports."""
-        return sum(len(s) for s in self._assignment.values())
+        return sum(map(len, self._sets))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +171,7 @@ def parse_labeling(text: str) -> Labeling:
 
 
 def format_labeling(lab: Labeling) -> str:
-    lines = [f"{v}: {s.to_text()}\n" for v, s in lab._assignment.items()]
+    lines = [f"{v}: {s.to_text()}\n" for v, s in zip(lab._vertices, lab._sets)]
     return f"universe_max = {lab.universe_max}\n" + "".join(lines)
 
 
@@ -189,15 +203,24 @@ def derive(g: Graph, f: Labeling, strict: bool = False) -> SignedLabeledGraph:
     escapes the universe; then for labeled vertices not in g; then for the
     first edge whose label escapes.
 
-    It calls ``sumset`` by its module-level name once per edge, so that a
-    tracer which rebinds the name sees every call and times it apart.
+    It reads the labels in ``g.vertices`` order: f's own tuple of sets when
+    f labels exactly g's ids, as every replayed and transformed labeling
+    does, else each looked up by id. Each edge reads its ends' labels by
+    position (``graphs._edge_positions``). It calls ``sumset`` by its
+    module-level name once per edge, so that a tracer which rebinds the
+    name sees every call and times it apart.
     """
     check_flag("strict", strict)
-    assignment = f._assignment
     universe_max = f.universe_max
+    vertices = g.vertices
+    # The labels of g's vertices in their order, None where one is missing.
+    if f._vertices == vertices:
+        labels = f._sets
+    else:
+        named = dict(zip(f._vertices, f._sets))
+        labels = [named.get(v) for v in vertices]
     seen: dict[tuple[int, ...], str] = {}
-    for v in g.vertices:
-        label = assignment.get(v)
+    for v, label in zip(vertices, labels):
         if label is None:
             raise MissingLabel(f"vertex {v!r} has no set-label")
         elements = label.elements
@@ -210,15 +233,15 @@ def derive(g: Graph, f: Labeling, strict: bool = False) -> SignedLabeledGraph:
             raise UniverseViolation(
                 f"label {label.to_text()} of vertex {v!r} escapes universe_max={universe_max}"
             )
-    # seen holds one entry per vertex of g, so any further key is an extra vertex.
-    if len(assignment) != len(seen):
-        extra = sorted(set(assignment) - set(g.vertices))
+    # seen holds one entry per vertex of g, so any further id is an extra vertex.
+    if len(f._vertices) != len(seen):
+        extra = sorted(set(f._vertices) - set(vertices))
         raise UnknownVertex(f"labeled vertices not in the graph: {', '.join(extra)}")
     sign_of_parity = _SIGN_OF_PARITY
     edge_labels: dict[Edge, IntegerSet] = {}
     signs: dict[Edge, Sign] = {}
-    for e in g.edges:
-        label = sumset(assignment[e[0]], assignment[e[1]])
+    for e, i, j in _edge_positions(g):
+        label = sumset(labels[i], labels[j])
         elements = label.elements
         if strict and elements[-1] > universe_max:
             u, v = e

@@ -23,6 +23,7 @@ from typing import Callable, Iterator, Sequence
 from .errors import BoundExceeded, ParseError, check_count, check_flag
 from .graphs import (
     Graph,
+    _edge_positions,
     automorphism_chain,
     automorphism_count,
     automorphisms,
@@ -325,8 +326,7 @@ def _count_indices(g: Graph, space: _LabelingSpace) -> int:
 
 def _edge_ends(g: Graph) -> list[tuple[int, int, int]]:
     """(end position, end position, edge bit) per edge, positions in ``g.vertices``."""
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    return [(pos[u], pos[v], 1 << e) for e, (u, v) in enumerate(g.edges)]
+    return [(i, j, 1 << k) for k, (_, i, j) in enumerate(_edge_positions(g))]
 
 
 class _Tally:

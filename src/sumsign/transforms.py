@@ -11,8 +11,10 @@ The result graph depends only on the input graph and the change, not on the
 labels, so ``_rebuild`` takes it from a bounded memo of transform plans:
 equal transforms of one graph return the same result ``Graph``, whose
 forest, bipartition and cycle masks are then computed once, however many
-labelings are replayed through it. The labels, ``derive``, the carried-sign
-check and the notes are made on every call.
+labelings are replayed through it. The plan also gives each result
+vertex's position in the input graph, so the result's labels are picked
+from the input labeling's tuple of sets by position. The labels,
+``derive``, the carried-sign check and the notes are made on every call.
 """
 
 from __future__ import annotations
@@ -87,13 +89,16 @@ def _rebuild(
     """
     added_edges = tuple(new_edges)
     w, label, source = (None, None, None) if new_vertex is None else new_vertex
-    graph, removed_edges, kept_edges, kept_vertices = _plan(
+    graph, removed_edges, kept_edges, kept_vertices, positions = _plan(
         s.graph, drop_vertex, tuple(drop_edges), w, added_edges
     )
-    carried = s.labeling._assignment
+    # derive made s.labeling's sets aligned with s.graph.vertices; the new
+    # vertex's position is one past them.
+    carried = s.labeling._sets if w is None else s.labeling._sets + (label,)
     # Graph has checked every id, so the labeling is built from checked parts.
-    labels = {x: label if x == w else carried[x] for x in graph.vertices}
-    result = derive(graph, Labeling._from_checked(s.labeling.universe_max, labels))
+    labels = tuple(map(carried.__getitem__, positions))
+    labeling = Labeling._from_checked(s.labeling.universe_max, graph.vertices, labels)
+    result = derive(graph, labeling)
     # Induced = carried: identical labels give identical sumsets and signs.
     assert all(result.signs[e] == s.signs[e] for e in kept_edges)
     notes = [(x, "carried") for x in kept_vertices]
@@ -117,16 +122,20 @@ def _plan(
     drop_edges: tuple[Edge, ...],
     new_vertex: str | None,
     new_edges: tuple[Edge, ...],
-) -> tuple[Graph, tuple[Edge, ...], tuple[Edge, ...], tuple[str, ...]]:
+) -> tuple[Graph, tuple[Edge, ...], tuple[Edge, ...], tuple[str, ...], tuple[int, ...]]:
     """The structural half of ``_rebuild``: the result graph, the removed
-    edges, the kept edges and the kept vertices, in g's order."""
+    edges, the kept edges and the kept vertices, in g's order, and per
+    vertex of the result graph its position in ``g.vertices``, g.n for the
+    new vertex."""
     drop = set(drop_edges)
     removed_edges = tuple(e for e in g.edges if e in drop or drop_vertex in e)
     kept_edges = tuple(e for e in g.edges if e not in removed_edges)
     kept_vertices = tuple(x for x in g.vertices if x != drop_vertex)
     vertices = kept_vertices if new_vertex is None else kept_vertices + (new_vertex,)
     graph = Graph(vertices, kept_edges + new_edges)
-    return graph, removed_edges, kept_edges, kept_vertices
+    source = {x: i for i, x in enumerate(g.vertices)}
+    positions = tuple(source.get(x, g.n) for x in graph.vertices)
+    return graph, removed_edges, kept_edges, kept_vertices, positions
 
 
 def delete_vertex(s: SignedLabeledGraph, v: str) -> TransformOutcome:

@@ -89,7 +89,7 @@ class Verdict(str, Enum):
     COUNTEREXAMPLE_FOUND = "COUNTEREXAMPLE_FOUND"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Counterexample:
     graph: Graph
     labeling: Labeling
@@ -161,11 +161,11 @@ def _labeling_from_indices(
     g: Graph, space: _LabelingSpace, indices: Sequence[int]
 ) -> Labeling:
     """The labeling of one set-index tuple, built from checked parts: the
-    ids are the graph's sorted vertices, the sets the space's candidates and
-    universe_max the bounds'."""
+    ids are the graph's own sorted vertex tuple, the sets the space's
+    candidates and universe_max the bounds'."""
     sets = space.sets
     return Labeling._from_checked(
-        space.bounds.universe_max, {v: sets[i] for v, i in zip(g.vertices, indices)}
+        space.bounds.universe_max, g.vertices, tuple(map(sets.__getitem__, indices))
     )
 
 

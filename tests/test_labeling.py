@@ -179,6 +179,26 @@ class TestDerive:
         assert format_labeling(a.labeling) == format_labeling(b.labeling)
 
 
+class TestGet:
+    """``get`` gives the set of a labeled id and refuses any other value
+    with one text."""
+
+    LABELING = lab(8, b=[0, 1], d=[0, 2], f=[0, 2, 4])
+
+    def test_each_labeled_id_gives_its_set(self):
+        for v, s in [("b", [0, 1]), ("d", [0, 2]), ("f", [0, 2, 4])]:
+            assert self.LABELING.get(v) == IntegerSet(s)
+
+    @pytest.mark.parametrize(
+        "v", ["c", "g", "a", 5, None],
+        ids=["between", "past-the-last", "before-the-first", "int", "none"],
+    )
+    def test_an_unlabeled_id_is_missing(self, v):
+        with pytest.raises(MissingLabel) as exc:
+            self.LABELING.get(v)
+        assert str(exc.value) == f"vertex {v!r} has no set-label"
+
+
 class TestIasi:
     def test_single_edge_always_injective(self):
         assert validate_iasi(derive(K2, lab(4, u=[0, 1], v=[0, 2])))

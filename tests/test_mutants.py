@@ -226,9 +226,23 @@ MUTANTS = [
     Mutant(
         "replay-keeps-ids-in-reverse-order",
         "verify.py",
-        "{v: sets[i] for v, i in zip(g.vertices, indices)}",
-        "dict(reversed([(v, sets[i]) for v, i in zip(g.vertices, indices)]))",
+        "g.vertices, tuple(map(sets.__getitem__, indices))",
+        "g.vertices[::-1], tuple(map(sets.__getitem__, indices[::-1]))",
         "tests/test_verify.py::test_replayed_labelings_equal_the_public_construction",
+    ),
+    Mutant(
+        "labeling-get-without-the-id-check",
+        "labeling.py",
+        "            if vertices[i] == v:\n                return self._sets[i]\n",
+        "            return self._sets[i]\n",
+        "tests/test_labeling.py::TestGet::test_an_unlabeled_id_is_missing[between]",
+    ),
+    Mutant(
+        "plan-positions-read-from-the-result-graph",
+        "transforms.py",
+        "source = {x: i for i, x in enumerate(g.vertices)}",
+        "source = {x: i for i, x in enumerate(graph.vertices)}",
+        "tests/test_transforms.py::TestTransformPlans::test_equal_transforms_share_the_result_graph",
     ),
     Mutant(
         "sort-key-without-the-graph-text",
@@ -248,6 +262,13 @@ MUTANTS = [
         "tests/test_labeling.py::TestDerive::test_error_texts[duplicate]",
     ),
     Mutant(
+        "derive-checks-injectivity-on-looked-up-labels-only",
+        "labeling.py",
+        "        if elements in seen:\n",
+        "        if elements in seen and labels is not f._sets:\n",
+        "tests/test_labeling.py::TestDerive::test_error_texts[duplicate]",
+    ),
+    Mutant(
         "derive-without-the-strict-vertex-check",
         "labeling.py",
         "        if strict and elements[-1] > universe_max:\n"
@@ -260,8 +281,8 @@ MUTANTS = [
     Mutant(
         "derive-without-the-extra-vertex-check",
         "labeling.py",
-        "    if len(assignment) != len(seen):\n"
-        "        extra = sorted(set(assignment) - set(g.vertices))\n"
+        "    if len(f._vertices) != len(seen):\n"
+        "        extra = sorted(set(f._vertices) - set(vertices))\n"
         "        raise UnknownVertex(f\"labeled vertices not in the graph: {', '.join(extra)}\")\n",
         "",
         "tests/test_labeling.py::TestDerive::test_error_texts[extra-vertex]",
@@ -312,8 +333,8 @@ MUTANTS = [
     Mutant(
         "replay-takes-max-label-size-as-universe-max",
         "verify.py",
-        "space.bounds.universe_max, {v: sets[i]",
-        "space.bounds.max_label_size, {v: sets[i]",
+        "space.bounds.universe_max, g.vertices",
+        "space.bounds.max_label_size, g.vertices",
         "tests/test_verify.py::test_replayed_labelings_equal_the_public_construction",
     ),
     Mutant(

@@ -1237,6 +1237,23 @@ def test_replayed_labelings_equal_the_public_construction():
         assert lab == public and hash(lab) == hash(public)
         assert lab.items() == public.items()
         assert format_labeling(lab) == format_labeling(public)
+        for twin in (copy.copy(lab), pickle.loads(pickle.dumps(lab))):
+            assert twin == lab and hash(twin) == hash(lab)
+            assert twin.items() == lab.items()
+        assert repr(lab) == repr(public)
+
+
+def test_a_replayed_counterexample_holds_no_dict():
+    """A held counterexample is slots and tuples: neither it nor its
+    labeling has a ``__dict__``, the labeling holds no dict, and its ids
+    are its graph's own vertex tuple."""
+    report = verify_theorem(TheoremId.BALANCE_BIPARTITE_REV, "connected:4", SearchBounds(3, 2))
+    assert report.counterexamples
+    for ce in report.counterexamples:
+        lab = ce.labeling
+        assert not hasattr(ce, "__dict__") and not hasattr(lab, "__dict__")
+        assert not any(isinstance(getattr(lab, name), dict) for name in Labeling.__slots__)
+        assert lab._vertices is ce.graph.vertices
 
 
 def test_a_walk_that_ignores_balanced_does_not_pass(monkeypatch):
