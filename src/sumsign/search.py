@@ -324,11 +324,6 @@ def _count_indices(g: Graph, space: _LabelingSpace) -> int:
     return sum(allowed.bit_count() for allowed in _walk(g, space, orbits=True)[2])
 
 
-def _edge_ends(g: Graph) -> list[tuple[int, int, int]]:
-    """(end position, end position, edge bit) per edge, positions in ``g.vertices``."""
-    return [(i, j, 1 << k) for k, (_, i, j) in enumerate(_edge_positions(g))]
-
-
 class _Tally:
     """What one experiment run counted and where its claim failed.
 
@@ -484,13 +479,13 @@ def _homeomorphism_search(tally: _Tally, g: Graph) -> None:
 def _iasi_search(tally: _Tally, g: Graph) -> None:
     """Injective iff the edges' sumsets are distinct."""
     space = tally.space
-    ends = _edge_ends(g)
+    edges = _edge_positions(g)
     cases = 0
     found = []
     for indices in _visit(g, space, orbits=True):
         cases += 1
-        sums = {space.pair_sum(indices[a], indices[b])[0] for a, b, _ in ends}
-        if len(sums) < len(ends):
+        sums = {space.pair_sum(indices[a], indices[b])[0] for _, a, b in edges}
+        if len(sums) < len(edges):
             found.append((indices, (None,)))
     tally.add_orbits(g, cases, 0, found)
 

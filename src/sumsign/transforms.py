@@ -176,11 +176,13 @@ def subdivide_edge(s: SignedLabeledGraph, e: Edge) -> TransformOutcome:
     key = s.graph.edge(*e)
     u, v = key
     inherited = s.edge_labels[key]
-    for x in s.graph.vertices:
-        if s.labeling.get(x) == inherited:
-            raise InjectivityCollision(
-                f"edge label {inherited.to_text()} already labels vertex {x!r}"
-            )
+    # A derived labeling's sets are aligned with the graph's vertex tuple.
+    labels = s.labeling._sets
+    if inherited in labels:
+        x = s.graph.vertices[labels.index(inherited)]
+        raise InjectivityCollision(
+            f"edge label {inherited.to_text()} already labels vertex {x!r}"
+        )
     base = w = f"{u}*{v}"
     i = 2
     while s.graph.has_vertex(w):

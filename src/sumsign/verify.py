@@ -9,15 +9,16 @@ claim within bounds or lists every counterexample, smallest first, each
 replayed here through the public pipeline.
 
 ``sweep_sign_patterns`` checks the two balance definitions against each
-other on every sign pattern of a graph, with one bit plane per edge held as
-a Python int: bit p of a plane is that edge's sign in pattern p.
+other on every sign pattern of a graph. A pattern is an int whose set bits
+are the negative edges. It is balanced on a cycle when it holds an even
+number of the cycle's edges, a linear equation over GF(2), so each side's
+balanced patterns are solved for, not scanned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .balance import SignedGraph, is_balanced_fast
@@ -224,10 +225,11 @@ class PatternSweep:
     """Outcome of evaluating both balance checks on every sign pattern.
 
     Pattern p encodes the negative edge set: bit i set means edge i of
-    ``edge_order`` is negative. The oracle verdict evaluates the negative
-    parity of every simple cycle for every pattern; the fast verdict
-    propagates parities along a spanning forest and checks every non-tree
-    edge for every pattern.
+    ``edge_order`` is negative. The oracle verdict requires an even number
+    of negative edges on every simple cycle; the fast verdict on every
+    fundamental cycle of a spanning forest, one per non-tree edge. Each
+    pattern is decided on both sides, all 2^m of them counted in
+    ``patterns_checked``.
     """
 
     edge_order: tuple[Edge, ...]
@@ -253,131 +255,74 @@ def signed_graph_from_pattern(
     )
 
 
-def _set_bits(x: int) -> Iterator[int]:
-    """Positions of the set bits of x, ascending."""
-    digits = format(x, "b")[::-1]
-    i = digits.find("1")
-    while i >= 0:
-        yield i
-        i = digits.find("1", i + 1)
+def _even_patterns(masks: Iterable[int], m: int) -> list[int]:
+    """Every m-bit pattern p with (p & mask).bit_count() even for each of
+    ``masks``, ascending.
 
-
-# Plane counts whose subset tables the sweep keeps: every count up to the
-# default chunk's 14, whose two tables hold 256 planes of 2 KB.
-_PLANE_TABLE_WIDTHS = 15
-
-
-@lru_cache(maxsize=_PLANE_TABLE_WIDTHS)
-def _plane_tables(k: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(h, low, high): the k bit planes of a 2^k-pattern chunk as two
-    subset-XOR tables, h = k // 2. Bit p of plane b is bit b of p; entry i of
-    ``low`` XORs the planes b < h that i selects, and entry j of ``high`` the
-    planes h + b that j selects, so a k-bit mask's parity plane is
-    ``low[mask & (2^h - 1)] ^ high[mask >> h]``."""
-    size = 1 << k
-    h = k // 2
-    low, high = [0], [0]
-    for b in range(k):
-        # Plane b repeats a 2^(b+1)-bit block.
-        half = 1 << b
-        plane, width = ((1 << half) - 1) << half, 2 * half
-        while width < size:
-            plane |= plane << width
-            width *= 2
-        table = low if b < h else high
-        table += [t ^ plane for t in table]
-    return h, tuple(low), tuple(high)
-
-
-def _parity_groups(
-    masks: Sequence[int], k: int, full: int
-) -> list[tuple[int, int, int]]:
-    """Fold each mask's low part once, grouped by its high part.
-
-    A chunk holds 2^k patterns. A mask splits into its low k bits and its
-    high part h = mask >> k; in every chunk the mask's parity plane is its
-    low part's plane, read from ``_plane_tables(k)``, complemented when h
-    meets an odd number of the chunk's set high bits. Returns (h, any_odd,
-    any_odd_flipped) per distinct h, in first-seen order: the OR of the
-    group's low planes, and the OR of their complements.
+    Parity is bilinear over GF(2), so these patterns are the orthogonal
+    complement of the masks' span. The masks are reduced to reduced echelon
+    form, each row led by its lowest set bit, which occurs in no other row.
+    Each bit that leads no row gives one basis vector of the complement: the
+    bit itself plus the leading bit of every row that holds it, so its
+    highest bit is the free bit alone. Combined in ascending order of that
+    bit, the vectors give the patterns in ascending order.
     """
-    half, low_xors, high_xors = _plane_tables(k)
-    low_half = (1 << half) - 1
-    low = (1 << k) - 1
-    groups: dict[int, list[int]] = {}
+    rows: dict[int, int] = {}  # leading bit, as a power of two -> row
+    leads = 0
     for mask in masks:
-        plane = low_xors[mask & low_half] ^ high_xors[(mask & low) >> half]
-        group = groups.get(mask >> k)
-        if group is None:
-            groups[mask >> k] = [plane, plane]
-        else:
-            group[0] |= plane
-            group[1] &= plane
-    return [(h, any_odd, full ^ all_odd) for h, (any_odd, all_odd) in groups.items()]
+        # A row clears its own leading bit in mask and no other row's.
+        hit = mask & leads
+        while hit:
+            lead = hit & -hit
+            mask ^= rows[lead]
+            hit ^= lead
+        if mask:
+            lead = mask & -mask
+            for other, row in rows.items():
+                if row & lead:
+                    rows[other] = row ^ mask
+            rows[lead] = mask
+            leads |= lead
+    patterns = [0]
+    for free in range(m):
+        bit = 1 << free
+        if not bit & leads:
+            vector = bit
+            for lead, row in rows.items():
+                if row & bit:
+                    vector |= lead
+            patterns += [p ^ vector for p in patterns]
+    return patterns
 
 
-def _odd_patterns(groups: list[tuple[int, int, int]], high: int) -> int:
-    """Bit p set iff some grouped mask is odd on pattern p of the chunk
-    whose high bits are ``high``."""
-    odd = 0
-    for h, any_odd, any_odd_flipped in groups:
-        odd |= any_odd_flipped if (h & high).bit_count() & 1 else any_odd
-    return odd
-
-
-# Patterns per batch of the sweep, a power of two: each bit plane is an int
-# of this many bits.
-_SWEEP_CHUNK = 1 << 14
-# The desk-scale bound on edges, hence 2^32 patterns at most.
+# The desk-scale bound on edges: a forest's sweep lists all 2^m patterns.
 _SWEEP_MAX_EDGES = 32
 
 
 def sweep_sign_patterns(g: Graph) -> PatternSweep:
     """Run both balance definitions over all 2^m sign patterns of g.
 
-    Literal but batched on bit planes: within a chunk of 2^k patterns
-    starting at ``start``, bit p of plane b is bit b of pattern start + p,
-    so XOR-ing the planes of a cycle's edges gives every pattern's negative
-    parity on that cycle at once. The planes below bit k are the same in
-    every chunk and each plane from bit k up is all zeros or all ones, so
-    each cycle's low part is folded once per graph, with one read of each
-    of two subset-XOR tables (``_plane_tables``), and a chunk only
-    complements that fold when the cycle's high edges hold an odd number
-    of negatives (``_parity_groups``). The oracle side requires every
-    simple cycle even; the fast side requires every fundamental cycle of
-    the spanning forest even; each side has its own groups. Returns the
-    patterns on which the two sides disagree (expected: none) and the
-    oracle-balanced patterns, both ascending. Graphs with more than 32
-    edges raise BoundExceeded.
+    A pattern is balanced on one side when it is even on every cycle mask
+    of that side: every simple cycle for the oracle, every fundamental
+    cycle of the spanning forest for the fast side. Each side's balanced
+    patterns are solved for over GF(2) (``_even_patterns``), which decides
+    every pattern exactly as a recount of its parity on each mask would.
+    Returns the oracle-balanced patterns and the patterns on which the two
+    sides disagree (expected: none), both ascending. Graphs with more than
+    32 edges raise BoundExceeded.
     """
     m = g.m
     if m > _SWEEP_MAX_EDGES:
         raise BoundExceeded(
             f"sign-pattern sweep limited to {_SWEEP_MAX_EDGES} edges, graph has {m}"
         )
-    oracle_masks = [mask for _, mask in cycle_masks(g, max_vertices=g.n)]
-    fund_masks = fundamental_cycle_masks(g)
-
-    total = 1 << m
-    size = min(_SWEEP_CHUNK, total)
-    k = size.bit_length() - 1
-    full = (1 << size) - 1
-    oracle = _parity_groups(oracle_masks, k, full)
-    fast = _parity_groups(fund_masks, k, full)
-    balanced: list[int] = []
-    disagreements: list[int] = []
-    for start in range(0, total, size):
-        oracle_odd = _odd_patterns(oracle, start >> k)
-        mismatch = oracle_odd ^ _odd_patterns(fast, start >> k)
-        if mismatch:
-            disagreements.extend(start + p for p in _set_bits(mismatch))
-        if oracle_odd != full:
-            balanced.extend(start + p for p in _set_bits(full ^ oracle_odd))
+    balanced = _even_patterns((mask for _, mask in cycle_masks(g, max_vertices=g.n)), m)
+    fast = _even_patterns(fundamental_cycle_masks(g), m)
     return PatternSweep(
         edge_order=g.edges,
-        patterns_checked=total,
+        patterns_checked=1 << m,
         balanced_patterns=tuple(balanced),
-        disagreements=tuple(disagreements),
+        disagreements=tuple(sorted(set(balanced).symmetric_difference(fast))),
     )
 
 

@@ -16,7 +16,7 @@ from itertools import combinations
 from sumsign import transforms
 from sumsign.balance import is_balanced_fast, is_balanced_oracle, is_clusterable
 from sumsign.families import bipartite_family, connected_graphs
-from sumsign.graphs import Graph, fundamental_cycle_masks, is_bipartite
+from sumsign.graphs import Graph, _edge_positions, fundamental_cycle_masks, is_bipartite
 from sumsign.intsets import IntegerSet, ap_sumset_cardinality
 from sumsign.labeling import Labeling, derive, predicted_sign, validate_aiasl
 from sumsign.verify import (
@@ -28,7 +28,7 @@ from sumsign.verify import (
     sweep_sign_patterns,
     verify_theorem,
 )
-from sumsign.search import _edge_ends, _LabelingSpace, _visit
+from sumsign.search import _LabelingSpace, _visit
 
 K2 = Graph(["u", "v"], [("u", "v")])
 
@@ -68,12 +68,13 @@ def oracle_admissible(a, b):
     return k <= m, m, n, k
 
 
-def _negative_mask(ends, odd, indices):
-    """The edge bits of ``ends`` whose pair of sets has an odd sumset."""
+def _negative_mask(edges, odd, indices):
+    """Bit k set where edge k's pair of sets has an odd sumset; ``edges``
+    holds the (edge, end position, end position) rows of ``_edge_positions``."""
     mask = 0
-    for a, b, bit in ends:
+    for k, (_, a, b) in enumerate(edges):
         if odd[indices[a]] >> indices[b] & 1:
-            mask |= bit
+            mask |= 1 << k
     return mask
 
 
@@ -132,7 +133,9 @@ def test_c02_positive_edge_prediction():
 def test_c03_balance_check_equivalence():
     """Oracle and fast balance agree on every sign pattern, graphs <= 7.
 
-    The sweep evaluates both definitions on all 2^|E| patterns per graph.
+    The sweep decides both definitions on all 2^|E| patterns per graph: it
+    solves each side's even-parity equations over GF(2), so a pattern is
+    balanced on a side exactly when a recount of its cycles would say so.
     The scalar public functions are then cross-validated against the sweep:
     exhaustively for graphs up to 4 vertices, and on every balanced pattern
     plus boundary samples for the larger graphs.
@@ -215,11 +218,11 @@ def test_c05_odd_ratio_balance_law():
     # Layer 1: literal enumeration for every graph on up to 4 vertices.
     literal = 0
     for g in connected_graphs(4):
-        ends, cycles = _edge_ends(g), fundamental_cycle_masks(g)
+        edges, cycles = _edge_positions(g), fundamental_cycle_masks(g)
         bip = is_bipartite(g)
         for n, indices in enumerate(_visit(g, space)):
             literal += 1
-            balanced = _balanced(_negative_mask(ends, space.odd, indices), cycles)
+            balanced = _balanced(_negative_mask(edges, space.odd, indices), cycles)
             assert balanced == bip
             if n % 500000 == 0:
                 # Tie the batched path to the public pipeline.

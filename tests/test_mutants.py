@@ -69,56 +69,73 @@ MUTANTS = [
         "tests/test_graphs.py::TestCycleMasks::test_connected_7_listing_is_pinned",
     ),
     Mutant(
-        "sweep-fast-side-reads-oracle-groups",
+        "sweep-fast-side-reads-oracle-patterns",
         "verify.py",
-        "fast = _parity_groups(fund_masks, k, full)",
-        "fast = oracle",
-        "tests/test_verify.py::TestSweepSignPatterns::test_sweep_equals_a_literal_recount[default]",
+        "fast = _even_patterns(fundamental_cycle_masks(g), m)",
+        "fast = balanced",
+        "tests/test_verify.py::TestSweepSignPatterns::test_sweep_equals_a_literal_recount",
     ),
     Mutant(
-        "sweep-flip-ignored",
+        "sweep-disagreements-oracle-side-only",
         "verify.py",
-        "odd |= any_odd_flipped if (h & high).bit_count() & 1 else any_odd",
-        "odd |= any_odd",
-        "tests/test_verify.py::TestSweepSignPatterns::test_sweep_equals_a_literal_recount[default]",
+        "set(balanced).symmetric_difference(fast)",
+        "set(balanced).difference(fast)",
+        "tests/test_verify.py::TestSweepSignPatterns::test_sweep_equals_a_literal_recount",
     ),
     Mutant(
-        "sweep-groups-keyed-on-low-bits",
+        "sweep-disagreements-fast-side-only",
         "verify.py",
-        "        group = groups.get(mask >> k)\n"
-        "        if group is None:\n"
-        "            groups[mask >> k] = [plane, plane]\n",
-        "        group = groups.get(mask & low)\n"
-        "        if group is None:\n"
-        "            groups[mask & low] = [plane, plane]\n",
-        "tests/test_verify.py::TestSweepSignPatterns::test_sweep_equals_a_literal_recount[default]",
+        "set(balanced).symmetric_difference(fast)",
+        "set(fast).difference(balanced)",
+        "tests/test_verify.py::TestSweepSignPatterns::test_sweep_equals_a_literal_recount",
     ),
     Mutant(
-        "sweep-half-tables-swapped",
+        "sweep-counts-its-balanced-patterns",
         "verify.py",
-        "plane = low_xors[mask & low_half] ^ high_xors[(mask & low) >> half]",
-        "plane = high_xors[mask & low_half] ^ low_xors[(mask & low) >> half]",
-        "tests/test_verify.py::TestSweepSignPatterns::test_sweep_equals_a_literal_recount[default]",
+        "patterns_checked=1 << m,",
+        "patterns_checked=len(balanced),",
+        "tests/test_verify.py::TestSweepSignPatterns::test_triangle_even_popcount_patterns",
     ),
     Mutant(
-        "plane-tables-memo-holds-one-width",
+        "solve-skips-the-reduction-by-earlier-rows",
         "verify.py",
-        "@lru_cache(maxsize=_PLANE_TABLE_WIDTHS)",
-        "@lru_cache(maxsize=1)",
-        "tests/test_verify.py::TestSweepSignPatterns::test_plane_tables_are_built_once_per_width",
+        "mask ^= rows[lead]",
+        "pass",
+        "tests/test_verify.py::TestSweepSignPatterns::test_even_patterns_equal_a_brute_force_recount",
     ),
     Mutant(
-        "sweep-scan-skipped-on-a-disagreeing-chunk",
+        "solve-skips-the-back-substitution",
         "verify.py",
-        "        if mismatch:\n",
-        "        if not mismatch:\n",
-        "tests/test_verify.py::TestSweepSignPatterns::test_sweep_equals_a_literal_recount[default]",
+        "                if row & lead:\n                    rows[other] = row ^ mask\n",
+        "                pass\n",
+        "tests/test_verify.py::TestSweepSignPatterns::test_even_patterns_equal_a_brute_force_recount",
     ),
     Mutant(
-        "sweep-scan-skipped-on-an-all-balanced-chunk",
+        "solve-leading-bit-off-by-one",
         "verify.py",
-        "if oracle_odd != full:",
-        "if oracle_odd:",
+        "lead = mask & -mask",
+        "lead = (mask & -mask) << 1",
+        "tests/test_verify.py::TestSweepSignPatterns::test_even_patterns_equal_a_brute_force_recount",
+    ),
+    Mutant(
+        "solve-leads-each-row-by-its-highest-bit",
+        "verify.py",
+        "lead = mask & -mask",
+        "lead = 1 << mask.bit_length() - 1",
+        "tests/test_verify.py::TestSweepSignPatterns::test_sweep_equals_a_literal_recount",
+    ),
+    Mutant(
+        "solve-complement-vector-lacks-the-leading-bits",
+        "verify.py",
+        "vector |= lead",
+        "vector |= 0",
+        "tests/test_verify.py::TestSweepSignPatterns::test_even_patterns_equal_a_brute_force_recount",
+    ),
+    Mutant(
+        "solve-adds-each-vector-alone",
+        "verify.py",
+        "patterns += [p ^ vector for p in patterns]",
+        "patterns.append(vector)",
         "tests/test_verify.py::TestSweepSignPatterns::test_tree_every_pattern_balanced",
     ),
     Mutant(
@@ -433,6 +450,28 @@ def _run_killer(mutant, tmp_path):
         capture_output=True,
         text=True,
     )
+
+
+def test_every_row_applies_and_names_a_collected_killer():
+    """Each row's text occurs exactly once in its source, and one
+    ``--collect-only`` run collects every killer, so a stale row fails here
+    once, by name, before the mutants are run."""
+    stale = [m.name for m in MUTANTS
+             if (SRC / "sumsign" / m.source).read_text(encoding="utf-8").count(m.text) != 1]
+    assert stale == []
+    killers = sorted({m.killer for m in MUTANTS})
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         "-p", "no:hypothesispytest", *killers],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+    )
+    collected = run.stdout.splitlines()
+    missing = [k for k in killers
+               if not any(c == k or c.startswith((k + "::", k + "[")) for c in collected)]
+    assert missing == [], run.stdout[-2000:] + run.stderr[-2000:]
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])

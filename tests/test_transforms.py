@@ -146,6 +146,19 @@ class TestSubdivideEdge:
         with pytest.raises(UnknownEdge):
             subdivide_edge(balanced_triangle(), ("u", "zz"))
 
+    # On a triangle, the edge label of each pair is the third vertex's label.
+    @pytest.mark.parametrize("labels, e, named", [
+        ((1, 2, 3), ("u", "v"), "w"),
+        ((3, 1, 2), ("v", "w"), "u"),
+        ((1, 3, 2), ("u", "w"), "v"),
+    ], ids=["last", "first", "middle"])
+    def test_a_collision_names_the_vertex_it_hits(self, labels, e, named):
+        slg = derive(TRIANGLE, lab(3, **{v: [x] for v, x in zip("uvw", labels)}))
+        label = labels["uvw".index(named)]
+        with pytest.raises(InjectivityCollision) as caught:
+            subdivide_edge(slg, e)
+        assert str(caught.value) == f"edge label {{{label}}} already labels vertex {named!r}"
+
     def test_induced_conditions(self):
         slg = balanced_triangle()
         outcome = subdivide_edge(slg, ("v", "w"))

@@ -31,6 +31,7 @@ from sumsign.families import (
 )
 from sumsign.graphs import (
     Graph,
+    _edge_positions,
     automorphism_count,
     cut_edges,
     cycle_masks,
@@ -45,7 +46,6 @@ from sumsign.intsets import IntegerSet, Sign, sumset
 from sumsign.labeling import Labeling, derive, format_labeling, validate_aiasl
 from sumsign.search import (
     _count_indices,
-    _edge_ends,
     _MAX_CANDIDATE_SETS,
     _labeling_space,
     _LabelingSpace,
@@ -56,6 +56,7 @@ from sumsign.verify import (
     _EXPERIMENTS,
     _K2,
     _K2_EDGE,
+    _even_patterns,
     _labeling_from_indices,
     _run,
     Counterexample,
@@ -1076,12 +1077,13 @@ WALK_CASES = COMPLETENESS_CASES + [
 WALK_IDS = COMPLETENESS_IDS + ["K3+isolated-(3,3)", "K1-(3,2)", "empty-(3,2)"]
 
 
-def _negative_mask(ends, odd, indices):
-    """The edge bits of ``ends`` whose pair of sets has an odd sumset."""
+def _negative_mask(edges, odd, indices):
+    """Bit k set where edge k's pair of sets has an odd sumset; ``edges``
+    holds the (edge, end position, end position) rows of ``_edge_positions``."""
     mask = 0
-    for a, b, bit in ends:
+    for k, (_, a, b) in enumerate(edges):
         if odd[indices[a]] >> indices[b] & 1:
-            mask |= bit
+            mask |= 1 << k
     return mask
 
 
@@ -1096,7 +1098,7 @@ def test_count_and_balanced_modes_equal_the_filtered_walk(family, bounds):
     labeling that _negative_mask plus _balanced keeps, once, and no other."""
     space = _LabelingSpace(bounds)
     for g in _graphs(family):
-        ends, cycles = _edge_ends(g), fundamental_cycle_masks(g)
+        edges, cycles = _edge_positions(g), fundamental_cycle_masks(g)
         every = list(_visit(g, space))
         assert _count_indices(g, space) == len(list(_visit(g, space, orbits=True)))
         balanced = list(_visit(g, space, balanced=True))
@@ -1104,7 +1106,7 @@ def test_count_and_balanced_modes_equal_the_filtered_walk(family, bounds):
         assert set(balanced) == {
             indices
             for indices in every
-            if _balanced(_negative_mask(ends, space.odd, indices), cycles)
+            if _balanced(_negative_mask(edges, space.odd, indices), cycles)
         }
 
 
@@ -1387,39 +1389,43 @@ class TestSweepSignPatterns:
         with pytest.raises(BoundExceeded, match="32 edges"):
             sweep_sign_patterns(complete_graph(9))  # 36 edges
 
-    def test_plane_tables_are_built_once_per_width(self):
-        import sumsign.verify as verify_module
+    def test_k8_and_a_32_edge_graph_have_the_cut_space_alone(self):
+        """A connected graph's balanced patterns are its 2^(n-1) cuts, at
+        sizes far past a scan: K8 has 28 edges, and K8 with four pendant
+        vertices the 32 the sweep allows."""
+        k8 = complete_graph(8)
+        pendants = [f"p{i}" for i in range(4)]
+        k8_pendants = Graph(list(k8.vertices) + pendants,
+                            list(k8.edges) + [(p, f"v{i}") for i, p in enumerate(pendants)])
+        for g in (k8, k8_pendants):
+            sweep = sweep_sign_patterns(g)
+            assert sweep.patterns_checked == 1 << g.m
+            assert len(sweep.balanced_patterns) == 1 << (g.n - 1)
+            assert sweep.disagreements == ()
+        assert (k8.m, k8_pendants.m) == (28, 32)
 
-        tables = verify_module._plane_tables
-        tables.cache_clear()
-        graphs = connected_graphs(7)
-        for g in graphs:
-            sweep_sign_patterns(g)
-        k = verify_module._SWEEP_CHUNK.bit_length() - 1
-        assert tables.cache_info().misses == len({min(g.m, k) for g in graphs})
-        assert tables.cache_info().maxsize == verify_module._PLANE_TABLE_WIDTHS
+    def test_even_patterns_equal_a_brute_force_recount(self):
+        """The solver against a recount of every pattern on seeded random
+        mask lists: empty lists, zero, duplicate and dependent masks."""
+        rng = random.Random(36)
+        for m in range(13):
+            for _ in range(30):
+                masks = [rng.getrandbits(m) for _ in range(rng.randrange(m + 2))]
+                if masks:
+                    masks += [0, rng.choice(masks), rng.choice(masks) ^ rng.choice(masks)]
+                    rng.shuffle(masks)
+                expected = [p for p in range(1 << m)
+                            if all((p & mask).bit_count() % 2 == 0 for mask in masks)]
+                assert _even_patterns(masks, m) == expected, (m, masks)
 
-    def test_small_chunks_give_the_same_sweep(self, monkeypatch):
-        # With 8 patterns per chunk, every plane from bit 3 up is constant
-        # within a chunk.
-        import sumsign.verify as verify_module
-
-        atlas_14 = next(g for g in connected_graphs(7) if g.m == 14)
-        graphs = [cycle_graph(4), complete_graph(4), complete_bipartite_graph(3, 3),
-                  atlas_14, cycle_graph(16), path_graph(22)]
-        assert [g.m for g in graphs] == [4, 6, 9, 14, 16, 21]
-        expected = [sweep_sign_patterns(g) for g in graphs]
-        monkeypatch.setattr(verify_module, "_SWEEP_CHUNK", 8)
-        assert [sweep_sign_patterns(g) for g in graphs] == expected
-
-    # The grouped kernel against a recount of each pattern on each mask. The
-    # fast side is run as is and without its last fundamental cycle, so
-    # that the sweep must report real disagreements. Graphs up to 14 edges
-    # are recounted on every pattern; the 19-edge graph on every balanced
-    # pattern and a seeded sample. At 8 patterns per chunk, every graph has
-    # high bits; at the default size, only the 19-edge graph does.
-    @pytest.mark.parametrize("chunk", [None, 8], ids=["default", "8"])
-    def test_sweep_equals_a_literal_recount(self, monkeypatch, chunk):
+    # The sweep against a recount of each pattern on each mask. The fast
+    # side is run as is, without its last fundamental cycle and with one
+    # extra mask that is no cycle (a single edge), so that the sweep must
+    # report real disagreements on either side. Graphs up to 14 edges are
+    # recounted on every pattern, and both outputs compared as ascending
+    # tuples; the 19-edge graph on every balanced pattern and a seeded
+    # sample.
+    def test_sweep_equals_a_literal_recount(self, monkeypatch):
         import sumsign.verify as verify_module
 
         def even(masks, pattern):
@@ -1427,31 +1433,35 @@ class TestSweepSignPatterns:
 
         atlas_14 = next(g for g in connected_graphs(7) if g.m == 14)
         dense = next(g for g in connected_graphs(7) if g.m >= 19)
-        if chunk is not None:
-            monkeypatch.setattr(verify_module, "_SWEEP_CHUNK", chunk)
-        cases = [(g, fundamental_cycle_masks(g)[:drop])
+        cases = [(g, fast)
                  for g in (complete_graph(5), complete_bipartite_graph(3, 3), atlas_14)
-                 for drop in (None, -1)]
+                 for full in [fundamental_cycle_masks(g)]
+                 for fast in (full, full[:-1], full + (1 << g.m - 1,))]
         cases.append((dense, fundamental_cycle_masks(dense)))
         assert [(g.m, len(fast)) for g, fast in cases] == [
-            (10, 6), (10, 5), (9, 4), (9, 3), (14, 9), (14, 8), (19, 13)]
+            (10, 6), (10, 5), (10, 7), (9, 4), (9, 3), (9, 5),
+            (14, 9), (14, 8), (14, 10), (19, 13)]
         rng = random.Random(2025)
         for g, fast in cases:
             oracle = [mask for _, mask in cycle_masks(g, max_vertices=g.n)]
             monkeypatch.setattr(verify_module, "fundamental_cycle_masks", lambda _: fast)
             sweep = sweep_sign_patterns(g)
-            balanced = set(sweep.balanced_patterns)
-            disagreements = set(sweep.disagreements)
             if g.m <= 14:
                 patterns = range(1 << g.m)
+                assert sweep.balanced_patterns == tuple(p for p in patterns if even(oracle, p))
+                assert sweep.disagreements == tuple(
+                    p for p in patterns if even(oracle, p) != even(fast, p))
             else:
-                patterns = sorted(balanced | disagreements
-                                  | {rng.randrange(1 << g.m) for _ in range(2000)})
-            for p in patterns:
-                assert (p in balanced) == even(oracle, p), (g.edges, p)
-                assert (p in disagreements) == (even(oracle, p) != even(fast, p)), (g.edges, p)
-            if len(fast) < g.m - g.n + 1:
-                assert disagreements
+                balanced = set(sweep.balanced_patterns)
+                disagreements = set(sweep.disagreements)
+                assert list(sweep.balanced_patterns) == sorted(balanced)
+                assert list(sweep.disagreements) == sorted(disagreements)
+                for p in sorted(balanced | disagreements
+                                | {rng.randrange(1 << g.m) for _ in range(2000)}):
+                    assert (p in balanced) == even(oracle, p), (g.edges, p)
+                    assert (p in disagreements) == (even(oracle, p) != even(fast, p)), (g.edges, p)
+            if fast != fundamental_cycle_masks(g):
+                assert sweep.disagreements
 
     def test_pattern_round_trip(self):
         g = cycle_graph(3)
