@@ -5,9 +5,12 @@ A labeling is a tuple of indices into the candidate sets of one
 space's parity rows and pair memo, the member's own rows and its
 automorphism chain. It records each failing labeling as its indices and
 targets, one per automorphism orbit, and ``_Tally.add_orbits`` expands the
-orbit. The search builds no ``Labeling``, derives nothing and transforms
-nothing: ``verify`` replays every finding through the public pipeline, so
-the two paths check each other. Of the package, this module therefore
+orbit. SUBDIVISION, whose rules its sets' (length, difference) classes
+fix, counts its cases and skips per class assignment instead, and lists
+labelings only where a subdivision could fail. The search builds no
+``Labeling``, derives nothing and transforms nothing: ``verify`` replays
+every finding through the public pipeline, so the two paths check each
+other. Of the package, this module therefore
 imports ``graphs``, ``intsets`` and ``errors`` alone, and a hygiene test
 holds it to that.
 """
@@ -103,6 +106,18 @@ _MAX_CANDIDATE_SETS = 2000
 _LABELING_SPACES = 1
 
 
+@dataclass(frozen=True, slots=True)
+class _Classes:
+    """The (length, difference) classes of a space's sets: ``of[i]`` is set
+    i's class, ``members[c]`` the sets of class c ascending, and ``compat``
+    and ``odd`` the class-level rows as K-bit masks, K the class count."""
+
+    of: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...]
+    compat: tuple[int, ...]
+    odd: tuple[int, ...]
+
+
 class _LabelingSpace:
     """Per-bounds tables: candidate sets and two S-bit rows.
 
@@ -121,7 +136,8 @@ class _LabelingSpace:
     labeling's used-set mask only when the sumset labels a vertex. The memo
     and the id table are filled on first read only: an eager fill would
     hold an entry per allowed pair, several times the rows' memory at the
-    cap, for experiments that never read it.
+    cap, for experiments that never read it. ``classes`` folds the rows into
+    (length, difference) classes, also on first read.
     """
 
     def __init__(self, bounds: SearchBounds):
@@ -156,6 +172,38 @@ class _LabelingSpace:
         self._sums: dict[tuple[int, int], tuple[int, int]] = {}
 
     @cached_property
+    def classes(self) -> _Classes:
+        """The candidate sets grouped by (length, difference), every
+        singleton in one class, numbered in the order of their first set.
+
+        A sumset's size does not change when either operand is shifted, and
+        ``ap_pair`` reads lengths and differences alone, so outside
+        ``require_strict_universe`` a set's compat and odd rows depend on its
+        class alone. Each class row is its first member's row with every
+        set bit replaced by its set's class bit: a class has its own bit in
+        its compat row when two of its sets may be neighbours.
+        """
+        index: dict[tuple[int, int | None], int] = {}
+        of = []
+        for s in self.sets:
+            p = ap_profile(s)
+            of.append(index.setdefault((p.length, p.diff), len(index)))
+        members: list[list[int]] = [[] for _ in index]
+        for i, c in enumerate(of):
+            members[c].append(i)
+        masks = [sum(1 << i for i in m) for m in members]
+
+        def fold(row: int) -> int:
+            return sum(1 << c for c, mask in enumerate(masks) if row & mask)
+
+        return _Classes(
+            of=tuple(of),
+            members=tuple(map(tuple, members)),
+            compat=tuple(fold(self.compat[m[0]]) for m in members),
+            odd=tuple(fold(self.odd[m[0]]) for m in members),
+        )
+
+    @cached_property
     def _ids(self) -> dict[tuple[int, ...], int]:
         return {s.elements: i for i, s in enumerate(self.sets)}
 
@@ -183,6 +231,71 @@ def _labeling_space(bounds: SearchBounds) -> _LabelingSpace:
     """The search space of bounds, built once while they are the last ones
     asked for."""
     return _LabelingSpace(bounds)
+
+
+def _levels(
+    g: Graph, balanced: bool, orbits: bool
+) -> list[tuple[int, list[int], int, list[int], list[int]]]:
+    """The levels of a walk over g's vertices (see ``_walk``), one per
+    vertex in the order the walk assigns them: sorted, or ``spanning_forest``
+    order when ``balanced`` or ``orbits``.
+
+    Per level: the vertex position in ``g.vertices``, the earlier neighbours
+    whose compat rows cut it, its forest parent (-1 for a root or in the
+    plain walk), the other earlier neighbours whose potentials cut it, and,
+    with ``orbits``, the earlier vertices whose sets its set must lie above.
+    """
+    verts = g.vertices
+    pos = {v: i for i, v in enumerate(verts)}
+    order, parent = spanning_forest(g) if balanced or orbits else (verts, {})
+    rank = {v: r for r, v in enumerate(order)}
+    above: list[list[int]] = [[] for _ in verts]
+    if orbits:
+        for w, transversal in automorphism_chain(g):
+            for x, _ in transversal:
+                if x != w:
+                    above[x].append(w)
+    levels = []
+    for v in order:
+        before = [pos[w] for w in g.neighbors(v) if rank[w] < rank[v]]
+        p0 = pos[parent[v]] if balanced and parent[v] is not None else -1
+        others = [q for q in before if q != p0] if balanced else []
+        levels.append((pos[v], before, p0, others, above[pos[v]]))
+    return levels
+
+
+def _candidates(
+    levels: list[tuple[int, list[int], int, list[int], list[int]]],
+    assign: list[int],
+    potential: list[int],
+    compat: Sequence[int],
+    odd: Sequence[int],
+    count: int,
+) -> Callable[[int, int], int]:
+    """The cut of a walk over ``count`` items with rows ``compat`` and
+    ``odd``: ``candidates(level, used)`` is the mask of the items outside
+    ``used`` that the vertex of ``levels[level]`` may take, given what
+    ``assign`` and ``potential`` hold for the earlier vertices. It keeps the
+    items inside each earlier neighbour's compat row, above each item the
+    vertex must lie above, and agreeing with the potentials on every
+    non-tree edge (see ``_walk``)."""
+    full = (1 << count) - 1
+
+    def candidates(level: int, used: int) -> int:
+        _, before, p0, others, above = levels[level]
+        allowed = full & ~used
+        for q in before:
+            allowed &= compat[assign[q]]
+        for q in above:
+            allowed &= -(2 << assign[q])
+        if others:
+            odd0, s0 = odd[assign[p0]], potential[p0]
+            for q in others:
+                x = odd[assign[q]] ^ odd0
+                allowed &= x if potential[q] != s0 else ~x
+        return allowed
+
+    return candidates
 
 
 def _walk(
@@ -220,47 +333,12 @@ def _walk(
     is level k of ``automorphism_chain``. Each such pair is one mask AND at
     x's level, keeping the sets above w_k's.
     """
-    verts = g.vertices
-    n = len(verts)
-    pos = {v: i for i, v in enumerate(verts)}
-    order, parent = spanning_forest(g) if balanced or orbits else (verts, {})
-    rank = {v: r for r, v in enumerate(order)}
-    # Per vertex position, the earlier vertices whose sets its set must lie
-    # above.
-    above: list[list[int]] = [[] for _ in range(n)]
-    if orbits:
-        for w, transversal in automorphism_chain(g):
-            for x, _ in transversal:
-                if x != w:
-                    above[x].append(w)
-    # Per level: the vertex position, the earlier neighbours whose compat
-    # rows cut it, its forest parent (-1 for a root or in the plain walk),
-    # the other earlier neighbours whose potentials cut it, and the earlier
-    # vertices whose sets it must lie above.
-    levels = []
-    for v in order:
-        before = [pos[w] for w in g.neighbors(v) if rank[w] < rank[v]]
-        p0 = pos[parent[v]] if balanced and parent[v] is not None else -1
-        others = [q for q in before if q != p0] if balanced else []
-        levels.append((pos[v], before, p0, others, above[pos[v]]))
-    compat, odd = space.compat, space.odd
-    full = (1 << len(space.sets)) - 1
+    n = g.n
+    levels = _levels(g, balanced, orbits)
+    odd = space.odd
     assign = [0] * n
     potential = [0] * n
-
-    def candidates(level: int, used: int) -> int:
-        _, before, p0, others, above = levels[level]
-        allowed = full & ~used
-        for q in before:
-            allowed &= compat[assign[q]]
-        for q in above:
-            allowed &= -(2 << assign[q])
-        if others:
-            odd0, s0 = odd[assign[p0]], potential[p0]
-            for q in others:
-                x = odd[assign[q]] ^ odd0
-                allowed &= x if potential[q] != s0 else ~x
-        return allowed
+    candidates = _candidates(levels, assign, potential, space.compat, odd, len(space.sets))
 
     def masks() -> Iterator[int]:
         last = n - 1
@@ -322,6 +400,52 @@ def _count_indices(g: Graph, space: _LabelingSpace) -> int:
     if not g.vertices:
         return 1
     return sum(allowed.bit_count() for allowed in _walk(g, space, orbits=True)[2])
+
+
+def _class_walk(g: Graph, classes: _Classes) -> Iterator[tuple[list[int], list[int], int]]:
+    """The balanced walk of ``_walk`` over classes in place of sets: every
+    balanced class assignment of g that some labeling has, each once, as
+    ``(assign, used, count)``.
+
+    ``assign`` holds one class per vertex, in ``g.vertices`` order, and
+    ``used[c]`` how many vertices take class c. Admissibility and signs are
+    class-level (see ``_LabelingSpace.classes``), so the balanced labelings
+    are exactly those whose class assignment is balanced, and ``count``
+    labelings have this one: Π_c m_c (m_c − 1) … (m_c − n_c + 1), where m_c
+    is the number of sets in class c and n_c the number of vertices that
+    take it. A class may take several vertices, so the walk keeps no orbit
+    reduction, and its used mask holds the spent classes, those with no set
+    left. The vertex that takes class c when h of its sets are already taken
+    multiplies the count by m_c − h. The lists are reused: read them before
+    the next step.
+    """
+    levels = _levels(g, True, False)
+    odd, members = classes.odd, classes.members
+    last = len(levels)
+    assign = [0] * last
+    potential = [0] * last
+    used = [0] * len(members)
+    candidates = _candidates(levels, assign, potential, classes.compat, odd, len(members))
+
+    def extend(i: int, count: int, spent: int) -> Iterator[tuple[list[int], list[int], int]]:
+        if i == last:
+            yield assign, used, count
+            return
+        v, _, p0, _, _ = levels[i]
+        allowed = candidates(i, spent)
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            c = low.bit_length() - 1
+            free = len(members[c]) - used[c]
+            assign[v] = c
+            if p0 >= 0:
+                potential[v] = potential[p0] ^ (odd[assign[p0]] >> c & 1)
+            used[c] += 1
+            yield from extend(i + 1, count * free, spent | low if free == 1 else spent)
+            used[c] -= 1
+
+    return extend(0, 1, 0)
 
 
 class _Tally:
@@ -412,12 +536,99 @@ def _balance_rev_search(tally: _Tally, g: Graph) -> None:
 
 
 def _subdivision_search(tally: _Tally, g: Graph) -> None:
-    """Subdivide every edge of every balanced labeling, in index space.
+    """Subdivide every edge of every balanced labeling, counted by class.
 
     Carried edges keep their signs, so the result is balanced iff the edge
-    is a cut edge or its pair's subdivision parity is even. An edge whose
-    inherited set labels a vertex is skipped.
+    is a cut edge or its pair's subdivision parity |C| + |A + C| + |C + B|,
+    C = A + B, is even. An edge whose inherited set C labels a vertex is
+    skipped. The parity is shift-invariant, so the classes of A and B fix
+    it: where it is odd on every set pair of every non-cut edge's classes,
+    no subdivision fails, and only ``cases`` and ``skipped`` are left to
+    find. They are counted per balanced class assignment (``_class_walk``)
+    and edge, and no labeling is listed.
+
+    Of the ``count`` labelings of a class assignment, those that fix the
+    sets of some vertices leave falling(m_c − u_c, n_c − u_c) choices per
+    class c, where u_c of the fixed sets lie in c. Since falling(m, n) =
+    falling(m, u) · falling(m − u, n − u), that is ``count`` divided by the
+    falling factors of the fixed sets: the h-th fixed set of class c
+    divides it by m_c − h + 1. So, per edge (a, b), a pair whose C is A or
+    B (one of them is {0}) collides at w = a or b in each labeling that
+    fixes those two sets. A pair whose C is another candidate set, of class
+    c, collides once per vertex w other than a and b that takes class c, in
+    each labeling that fixes the three sets; an injective labeling puts C
+    on one w at most.
+
+    The balanced orbit walk (``_subdivision_walk``) still lists the
+    labelings of g, so that no finding can be lost, when some class
+    assignment that the class walk reaches has an even pair on a non-cut
+    edge, and under ``require_strict_universe``, whose bound reads
+    max(A) + max(B) and so is not class-level.
     """
+    space = tally.space
+    if space.bounds.require_strict_universe:
+        _subdivision_walk(tally, g)
+        return
+    members = space.classes.members
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    cut = set(cut_edges(g))
+    rows = [(pos[u], pos[v], (u, v) not in cut) for u, v in g.edges]
+    tables: dict[tuple[int, int], tuple[bool, int, list[tuple[int, int]]]] = {}
+    cases = skipped = 0
+    for assign, used, count in _class_walk(g, space.classes):
+        for a, b, noncut in rows:
+            ca, cb = assign[a], assign[b]
+            entry = tables.get((ca, cb))
+            if entry is None:
+                entry = tables[ca, cb] = _subdivision_pairs(space, ca, cb)
+            even, own, third = entry
+            if noncut and even:
+                _subdivision_walk(tally, g)
+                return
+            fixed = count // (len(members[ca]) * (len(members[cb]) - (ca == cb)))
+            collisions = own * fixed
+            for c, pairs in third:
+                h = 1 + (c == ca) + (c == cb)  # C is the h-th fixed set of class c
+                w = used[c] - h + 1  # the vertices other than a and b that take c
+                if w:
+                    collisions += pairs * w * (fixed // (len(members[c]) - h + 1))
+            skipped += collisions
+            cases += count - collisions
+    tally.cases += cases
+    tally.skipped += skipped
+
+
+def _subdivision_pairs(
+    space: _LabelingSpace, ca: int, cb: int
+) -> tuple[bool, int, list[tuple[int, int]]]:
+    """What subdividing an edge (a, b) gives on each pair of sets of the
+    classes ca of a and cb of b, read through ``pair_sum``:
+    ``(even, own, third)``. ``even`` says whether some pair has an even
+    subdivision parity, ``own`` counts the pairs whose sumset C is A or B,
+    and ``third`` holds (class, pairs) for the classes of the other C that
+    are candidate sets, ascending."""
+    of, members = space.classes.of, space.classes.members
+    even = False
+    own = 0
+    third: dict[int, int] = {}
+    for i in members[ca]:
+        row = space.compat[i]
+        for j in members[cb]:
+            if not row >> j & 1:
+                continue
+            c, delta = space.pair_sum(i, j)
+            even |= not delta
+            if c == i or c == j:
+                own += 1
+            elif c < len(of):
+                third[of[c]] = third.get(of[c], 0) + 1
+    return even, own, sorted(third.items())
+
+
+def _subdivision_walk(tally: _Tally, g: Graph) -> None:
+    """SUBDIVISION's lister: the balanced orbit walk of g, which checks
+    every edge of every labeling it reaches and records each failing
+    labeling with its failing edges."""
     space = tally.space
     pos = {v: i for i, v in enumerate(g.vertices)}
     cut = set(cut_edges(g))

@@ -593,11 +593,14 @@ def verify_theorem(
         if not graphs:
             raise ParseError(f"graph family {family_spec} is empty")
     tally = _run(experiment, graphs, bounds)
-    order = _finding_order(tally.space, graphs if experiment.search else (_K2,))
     space, explain_any, case = tally.space, experiment.explain, experiment.case
     counters = []
     append = counters.append
-    for g, indices, targets in sorted(tally.findings, key=order):
+    # A confirmed run has nothing to sort, so it builds no sort-key tables.
+    findings = tally.findings
+    if findings:
+        findings.sort(key=_finding_order(space, graphs if experiment.search else (_K2,)))
+    for g, indices, targets in findings:
         lab = _labeling_from_indices(g, space, indices)
         slg = derive(g, lab)
         # A transform claim checks balance once for every target.

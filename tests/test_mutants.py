@@ -418,6 +418,41 @@ MUTANTS = [
         "tests/test_verify.py::test_reports_match_golden_hashes[connected:4-(2,2)]",
     ),
     Mutant(
+        "class-walk-weight-not-multiplied",
+        "search.py",
+        "extend(i + 1, count * free,",
+        "extend(i + 1, count,",
+        "tests/test_verify.py::test_subdivision_class_count_equals_the_orbit_walk[(3, 2)-connected:4-all]",
+    ),
+    Mutant(
+        "subdivision-weight-factor-off-by-one",
+        "search.py",
+        "fixed // (len(members[c]) - h + 1)",
+        "fixed // (len(members[c]) - h + 2)",
+        "tests/test_verify.py::test_subdivision_class_count_equals_the_orbit_walk[(3, 2)-connected:4-all]",
+    ),
+    Mutant(
+        "subdivision-own-endpoint-collision-dropped",
+        "search.py",
+        "collisions = own * fixed",
+        "collisions = 0",
+        "tests/test_verify.py::test_subdivision_class_count_equals_the_orbit_walk[(3, 2)-connected:4-all]",
+    ),
+    Mutant(
+        "subdivision-w-vertices-include-a-and-b",
+        "search.py",
+        "w = used[c] - h + 1",
+        "w = used[c]",
+        "tests/test_verify.py::test_subdivision_class_count_equals_the_orbit_walk[(3, 2)-connected:4-all]",
+    ),
+    Mutant(
+        "subdivision-even-parity-fallback-skipped",
+        "search.py",
+        "if noncut and even:",
+        "if False:",
+        "tests/test_verify.py::test_subdivision_records_every_failing_edge",
+    ),
+    Mutant(
         "count-not-multiplied-by-the-group-order",
         "verify.py",
         "return _count_indices(g, _labeling_space(b)) * automorphism_count(g)",

@@ -1047,6 +1047,68 @@ def test_subdivision_records_every_failing_edge(monkeypatch):
     assert sum(len(targets) > 1 for _, _, targets in expected) == 3208
 
 
+def _subdivision_reference(family, bounds):
+    """SUBDIVISION's (cases, skipped, failing subdivisions) from the
+    balanced orbit walk times |Aut|, with each rule written out: an edge is
+    skipped when A + B labels a vertex, and fails when it is a non-cut edge
+    with |C| + |A + C| + |C + B| even, C = A + B."""
+    space = _LabelingSpace(bounds)
+    sets = space.sets
+    inherited = {}  # (i, j) -> (C, whether the parity is even)
+
+    def subdivide(i, j):
+        if (i, j) not in inherited:
+            a, b = sets[i], sets[j]
+            c = sumset(a, b)
+            inherited[i, j] = c, (len(c) + len(sumset(a, c)) + len(sumset(c, b))) % 2 == 0
+        return inherited[i, j]
+
+    cases = skipped = failing = 0
+    for g in resolve_family(family):
+        order = automorphism_count(g)
+        cut = set(cut_edges(g))
+        pos = {v: i for i, v in enumerate(g.vertices)}
+        ends = [(pos[u], pos[v], (u, v) not in cut) for u, v in g.edges]
+        for indices in _visit(g, space, balanced=True, orbits=True):
+            labels = {sets[k] for k in indices}
+            for a, b, noncut in ends:
+                c, even = subdivide(indices[a], indices[b])
+                if c in labels:
+                    skipped += order
+                    continue
+                cases += order
+                failing += order * (noncut and even)
+    return cases, skipped, failing
+
+
+@pytest.mark.parametrize("odd_ratios_only", [False, True], ids=["all", "odd"])
+@pytest.mark.parametrize("family", ["connected:4", "connected:5"])
+@pytest.mark.parametrize("bounds", [(2, 2), (3, 2), (3, 3), (4, 3)], ids=str)
+def test_subdivision_class_count_equals_the_orbit_walk(family, bounds, odd_ratios_only):
+    """The class count of SUBDIVISION's cases and skips equals the
+    balanced orbit walk's, with no subdivision failing."""
+    b = SearchBounds(*bounds, odd_ratios_only=odd_ratios_only)
+    report = verify_theorem(TheoremId.SUBDIVISION, family, b)
+    cases, skipped, failing = _subdivision_reference(family, b)
+    assert (report.cases_checked, report.skipped, failing) == (cases, skipped, 0)
+    assert report.verdict is Verdict.CONFIRMED_WITHIN_BOUNDS
+
+
+@pytest.mark.parametrize(
+    "family, bounds, cases, skipped",
+    [
+        ("connected:6", SearchBounds(3, 3), 35_774_004, 11_105_174),
+        ("connected:7", SearchBounds(3, 2), 79_890_574, 36_715_674),
+    ],
+    ids=["connected:6-(3,3)", "connected:7-(3,2)"],
+)
+def test_subdivision_counts_at_the_recorded_rungs(family, bounds, cases, skipped):
+    """The class count reproduces the totals the orbit walk recorded."""
+    report = verify_theorem(TheoremId.SUBDIVISION, family, bounds)
+    assert (report.cases_checked, report.skipped) == (cases, skipped)
+    assert report.verdict is Verdict.CONFIRMED_WITHIN_BOUNDS
+
+
 # ---------------------------------------------------------------------------
 # The labeling walks: visiting, count and balanced modes
 # ---------------------------------------------------------------------------
@@ -1262,7 +1324,9 @@ def test_a_walk_that_ignores_balanced_does_not_pass(monkeypatch):
     """The searches trust the balanced walk: if it yields unbalanced
     labelings too, replay fails or the report changes, never silently. FWD's
     findings are the labelings the balanced walk skips, so they would
-    vanish."""
+    vanish. SUBDIVISION counts by class assignment: a class walk whose
+    levels carry no potentials counts unbalanced assignments too, and its
+    cases change."""
     import sumsign.search as search_module
 
     bounds = SearchBounds(2, 2)
@@ -1276,6 +1340,11 @@ def test_a_walk_that_ignores_balanced_does_not_pass(monkeypatch):
     for tid in (TheoremId.BALANCE_BIPARTITE_REV, TheoremId.HOMEOMORPHISM):
         with pytest.raises(AssertionError, match=f"{tid.value} finding failed to replay"):
             verify_theorem(tid, "connected:4", bounds)
+    monkeypatch.undo()
+    levels = search_module._levels
+    monkeypatch.setattr(
+        search_module, "_levels", lambda g, balanced, orbits: levels(g, False, orbits)
+    )
     assert verify_theorem(TheoremId.SUBDIVISION, "connected:4", bounds).cases_checked != 2580
     monkeypatch.undo()
     assert verify_theorem(TheoremId.SUBDIVISION, "connected:4", bounds).cases_checked == 2580
