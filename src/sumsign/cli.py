@@ -18,6 +18,7 @@ import argparse
 import os
 import signal
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .balance import is_balanced_fast, is_balanced_oracle, is_clusterable
@@ -39,7 +40,7 @@ from .transforms import (
     spanned_subgraph,
     subdivide_edge,
 )
-from .verify import SearchBounds, Verdict, enumerate_aiasl, verify_theorem
+from .verify import SearchBounds, Verdict, count_aiasl, enumerate_aiasl, verify_theorem
 
 ENV_CYCLE_BOUND = "SUMSIGN_CYCLE_BOUND"
 
@@ -224,13 +225,10 @@ def _bounds(args) -> SearchBounds:
 
 
 def _cmd_enumerate(args, out) -> int:
-    graph = parse_graph(_read(args.graph))
-    count = 0
-    for lab in enumerate_aiasl(graph, _bounds(args)):
-        count += 1
-        if args.limit is None or count <= args.limit:
-            print(" ".join(f"{v}={s.to_text()}" for v, s in lab.items()), file=out)
-    print(f"COUNT={count}", file=out)
+    graph, bounds = parse_graph(_read(args.graph)), _bounds(args)
+    for lab in islice(enumerate_aiasl(graph, bounds), args.limit):
+        print(" ".join(f"{v}={s.to_text()}" for v, s in lab.items()), file=out)
+    print(f"COUNT={count_aiasl(graph, bounds)}", file=out)
     return EXIT_OK
 
 

@@ -3,12 +3,13 @@
 A labeling is a tuple of indices into the candidate sets of one
 ``_LabelingSpace``, and each member search decides its claim from that
 space's parity rows and pair memo, the member's own rows and its
-automorphism chain. It records each failing labeling as its indices and
-targets, one per automorphism orbit, and ``_Tally.add_orbits`` expands the
-orbit. SUBDIVISION, whose rules its sets' (length, difference) classes
-fix, counts its cases and skips per class assignment instead, and lists
-labelings only where a subdivision could fail. The search builds no
-``Labeling``, derives nothing and transforms nothing: ``verify`` replays
+automorphism chain. Counting has one rule: admissibility, signs and
+balance are fixed by each vertex's (length, difference) class, so every
+claim's cases and skips, and ``count_aiasl``, are sums over the class
+assignments of ``_class_walk``. The orbit walk of ``_visit`` only lists
+findings: each failing labeling as its indices and targets, one per
+automorphism orbit, which ``_Tally.add_orbits`` expands. The search builds
+no ``Labeling``, derives nothing and transforms nothing: ``verify`` replays
 every finding through the public pipeline, so the two paths check each
 other. Of the package, this module therefore
 imports ``graphs``, ``intsets`` and ``errors`` alone, and a hygiene test
@@ -108,9 +109,10 @@ _LABELING_SPACES = 1
 
 @dataclass(frozen=True, slots=True)
 class _Classes:
-    """The (length, difference) classes of a space's sets: ``of[i]`` is set
-    i's class, ``members[c]`` the sets of class c ascending, and ``compat``
-    and ``odd`` the class-level rows as K-bit masks, K the class count."""
+    """The classes of a space's sets (see ``_LabelingSpace.classes``):
+    ``of[i]`` is set i's class, ``members[c]`` the sets of class c
+    ascending, and ``compat`` and ``odd`` the class-level rows as K-bit
+    masks, K the class count."""
 
     of: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
@@ -137,7 +139,7 @@ class _LabelingSpace:
     and the id table are filled on first read only: an eager fill would
     hold an entry per allowed pair, several times the rows' memory at the
     cap, for experiments that never read it. ``classes`` folds the rows into
-    (length, difference) classes, also on first read.
+    classes of sets, also on first read.
     """
 
     def __init__(self, bounds: SearchBounds):
@@ -174,20 +176,23 @@ class _LabelingSpace:
     @cached_property
     def classes(self) -> _Classes:
         """The candidate sets grouped by (length, difference), every
-        singleton in one class, numbered in the order of their first set.
+        singleton in one class, numbered in the order of their first set;
+        under ``require_strict_universe``, one class per set.
 
         A sumset's size does not change when either operand is shifted, and
-        ``ap_pair`` reads lengths and differences alone, so outside
-        ``require_strict_universe`` a set's compat and odd rows depend on its
-        class alone. Each class row is its first member's row with every
-        set bit replaced by its set's class bit: a class has its own bit in
-        its compat row when two of its sets may be neighbours.
+        ``ap_pair`` reads lengths and differences alone, so a set's compat
+        and odd rows depend on its (length, difference) class alone. The
+        strict bound reads max(A) + max(B), which a shift changes, so there
+        each set is a class of its own. Each class row is its first member's
+        row with every set bit replaced by its set's class bit: a class has
+        its own bit in its compat row when two of its sets may be neighbours.
         """
-        index: dict[tuple[int, int | None], int] = {}
+        strict = self.bounds.require_strict_universe
+        index: dict[object, int] = {}
         of = []
-        for s in self.sets:
+        for i, s in enumerate(self.sets):
             p = ap_profile(s)
-            of.append(index.setdefault((p.length, p.diff), len(index)))
+            of.append(index.setdefault(i if strict else (p.length, p.diff), len(index)))
         members: list[list[int]] = [[] for _ in index]
         for i, c in enumerate(of):
             members[c].append(i)
@@ -236,7 +241,7 @@ def _labeling_space(bounds: SearchBounds) -> _LabelingSpace:
 def _levels(
     g: Graph, balanced: bool, orbits: bool
 ) -> list[tuple[int, list[int], int, list[int], list[int]]]:
-    """The levels of a walk over g's vertices (see ``_walk``), one per
+    """The levels of a walk over g's vertices (see ``_visit``), one per
     vertex in the order the walk assigns them: sorted, or ``spanning_forest``
     order when ``balanced`` or ``orbits``.
 
@@ -278,7 +283,7 @@ def _candidates(
     ``assign`` and ``potential`` hold for the earlier vertices. It keeps the
     items inside each earlier neighbour's compat row, above each item the
     vertex must lie above, and agreeing with the potentials on every
-    non-tree edge (see ``_walk``)."""
+    non-tree edge (see ``_visit``)."""
     full = (1 << count) - 1
 
     def candidates(level: int, used: int) -> int:
@@ -298,28 +303,28 @@ def _candidates(
     return candidates
 
 
-def _walk(
+def _visit(
     g: Graph, space: _LabelingSpace, balanced: bool = False, orbits: bool = False
-) -> tuple[list[int], int, Iterator[int]]:
-    """The odometer every labeling walk shares: ``(assign, last, masks)``.
-
-    ``assign`` holds one set index per vertex, in ``g.vertices`` order. The
-    generator ``masks`` assigns every vertex but the one at position
-    ``last``, injectively and with each candidate set in canonical order,
+) -> Iterator[tuple[int, ...]]:
+    """All injective admissible assignments, as set-index tuples in
+    ``g.vertices`` order: in lexicographic order, vertices sorted and
+    candidate sets in canonical order. The empty graph has one labeling, the
+    empty one. The odometer ``masks`` assigns every vertex but the last one,
     and yields once per such prefix, with the prefix in ``assign``: the
-    bitmask of the sets the last vertex may take. The caller expands or
-    counts that mask, so the last level costs no stack step.
+    bitmask of the sets the last vertex may take, expanded here, so the last
+    level costs no stack step.
 
-    Each vertex is cut by its earlier neighbours' ``compat`` rows. The plain
-    walk assigns vertices in sorted order. The balanced walk assigns them in
-    ``spanning_forest`` order and keeps a potential s per vertex: s = 0 at
-    a root, and s(i) = s(p0) xor p(p0, i) below its forest parent p0, where
-    p is the negative-edge parity. Each other earlier neighbour q must then
-    close an even cycle, p(q, i) = s(q) xor s(i), so it cuts the candidates
-    to ``x`` or ``~x``, x = odd[a_q] ^ odd[a_p0].
-    A signed graph is balanced iff such potentials exist (Harary 1953), and
-    they are unique once the roots are fixed, so the balanced walk reaches
-    each balanced labeling once and no other. g must have a vertex.
+    Each vertex is cut by its earlier neighbours' ``compat`` rows. With
+    ``balanced``, the walk yields only the labelings whose signed graph is
+    balanced. It assigns vertices in ``spanning_forest`` order and keeps a
+    potential s per vertex: s = 0 at a root, and s(i) = s(p0) xor p(p0, i)
+    below its forest parent p0, where p is the negative-edge parity. Each
+    other earlier neighbour q must then close an even cycle, p(q, i) =
+    s(q) xor s(i), so it cuts the candidates to ``x`` or ``~x``,
+    x = odd[a_q] ^ odd[a_p0]. A signed graph is balanced iff such
+    potentials exist (Harary 1953), and they are unique once the roots are
+    fixed, so the balanced walk reaches each balanced labeling once and no
+    other.
 
     With ``orbits``, either walk assigns vertices in ``spanning_forest``
     order w_0, w_1, … and reaches only the least labeling of each orbit of
@@ -334,6 +339,9 @@ def _walk(
     x's level, keeping the sets above w_k's.
     """
     n = g.n
+    if not n:
+        yield ()
+        return
     levels = _levels(g, balanced, orbits)
     odd = space.odd
     assign = [0] * n
@@ -369,24 +377,8 @@ def _walk(
                 i += 1
                 rem[i] = candidates(i, used[i])
 
-    return assign, levels[-1][0], masks()
-
-
-def _visit(
-    g: Graph, space: _LabelingSpace, balanced: bool = False, orbits: bool = False
-) -> Iterator[tuple[int, ...]]:
-    """All injective admissible assignments, as set-index tuples in
-    ``g.vertices`` order, expanded from the masks of ``_walk``: in
-    lexicographic order, vertices sorted and candidate sets in canonical
-    order. With ``balanced``, only those whose signed graph is balanced, each
-    once, in the balanced walk's order. With ``orbits``, only the least of
-    each orbit of Aut(g) (see ``_walk``). The empty graph has one labeling,
-    the empty one."""
-    if not g.vertices:
-        yield ()
-        return
-    assign, last, masks = _walk(g, space, balanced, orbits)
-    for allowed in masks:
+    last = levels[-1][0]
+    for allowed in masks():
         while allowed:
             low = allowed & -allowed
             assign[last] = low.bit_length() - 1
@@ -394,43 +386,39 @@ def _visit(
             allowed ^= low
 
 
-def _count_indices(g: Graph, space: _LabelingSpace) -> int:
-    """len(list(_visit(g, space, orbits=True))), one per orbit of Aut(g),
-    adding up the last vertex's candidate masks instead of visiting each set."""
-    if not g.vertices:
-        return 1
-    return sum(allowed.bit_count() for allowed in _walk(g, space, orbits=True)[2])
-
-
-def _class_walk(g: Graph, classes: _Classes) -> Iterator[tuple[list[int], list[int], int]]:
-    """The balanced walk of ``_walk`` over classes in place of sets: every
-    balanced class assignment of g that some labeling has, each once, as
-    ``(assign, used, count)``.
+def _class_walk(
+    g: Graph, classes: _Classes, balanced: bool
+) -> Iterator[tuple[list[int], list[int], int]]:
+    """The walk of ``_visit`` over classes in place of sets: every class
+    assignment of g that some labeling has, or with ``balanced`` every
+    balanced one, each once, as ``(assign, used, count)``.
 
     ``assign`` holds one class per vertex, in ``g.vertices`` order, and
     ``used[c]`` how many vertices take class c. Admissibility and signs are
-    class-level (see ``_LabelingSpace.classes``), so the balanced labelings
-    are exactly those whose class assignment is balanced, and ``count``
-    labelings have this one: Π_c m_c (m_c − 1) … (m_c − n_c + 1), where m_c
-    is the number of sets in class c and n_c the number of vertices that
-    take it. A class may take several vertices, so the walk keeps no orbit
-    reduction, and its used mask holds the spent classes, those with no set
-    left. The vertex that takes class c when h of its sets are already taken
-    multiplies the count by m_c − h. The lists are reused: read them before
-    the next step.
+    class-level (see ``_LabelingSpace.classes``), so ``count`` labelings
+    have this assignment: Π_c m_c (m_c − 1) … (m_c − n_c + 1), where m_c is
+    the number of sets in class c and n_c the number of vertices that take
+    it. The vertex that takes class c when h of its sets are already taken
+    multiplies the count by m_c − h, and the used mask holds the classes
+    with no set left. The lists are reused: read them before the next step.
+
+    A class that several sets share may take several vertices, so Aut(g)
+    need not act freely on class assignments, and the walk keeps no orbit
+    reduction. When every class holds one set, as under
+    ``require_strict_universe``, an assignment is one labeling: the walk
+    then keeps the orbit constraints of ``_visit`` and counts the least
+    assignment of each orbit |Aut(g)| times.
     """
-    levels = _levels(g, True, False)
     odd, members = classes.odd, classes.members
-    last = len(levels)
-    assign = [0] * last
-    potential = [0] * last
+    orbits = len(members) == len(classes.of)
+    levels = _levels(g, balanced, orbits)
+    n = len(levels)
+    assign = [0] * n
+    potential = [0] * n
     used = [0] * len(members)
     candidates = _candidates(levels, assign, potential, classes.compat, odd, len(members))
 
     def extend(i: int, count: int, spent: int) -> Iterator[tuple[list[int], list[int], int]]:
-        if i == last:
-            yield assign, used, count
-            return
         v, _, p0, _, _ = levels[i]
         allowed = candidates(i, spent)
         while allowed:
@@ -442,10 +430,21 @@ def _class_walk(g: Graph, classes: _Classes) -> Iterator[tuple[list[int], list[i
             if p0 >= 0:
                 potential[v] = potential[p0] ^ (odd[assign[p0]] >> c & 1)
             used[c] += 1
-            yield from extend(i + 1, count * free, spent | low if free == 1 else spent)
+            weight = count * free
+            if i + 1 == n:
+                yield assign, used, weight
+            else:
+                yield from extend(i + 1, weight, spent | low if free == 1 else spent)
             used[c] -= 1
 
-    return extend(0, 1, 0)
+    start = automorphism_count(g) if orbits else 1
+    return extend(0, start, 0) if n else iter([(assign, used, start)])
+
+
+def _class_count(g: Graph, space: _LabelingSpace, balanced: bool) -> int:
+    """How many labelings ``_visit(g, space, balanced)`` yields: the sum of
+    the class walk's counts."""
+    return sum(count for _, _, count in _class_walk(g, space.classes, balanced))
 
 
 class _Tally:
@@ -464,19 +463,13 @@ class _Tally:
         self.constructed_ok = 0
         self.findings: list[tuple[Graph, tuple[int, ...], tuple]] = []
 
-    def add_orbits(
-        self, g: Graph, cases: int, skipped: int, findings: list[tuple[tuple[int, ...], tuple]]
-    ) -> None:
-        """Add what a search counted and found on the orbit walk of g, one
-        labeling per orbit of Aut(g): each count |Aut(g)| times, and each
-        finding ``(indices, targets)`` as its |Aut(g)| images. The image
-        under an automorphism s puts the set of each vertex v on s(v), and
-        fails at the images of the targets, put back in search order: edge
-        order or vertex order, both sorted. The group is listed only here,
-        and only when there is a finding."""
-        order = automorphism_count(g)
-        self.cases += cases * order
-        self.skipped += skipped * order
+    def add_orbits(self, g: Graph, findings: list[tuple[tuple[int, ...], tuple]]) -> None:
+        """Add what a search found on the orbit walk of g, one labeling per
+        orbit of Aut(g): each finding ``(indices, targets)`` as its |Aut(g)|
+        images. The image under an automorphism s puts the set of each
+        vertex v on s(v), and fails at the images of the targets, put back
+        in search order: edge order or vertex order, both sorted. The group
+        is listed only here, and only when there is a finding."""
         if not findings:
             return
         names = g.vertices
@@ -504,35 +497,44 @@ def _balance_fwd_search(tally: _Tally, g: Graph) -> None:
     """Every labeling of a bipartite member must be balanced; a
     non-bipartite member is skipped. The findings are the labelings of the
     plain orbit walk that the balanced one skips: both assign vertices in
-    forest order with candidates ascending, so one merge finds them."""
+    forest order with candidates ascending, so one merge finds them. Their
+    number must be the plain class count less the balanced one."""
     if not is_bipartite(g):
         tally.skipped += 1
         return
     space = tally.space
+    plain = _class_count(g, space, False)
+    tally.cases += plain
     balanced = _visit(g, space, balanced=True, orbits=True)
     expected = next(balanced, None)
-    cases = 0
     found = []
     for indices in _visit(g, space, orbits=True):
-        cases += 1
         if indices == expected:
             expected = next(balanced, None)
         else:
             found.append((indices, (None,)))
     assert expected is None, "the balanced walk left the plain walk's order"
-    tally.add_orbits(g, cases, 0, found)
+    listed = len(tally.findings)
+    tally.add_orbits(g, found)
+    unbalanced = plain - _class_count(g, space, True)
+    assert len(tally.findings) - listed == unbalanced, "the unbalanced listing misses the class count"
 
 
 def _balance_rev_search(tally: _Tally, g: Graph) -> None:
     """A non-bipartite member must have no balanced labeling: every labeling
-    counts as a case and each one the balanced walk yields is a finding. A
-    bipartite member is skipped."""
+    counts as a case and each one the balanced walk yields is a finding,
+    whose number must be the balanced class count. A bipartite member is
+    skipped."""
     space = tally.space
     if is_bipartite(g):
         tally.skipped += 1
         return
+    tally.cases += _class_count(g, space, False)
     found = [(indices, (None,)) for indices in _visit(g, space, balanced=True, orbits=True)]
-    tally.add_orbits(g, _count_indices(g, space), 0, found)
+    listed = len(tally.findings)
+    tally.add_orbits(g, found)
+    balanced = _class_count(g, space, True)
+    assert len(tally.findings) - listed == balanced, "the balanced listing misses the class count"
 
 
 def _subdivision_search(tally: _Tally, g: Graph) -> None:
@@ -543,9 +545,8 @@ def _subdivision_search(tally: _Tally, g: Graph) -> None:
     C = A + B, is even. An edge whose inherited set C labels a vertex is
     skipped. The parity is shift-invariant, so the classes of A and B fix
     it: where it is odd on every set pair of every non-cut edge's classes,
-    no subdivision fails, and only ``cases`` and ``skipped`` are left to
-    find. They are counted per balanced class assignment (``_class_walk``)
-    and edge, and no labeling is listed.
+    no subdivision fails. ``cases`` and ``skipped`` are counted per
+    balanced class assignment (``_class_walk``) and edge.
 
     Of the ``count`` labelings of a class assignment, those that fix the
     sets of some vertices leave falling(m_c − u_c, n_c − u_c) choices per
@@ -559,23 +560,19 @@ def _subdivision_search(tally: _Tally, g: Graph) -> None:
     each labeling that fixes the three sets; an injective labeling puts C
     on one w at most.
 
-    The balanced orbit walk (``_subdivision_walk``) still lists the
-    labelings of g, so that no finding can be lost, when some class
-    assignment that the class walk reaches has an even pair on a non-cut
-    edge, and under ``require_strict_universe``, whose bound reads
-    max(A) + max(B) and so is not class-level.
+    The balanced orbit walk (``_subdivision_walk``) lists the failing
+    subdivisions of g only when some class assignment that the class walk
+    reaches has an even pair on a non-cut edge.
     """
     space = tally.space
-    if space.bounds.require_strict_universe:
-        _subdivision_walk(tally, g)
-        return
     members = space.classes.members
     pos = {v: i for i, v in enumerate(g.vertices)}
     cut = set(cut_edges(g))
     rows = [(pos[u], pos[v], (u, v) not in cut) for u, v in g.edges]
     tables: dict[tuple[int, int], tuple[bool, int, list[tuple[int, int]]]] = {}
     cases = skipped = 0
-    for assign, used, count in _class_walk(g, space.classes):
+    fails = False
+    for assign, used, count in _class_walk(g, space.classes, True):
         for a, b, noncut in rows:
             ca, cb = assign[a], assign[b]
             entry = tables.get((ca, cb))
@@ -583,8 +580,7 @@ def _subdivision_search(tally: _Tally, g: Graph) -> None:
                 entry = tables[ca, cb] = _subdivision_pairs(space, ca, cb)
             even, own, third = entry
             if noncut and even:
-                _subdivision_walk(tally, g)
-                return
+                fails = True
             fixed = count // (len(members[ca]) * (len(members[cb]) - (ca == cb)))
             collisions = own * fixed
             for c, pairs in third:
@@ -596,6 +592,8 @@ def _subdivision_search(tally: _Tally, g: Graph) -> None:
             cases += count - collisions
     tally.cases += cases
     tally.skipped += skipped
+    if fails:
+        _subdivision_walk(tally, g)
 
 
 def _subdivision_pairs(
@@ -626,31 +624,26 @@ def _subdivision_pairs(
 
 
 def _subdivision_walk(tally: _Tally, g: Graph) -> None:
-    """SUBDIVISION's lister: the balanced orbit walk of g, which checks
-    every edge of every labeling it reaches and records each failing
-    labeling with its failing edges."""
+    """SUBDIVISION's lister: the balanced orbit walk of g, which records
+    each labeling with its failing edges, the non-cut edges whose pair has
+    an even parity and whose inherited set labels no vertex."""
     space = tally.space
     pos = {v: i for i, v in enumerate(g.vertices)}
     cut = set(cut_edges(g))
-    rows = [(pos[u], pos[v], (u, v) not in cut, (u, v)) for u, v in g.edges]
-    cases = skipped = 0
+    rows = [(pos[u], pos[v], (u, v)) for u, v in g.edges if (u, v) not in cut]
     found = []
     for indices in _visit(g, space, balanced=True, orbits=True):
         used = 0
         for k in indices:
             used |= 1 << k
         failed = []
-        for a, b, noncut, e in rows:
+        for a, b, e in rows:
             inherited, delta = space.pair_sum(indices[a], indices[b])
-            if used >> inherited & 1:
-                skipped += 1
-                continue
-            cases += 1
-            if noncut and not delta:
+            if not delta and not used >> inherited & 1:
                 failed.append(e)
         if failed:
             found.append((indices, tuple(failed)))
-    tally.add_orbits(g, cases, skipped, found)
+    tally.add_orbits(g, found)
 
 
 def _homeomorphism_search(tally: _Tally, g: Graph) -> None:
@@ -658,8 +651,10 @@ def _homeomorphism_search(tally: _Tally, g: Graph) -> None:
     balanced labeling, in index space.
 
     The new edge ab replaces the path a-v-b, so the result is balanced iff v
-    lies on no cycle or p(ab) + p(av) + p(vb) is even. Only the eligible
-    vertices on a cycle can fail; every eligible vertex is a case.
+    lies on no cycle or p(ab) + p(av) + p(vb) is even. Every eligible
+    vertex of every balanced labeling is a case, counted by class; only the
+    eligible vertices on a cycle can fail, and the balanced orbit walk lists
+    those that do.
     """
     eligible = [v for v in g.vertices if g.degree(v) == 2 and not in_triangle(g, v)]
     if not eligible:
@@ -673,10 +668,11 @@ def _homeomorphism_search(tally: _Tally, g: Graph) -> None:
         if v in on_cycle:
             a, b = g.neighbors(v)
             rows.append((pos[v], pos[a], pos[b], v))
-    labelings = 0
+    tally.cases += _class_count(g, space, True) * len(eligible)
+    if not rows:
+        return
     found = []
     for indices in _visit(g, space, balanced=True, orbits=True):
-        labelings += 1
         failed = []
         for p, a, b, v in rows:
             x, y, z = indices[a], indices[b], indices[p]
@@ -684,21 +680,20 @@ def _homeomorphism_search(tally: _Tally, g: Graph) -> None:
                 failed.append(v)
         if failed:
             found.append((indices, tuple(failed)))
-    tally.add_orbits(g, labelings * len(eligible), 0, found)
+    tally.add_orbits(g, found)
 
 
 def _iasi_search(tally: _Tally, g: Graph) -> None:
     """Injective iff the edges' sumsets are distinct."""
     space = tally.space
     edges = _edge_positions(g)
-    cases = 0
+    tally.cases += _class_count(g, space, False)
     found = []
     for indices in _visit(g, space, orbits=True):
-        cases += 1
         sums = {space.pair_sum(indices[a], indices[b])[0] for _, a, b in edges}
         if len(sums) < len(edges):
             found.append((indices, (None,)))
-    tally.add_orbits(g, cases, 0, found)
+    tally.add_orbits(g, found)
 
 
 def _finding_order(space: _LabelingSpace, graphs: Sequence[Graph]) -> Callable[[tuple], int]:

@@ -34,7 +34,6 @@ from .families import parse_family, resolve_family
 from .graphs import (
     Edge,
     Graph,
-    automorphism_count,
     bipartition,
     cut_edges,
     cycle_masks,
@@ -62,7 +61,7 @@ from .search import (
     SearchBounds,
     _balance_fwd_search,
     _balance_rev_search,
-    _count_indices,
+    _class_count,
     _finding_order,
     _homeomorphism_search,
     _iasi_search,
@@ -183,9 +182,10 @@ def enumerate_aiasl(g: Graph, b: SearchBounds) -> Iterator[Labeling]:
 
 
 def count_aiasl(g: Graph, b: SearchBounds) -> int:
-    """How many labelings ``enumerate_aiasl`` yields: one per orbit, times |Aut(g)|."""
+    """How many labelings ``enumerate_aiasl`` yields, counted by class (see
+    ``search._class_walk``)."""
     _check_vertex_bound(g, b)
-    return _count_indices(g, _labeling_space(b)) * automorphism_count(g)
+    return _class_count(g, _labeling_space(b), False)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +340,8 @@ class _Experiment:
     A pair claim has no ``search``: its explain runs on every admissible
     label pair i < j on K2, each pair one case. Otherwise ``search(tally,
     g)`` runs once per family member: a member search of ``search`` (FWD's
-    after its construction check), which walks one labeling per orbit as
-    set-index tuples and hands its counts and findings to ``_Tally``.
+    after its construction check), which counts its cases by class and
+    hands them and its findings, listed as set-index tuples, to ``_Tally``.
     ``notes`` builds the report notes from the tally. A transform claim also
     has its ``case`` (see ``_transform_claim``).
     """
@@ -382,9 +382,10 @@ def _run(exp: _Experiment, graphs: Sequence[Graph], bounds: SearchBounds) -> _Ta
     for g in graphs:
         _check_vertex_bound(g, bounds)
     if exp.search is None:
-        # The orbit walk of K2 yields each pair i < j once.
+        # K2 has two labelings per pair, and its orbit walk yields each
+        # pair i < j once.
+        tally.cases = _class_count(_K2, tally.space, False) // 2
         for indices in _visit(_K2, tally.space, orbits=True):
-            tally.cases += 1
             lab = _labeling_from_indices(_K2, tally.space, indices)
             if exp.explain(derive(_K2, lab), _K2_EDGE):
                 tally.findings.append((_K2, indices, (_K2_EDGE,)))

@@ -551,6 +551,24 @@ class TestEnumerate:
         assert len(lines) == 2
         assert "COUNT=6" in text
 
+    def test_limit_stops_the_walk_and_keeps_the_count(self, files, monkeypatch):
+        """``--limit 1`` draws one labeling from the walk, prints the first
+        line of the unlimited run, and the same COUNT, taken from the count."""
+        argv = ["enumerate", "--graph", files("g", PATH3_GRAPH),
+                "--universe-max", "3", "--max-label-size", "2"]
+        code, full = run(argv)
+        assert code == 0 and full.count("\n") > 100
+        drawn = []
+        walk = cli.enumerate_aiasl
+        monkeypatch.setattr(
+            cli, "enumerate_aiasl", lambda g, b: (drawn.append(lab) or lab for lab in walk(g, b))
+        )
+        code, limited = run(argv + ["--limit", "1"])
+        assert code == 0 and len(drawn) == 1
+        lines = full.splitlines()
+        assert limited.splitlines() == [lines[0], lines[-1]]
+        assert lines[-1].startswith("COUNT=")
+
     def test_negative_limit_is_input_error(self, files, capsys):
         code, text = run(
             ["enumerate", "--graph", files("g", K2_GRAPH),

@@ -357,8 +357,8 @@ MUTANTS = [
     Mutant(
         "homeomorphism-counts-the-cycle-vertices-alone",
         "search.py",
-        "labelings * len(eligible)",
-        "labelings * len(rows)",
+        "_class_count(g, space, True) * len(eligible)",
+        "_class_count(g, space, True) * len(rows)",
         "tests/test_verify.py::test_reports_equal_an_object_level_recomputation[connected:4-(3,2)-HOMEOMORPHISM]",
     ),
     Mutant(
@@ -385,9 +385,9 @@ MUTANTS = [
     Mutant(
         "orbit-counts-not-multiplied",
         "search.py",
-        "order = automorphism_count(g)",
-        "order = 1",
-        "tests/test_verify.py::test_reports_match_golden_hashes[connected:4-(2,2)]",
+        "start = automorphism_count(g) if orbits else 1",
+        "start = 1",
+        "tests/test_verify.py::test_subdivision_class_count_equals_the_orbit_walk[(3, 2)-connected:4-strict]",
     ),
     Mutant(
         "orbit-findings-not-expanded",
@@ -420,8 +420,8 @@ MUTANTS = [
     Mutant(
         "class-walk-weight-not-multiplied",
         "search.py",
-        "extend(i + 1, count * free,",
-        "extend(i + 1, count,",
+        "weight = count * free",
+        "weight = count",
         "tests/test_verify.py::test_subdivision_class_count_equals_the_orbit_walk[(3, 2)-connected:4-all]",
     ),
     Mutant(
@@ -454,17 +454,59 @@ MUTANTS = [
     ),
     Mutant(
         "count-not-multiplied-by-the-group-order",
-        "verify.py",
-        "return _count_indices(g, _labeling_space(b)) * automorphism_count(g)",
-        "return _count_indices(g, _labeling_space(b))",
+        "search.py",
+        "automorphism_count(g) if orbits else 1",
+        "1",
+        "tests/test_verify.py::TestEnumerateAiasl::test_count_helper[P3-strict]",
+    ),
+    Mutant(
+        "strict-bounds-read-the-length-difference-classes",
+        "search.py",
+        "i if strict else (p.length, p.diff)",
+        "(p.length, p.diff)",
+        "tests/test_verify.py::TestEnumerateAiasl::test_count_helper[K4-strict]",
+    ),
+    Mutant(
+        "singletons-split-by-their-element",
+        "search.py",
+        "i if strict else (p.length, p.diff)",
+        "i if strict else (p.length, p.diff or s.elements[0])",
+        "tests/test_verify.py::test_classes_are_the_length_and_difference_classes[(4,3)]",
+    ),
+    Mutant(
+        "plain-class-walk-keeps-the-potentials",
+        "search.py",
+        "orbits = len(members) == len(classes.of)\n    levels = _levels(g, balanced, orbits)",
+        "orbits = len(members) == len(classes.of)\n    levels = _levels(g, True, orbits)",
+        "tests/test_verify.py::TestEnumerateAiasl::test_count_helper[K4-default]",
+    ),
+    Mutant(
+        "orbit-constraints-on-a-partition-with-a-repeated-class",
+        "search.py",
+        "orbits = len(members) == len(classes.of)",
+        "orbits = True",
         "tests/test_verify.py::TestEnumerateAiasl::test_count_helper[P3-default]",
+    ),
+    Mutant(
+        "rev-class-count-check-skipped",
+        "search.py",
+        'assert len(tally.findings) - listed == balanced, "the balanced listing misses the class count"',
+        "pass",
+        "tests/test_verify.py::test_a_listing_that_drops_a_balanced_labeling_is_refused[rev]",
+    ),
+    Mutant(
+        "fwd-class-count-check-skipped",
+        "search.py",
+        'assert len(tally.findings) - listed == unbalanced, "the unbalanced listing misses the class count"',
+        "pass",
+        "tests/test_verify.py::test_a_listing_that_drops_a_balanced_labeling_is_refused[fwd]",
     ),
     Mutant(
         "pair-claims-walk-every-ordered-pair",
         "verify.py",
         "for indices in _visit(_K2, tally.space, orbits=True):",
         "for indices in _visit(_K2, tally.space):",
-        "tests/test_verify.py::test_reports_match_golden_hashes[connected:4-(2,2)]",
+        "tests/test_verify.py::test_pair_claim_findings_come_from_its_explain",
     ),
 ]
 

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import perm
 from pathlib import Path
 
@@ -45,7 +45,7 @@ from sumsign.graphs import (
 from sumsign.intsets import IntegerSet, Sign, sumset
 from sumsign.labeling import Labeling, derive, format_labeling, validate_aiasl
 from sumsign.search import (
-    _count_indices,
+    _class_count,
     _MAX_CANDIDATE_SETS,
     _labeling_space,
     _LabelingSpace,
@@ -1081,13 +1081,18 @@ def _subdivision_reference(family, bounds):
     return cases, skipped, failing
 
 
-@pytest.mark.parametrize("odd_ratios_only", [False, True], ids=["all", "odd"])
+@pytest.mark.parametrize(
+    "flags",
+    [{}, {"odd_ratios_only": True}, {"require_strict_universe": True}],
+    ids=["all", "odd", "strict"],
+)
 @pytest.mark.parametrize("family", ["connected:4", "connected:5"])
 @pytest.mark.parametrize("bounds", [(2, 2), (3, 2), (3, 3), (4, 3)], ids=str)
-def test_subdivision_class_count_equals_the_orbit_walk(family, bounds, odd_ratios_only):
+def test_subdivision_class_count_equals_the_orbit_walk(family, bounds, flags):
     """The class count of SUBDIVISION's cases and skips equals the
-    balanced orbit walk's, with no subdivision failing."""
-    b = SearchBounds(*bounds, odd_ratios_only=odd_ratios_only)
+    balanced orbit walk's, with no subdivision failing. Under strict bounds
+    every set is a class of its own, and the class walk is an orbit walk."""
+    b = SearchBounds(*bounds, **flags)
     report = verify_theorem(TheoremId.SUBDIVISION, family, b)
     cases, skipped, failing = _subdivision_reference(family, b)
     assert (report.cases_checked, report.skipped, failing) == (cases, skipped, 0)
@@ -1156,14 +1161,17 @@ def _balanced(neg_mask, cycles):
 
 @pytest.mark.parametrize("family, bounds", WALK_CASES, ids=WALK_IDS)
 def test_count_and_balanced_modes_equal_the_filtered_walk(family, bounds):
-    """Count mode counts the orbit walk; the balanced mode yields each
-    labeling that _negative_mask plus _balanced keeps, once, and no other."""
+    """The balanced mode yields each labeling that _negative_mask plus
+    _balanced keeps, once, and no other; the plain and balanced class counts
+    count the two walks."""
     space = _LabelingSpace(bounds)
     for g in _graphs(family):
         edges, cycles = _edge_positions(g), fundamental_cycle_masks(g)
         every = list(_visit(g, space))
-        assert _count_indices(g, space) == len(list(_visit(g, space, orbits=True)))
         balanced = list(_visit(g, space, balanced=True))
+        assert (_class_count(g, space, False), _class_count(g, space, True)) == (
+            len(every), len(balanced)
+        )
         assert len(set(balanced)) == len(balanced)
         assert set(balanced) == {
             indices
@@ -1176,7 +1184,8 @@ def test_count_and_balanced_modes_equal_the_filtered_walk(family, bounds):
 def test_orbit_walks_yield_the_least_labeling_of_each_orbit(family, bounds):
     """With ``orbits``, the plain and the balanced walk each yield exactly
     the least labeling, compared in spanning-forest order, of every orbit of
-    Aut(g) that they would visit, and count |Aut(g)| times fewer."""
+    Aut(g) that they would visit, |Aut(g)| times fewer than the class
+    count."""
     space = _LabelingSpace(bounds)
     for g in _graphs(family):
         relabelings = [source for source, _ in _relabelings(g)]
@@ -1194,7 +1203,7 @@ def test_orbit_walks_yield_the_least_labeling_of_each_orbit(family, bounds):
             assert len(set(least_ones)) == len(least_ones)
             assert set(least_ones) == {least(indices) for indices in every}
             assert len(least_ones) * len(relabelings) == len(every)
-        assert _count_indices(g, space) * len(relabelings) == len(list(_visit(g, space)))
+            assert _class_count(g, space, balanced) == len(every)
 
 
 @pytest.mark.parametrize(
@@ -1322,24 +1331,25 @@ def test_a_replayed_counterexample_holds_no_dict():
 
 def test_a_walk_that_ignores_balanced_does_not_pass(monkeypatch):
     """The searches trust the balanced walk: if it yields unbalanced
-    labelings too, replay fails or the report changes, never silently. FWD's
-    findings are the labelings the balanced walk skips, so they would
-    vanish. SUBDIVISION counts by class assignment: a class walk whose
-    levels carry no potentials counts unbalanced assignments too, and its
-    cases change."""
+    labelings too, a check or replay fails, never silently. FWD's findings
+    are the labelings the balanced walk skips, so they would vanish, and
+    REV's would be every labeling: each misses its class count.
+    HOMEOMORPHISM fails replay. SUBDIVISION counts by class assignment: a
+    class walk whose levels carry no potentials counts unbalanced
+    assignments too, and its cases change."""
     import sumsign.search as search_module
 
     bounds = SearchBounds(2, 2)
-    fwd = verify_theorem(TheoremId.BALANCE_BIPARTITE_FWD, "connected:4", bounds)
-    assert fwd.counterexamples
+    assert verify_theorem(TheoremId.BALANCE_BIPARTITE_FWD, "connected:4", bounds).counterexamples
     visit = search_module._visit
     monkeypatch.setattr(
         search_module, "_visit", lambda g, space, balanced=False, orbits=False: visit(g, space)
     )
-    assert verify_theorem(TheoremId.BALANCE_BIPARTITE_FWD, "connected:4", bounds) != fwd
-    for tid in (TheoremId.BALANCE_BIPARTITE_REV, TheoremId.HOMEOMORPHISM):
-        with pytest.raises(AssertionError, match=f"{tid.value} finding failed to replay"):
+    for tid in (TheoremId.BALANCE_BIPARTITE_FWD, TheoremId.BALANCE_BIPARTITE_REV):
+        with pytest.raises(AssertionError, match="listing misses the class count"):
             verify_theorem(tid, "connected:4", bounds)
+    with pytest.raises(AssertionError, match="HOMEOMORPHISM finding failed to replay"):
+        verify_theorem(TheoremId.HOMEOMORPHISM, "connected:4", bounds)
     monkeypatch.undo()
     levels = search_module._levels
     monkeypatch.setattr(
@@ -1348,6 +1358,50 @@ def test_a_walk_that_ignores_balanced_does_not_pass(monkeypatch):
     assert verify_theorem(TheoremId.SUBDIVISION, "connected:4", bounds).cases_checked != 2580
     monkeypatch.undo()
     assert verify_theorem(TheoremId.SUBDIVISION, "connected:4", bounds).cases_checked == 2580
+
+
+@pytest.mark.parametrize(
+    "tid", [TheoremId.BALANCE_BIPARTITE_FWD, TheoremId.BALANCE_BIPARTITE_REV], ids=["fwd", "rev"]
+)
+def test_a_listing_that_drops_a_balanced_labeling_is_refused(monkeypatch, tid):
+    """FWD's findings must number the plain class count less the balanced
+    one, and REV's the balanced class count: a balanced listing that loses
+    one labeling breaks both before any replay."""
+    import sumsign.search as search_module
+
+    bounds = SearchBounds(3, 2)
+    assert verify_theorem(tid, "connected:4", bounds).counterexamples
+    visit = search_module._visit
+
+    def drop_first(g, space, balanced=False, orbits=False):
+        walk = visit(g, space, balanced, orbits)
+        return islice(walk, 1, None) if balanced else walk
+
+    monkeypatch.setattr(search_module, "_visit", drop_first)
+    with pytest.raises(AssertionError, match="listing misses the class count"):
+        verify_theorem(tid, "connected:4", bounds)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [SearchBounds(4, 3), SearchBounds(3, 3, odd_ratios_only=True),
+     SearchBounds(4, 2, require_strict_universe=True)],
+    ids=["(4,3)", "(3,3)-odd", "(4,2)-strict"],
+)
+def test_classes_are_the_length_and_difference_classes(bounds):
+    """The class of a set is its (length, difference), every singleton in
+    one class, numbered in the order of their first set; under strict
+    bounds each set is a class of its own."""
+    space = _LabelingSpace(bounds)
+    keys = {}
+    for i, s in enumerate(space.sets):
+        elements = s.elements
+        key = i if bounds.require_strict_universe else (
+            len(elements), elements[1] - elements[0] if len(elements) > 1 else None
+        )
+        keys.setdefault(key, []).append(i)
+    assert space.classes.members == tuple(map(tuple, keys.values()))
+    assert all(space.classes.of[i] == c for c, m in enumerate(keys.values()) for i in m)
 
 
 @pytest.mark.parametrize("tid", list(TheoremId), ids=lambda tid: tid.value)
